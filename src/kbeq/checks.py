@@ -272,6 +272,7 @@ def check_eq5(table: FuncTable, tol: float = DEFAULT_TOL,
     vals = table.values
     exact = all(not isinstance(v, float) for v in vals.values())
     checked = 0
+    considered = 0
     note = None
     if total > full_budget:
         note = f"sampled about {sample_budget} of {total} triples deterministically"
@@ -283,6 +284,7 @@ def check_eq5(table: FuncTable, tol: float = DEFAULT_TOL,
                 idx += 1
                 if step > 1 and idx % step:
                     continue
+                considered += 1
                 w = _eq5_terms(table, x, h, k)
                 if w is None:
                     continue
@@ -290,9 +292,9 @@ def check_eq5(table: FuncTable, tol: float = DEFAULT_TOL,
                 acc = w
                 bad = acc != 0 if exact else abs(acc) > tol
                 if bad:
-                    return _failed(checked, 1.0,
+                    return _failed(checked, checked / considered,
                                    _eq5_witness(table, x, h, k), note)
-    return _passed(checked, 1.0, note)
+    return _passed(checked, checked / considered if considered else 1.0, note)
 
 
 def _eq5_points(table, x, h, k):

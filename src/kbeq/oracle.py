@@ -7,12 +7,14 @@ groups, and a cross-check suite that exercises synthesis, decomposition and
 the censuses against each other.
 
 The restricted-grid census enumerates every pair of grid-valued positive
-functions satisfying the functional equation by depth-first search over
-per-element assignments, pruning with equation instances only (a greedy
-linearly independent subset of them, which enforces the same constraints).
-The frontier is advanced with exact integer vector arithmetic so groups
-whose solution sets run into the tens of millions stay tractable; results
-stream in lexicographic order.
+functions satisfying the functional equation using equation instances only,
+never the classification.  The instances are brought to reduced echelon
+form by exact fraction-free integer elimination; the search branches on the
+free variables alone and back-substitutes the determined ones, keeping a
+row only when every determined value is integral and on the grid.  Rows are
+built in blocks from a fixed template of the last free variables with small
+integer arrays, so groups whose solution sets run into the tens of millions
+stay tractable; results stream in lexicographic order.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from random import Random
 from typing import Callable, Optional, Sequence
@@ -253,9 +256,24 @@ def _annotate_pair(group: GroupSpec, a: FuncTable, b: FuncTable) -> dict:
 
 
 class _GridSolver:
-    """Depth-first grid search for the log-linear equation instances."""
+    """Grid search on the free variables of the exact echelon form.
 
-    chunk_rows = 1 << 19
+    Variables are the scaled logs ``T(x)``, ``S(x)`` of f and g, taken in the
+    greedy element order.  The equation instances are row-reduced over the
+    integers with every pivot on its row's highest variable, so each
+    determined variable is an integer combination of lower free variables
+    divided by a positive integer.  The search enumerates grid assignments
+    of the free variables lexicographically -- a recursion over a prefix,
+    then one block per prefix from a fixed template of the last free
+    variables -- and keeps a row when every determined value is integral
+    and on the grid.  Two solutions first differ at a free variable (a
+    determined one is fixed by the free ones before it), so rows come out in
+    the lexicographic order of whole rows.
+    """
+
+    chunk_rows = 1 << 19  # most rows in one template block
+    # bound on |entry products| under which elimination stays in int64
+    int64_limit = (1 << 63) - 1
 
     def __init__(self, group: GroupSpec, log_grid: Sequence[Fraction],
                  budget: int):
@@ -267,174 +285,293 @@ class _GridSolver:
         self.elements = group.elements()
         n = len(self.elements)
         self.nvars = 2 * n
-        index = {e: i for i, e in enumerate(self.elements)}
         denom = 1
         for v in self.grid:
             denom = denom * v.denominator // math.gcd(denom, v.denominator)
         self.denom = denom
-        gvals = [int(v * denom) for v in self.grid]
-        self.dtype = np.int8 if max(abs(v) for v in gvals) <= 127 else np.int64
-        self.grid_arr = np.array(gvals, dtype=self.dtype)
-        raw = self._raw_instances(index)
-        order = self._element_order(raw, n)
-        # variable 2i / 2i+1 hold T / S at elements[order[i]]
-        var_pos = {}
-        for pos, ei in enumerate(order):
-            var_pos[2 * ei] = 2 * pos
-            var_pos[2 * ei + 1] = 2 * pos + 1
-        # emitted column v holds solver column var_pos[v] (element order)
-        self.emit_perm = np.array([var_pos[v] for v in range(self.nvars)])
-        self.triggered = self._independent_instances(raw, var_pos)
+        self.gvals = [int(v * denom) for v in self.grid]
+        self.dtype = np.int8 if max(abs(v) for v in self.gvals) <= 127 else np.int64
+        raw = self._raw_instances()
+        order = self._element_order(raw)
+        # solver variable 2i / 2i+1 holds T / S at elements[order[i]]; it is
+        # written to column col[var] of the emitted rows (element order)
+        self.col = [2 * ei + half for ei in order for half in (0, 1)]
+        self._plan(self._echelon(raw[:, self.col]))
 
-    def _raw_instances(self, index) -> list[tuple]:
-        seen = set()
-        for x in self.elements:
-            for y in self.elements:
-                terms: dict[int, int] = {}
-                for var, co in (
-                    (2 * index[x + y], 1),
-                    (2 * index[x - y] + 1, 1),
-                    (2 * index[x], -1),
-                    (2 * index[y], -1),
-                    (2 * index[x] + 1, -1),
-                    (2 * index[-y] + 1, -1),
-                ):
-                    terms[var] = terms.get(var, 0) + co
-                canon = tuple(sorted((v, c) for v, c in terms.items() if c))
-                if canon:
-                    seen.add(canon)
-        return sorted(seen)
+    def _raw_instances(self) -> np.ndarray:
+        """Distinct nonzero equation instances, one coefficient row each.
 
-    def _element_order(self, raw: list[tuple], n: int) -> list[int]:
+        Instance (x, y) reads ``T(x+y) + S(x-y) - T(x) - T(y) - S(x) - S(-y)``
+        with ``T(e)`` in column ``2e`` and ``S(e)`` in column ``2e+1``.
+        Elements are numbered in lexicographic coordinate order, so the
+        index of a coordinate vector is its mixed-radix value.
+        """
+        n = len(self.elements)
+        torsion = np.array(self.group.torsion, dtype=np.int64)
+        coords = np.array([e.coords for e in self.elements],
+                          dtype=np.int64).reshape(n, len(torsion))
+        strides = np.array([math.prod(self.group.torsion[d + 1:])
+                            for d in range(len(torsion))], dtype=np.int64)
+
+        def index(c):
+            return (c % torsion) @ strides
+
+        x, y = np.divmod(np.arange(n * n), n)
+        cx, cy = coords[x], coords[y]
+        m = np.zeros((n * n, self.nvars), dtype=np.int64)
+        pair = np.arange(n * n)
+        for var, co in ((2 * index(cx + cy), 1), (2 * index(cx - cy) + 1, 1),
+                        (2 * x, -1), (2 * y, -1),
+                        (2 * x + 1, -1), (2 * index(-cy) + 1, -1)):
+            np.add.at(m, (pair, var), co)
+        return np.unique(m[m.any(axis=1)], axis=0)
+
+    def _element_order(self, raw: np.ndarray) -> list[int]:
         """Greedy processing order: trigger equation instances early.
 
         Each step appends the element that completes the most still-open
         instances (ties to the lexicographically first element), which keeps
-        the search frontier collapsing as soon as the equations allow.
+        the search frontier collapsing as soon as the equations allow.  An
+        open instance is completed by e exactly when e is its only unplaced
+        element, so the gains are counts of single-element remainders.
         """
+        n = len(self.elements)
         if n > 64:
             return list(range(n))
-        inst_elems = [frozenset(v // 2 for v, _ in terms) for terms in raw]
-        placed = {0}
+        present = (raw[:, 0::2] != 0) | (raw[:, 1::2] != 0)
+        bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
+        masks = [int(v) for v in (present * bits).sum(axis=1, dtype=np.uint64)]
+        placed = 1
         order = [0]
-        avail = set(range(1, n))
-        open_insts = [s for s in inst_elems if not s <= placed]
-        while avail:
-            best = None
-            best_gain = -1
-            for e in sorted(avail):
-                gain = sum(1 for s in open_insts if s <= placed | {e})
-                if gain > best_gain:
-                    best, best_gain = e, gain
-            placed.add(best)
-            avail.discard(best)
+        open_rem = [m & ~placed for m in masks if m & ~placed]
+        while len(order) < n:
+            gain = [0] * n
+            for rem in open_rem:
+                if rem & (rem - 1) == 0:
+                    gain[rem.bit_length() - 1] += 1
+            best = max((e for e in range(n) if not placed >> e & 1),
+                       key=lambda e: (gain[e], -e))
+            placed |= 1 << best
             order.append(best)
-            open_insts = [s for s in open_insts if not s <= placed]
+            open_rem = [r & ~placed for r in open_rem if r & ~placed]
         return order
 
-    def _independent_instances(self, raw: list[tuple], var_pos) -> list[list]:
-        """Greedy linearly independent equation instances, by trigger depth.
+    def _echelon(self, m: np.ndarray) -> dict[int, dict]:
+        """Reduced echelon form of the instance rows over the integers.
 
-        Dependent instances are linear combinations of earlier-triggered
-        kept ones, so dropping them changes neither the solution set nor
-        the pruning power at any depth.
+        Fraction-free Gauss-Jordan elimination (Cohen, *A Course in
+        Computational Algebraic Number Theory*, sec. 2.4) from the highest
+        variable down: each pivot sits on its row's highest variable and is
+        cleared from every other row, and each changed row is divided by its
+        content.  Entries stay int64 while every product provably fits and
+        move to Python integers otherwise.  Returns ``{pivot: {var: coef}}``
+        with a positive pivot entry, content 1 and no other pivot variable.
+        That form is unique, so the choice of pivot rows changes nothing.
+        ``m`` is reduced in place.
         """
-        insts = []
-        for terms in raw:
-            mapped = tuple(sorted((var_pos[v], c) for v, c in terms))
-            insts.append(mapped)
-        insts.sort(key=lambda t: (max(v for v, _ in t), t))
-        basis: list[list[Fraction]] = []  # reduced echelon rows
-        triggered: list[list] = [[] for _ in range(self.nvars)]
-        for terms in insts:
-            vec = [Fraction(0)] * self.nvars
-            for v, c in terms:
-                vec[v] = Fraction(c)
-            if self._reduces_to_zero(vec, basis):
+        active = np.ones(len(m), dtype=bool)
+        pivot_row = {}
+        for c in range(self.nvars - 1, -1, -1):
+            nz = m[:, c] != 0
+            cand = np.flatnonzero(nz & active)
+            if len(cand) == 0:
                 continue
-            trig = max(v for v, _ in terms)
-            triggered[trig].append((
-                np.array([v for v, _ in terms], dtype=np.int64),
-                np.array([c for _, c in terms], dtype=np.int64),
-            ))
-        return triggered
+            p = int(cand[0])
+            active[p] = False
+            pivot_row[c] = p
+            nz[p] = False
+            others = np.flatnonzero(nz)
+            if len(others) == 0:
+                continue
+            if m.dtype != object and (2 * int(np.abs(m[p]).max())
+                                      * int(np.abs(m[others]).max())
+                                      > self.int64_limit):
+                m = m.astype(object)
+            sub = m[p, c] * m[others] - m[others, c][:, None] * m[p]
+            content = np.gcd.reduce(sub, axis=1)
+            content[content == 0] = 1
+            m[others] = sub // content[:, None]
+        out = {}
+        for c, p in pivot_row.items():
+            row = [int(v) for v in m[p]]
+            g = math.gcd(*row) if row[c] > 0 else -math.gcd(*row)
+            out[c] = {v: co // g for v, co in enumerate(row) if co}
+        return out
 
-    @staticmethod
-    def _reduces_to_zero(vec: list[Fraction], basis: list[list[Fraction]]) -> bool:
-        for row in basis:
-            piv = next(i for i, v in enumerate(row) if v)
-            if vec[piv]:
-                f = vec[piv] / row[piv]
-                for i in range(piv, len(vec)):
-                    vec[i] -= f * row[i]
-        if any(vec):
-            basis.append(vec)
-            return False
-        return True
+    def _plan(self, pivots: dict[int, dict]):
+        """Split free variables into prefix and template; place each check.
 
-    def run(self, emit: Callable[[np.ndarray], None]) -> int:
-        """Stream distinct solution rows (scaled logs, element-order columns).
-
-        The depth-first search branches on disjoint grid values, so emitted
-        rows are distinct by construction and their order is deterministic.
+        A determined variable with template inputs is tested per block;
+        otherwise it is tested at the prefix depth of its last input (or
+        once, before the search, when it has no inputs and is always 0).
         """
-        self._used = 0
-        count = [0]
+        free = [v for v in range(self.nvars) if v not in pivots]
+        g = len(self.gvals)
+        limit = min(self.chunk_rows, self.budget)
+        k = 0
+        while k < len(free) and g ** (k + 1) <= limit:
+            k += 1
+        self.prefix = free[:len(free) - k]
+        self.template = free[len(free) - k:]
+        self.block_rows = g ** k
+        depth_of = {v: i for i, v in enumerate(self.prefix)}
+        slot_of = {v: j for j, v in enumerate(self.template)}
+        lo_g, hi_g = min(self.gvals), max(self.gvals)
+        self.uses: list[list[tuple[int, int]]] = [[] for _ in self.prefix]
+        self.ready: list[list[int]] = [[] for _ in self.prefix]
+        self.const_dets: list[int] = []
+        self.block_dets: list[int] = []
+        self.det_col, self.det_den, self.det_tm = [], [], []
+        self.tmin, self.tmax = [], []
+        for di, (p, row) in enumerate(sorted(pivots.items())):
+            self.det_col.append(self.col[p])
+            self.det_den.append(row[p])
+            coefs = [(v, -c) for v, c in row.items() if v != p]
+            if sum(abs(c) for _, c in coefs) * max(-lo_g, hi_g) >= 1 << 62:
+                # template sums and numerators are evaluated in int64
+                raise KbeqError("echelon coefficients too large for the search")
+            pre = [(depth_of[v], c) for v, c in coefs if v in depth_of]
+            tm = [(slot_of[v], c) for v, c in coefs if v in slot_of]
+            for depth, c in pre:
+                self.uses[depth].append((di, c))
+            self.det_tm.append(tm)
+            self.tmin.append(sum(min(c * lo_g, c * hi_g) for _, c in tm))
+            self.tmax.append(sum(max(c * lo_g, c * hi_g) for _, c in tm))
+            if tm:
+                self.block_dets.append(di)
+            elif pre:
+                self.ready[max(d for d, _ in pre)].append(di)
+            else:
+                self.const_dets.append(di)
+        bits = 8 * np.dtype(self.dtype).itemsize
+        self._wrap_mod = 1 << bits
+        self._wrap_half = 1 << (bits - 1)
 
-        def sink(rows):
-            count[0] += rows.shape[0]
-            emit(rows[:, self.emit_perm])
+    def _value(self, num: int, den: int) -> Optional[int]:
+        """``num / den`` when it is a grid value, else None."""
+        q, r = divmod(num, den)
+        return q if r == 0 and q in self.gvals else None
 
-        start = np.zeros((1, 0), dtype=self.dtype)
-        self._extend(start, 0, sink)
-        return count[0]
-
-    def _extend(self, chunk: np.ndarray, depth: int, emit):
-        m = chunk.shape[0]
-        if m == 0:
-            return
-        if depth == self.nvars:
-            emit(chunk)
-            return
-        if m > self.chunk_rows:
-            for s in range(0, m, self.chunk_rows):
-                self._extend(chunk[s:s + self.chunk_rows], depth, emit)
-            return
-        g = len(self.grid)
-        total = m * g
-        self._used += total
+    def _spend(self, rows: int):
+        self._used += rows
         if self._used > self.budget:
             raise BudgetExceededError(
                 f"grid search exceeded the row budget ({self.budget})"
             )
-        newcol = np.tile(self.grid_arr, m)
-        instances = self.triggered[depth]
-        if instances:
-            mask = np.ones(total, dtype=bool)
-            gathered: dict[int, np.ndarray] = {}
-            for vars_arr, coefs in instances:
-                acc = np.zeros(total, dtype=np.int64)
-                for v, c in zip(vars_arr, coefs):
-                    if v == depth:
-                        acc += c * newcol
-                    else:
-                        col = gathered.get(v)
-                        if col is None:
-                            col = np.repeat(chunk[:, v].astype(np.int64), g)
-                            gathered[v] = col
-                        acc += c * col
-                mask &= acc == 0
-            keep = np.flatnonzero(mask)
-            if len(keep) == 0:
+
+    def run(self, emit: Callable[[np.ndarray], None]) -> int:
+        """Stream distinct solution rows (scaled logs, element-order columns).
+
+        Rows are distinct because free-variable assignments are, and their
+        order is deterministic.  ``_used`` counts the rows generated:
+        candidates at each prefix depth plus whole template blocks.
+        """
+        self._used = 0
+        self._count = 0
+        self._block0 = None
+        self._tsums: dict[int, np.ndarray] = {}
+        if all(self._value(0, self.det_den[di]) is not None
+               for di in self.const_dets):
+            row = np.zeros(self.nvars, dtype=self.dtype)
+            self._descend(0, [0] * len(self.det_col), row, emit)
+        return self._count
+
+    def _descend(self, depth: int, bases: list[int], row: np.ndarray, emit):
+        """Assign prefix free variable ``depth``; ``bases`` are numerators."""
+        if depth == len(self.prefix):
+            self._block(bases, row, emit)
+            return
+        self._spend(len(self.gvals))
+        col = self.col[self.prefix[depth]]
+        for v in self.gvals:
+            nb = list(bases)
+            for di, c in self.uses[depth]:
+                nb[di] += c * v
+            for di in self.ready[depth]:
+                q = self._value(nb[di], self.det_den[di])
+                if q is None:
+                    break
+                row[self.det_col[di]] = q
+            else:
+                row[col] = v
+                self._descend(depth + 1, nb, row, emit)
+
+    def _block(self, bases: list[int], row: np.ndarray, emit):
+        """Emit the solutions that complete one prefix.
+
+        Rows are the template block plus the prefix row.  A determined
+        value with denominator 1 is its numerator, which the template holds
+        without the prefix part; both parts are stored modulo the dtype's
+        range, so their sum is exact wherever the value is on the grid.
+        Determined values are tested per row unless the exact interval of
+        their numerators over the block holds only valid numerators.
+        """
+        tests = []
+        for di in self.block_dets:
+            b, d = bases[di], self.det_den[di]
+            lo, hi = b + self.tmin[di], b + self.tmax[di]
+            nums = [v * d for v in self.gvals if lo <= v * d <= hi]
+            if not nums:
                 return
-            child = np.empty((len(keep), depth + 1), dtype=self.dtype)
-            child[:, :depth] = chunk[keep // g]
-            child[:, depth] = newcol[keep]
+            if hi - lo + 1 > len(nums):
+                tests.append((di, [x - b for x in nums]))
+            row[self.det_col[di]] = (
+                (b + self._wrap_half) % self._wrap_mod - self._wrap_half
+                if d == 1 else 0)
+        self._spend(self.block_rows)
+        if self._block0 is None:
+            self._build_template()
+        keep = None
+        for di, targets in tests:
+            hit = np.isin(self._tsum(di), targets)
+            keep = hit if keep is None else np.logical_and(keep, hit, out=keep)
+        if keep is None:
+            rows = self._block0 + row
         else:
-            child = np.empty((total, depth + 1), dtype=self.dtype)
-            child[:, :depth] = np.repeat(chunk, g, axis=0)
-            child[:, depth] = newcol
-        self._extend(child, depth + 1, emit)
+            rows = self._block0[keep]
+            rows += row
+        for di in self.block_dets:
+            if self.det_den[di] != 1:
+                t = self._tsum(di)
+                t = t if keep is None else t[keep]
+                rows[:, self.det_col[di]] = (bases[di] + t.astype(np.int64)) \
+                    // self.det_den[di]
+        if len(rows):
+            self._count += len(rows)
+            emit(rows)
+
+    def _build_template(self):
+        """All grid assignments of the template variables, lexicographic.
+
+        Columns of template variables hold their values; columns of
+        determined variables with denominator 1 hold the template part of
+        their numerator modulo the dtype's range; all others are 0.
+        """
+        g, k = len(self.gvals), len(self.template)
+        grid = np.array(self.gvals, dtype=self.dtype)
+        self._block0 = np.zeros((self.block_rows, self.nvars), dtype=self.dtype)
+        for j, v in enumerate(self.template):
+            self._block0[:, self.col[v]] = np.tile(
+                np.repeat(grid, g ** (k - 1 - j)), g ** j)
+        for di in self.block_dets:
+            if self.det_den[di] == 1:
+                self._block0[:, self.det_col[di]] = \
+                    self._tsum(di).astype(self.dtype)
+
+    def _tsum(self, di: int) -> np.ndarray:
+        """Template part of determined variable ``di``'s numerator, exact."""
+        out = self._tsums.get(di)
+        if out is None:
+            acc = np.zeros(self.block_rows, dtype=np.int64)
+            for j, c in self.det_tm[di]:
+                acc += self._block0[:, self.col[self.template[j]]] \
+                    .astype(np.int64) * c
+            for dt in (np.int8, np.int16, np.int32, np.int64):
+                info = np.iinfo(dt)
+                if info.min <= self.tmin[di] and self.tmax[di] <= info.max:
+                    break
+            out = self._tsums[di] = acc.astype(dt)
+        return out
 
 
 def scan_restricted_kb(group: GroupSpec, log_grid: Sequence = (-1, 0, 1),
@@ -502,20 +639,32 @@ def predicted_restricted_count(group: GroupSpec,
 
 def restricted_rows_match_prediction(group: GroupSpec, rows: np.ndarray,
                                      denom: int) -> bool:
-    """Structural test: every row is (T coset-constant, S = -T)."""
-    t = rows[:, 0::2].astype(np.int64)
-    s = rows[:, 1::2].astype(np.int64)
-    if not np.array_equal(s, -t):
+    """Structural test: every row is (T coset-constant, S = -T).
+
+    ``rows`` come from :func:`scan_restricted_kb`.  ``T + S`` is summed in
+    the rows' own dtype, which is exact because int8 rows hold values within
+    +-127; coset constancy compares each non-representative T column with
+    its coset representative's.
+    """
+    if np.any(rows[:, 0::2] + rows[:, 1::2]):
         return False
-    elements = group.elements()
+    members, reps = _coset_columns(group)
+    return np.array_equal(np.take(rows, members, axis=1),
+                          np.take(rows, reps, axis=1))
+
+
+@lru_cache(maxsize=64)
+def _coset_columns(group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
+    """T columns of elements that are not the first of their doubled coset,
+    and the T columns of those first elements."""
     first_of: dict = {}
-    for i, e in enumerate(elements):
-        first_of.setdefault(group.coset_index(e, 2), i)
-    for i, e in enumerate(elements):
-        j = first_of[group.coset_index(e, 2)]
-        if i != j and not np.array_equal(t[:, i], t[:, j]):
-            return False
-    return True
+    members, reps = [], []
+    for i, e in enumerate(group.elements()):
+        j = first_of.setdefault(group.coset_index(e, 2), i)
+        if j != i:
+            members.append(2 * i)
+            reps.append(2 * j)
+    return np.array(members, dtype=np.intp), np.array(reps, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -9,6 +10,7 @@ from kbeq.errors import BudgetExceededError
 from kbeq.functions import FuncTable
 from kbeq.groups import FullGroup, GroupSpec, parse_group
 from kbeq.oracle import (
+    _GridSolver,
     builtin_counterexample,
     builtin_odd_quadratic,
     enum_restricted_kb,
@@ -18,6 +20,7 @@ from kbeq.oracle import (
     scan_restricted_kb,
     verify_theorem_suite,
 )
+from reference_grid_solver import reference_rows
 
 Z44 = GroupSpec(0, (4, 4))
 
@@ -254,6 +257,23 @@ def test_scan_matches_enum():
         assert restricted_rows_match_prediction(group, rows, denom)
 
 
+@pytest.mark.parametrize("grid", [(-1, 0, 1), (-200, 0, 200)])
+def test_structural_check_rejects_each_violation(grid):
+    group = GroupSpec(0, (4, 2))  # doubled cosets {0, 2} x {0}, ...
+    _, rows, denoms = _streamed(
+        lambda keep: scan_restricted_kb(group, grid, keep))
+    assert restricted_rows_match_prediction(group, rows, denoms.pop())
+    elements = [e.coords for e in group.elements()]
+    member = elements.index((2, 1))  # same doubled coset as (0, 1)
+    bad_s = rows.copy()
+    bad_s[-1, 2 * member + 1] += 1
+    assert not restricted_rows_match_prediction(group, bad_s, 1)
+    bad_t = rows.copy()
+    bad_t[-1, 2 * member] += 1
+    bad_t[-1, 2 * member + 1] -= 1  # keeps S = -T
+    assert not restricted_rows_match_prediction(group, bad_t, 1)
+
+
 def test_scan_budget_enforced():
     group = GroupSpec(0, (2, 2, 2))
     with pytest.raises(BudgetExceededError):
@@ -273,6 +293,139 @@ def test_asymmetric_grid():
     sols = enum_restricted_kb(group, (0, 1))
     assert predicted_restricted_count(group, (0, 1)) == 1
     assert len(sols) == 1
+
+
+# ---------------------------------------------------------------------------
+# free-variable search against the reference search
+
+
+# every Abelian group of order <= 12, one presentation per isomorphism type
+ORDER_LE_12 = [
+    "", "Z/2", "Z/3", "Z/4", "Z/2 x Z/2", "Z/5", "Z/6", "Z/7", "Z/8",
+    "Z/4 x Z/2", "Z/2 x Z/2 x Z/2", "Z/9", "Z/3 x Z/3", "Z/10", "Z/11",
+    "Z/12", "Z/6 x Z/2",
+]
+REFERENCE_GRIDS = {
+    "sym": (-1, 0, 1),
+    "asym": (0, 1),
+    "zero": (0,),
+    "halves": (Fraction(-1, 2), 0, Fraction(1, 2)),
+    "int64": (-200, 0, 200),  # values beyond int8: int64 rows
+}
+
+
+def _group(literal):
+    return GroupSpec(0, ()) if literal == "" else parse_group(literal)
+
+
+def _streamed(run):
+    """(count, concatenated rows, set of denominators) of one scan."""
+    chunks, denoms = [], set()
+
+    def keep(rows, denom):
+        chunks.append(rows.copy())
+        denoms.add(denom)
+
+    count = run(keep)
+    rows = np.concatenate(chunks) if chunks else None
+    return count, rows, denoms
+
+
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS.values(),
+                         ids=REFERENCE_GRIDS.keys())
+@pytest.mark.parametrize("literal", ORDER_LE_12)
+def test_scan_matches_reference_search(literal, grid):
+    group = _group(literal)
+    count, rows, denoms = _streamed(
+        lambda keep: scan_restricted_kb(group, grid, keep))
+    ref_count, ref_rows, ref_denom = reference_rows(group, grid)
+    assert count == ref_count == len(ref_rows) > 0
+    assert denoms == {ref_denom}
+    assert rows.dtype == ref_rows.dtype and rows.shape == ref_rows.shape
+    assert rows.tobytes() == ref_rows.tobytes()
+
+
+def test_scan_budget_matches_reference():
+    group = GroupSpec(0, (2, 2, 2))
+    with pytest.raises(BudgetExceededError):
+        reference_rows(group, (-1, 0, 1), budget=100)
+    chunks = []
+    with pytest.raises(BudgetExceededError):
+        scan_restricted_kb(group, budget=100,
+                           on_chunk=lambda rows, d: chunks.append(rows.copy()))
+    # rows streamed before the budget ran out lead the full stream
+    _, full, _ = reference_rows(group, (-1, 0, 1))
+    streamed = np.concatenate(chunks)
+    assert 0 < len(streamed) <= 100
+    assert streamed.tobytes() == full[:len(streamed)].tobytes()
+
+
+class _SystemSolver(_GridSolver):
+    """The grid search on a given linear system in place of the equation's."""
+
+    def __init__(self, instances, elements, grid, chunk_rows):
+        self.instances = instances
+        self.chunk_rows = chunk_rows
+        super().__init__(GroupSpec(0, (elements,)), grid, 10**9)
+
+    def _raw_instances(self):
+        m = np.zeros((len(self.instances), self.nvars), dtype=np.int64)
+        for r, terms in enumerate(self.instances):
+            for v, c in terms:
+                m[r, v] = c
+        return m
+
+
+def _solver_scan(solver):
+    return lambda keep: solver.run(lambda rows: keep(rows, solver.denom))
+
+
+# after back-substitution: v2 = (v0 + v1) / 2, v3 = v0 - v1 (which can
+# leave the grid), v5 = (v0 + v1 + 4 v4) / 6 and v7 = v0 + v1 - v4, whose
+# prefix part v0 + v1 can leave the int8 range while v7 stays on the grid
+SYSTEM = [
+    [(0, 1), (1, 1), (2, -2)],
+    [(0, 1), (1, -1), (3, -1)],
+    [(2, 1), (4, 2), (5, -3)],
+    [(0, 1), (1, 1), (4, -1), (7, -1)],
+]
+
+
+@lru_cache(maxsize=None)
+def _system_solutions(grid):
+    return [v for v in product(grid, repeat=8)
+            if all(sum(c * v[i] for i, c in terms) == 0 for terms in SYSTEM)]
+
+
+@pytest.mark.parametrize("python_ints", [False, True])
+@pytest.mark.parametrize("grid", [(-1, 0, 1, 2), (0, 1, 2), (-100, 0, 100)])
+@pytest.mark.parametrize("chunk_rows", [1, 5, 9, 1 << 19])
+def test_search_on_rational_echelon_matches_bruteforce(monkeypatch, grid,
+                                                       chunk_rows, python_ints):
+    if python_ints:  # eliminate in Python integers from the first step
+        monkeypatch.setattr(_GridSolver, "int64_limit", 0)
+    solver = _SystemSolver(SYSTEM, 4, grid, chunk_rows)
+    assert sorted(solver.det_den) == [1, 1, 2, 6]
+    count, rows, _ = _streamed(_solver_scan(solver))
+    # lexicographic by grid position, variables in the search's order
+    pos = {g: i for i, g in enumerate(grid)}
+    brute = sorted(_system_solutions(grid),
+                   key=lambda v: [pos[v[c]] for c in solver.col])
+    assert count == len(brute) == len(rows) > 1
+    assert [tuple(int(x) for x in row) for row in rows] == brute
+
+
+@pytest.mark.parametrize("literal, grid", [
+    ("Z/6 x Z/2", (-1, 0, 1)),
+    ("Z/2 x Z/2 x Z/2", (0, 1)),
+])
+def test_echelon_python_int_fallback_matches_int64(monkeypatch, literal, grid):
+    group = _group(literal)
+    fast = _streamed(lambda keep: scan_restricted_kb(group, grid, keep))
+    monkeypatch.setattr(_GridSolver, "int64_limit", 0)
+    slow = _streamed(lambda keep: scan_restricted_kb(group, grid, keep))
+    assert fast[0] == slow[0] > 0
+    assert fast[1].tobytes() == slow[1].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 import kbeq.checks as checks_mod
-from kbeq.checks import check_kb, check_sign_eq26
+from kbeq.checks import check_eq5, check_kb, check_sign_eq26
 from kbeq.decompose import decompose_hermitian, decompose_positive
 from kbeq.errors import (
     DecompositionError,
@@ -62,14 +62,29 @@ def test_kb_paths_agree_signs(monkeypatch, corrupt):
         vals[x] = -vals[x]
         f = FuncTable(f.group, f.domain, "sign", vals)
     fast = check_kb(f, g)
+    fast26 = check_sign_eq26(f, g)
     _force_slow(monkeypatch)
     slow = check_kb(f, g)
+    slow26 = check_sign_eq26(f, g)
     assert fast.holds == slow.holds == (not corrupt)
+    assert fast26.holds == slow26.holds == (not corrupt)
     if corrupt:
         assert fast.witness.points == slow.witness.points
-    fast26 = check_sign_eq26(f, g)
-    slow26 = check_sign_eq26(f, g)
-    assert fast26.holds == slow26.holds
+        assert fast26.witness.points == slow26.witness.points
+
+
+def test_eq5_paths_agree_on_coverage(monkeypatch):
+    # a radius-3 box: 343 triples, some with points outside the window
+    group = GroupSpec(1)
+    t = FuncTable.from_function(group, Box((3,)), "real",
+                                lambda p: Fraction(p.coords[0] ** 2))
+    fast = check_eq5(t)
+    _force_slow(monkeypatch)
+    slow = check_eq5(t)
+    assert fast.holds and slow.holds
+    assert fast.note is None and slow.note is None
+    assert slow.pairs_checked == fast.pairs_checked
+    assert 0 < slow.coverage == fast.coverage < 1
 
 
 def test_positive_decompose_rejects_random_corruption():
