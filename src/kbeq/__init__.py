@@ -22,7 +22,6 @@ from .checks import (
     check_polynomial,
     check_quadratic,
     check_sign_eq26,
-    delta,
 )
 from .decompose import (
     decompose_T,
@@ -60,7 +59,6 @@ from .functions import (
     eval_hermitian,
     eval_positive,
     synth_table,
-    table_even_odd_split,
 )
 from .groups import (
     Box,
@@ -69,7 +67,6 @@ from .groups import (
     FullGroup,
     GroupElement,
     GroupSpec,
-    Points,
     SubgroupSpec,
     add,
     coset_index,

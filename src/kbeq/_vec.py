@@ -4,9 +4,12 @@ Domains enumerate points in lexicographic coordinate order, which coincides
 with the mixed-radix code ``sum(digit_c * stride_c)`` where free coordinates
 use ``digit = value + radius`` and torsion coordinates use the residue
 itself.  That makes the index of an affine combination ``cx*x + cy*y``
-computable coordinate-wise with numpy, so exhaustive quantifier sweeps can
-run as array arithmetic instead of Python loops.  Exactness is preserved by
-scaling rational tables to a common denominator and working in int64.
+computable coordinate-wise with numpy, so exhaustive quantifier sweeps run
+as array arithmetic.  :func:`numeric_mode` encodes tables as arrays in
+domain order and :func:`first_failure` evaluates any signed sum or product
+identity over pair or triple index arrays; exactness is kept by scaling
+rationals to a common denominator, in int64 only where a bound proves the
+sums fit and in Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .groups import Box, Domain, FullGroup, GroupSpec
+from .errors import BudgetExceededError, IncompatibleTablesError
+from .groups import Box, Domain, GroupSpec
 
 _PAIR_GUARD = 30_000_000  # refuse quadratic sweeps beyond this many pairs
 
@@ -37,10 +40,8 @@ class VecDomain:
 _domain_cache: dict = {}
 
 
-def domain_info(group: GroupSpec, domain: Domain) -> Optional[VecDomain]:
-    """Vectorization data for Box/FullGroup domains; None otherwise."""
-    if not isinstance(domain, (Box, FullGroup)):
-        return None
+def domain_info(group: GroupSpec, domain: Domain) -> VecDomain:
+    """Vectorization data (coordinates and mixed-radix strides) of a domain."""
     key = (group, domain)
     hit = _domain_cache.get(key)
     if hit is not None:
@@ -247,140 +248,178 @@ def scale_codes(info: VecDomain, factor: int) -> tuple[np.ndarray, np.ndarray]:
     return code, valid
 
 
-def turn_arrays(table) -> Optional[tuple[np.ndarray, int]]:
-    """Unimodular exact table as integer turns over a common denominator.
-
-    Returns (turn numerators, denominator) or None when any value is not a
-    unit-modulus Exact.
-    """
-    from .functions import Exact
-
-    vals = _dense_values(table)
-    denom = 1
-    for v in vals:
-        if not isinstance(v, Exact) or v.zero or v.log_abs != 0:
-            return None
-        denom = denom * v.turn.denominator // math.gcd(denom, v.turn.denominator)
-    nums = np.array([int(v.turn * denom) for v in vals], dtype=np.int64)
-    return nums, denom
-
-
 # ---------------------------------------------------------------------------
-# numeric table encodings
+# table encodings and the sweep kernel
 
 
-def _dense_values(table) -> list:
-    memo = table._memo
-    dense = memo.get("dense")
-    if dense is None:
-        dense = [table.values[p] for p in table.points()]
-        memo["dense"] = dense
-    return dense
+_INT_LIMIT = 1 << 58  # largest value kept in an int64 table array
+_INT64_MAX = (1 << 63) - 1
 
 
-_INT_LIMIT = (1 << 62) // 16
+def _ints(values: list) -> np.ndarray:
+    """Exact integers as int64 when every value is within ``_INT_LIMIT``."""
+    if max(map(abs, values), default=0) <= _INT_LIMIT:
+        return np.array(values, dtype=np.int64)
+    return np.array(values, dtype=object)
+
+
+def _over(values: list) -> tuple[np.ndarray, int]:
+    """Rationals as integer numerators over their least common denominator."""
+    denom = math.lcm(*{v.denominator for v in values})
+    return _ints([v.numerator * (denom // v.denominator) for v in values]), denom
+
+
+def _rescale(nums: np.ndarray, factor: int) -> np.ndarray:
+    if factor == 1 or not nums.any():
+        return nums
+    if nums.dtype != object and int(np.abs(nums).max()) * factor <= _INT_LIMIT:
+        return nums * factor
+    return nums.astype(object) * factor
 
 
 def _table_encoding(table):
-    """Canonical numeric encoding of one table, cached on the table.
+    """One table's values as arrays in domain order, cached on the table.
 
-    Returns ("int", nums, denom) | ("float", arr) | ("parity", arr) | None.
+    Returns ("parity", exponents, 1) for sign tables, ("int", numerators,
+    denominator) or ("float", values, 1) for real and positive tables, and
+    ("exact", (log numerators, log denominator, turn numerators, turn
+    denominator, zero mask), 1) or ("complex", values, 1) for complex tables.
     """
+    from .functions import Exact, cval
+
     memo = table._memo
-    if "enc" in memo:
-        return memo["enc"]
-    enc = None
+    enc = memo.get("enc")
+    if enc is not None:
+        return enc
+    pts = table.points()
+    vals = list(table.values.values())
+    if not all(a is b for a, b in zip(table.values, pts)):  # keys out of domain order
+        vals = [table.values[p] for p in pts]
     if table.kind == "sign":
-        vals = _dense_values(table)
-        arr = np.fromiter(((1 - v) >> 1 for v in vals), dtype=np.int64,
-                          count=len(vals))
-        enc = ("parity", arr)
-    elif table.kind in ("real", "positive"):
-        vals = _dense_values(table)
+        enc = ("parity", np.array([(1 - v) >> 1 for v in vals], dtype=np.int64), 1)
+    elif table.kind != "complex":
         if any(isinstance(v, float) for v in vals):
-            enc = ("float", np.array([float(v) for v in vals], dtype=np.float64))
+            enc = ("float", np.array([float(v) for v in vals], dtype=np.float64), 1)
         else:
-            denom = 1
-            for v in vals:
-                if isinstance(v, Fraction):
-                    denom = denom * v.denominator // math.gcd(denom, v.denominator)
-            ints = [int(v * denom) if isinstance(v, Fraction) else int(v) * denom
-                    for v in vals]
-            if max(map(abs, ints), default=0) <= _INT_LIMIT:
-                enc = ("int", np.array(ints, dtype=np.int64), denom)
+            enc = ("int", *_over(vals))
+    elif all(isinstance(v, Exact) for v in vals):
+        enc = ("exact", (*_over([v.log_abs for v in vals]),
+                         *_over([v.turn for v in vals]),
+                         np.array([v.zero for v in vals], dtype=bool)), 1)
+    else:
+        enc = ("complex", np.array([cval(v) for v in vals], dtype=np.complex128), 1)
     memo["enc"] = enc
     return enc
 
 
-def exact_complex_encoding(table):
-    """Exact-complex table as integer arrays, cached on the table.
+def numeric_mode(tables: Sequence) -> tuple[str, list, int]:
+    """Encode tables jointly for :func:`first_failure`: (kind, arrays, denom).
 
-    Returns (log_nums, log_den, turn_nums, turn_den, zero_mask) or None when
-    some value is not an :class:`~kbeq.functions.Exact`.  Zero entries carry
-    zeros in the numeric arrays and are handled through the mask.
-    """
-    from .functions import Exact
+    The arithmetic follows from the values alone:
 
-    memo = table._memo
-    if "cenc" in memo:
-        return memo["cenc"]
-    enc = None
-    vals = _dense_values(table)
-    if all(isinstance(v, Exact) for v in vals):
-        ld = td = 1
-        for v in vals:
-            if v.zero:
-                continue
-            ld = ld * v.log_abs.denominator // math.gcd(ld, v.log_abs.denominator)
-            td = td * v.turn.denominator // math.gcd(td, v.turn.denominator)
-        log_nums = [0 if v.zero else int(v.log_abs * ld) for v in vals]
-        turn_nums = [0 if v.zero else int(v.turn * td) for v in vals]
-        if (all(abs(n) <= _INT_LIMIT for n in log_nums)
-                and all(abs(n) <= _INT_LIMIT for n in turn_nums)):
-            enc = (
-                np.array(log_nums, dtype=np.int64), ld,
-                np.array(turn_nums, dtype=np.int64), td,
-                np.array([v.zero for v in vals], dtype=bool),
-            )
-    memo["cenc"] = enc
-    return enc
+    * ``"int"``: rationals as integer numerators over one common ``denom``;
+    * ``"parity"``: sign tables as 0/1 exponents of -1;
+    * ``"float"``: real or positive tables holding any float;
+    * ``"exact"``: complex tables of :class:`~kbeq.functions.Exact` values,
+      one (log numerators, turn numerators, zero mask) triple per table
+      over common denominators, ``denom`` being the turn denominator;
+    * ``"complex"``: complex tables holding any float complex value.
 
-
-def numeric_mode(tables: Sequence) -> Optional[tuple[str, list[np.ndarray]]]:
-    """Encode tables for exact/tolerant vector arithmetic.
-
-    Returns ("int", arrays) with all tables scaled to one common denominator,
-    ("float", arrays) when floats are present, ("parity", arrays) for sign
-    tables as 0/1 exponents, or None when values are complex (callers fall
-    back to pure Python loops).
+    Integer arrays are int64 when every value is within ``_INT_LIMIT`` and
+    hold Python ints otherwise.
     """
     encs = [_table_encoding(t) for t in tables]
-    if any(e is None for e in encs):
-        return None
     kinds = {e[0] for e in encs}
     if kinds == {"parity"}:
-        return "parity", [e[1] for e in encs]
-    if "parity" in kinds:
-        return None
-    if "float" in kinds:
-        out = []
-        for e in encs:
-            if e[0] == "float":
-                out.append(e[1])
-            else:
-                out.append(e[1].astype(np.float64) / e[2])
-        return "float", out
-    denom = 1
-    for _, _, d in encs:
-        denom = denom * d // math.gcd(denom, d)
-    arrays = []
-    for _, nums, d in encs:
-        scale = denom // d
-        scaled = nums * scale
-        if scale != 1 and np.abs(scaled).max(initial=0) > _INT_LIMIT:
-            return None
-        arrays.append(scaled)
-    return "int", arrays
+        return "parity", [e[1] for e in encs], 1
+    if kinds == {"int"}:
+        denom = math.lcm(*(e[2] for e in encs))
+        return "int", [_rescale(e[1], denom // e[2]) for e in encs], denom
+    if kinds <= {"int", "float"}:
+        return "float", [e[1] if e[0] == "float" else
+                         np.asarray(e[1] / e[2], dtype=np.float64) for e in encs], 1
+    if kinds == {"exact"}:
+        ld = math.lcm(*(e[1][1] for e in encs))
+        td = math.lcm(*(e[1][3] for e in encs))
+        return "exact", [(_rescale(lg, ld // lgd), _rescale(tn, td // tnd), zero)
+                         for _, (lg, lgd, tn, tnd, zero), _ in encs], td
+    if kinds <= {"exact", "complex"}:
+        return "complex", [
+            e[1] if e[0] == "complex" else
+            np.array([t.values[p].to_complex() for p in t.points()],
+                     dtype=np.complex128)
+            for t, e in zip(tables, encs)], 1
+    raise IncompatibleTablesError(f"cannot sweep {sorted(kinds)} tables together")
+
+
+def first_failure(enc, axes: Sequence[np.ndarray], terms, tol: float,
+                  product: bool) -> Optional[int]:
+    """Index of the first tuple where a signed identity fails, or None.
+
+    ``axes`` are aligned arrays of point indices, one entry per tuple, and
+    each term ``(table, axis, c)`` contributes table ``table`` at ``axes[axis]``
+    with coefficient ``c``.  The identity is ``prod T(p)^c == 1`` when
+    ``product`` and ``sum c T(p) == 0`` otherwise; each side collects the
+    terms of one coefficient sign.  Exact kinds compare exactly (parity and
+    turns modulo their denominator, exact-complex zeros by their masks);
+    float kinds fail where ``|lhs - rhs| <= tol`` does not hold.
+    """
+    kind, arrays, denom = enc
+    pos = [(t, axes[p], c) for t, p, c in terms if c > 0]
+    neg = [(t, axes[p], -c) for t, p, c in terms if c < 0]
+    if kind == "exact":
+        logs, turns, zeros = zip(*arrays)
+        lzero, rzero = (np.logical_or.reduce([zeros[t][K] for t, K, _ in side])
+                        for side in (pos, neg))
+        bad = _sums_differ(logs, pos, neg, 0) | _sums_differ(turns, pos, neg, denom)
+        bad = (lzero != rzero) | (~lzero & bad)
+    elif kind == "parity":
+        bad = _sums_differ(arrays, pos, neg, 2)
+    elif kind == "int" and not product:
+        bad = _sums_differ(arrays, pos, neg, 0)
+    elif kind == "int":
+        # values are nums / denom: compare lhs * denom^b with rhs * denom^a
+        a = sum(c for *_, c in pos)
+        b = sum(c for *_, c in neg)
+        arrays = _fitted(arrays, lambda m: (max(m, 1) * denom) ** max(a, b))
+        bad = (_side(arrays, pos, True) * denom ** b
+               != _side(arrays, neg, True) * denom ** a)
+    else:
+        bad = ~(np.abs(_side(arrays, pos, product) - _side(arrays, neg, product))
+                <= tol)
+    hit = np.flatnonzero(bad)
+    return int(hit[0]) if len(hit) else None
+
+
+def _side(arrays, side, product: bool):
+    acc = None
+    for t, K, c in side:
+        v = arrays[t][K]  # a fresh array, so accumulating in place is safe
+        if c != 1:
+            v = v ** c if product else c * v
+        if acc is None:
+            acc = v
+        elif product:
+            acc *= v
+        else:
+            acc += v
+    return acc
+
+
+def _fitted(arrays, bound) -> list:
+    """The arrays as Python ints unless ``bound(max |value|)`` fits int64."""
+    m = max(int(np.abs(a).max(initial=0)) for a in arrays)
+    if bound(m) <= _INT64_MAX and all(a.dtype != object for a in arrays):
+        return list(arrays)
+    return [a.astype(object) for a in arrays]
+
+
+def _sums_differ(arrays, pos, neg, modulus: int) -> np.ndarray:
+    """Where the two exact side sums differ (modulo ``modulus`` when nonzero)."""
+    weight = sum(c for *_, c in pos + neg)
+    arrays = _fitted(arrays, lambda m: max(m * weight, modulus))
+    lhs, rhs = _side(arrays, pos, False), _side(arrays, neg, False)
+    return (lhs - rhs) % modulus != 0 if modulus else lhs != rhs
 
 
 # ---------------------------------------------------------------------------

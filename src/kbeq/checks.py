@@ -1,4 +1,4 @@
-"""Finite-difference operators and exhaustive checkers for the functional equations.
+"""Exhaustive checkers for the functional equations.
 
 Every checker sweeps all in-range argument tuples of its equation over the
 table domain: a tuple is checked iff every point the equation touches lies
@@ -6,20 +6,22 @@ in the domain, and the report carries the fraction of conceivable tuples
 that were checkable (so truncation by a box window stays visible).  Failures
 report the lexicographically first witness, making them reproducible.
 
-Comparisons are exact for rational and exact-complex values and use an
-absolute tolerance (default 1e-9) for floating data.  Rational-valued tables
-over box or full-group domains are swept with exact integer vector
-arithmetic; other value types use direct Python loops.
+Every pair and triple identity runs through one sweep kernel
+(:func:`kbeq._vec.first_failure` over the index arrays of
+:func:`kbeq._vec.pair_maps` or :func:`kbeq._vec.triple_maps`), whose
+arithmetic :func:`kbeq._vec.numeric_mode` picks from the values alone:
+comparisons are exact for rational, sign and exact-complex values and use
+an absolute tolerance (default 1e-9) for floating data.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
-
-import numpy as np
 
 from . import _vec
 from .errors import DomainSizeError, IncompatibleTablesError
@@ -35,13 +37,12 @@ from .functions import (
     cval,
     values_equal,
 )
-from .groups import GroupElement, Points
+from .groups import GroupElement
 
 __all__ = [
     "CheckReport",
     "Witness",
     "DEFAULT_TOL",
-    "delta",
     "check_polynomial",
     "check_eq5",
     "check_kb",
@@ -90,9 +91,11 @@ def _json_value(v):
 class CheckReport:
     """Outcome of an exhaustive check.
 
-    ``pairs_checked`` counts evaluated argument tuples (loops stop at the
-    first failure, vector sweeps evaluate everything).  ``coverage`` is the
-    fraction of conceivable tuples whose required points fit the domain.
+    ``pairs_checked`` is the number of in-range argument tuples, all of
+    which a pair or triple sweep evaluates, failing or not; the point-wise
+    side conditions count the points up to the first failure.  ``coverage``
+    is the fraction of conceivable tuples whose required points fit the
+    domain.
     """
 
     holds: bool
@@ -130,105 +133,88 @@ def _require_same(f: FuncTable, g: FuncTable):
 
 
 # ---------------------------------------------------------------------------
+# the sweep kernel
+#
+# An identity is a list of terms (table, axis, coefficient): the axes of a
+# pair sweep are x, y and then each combination point, those of a triple
+# sweep x, h, k and then each combination point.
+
+
+def _sweep(tables, axes, terms, tol: float, product: bool = False):
+    """Points (one per axis) of the first tuple failing the identity, or None."""
+    w = _vec.first_failure(_vec.numeric_mode(tables), axes, terms, tol, product)
+    if w is None:
+        return None
+    pts = tables[0].points()
+    return [pts[int(a[w])] for a in axes]
+
+
+def _sides(tables, at, terms, product: bool = False):
+    """Both sides' values at the points ``at``, in the tables' native arithmetic."""
+    mul = cmul if tables[0].kind == KIND_COMPLEX else operator.mul
+    out = []
+    for sign in (1, -1):
+        vals = []
+        for t, p, c in terms:
+            if c * sign > 0:
+                v = tables[t].values[at[p]]
+                if product:
+                    vals += [v] * abs(c)
+                else:
+                    vals.append(v if abs(c) == 1 else abs(c) * v)
+        out.append(reduce(mul if product else operator.add, vals))
+    return tuple(out)
+
+
+def _signed_sum(table, at, terms):
+    return sum(c * table.values[at[p]] for _, p, c in terms)
+
+
+def _report(tables, axes, considered: int, terms, tol: float, witness,
+            product: bool = False, note: str = None) -> CheckReport:
+    checked = len(axes[0])
+    coverage = checked / considered if considered else 1.0
+    at = _sweep(tables, axes, terms, tol, product)
+    if at is None:
+        return _passed(checked, coverage, note)
+    return _failed(checked, coverage, witness(at), note)
+
+
+def _pair_check(tables, combos, terms, tol: float, product: bool = False,
+                witness=None) -> CheckReport:
+    """Sweep an identity over every in-range pair (x, y)."""
+    t = tables[0]
+    I, J, Ks, total = _vec.pair_maps(_vec.domain_info(t.group, t.domain), combos)
+    if witness is None:
+        def witness(at):
+            return Witness(("x", "y"), (at[0], at[1]),
+                           *_sides(tables, at, terms, product))
+    return _report(tables, [I, J, *Ks], total, terms, tol, witness, product)
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 
 
-def delta(table: FuncTable, h: GroupElement) -> FuncTable:
-    """Difference table ``T(x+h) - T(x)`` on the points where both are defined."""
-    if table.kind != KIND_REAL:
-        raise IncompatibleTablesError("difference operator needs a real table")
-    table.group._own(h)
-    values = {}
-    for x in table.points():
-        xh = x + h
-        if xh in table.values:
-            values[x] = table.values[xh] - table.values[x]
-    if not values:
-        raise DomainSizeError("difference table is empty for this step")
-    pts = tuple(sorted(values, key=lambda p: p.coords))
-    return FuncTable(table.group, Points(pts), KIND_REAL, values)
-
-
-def _binomials(n: int) -> list[int]:
-    return [math.comb(n, j) for j in range(n + 1)]
-
-
-def check_polynomial(table: FuncTable, n: int, domain=None,
+def check_polynomial(table: FuncTable, n: int,
                      tol: float = DEFAULT_TOL) -> CheckReport:
     """Does ``Delta_h^{n+1} T`` vanish for all in-range (x, h)?"""
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("polynomial check needs a real table")
     if n < 0:
         raise ValueError("polynomial degree bound must be >= 0")
-    coeffs = [(-1) ** (n + 1 - j) * c for j, c in enumerate(_binomials(n + 1))]
     combos = tuple((1, j) for j in range(n + 2))
-    if domain is None or domain == table.domain:
-        info = _vec.domain_info(table.group, table.domain)
-        mode = _vec.numeric_mode([table]) if info else None
-        if info is not None and mode is not None:
-            return _vec_linear_pair_check(
-                table, info, mode, combos, coeffs, tol,
-                labels=("x", "h"),
-            )
-        points = table.points()
-    else:
-        points = domain.points(table.group)
-    # direct sweep
-    vals = table.values
-    checked = 0
-    total = len(points) ** 2
-    exact = all(not isinstance(vals[p], float) for p in points)
-    for x in points:
-        for h in points:
-            pts = []
-            ok = True
-            for j in range(n + 2):
-                pj = table.group.element(
-                    [a + j * b for a, b in zip(x.coords, h.coords)]
-                )
-                if pj not in vals:
-                    ok = False
-                    break
-                pts.append(pj)
-            if not ok:
-                continue
-            checked += 1
-            acc = sum(c * vals[p] for c, p in zip(coeffs, pts))
-            bad = acc != 0 if exact else abs(acc) > tol
-            if bad:
-                return _failed(checked, checked / total,
-                               Witness(("x", "h"), (x, h), acc, 0))
-    return _passed(checked, checked / total if total else 1.0)
-
-
-def _vec_linear_pair_check(table, info, mode, combos, coeffs, tol, labels):
-    """Vectorized check of ``sum_j coeffs[j] * T(combo_j(x, h)) == 0``."""
-    kind, arrays = mode
-    arr = arrays[0]
-    I, J, Ks, total = _vec.pair_maps(info, combos)
-    acc = np.zeros(len(I), dtype=arr.dtype)
-    for c, K in zip(coeffs, Ks):
-        acc += c * arr[K]
-    bad = np.abs(acc) > tol if kind == "float" else acc != 0
-    checked = len(I)
-    coverage = checked / total if total else 1.0
-    if not bad.any():
-        return _passed(checked, coverage)
-    w = int(np.flatnonzero(bad)[0])
-    pts = table.points()
-    x, h = pts[int(I[w])], pts[int(J[w])]
-    vals = table.values
-    lhs = sum(
-        (c * vals[table.group.element([a + cy * b
-                                       for a, b in zip(x.coords, h.coords)])]
-         for (cx, cy), c in zip(combos, coeffs)),
-        Fraction(0) if kind == "int" else 0.0,
+    terms = tuple((0, 2 + j, (-1) ** (n + 1 - j) * math.comb(n + 1, j))
+                  for j in range(n + 2))
+    return _pair_check(
+        (table,), combos, terms, tol,
+        witness=lambda at: Witness(("x", "h"), (at[0], at[1]),
+                                   _signed_sum(table, at, terms), 0),
     )
-    return _failed(checked, coverage, Witness(labels, (x, h), lhs, 0))
 
 
 _EQ5_COMBOS = ((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 0, 2), (1, 1, 2), (1, 2, 2))
-_EQ5_COEFFS = (-1, 2, -1, 1, -2, 1)
+_EQ5_TERMS = tuple((0, 3 + j, c) for j, c in enumerate((-1, 2, -1, 1, -2, 1)))
 
 
 def check_eq5(table: FuncTable, tol: float = DEFAULT_TOL,
@@ -243,80 +229,18 @@ def check_eq5(table: FuncTable, tol: float = DEFAULT_TOL,
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("triple-difference check needs a real table")
     info = _vec.domain_info(table.group, table.domain)
-    mode = _vec.numeric_mode([table]) if info else None
-    pts = table.points()
-    n = len(pts)
-    total = n**3
-    if info is not None and mode is not None:
-        kind, arrays = mode
-        arr = arrays[0]
-        X, H, K, Ks, considered, exhaustive = _vec.triple_maps(
-            info, _EQ5_COMBOS, full_budget, sample_budget
-        )
-        acc = np.zeros(len(X), dtype=arr.dtype)
-        for c, Kc in zip(_EQ5_COEFFS, Ks):
-            acc += c * arr[Kc]
-        bad = np.abs(acc) > tol if kind == "float" else acc != 0
-        note = None if exhaustive else (
-            f"sampled {considered} of {total} triples deterministically"
-        )
-        checked = len(X)
-        coverage = checked / considered if considered else 1.0
-        if not bad.any():
-            return _passed(checked, coverage, note)
-        w = int(np.flatnonzero(bad)[0])
-        x, h, k = pts[int(X[w])], pts[int(H[w])], pts[int(K[w])]
-        return _failed(checked, coverage,
-                       _eq5_witness(table, x, h, k), note)
-    # pure sweep (small/explicit domains or exotic values)
-    vals = table.values
-    exact = all(not isinstance(v, float) for v in vals.values())
-    checked = 0
-    considered = 0
-    note = None
-    if total > full_budget:
-        note = f"sampled about {sample_budget} of {total} triples deterministically"
-    step = 1 if total <= full_budget else max(1, total // sample_budget)
-    idx = 0
-    for x in pts:
-        for h in pts:
-            for k in pts:
-                idx += 1
-                if step > 1 and idx % step:
-                    continue
-                considered += 1
-                w = _eq5_terms(table, x, h, k)
-                if w is None:
-                    continue
-                checked += 1
-                acc = w
-                bad = acc != 0 if exact else abs(acc) > tol
-                if bad:
-                    return _failed(checked, checked / considered,
-                                   _eq5_witness(table, x, h, k), note)
-    return _passed(checked, checked / considered if considered else 1.0, note)
-
-
-def _eq5_points(table, x, h, k):
-    g = table.group
-    out = []
-    for cx, ch, ck in _EQ5_COMBOS:
-        p = g.element([cx * a + ch * b + ck * c
-                       for a, b, c in zip(x.coords, h.coords, k.coords)])
-        if p not in table.values:
-            return None
-        out.append(p)
-    return out
-
-def _eq5_terms(table, x, h, k):
-    pts = _eq5_points(table, x, h, k)
-    if pts is None:
-        return None
-    return sum(c * table.values[p] for c, p in zip(_EQ5_COEFFS, pts))
-
-
-def _eq5_witness(table, x, h, k) -> Witness:
-    return Witness(("x", "h", "k"), (x, h, k), _eq5_terms(table, x, h, k), 0)
+    X, H, K, Ks, considered, exhaustive = _vec.triple_maps(
+        info, _EQ5_COMBOS, full_budget, sample_budget
+    )
+    note = None if exhaustive else (
+        f"sampled {considered} of {info.n ** 3} triples deterministically"
+    )
+    return _report(
+        (table,), [X, H, K, *Ks], considered, _EQ5_TERMS, tol,
+        lambda at: Witness(("x", "h", "k"), tuple(at[:3]),
+                           _signed_sum(table, at, _EQ5_TERMS), 0),
+        note=note,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -324,27 +248,22 @@ def _eq5_witness(table, x, h, k) -> Witness:
 
 
 _KB_COMBOS = ((1, 1), (1, -1), (0, -1))
+# f(x+y) g(x-y) against f(x) f(y) g(x) g(-y)
+_KB_TERMS = ((0, 2, 1), (1, 3, 1), (0, 0, -1), (0, 1, -1), (1, 0, -1), (1, 4, -1))
 
 
 def check_kb(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     """Exhaustive check of ``f(x+y) g(x-y) = f(x) f(y) g(x) g(-y)``.
 
     Positive tables are compared in the log domain (exactly for rational
-    logs); sign tables exactly; complex tables by modulus-``tol`` closeness
-    unless all values are exact.  Tables containing zeros are allowed.
+    logs); sign tables exactly; real tables as plain products (exactly for
+    rationals); complex tables by modulus-``tol`` closeness unless all
+    values are exact.  Tables containing zeros are allowed.
     """
     _require_same(f, g)
-    info = _vec.domain_info(f.group, f.domain)
-    if info is not None and f.kind in (KIND_POSITIVE, KIND_SIGN):
-        mode = _vec.numeric_mode([f, g])
-        if mode is not None:
-            return _kb_vectorized(f, g, info, mode, tol)
-    if info is not None and f.kind == KIND_COMPLEX:
-        ef = _vec.exact_complex_encoding(f)
-        eg = _vec.exact_complex_encoding(g)
-        if ef is not None and eg is not None:
-            return _kb_exact_complex(f, g, info, ef, eg)
-    return _kb_loop(f, g, tol)
+    return _pair_check((f, g), _KB_COMBOS, _KB_TERMS, tol,
+                       product=f.kind != KIND_POSITIVE,
+                       witness=lambda at: _kb_witness(f, g, at[0], at[1]))
 
 
 def check_kb_self(f: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -352,93 +271,10 @@ def check_kb_self(f: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     return check_kb(f, f, tol)
 
 
-def _kb_vectorized(f, g, info, mode, tol) -> CheckReport:
-    kind, (af, ag) = mode
-    I, J, (Kxy, Kxmy, Kny), total = _vec.pair_maps(info, _KB_COMBOS)
-    lhs = af[Kxy] + ag[Kxmy]
-    rhs = af[I] + af[J] + ag[I] + ag[Kny]
-    if kind == "float":
-        bad = np.abs(lhs - rhs) > tol
-    elif kind == "parity":
-        bad = ((lhs - rhs) & 1) != 0
-    else:
-        bad = lhs != rhs
-    checked = len(I)
-    coverage = checked / total if total else 1.0
-    if not bad.any():
-        return _passed(checked, coverage)
-    w = int(np.flatnonzero(bad)[0])
-    pts = f.points()
-    x, y = pts[int(I[w])], pts[int(J[w])]
-    wit = _kb_witness(f, g, x, y)
-    return _failed(checked, coverage, wit)
-
-
-def _kb_exact_complex(f, g, info, ef, eg) -> CheckReport:
-    """Exact sweep for complex tables of Exact values (zeros allowed)."""
-    lf, lfd, tf, tfd, zf = ef
-    lg, lgd, tg, tgd, zg = eg
-    # common denominators across both tables
-    ld = lfd * lgd // math.gcd(lfd, lgd)
-    td = tfd * tgd // math.gcd(tfd, tgd)
-    lf, lg = lf * (ld // lfd), lg * (ld // lgd)
-    tf, tg = tf * (td // tfd), tg * (td // tgd)
-    I, J, (Kxy, Kxmy, Kny), total = _vec.pair_maps(info, _KB_COMBOS)
-    lhs_zero = zf[Kxy] | zg[Kxmy]
-    rhs_zero = zf[I] | zf[J] | zg[I] | zg[Kny]
-    log_bad = (lf[Kxy] + lg[Kxmy]) != (lf[I] + lf[J] + lg[I] + lg[Kny])
-    turn_bad = ((tf[Kxy] + tg[Kxmy] - tf[I] - tf[J] - tg[I] - tg[Kny]) % td) != 0
-    bad = (lhs_zero != rhs_zero) | (~lhs_zero & (log_bad | turn_bad))
-    checked = len(I)
-    coverage = checked / total if total else 1.0
-    if not bad.any():
-        return _passed(checked, coverage)
-    w = int(np.flatnonzero(bad)[0])
-    pts = f.points()
-    x, y = pts[int(I[w])], pts[int(J[w])]
-    return _failed(checked, coverage, _kb_witness(f, g, x, y))
-
-
-def _kb_sides(f, g, x, y):
-    """Both sides of the equation at (x, y), in each kind's native arithmetic."""
-    xy, xmy, ny = x + y, x - y, -y
-    if f.kind == KIND_POSITIVE:
-        lhs = f.values[xy] + g.values[xmy]
-        rhs = f.values[x] + f.values[y] + g.values[x] + g.values[ny]
-    elif f.kind == KIND_COMPLEX:
-        lhs = cmul(f.values[xy], g.values[xmy])
-        rhs = cmul(cmul(f.values[x], f.values[y]),
-                   cmul(g.values[x], g.values[ny]))
-    else:  # sign or real: plain multiplicative values
-        lhs = f.values[xy] * g.values[xmy]
-        rhs = f.values[x] * f.values[y] * g.values[x] * g.values[ny]
-    return lhs, rhs
-
-
 def _kb_witness(f, g, x, y) -> Witness:
-    lhs, rhs = _kb_sides(f, g, x, y)
-    return Witness(("x", "y"), (x, y), lhs, rhs)
-
-
-def _kb_loop(f, g, tol) -> CheckReport:
-    pts = f.points()
-    total = len(pts) ** 2
-    have = f.values
-    checked = 0
-    for x in pts:
-        for y in pts:
-            xy = x + y
-            if xy not in have:
-                continue
-            xmy = x - y
-            if xmy not in have:
-                continue
-            checked += 1
-            lhs, rhs = _kb_sides(f, g, x, y)
-            if not values_equal(lhs, rhs, tol):
-                return _failed(checked, checked / total,
-                               Witness(("x", "y"), (x, y), lhs, rhs))
-    return _passed(checked, checked / total if total else 1.0)
+    at = [x, y, x + y, x - y, -y]
+    return Witness(("x", "y"), (x, y),
+                   *_sides((f, g), at, _KB_TERMS, f.kind != KIND_POSITIVE))
 
 
 # ---------------------------------------------------------------------------
@@ -465,43 +301,8 @@ def check_sign_eq26(a: FuncTable, b: FuncTable,
     _require_same(a, b)
     if a.kind != KIND_SIGN:
         raise IncompatibleTablesError("this check needs sign tables")
-    info = _vec.domain_info(a.group, a.domain)
-    mode = _vec.numeric_mode([a, b]) if info is not None else None
-    if mode is not None:
-        I, J, (Kxy, Kxmy), total = _vec.pair_maps(info, ((1, 1), (1, -1)))
-        pa, pb = mode[1]
-        lhs = pa[Kxy] + pb[Kxmy]
-        rhs = pa[I] + pa[J] + pb[I] + pb[J]
-        bad = ((lhs - rhs) & 1) != 0
-        checked = len(I)
-        coverage = checked / total if total else 1.0
-        if not bad.any():
-            return _passed(checked, coverage)
-        w = int(np.flatnonzero(bad)[0])
-        pts = a.points()
-        x, y = pts[int(I[w])], pts[int(J[w])]
-        return _failed(checked, coverage, _eq26_witness(a, b, x, y))
-    pts = a.points()
-    total = len(pts) ** 2
-    checked = 0
-    for x in pts:
-        for y in pts:
-            xy = x + y
-            if xy not in a.values or (x - y) not in a.values:
-                continue
-            checked += 1
-            lhs = a.values[xy] * b.values[x - y]
-            rhs = a.values[x] * a.values[y] * b.values[x] * b.values[y]
-            if lhs != rhs:
-                return _failed(checked, checked / total,
-                               _eq26_witness(a, b, x, y))
-    return _passed(checked, checked / total if total else 1.0)
-
-
-def _eq26_witness(a, b, x, y) -> Witness:
-    lhs = a.values[x + y] * b.values[x - y]
-    rhs = a.values[x] * a.values[y] * b.values[x] * b.values[y]
-    return Witness(("x", "y"), (x, y), lhs, rhs)
+    terms = ((0, 2, 1), (1, 3, 1), (0, 0, -1), (0, 1, -1), (1, 0, -1), (1, 1, -1))
+    return _pair_check((a, b), ((1, 1), (1, -1)), terms, tol, product=True)
 
 
 def check_coset_constant(table: FuncTable, modulus: int,
@@ -527,92 +328,28 @@ def check_quadratic(table: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     """Parallelogram equation ``P(x+y) + P(x-y) = 2 P(x) + 2 P(y)``."""
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("quadratic check needs a real table")
-    info = _vec.domain_info(table.group, table.domain)
-    mode = _vec.numeric_mode([table]) if info else None
-    if info is not None and mode is not None:
-        kind, (arr,) = mode
-        I, J, (Kxy, Kxmy), total = _vec.pair_maps(info, ((1, 1), (1, -1)))
-        acc = arr[Kxy] + arr[Kxmy] - 2 * arr[I] - 2 * arr[J]
-        bad = np.abs(acc) > tol if kind == "float" else acc != 0
-        checked = len(I)
-        coverage = checked / total if total else 1.0
-        if not bad.any():
-            return _passed(checked, coverage)
-        w = int(np.flatnonzero(bad)[0])
-        pts = table.points()
-        x, y = pts[int(I[w])], pts[int(J[w])]
-        return _failed(checked, coverage, _quad_witness(table, x, y))
-    pts = table.points()
-    total = len(pts) ** 2
-    vals = table.values
-    exact = all(not isinstance(v, float) for v in vals.values())
-    checked = 0
-    for x in pts:
-        for y in pts:
-            if (x + y) not in vals or (x - y) not in vals:
-                continue
-            checked += 1
-            diff = vals[x + y] + vals[x - y] - 2 * vals[x] - 2 * vals[y]
-            if diff != 0 if exact else abs(diff) > tol:
-                return _failed(checked, checked / total,
-                               _quad_witness(table, x, y))
-    return _passed(checked, checked / total if total else 1.0)
+    return _pair_check((table,), ((1, 1), (1, -1)),
+                       ((0, 2, 1), (0, 3, 1), (0, 0, -2), (0, 1, -2)), tol)
 
 
-def _quad_witness(table, x, y) -> Witness:
-    vals = table.values
-    return Witness(("x", "y"), (x, y),
-                   vals[x + y] + vals[x - y], 2 * vals[x] + 2 * vals[y])
+_ADDITIVE_TERMS = ((0, 2, 1), (0, 0, -1), (0, 1, -1))  # T(x+y) against T(x), T(y)
 
 
 def check_cauchy(table: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     """Additivity ``l(x+y) = l(x) + l(y)``."""
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("additivity check needs a real table")
-    info = _vec.domain_info(table.group, table.domain)
-    mode = _vec.numeric_mode([table]) if info else None
-    if info is not None and mode is not None:
-        kind, (arr,) = mode
-        I, J, (Kxy,), total = _vec.pair_maps(info, ((1, 1),))
-        acc = arr[Kxy] - arr[I] - arr[J]
-        bad = np.abs(acc) > tol if kind == "float" else acc != 0
-        checked = len(I)
-        coverage = checked / total if total else 1.0
-        if not bad.any():
-            return _passed(checked, coverage)
-        w = int(np.flatnonzero(bad)[0])
-        pts = table.points()
-        x, y = pts[int(I[w])], pts[int(J[w])]
-        return _failed(checked, coverage,
-                       Witness(("x", "y"), (x, y), table.values[x + y],
-                               table.values[x] + table.values[y]))
-    pts = table.points()
-    total = len(pts) ** 2
-    vals = table.values
-    exact = all(not isinstance(v, float) for v in vals.values())
-    checked = 0
-    for x in pts:
-        for y in pts:
-            if (x + y) not in vals:
-                continue
-            checked += 1
-            diff = vals[x + y] - vals[x] - vals[y]
-            if diff != 0 if exact else abs(diff) > tol:
-                return _failed(checked, checked / total,
-                               Witness(("x", "y"), (x, y), vals[x + y],
-                                       vals[x] + vals[y]))
-    return _passed(checked, checked / total if total else 1.0)
+    return _pair_check((table,), ((1, 1),), _ADDITIVE_TERMS, tol)
 
 
 def check_character(table: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     """Multiplicativity and unimodularity of a complex table."""
     if table.kind != KIND_COMPLEX:
         raise IncompatibleTablesError("character check needs a complex table")
-    vals = table.values
     checked = 0
     for x in table.points():
         checked += 1
-        v = vals[x]
+        v = table.values[x]
         if isinstance(v, Exact):
             unimodular = not v.zero and v.log_abs == 0
         else:
@@ -620,16 +357,5 @@ def check_character(table: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
         if not unimodular:
             return _failed(checked, 1.0,
                            Witness(("x",), (x,), v, 1))
-    pts = table.points()
-    total = len(pts) ** 2
-    for x in pts:
-        for y in pts:
-            if (x + y) not in vals:
-                continue
-            checked += 1
-            lhs = vals[x + y]
-            rhs = cmul(vals[x], vals[y])
-            if not values_equal(lhs, rhs, tol):
-                return _failed(checked, 1.0,
-                               Witness(("x", "y"), (x, y), lhs, rhs))
-    return _passed(checked, 1.0)
+    rep = _pair_check((table,), ((1, 1),), _ADDITIVE_TERMS, tol, product=True)
+    return CheckReport(rep.holds, checked + rep.pairs_checked, rep.witness, 1.0)

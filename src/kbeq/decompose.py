@@ -32,6 +32,8 @@ import numpy as np
 from . import _vec
 from .checks import (
     DEFAULT_TOL,
+    _sides,
+    _sweep,
     check_coset_constant,
     check_eq5,
     check_hermitian,
@@ -66,7 +68,7 @@ from .functions import (
     value_is_zero,
     values_equal,
 )
-from .groups import Box, GroupElement, GroupSpec, Points, SubgroupSpec
+from .groups import Box, GroupElement, GroupSpec, SubgroupSpec
 
 __all__ = [
     "recover_deg2",
@@ -219,8 +221,6 @@ def extend_additive(group: GroupSpec, doubled: Sequence) -> AdditiveMap:
 
 def _require_decomposable_domain(table: FuncTable):
     group = table.group
-    if isinstance(table.domain, Points):
-        raise DomainSizeError("decomposition needs a box or full-group domain")
     if group.rank and isinstance(table.domain, Box):
         if any(r < MIN_BOX_RADIUS for r in table.domain.radius):
             raise DomainSizeError(
@@ -245,19 +245,18 @@ def decompose_T(table: FuncTable, tol: float = DEFAULT_TOL,
         rep = check_eq5(table, tol)
         if not rep.holds:
             raise EquationFailsError("triple-difference equation fails", rep)
-    info = _vec.domain_info(group, table.domain)
-    enc = _vec.numeric_mode([table]) if info is not None else None
-    if enc is not None and enc[0] == "int":
-        return _decompose_T_int(table, info, enc[1][0], tol)
+    kind, (nums,), denom = _vec.numeric_mode([table])
+    if kind == "int" and nums.dtype == np.int64:
+        return _decompose_T_int(table, _vec.domain_info(group, table.domain),
+                                nums, denom, tol)
     return _decompose_T_loop(table, tol)
 
 
-def _decompose_T_int(table: FuncTable, info, nums: np.ndarray, tol: float):
+def _decompose_T_int(table: FuncTable, info, nums: np.ndarray, denom: int,
+                     tol: float):
     """Exact array route: values are ``nums / denom`` with one denominator."""
     group = table.group
     pts = table.points()
-    denom_obj = _vec._table_encoding(table)
-    denom = denom_obj[2]
     ng = _vec.neg_codes(info)
     even2 = nums + nums[ng]     # twice the even part, over denom
     odd2 = nums - nums[ng]
@@ -549,67 +548,22 @@ def _check_positive_real_at_zero(table: FuncTable, tol: float, name: str):
 
 def _phase_checks(p: FuncTable, tol: float, name: str):
     """Verify p(2x) = p(x)^2 and p(x+y)^2 = p(x)^2 p(y)^2 on the window."""
-    group = p.group
-    pts = p.points()
-    info = _vec.domain_info(group, p.domain)
-    enc = _vec.turn_arrays(p) if info is not None else None
-    if enc is not None:
-        nums, d = enc
-        code2, valid = _vec.scale_codes(info, 2)
-        sel = np.flatnonzero(valid)
-        diff = (2 * nums[sel] - nums[code2[sel]]) % d
-        nz = np.flatnonzero(diff)
-        if len(nz):
-            x = pts[int(sel[nz[0]])]
-            raise DecompositionError(
-                f"{name}(2x) != {name}(x)^2",
-                _point_witness(x, p.values[group.scale(2, x)],
-                               p.values[x].power(2)),
-            )
-        I, J, (Kxy,), _ = _vec.pair_maps(info, ((1, 1),))
-        diff = (2 * nums[Kxy] - 2 * nums[I] - 2 * nums[J]) % d
-        nz = np.flatnonzero(diff)
-        if len(nz):
-            w = int(nz[0])
-            x, y = pts[int(I[w])], pts[int(J[w])]
-            raise DecompositionError(
-                f"{name}(x+y)^2 != {name}(x)^2 {name}(y)^2",
-                {"x": list(x.coords), "y": list(y.coords)},
-            )
-        return
-    vals = p.values
-    for x in pts:
-        x2 = group.scale(2, x)
-        if x2 in vals:
-            lhs = vals[x2]
-            rhs = _cpow2(vals[x])
-            if not values_equal(lhs, rhs, tol):
-                raise DecompositionError(f"{name}(2x) != {name}(x)^2",
-                                         _point_witness(x, lhs, rhs))
-    for x in pts:
-        for y in pts:
-            xy = x + y
-            if xy not in vals:
-                continue
-            lhs = _cpow2(vals[xy])
-            rhs = _cmul4(vals[x], vals[x], vals[y], vals[y])
-            if not values_equal(lhs, rhs, tol):
-                raise DecompositionError(
-                    f"{name}(x+y)^2 != {name}(x)^2 {name}(y)^2",
-                    {"x": list(x.coords), "y": list(y.coords)},
-                )
-
-
-def _cpow2(v):
-    if isinstance(v, Exact):
-        return v.power(2)
-    return cval(v) ** 2
-
-
-def _cmul4(a, b, c, d):
-    if all(isinstance(v, Exact) for v in (a, b, c, d)):
-        return a * b * c * d
-    return cval(a) * cval(b) * cval(c) * cval(d)
+    info = _vec.domain_info(p.group, p.domain)
+    code2, valid = _vec.scale_codes(info, 2)
+    sel = np.flatnonzero(valid)
+    terms = ((0, 1, 1), (0, 0, -2))
+    at = _sweep([p], [sel, code2[sel]], terms, tol, product=True)
+    if at is not None:
+        raise DecompositionError(f"{name}(2x) != {name}(x)^2",
+                                 _point_witness(at[0], *_sides([p], at, terms, True)))
+    I, J, (Kxy,), _ = _vec.pair_maps(info, ((1, 1),))
+    at = _sweep([p], [I, J, Kxy], ((0, 2, 2), (0, 0, -2), (0, 1, -2)), tol,
+                product=True)
+    if at is not None:
+        raise DecompositionError(
+            f"{name}(x+y)^2 != {name}(x)^2 {name}(y)^2",
+            {"x": list(at[0].coords), "y": list(at[1].coords)},
+        )
 
 
 def _fit_doubled_turns(p: FuncTable, tol: float) -> list[Fraction]:

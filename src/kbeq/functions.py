@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .errors import (
-    DomainSizeError,
     GroupMismatchError,
     GroupParseError,
     IncompatibleTablesError,
@@ -37,7 +36,6 @@ from .groups import (
     Domain,
     GroupElement,
     GroupSpec,
-    Points,
     SubgroupSpec,
     domain_from_json,
     parse_group,
@@ -56,11 +54,9 @@ __all__ = [
     "eval_positive",
     "eval_hermitian",
     "synth_table",
-    "table_even_odd_split",
 ]
 
 Rational = Union[int, Fraction]
-RealValue = Union[int, Fraction, float]
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +321,6 @@ class FuncTable:
                 raise IncompatibleTablesError("unimodular_part needs a multiplicative kind")
         return FuncTable(self.group, self.domain, KIND_COMPLEX, out)
 
-    def restrict(self, points: Sequence[GroupElement]) -> "FuncTable":
-        pts = tuple(sorted(points, key=lambda p: p.coords))
-        return FuncTable(self.group, Points(pts), self.kind,
-                         {p: self.values[p] for p in pts})
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -435,27 +426,6 @@ def _value_from_json(kind: str, raw):
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
         return complex(float(raw[0]), float(raw[1]))
     raise GroupParseError(f"cannot parse complex value {raw!r}")
-
-
-def table_even_odd_split(table: FuncTable) -> tuple[FuncTable, FuncTable]:
-    """Split a real table into its even and odd parts; ``T = T_even + T_odd``."""
-    if table.kind != KIND_REAL:
-        raise IncompatibleTablesError("even/odd split needs a real table")
-    if not table.domain.negation_closed(table.group):
-        raise DomainSizeError("even/odd split needs a negation-closed domain")
-    even, odd = {}, {}
-    for p in table.points():
-        v, w = table.values[p], table.values[-p]
-        even[p] = _half(v + w)
-        odd[p] = _half(v - w)
-    return (FuncTable(table.group, table.domain, KIND_REAL, even),
-            FuncTable(table.group, table.domain, KIND_REAL, odd))
-
-
-def _half(v: RealValue) -> RealValue:
-    if isinstance(v, float):
-        return v / 2.0
-    return Fraction(v) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "SubgroupSpec",
     "FullGroup",
     "Box",
-    "Points",
     "Domain",
     "add",
     "neg",
@@ -535,27 +534,7 @@ class Box:
         return {"type": "box", "radius": list(self.radius)}
 
 
-@dataclass(frozen=True)
-class Points:
-    """Explicit point set; produced by difference operators on windows."""
-
-    points_tuple: tuple[GroupElement, ...]
-
-    def points(self, group: GroupSpec) -> list[GroupElement]:
-        return list(self.points_tuple)
-
-    def contains(self, x: GroupElement) -> bool:
-        return x in set(self.points_tuple)
-
-    def negation_closed(self, group: GroupSpec) -> bool:
-        pts = set(self.points_tuple)
-        return all(-p in pts for p in pts)
-
-    def to_json(self) -> dict:
-        return {"type": "points", "points": [list(p.coords) for p in self.points_tuple]}
-
-
-Domain = Union[FullGroup, Box, Points]
+Domain = Union[FullGroup, Box]
 
 
 def domain_from_json(obj: dict) -> Domain:
@@ -564,8 +543,6 @@ def domain_from_json(obj: dict) -> Domain:
         return FullGroup()
     if kind == "box":
         return Box(tuple(obj["radius"]))
-    if kind == "points":
-        raise GroupParseError("explicit point domains are not accepted as input")
     raise GroupParseError(f"unknown domain type {kind!r}")
 
 

@@ -1,0 +1,199 @@
+"""Brute-force reference checkers: direct Python loops over group points.
+
+Each identity is evaluated one tuple at a time in the tables' native
+arithmetic (Fractions, :class:`~kbeq.functions.Exact` values, Python floats
+and complex numbers), with no encoding and no index arrays.  They are the
+oracle for the sweep kernel in ``kbeq.checks`` and ``kbeq.decompose``: like
+the kernel they count every in-range tuple and report the lexicographically
+first failure, so verdicts, witnesses, ``pairs_checked`` and ``coverage``
+can be compared one for one.
+"""
+
+from fractions import Fraction
+from math import comb
+
+from kbeq.checks import CheckReport, Witness
+from kbeq.functions import Exact, cmul, cval, values_equal
+
+
+def _combo(x, y, cx, cy):
+    return x.group.element([cx * a + cy * b for a, b in zip(x.coords, y.coords)])
+
+
+def _pair_loop(table, combos, witness_if_bad) -> CheckReport:
+    """Every (x, y) whose combination points lie in the domain, in order."""
+    pts = table.points()
+    vals = table.values
+    checked = 0
+    first = None
+    for x in pts:
+        for y in pts:
+            if any(_combo(x, y, cx, cy) not in vals for cx, cy in combos):
+                continue
+            checked += 1
+            if first is None:
+                first = witness_if_bad(x, y)
+    total = len(pts) ** 2
+    return CheckReport(first is None, checked, first,
+                       checked / total if total else 1.0)
+
+
+def _exact(table) -> bool:
+    return all(not isinstance(v, float) for v in table.values.values())
+
+
+def _differs(acc, exact: bool, tol: float) -> bool:
+    return acc != 0 if exact else abs(acc) > tol
+
+
+def check_polynomial(table, n: int, tol: float) -> CheckReport:
+    coeffs = [(-1) ** (n + 1 - j) * comb(n + 1, j) for j in range(n + 2)]
+    exact = _exact(table)
+    vals = table.values
+
+    def bad(x, h):
+        acc = sum(c * vals[_combo(x, h, 1, j)] for j, c in enumerate(coeffs))
+        if _differs(acc, exact, tol):
+            return Witness(("x", "h"), (x, h), acc, 0)
+        return None
+
+    return _pair_loop(table, [(1, j) for j in range(n + 2)], bad)
+
+
+_EQ5 = (((1, 0, 0), -1), ((1, 1, 0), 2), ((1, 2, 0), -1),
+        ((1, 0, 2), 1), ((1, 1, 2), -2), ((1, 2, 2), 1))
+
+
+def check_eq5(table, tol: float) -> CheckReport:
+    """Exhaustive triple sweep of the triple-difference equation."""
+    pts = table.points()
+    vals = table.values
+    group = table.group
+    exact = _exact(table)
+    checked = 0
+    first = None
+    for x in pts:
+        for h in pts:
+            for k in pts:
+                terms = []
+                for (cx, ch, ck), c in _EQ5:
+                    p = group.element([cx * a + ch * b + ck * d for a, b, d
+                                       in zip(x.coords, h.coords, k.coords)])
+                    if p not in vals:
+                        break
+                    terms.append(c * vals[p])
+                else:
+                    checked += 1
+                    acc = sum(terms)
+                    if first is None and _differs(acc, exact, tol):
+                        first = Witness(("x", "h", "k"), (x, h, k), acc, 0)
+    total = len(pts) ** 3
+    return CheckReport(first is None, checked, first, checked / total)
+
+
+def kb_sides(f, g, x, y):
+    xy, xmy, ny = x + y, x - y, -y
+    if f.kind == "positive":
+        lhs = f.values[xy] + g.values[xmy]
+        rhs = f.values[x] + f.values[y] + g.values[x] + g.values[ny]
+    elif f.kind == "complex":
+        lhs = cmul(f.values[xy], g.values[xmy])
+        rhs = cmul(cmul(f.values[x], f.values[y]),
+                   cmul(g.values[x], g.values[ny]))
+    else:
+        lhs = f.values[xy] * g.values[xmy]
+        rhs = f.values[x] * f.values[y] * g.values[x] * g.values[ny]
+    return lhs, rhs
+
+
+def check_kb(f, g, tol: float) -> CheckReport:
+    def bad(x, y):
+        lhs, rhs = kb_sides(f, g, x, y)
+        if not values_equal(lhs, rhs, tol):
+            return Witness(("x", "y"), (x, y), lhs, rhs)
+        return None
+
+    return _pair_loop(f, [(1, 1), (1, -1)], bad)
+
+
+def check_sign_eq26(a, b, tol: float) -> CheckReport:
+    def bad(x, y):
+        lhs = a.values[x + y] * b.values[x - y]
+        rhs = a.values[x] * a.values[y] * b.values[x] * b.values[y]
+        return Witness(("x", "y"), (x, y), lhs, rhs) if lhs != rhs else None
+
+    return _pair_loop(a, [(1, 1), (1, -1)], bad)
+
+
+def check_quadratic(table, tol: float) -> CheckReport:
+    vals = table.values
+    exact = _exact(table)
+
+    def bad(x, y):
+        lhs = vals[x + y] + vals[x - y]
+        rhs = 2 * vals[x] + 2 * vals[y]
+        if _differs(lhs - rhs, exact, tol):
+            return Witness(("x", "y"), (x, y), lhs, rhs)
+        return None
+
+    return _pair_loop(table, [(1, 1), (1, -1)], bad)
+
+
+def check_cauchy(table, tol: float) -> CheckReport:
+    vals = table.values
+    exact = _exact(table)
+
+    def bad(x, y):
+        lhs, rhs = vals[x + y], vals[x] + vals[y]
+        if _differs(lhs - rhs, exact, tol):
+            return Witness(("x", "y"), (x, y), lhs, rhs)
+        return None
+
+    return _pair_loop(table, [(1, 1)], bad)
+
+
+def check_character(table, tol: float) -> CheckReport:
+    vals = table.values
+    pts = table.points()
+    for i, x in enumerate(pts):
+        v = vals[x]
+        if isinstance(v, Exact):
+            unimodular = not v.zero and v.log_abs == 0
+        else:
+            unimodular = abs(abs(cval(v)) - 1.0) <= tol
+        if not unimodular:
+            return CheckReport(False, i + 1, Witness(("x",), (x,), v, 1), 1.0)
+
+    def bad(x, y):
+        lhs, rhs = vals[x + y], cmul(vals[x], vals[y])
+        if not values_equal(lhs, rhs, tol):
+            return Witness(("x", "y"), (x, y), lhs, rhs)
+        return None
+
+    rep = _pair_loop(table, [(1, 1)], bad)
+    return CheckReport(rep.holds, len(pts) + rep.pairs_checked, rep.witness, 1.0)
+
+
+def _square(v):
+    return v.power(2) if isinstance(v, Exact) else cval(v) ** 2
+
+
+def phase_failure(p, tol: float):
+    """First failure of ``p(2x) = p(x)^2``, then of ``p(x+y)^2 = p(x)^2 p(y)^2``.
+
+    Returns ("double", x), ("pair", x, y) or None.
+    """
+    vals = p.values
+    group = p.group
+    for x in p.points():
+        x2 = group.scale(2, x)
+        if x2 in vals and not values_equal(vals[x2], _square(vals[x]), tol):
+            return ("double", x)
+    for x in p.points():
+        for y in p.points():
+            if x + y not in vals:
+                continue
+            rhs = cmul(cmul(vals[x], vals[x]), cmul(vals[y], vals[y]))
+            if not values_equal(_square(vals[x + y]), rhs, tol):
+                return ("pair", x, y)
+    return None

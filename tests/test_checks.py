@@ -15,7 +15,6 @@ from kbeq.checks import (
     check_polynomial,
     check_quadratic,
     check_sign_eq26,
-    delta,
 )
 from kbeq.errors import IncompatibleTablesError
 from kbeq.functions import (
@@ -37,43 +36,6 @@ Z3 = GroupSpec(0, (3,))
 
 def real_table(group, domain, fn):
     return FuncTable.from_function(group, domain, "real", fn)
-
-
-# ---------------------------------------------------------------------------
-# difference operator
-
-
-def test_delta_constant_is_zero():
-    t = real_table(Z, Box((4,)), lambda p: Fraction(7))
-    d = delta(t, Z.element((2,)))
-    assert all(v == 0 for v in d.values.values())
-
-
-def test_delta_identity_is_one():
-    t = real_table(Z, Box((4,)), lambda p: Fraction(p.coords[0]))
-    d = delta(t, Z.element((1,)))
-    assert all(v == 1 for v in d.values.values())
-    # domain shrank by one on the right
-    assert len(d.values) == 8
-
-
-def test_delta_square_step_three():
-    t = real_table(Z, Box((6,)), lambda p: Fraction(p.coords[0] ** 2))
-    d = delta(t, Z.element((3,)))
-    for p in d.points():
-        assert d.values[p] == 6 * p.coords[0] + 9
-
-
-def test_delta_commutes():
-    g = GroupSpec(2)
-    t = real_table(g, Box((4, 4)),
-                   lambda p: Fraction(p.coords[0] ** 2 * p.coords[1] + 3))
-    h, k = g.element((1, 2)), g.element((2, -1))
-    a = delta(delta(t, h), k)
-    b = delta(delta(t, k), h)
-    common = set(a.values) & set(b.values)
-    assert common
-    assert all(a.values[p] == b.values[p] for p in common)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +319,15 @@ def test_report_json_shape():
     assert set(obj) == {"holds", "pairs_checked", "witness", "coverage", "note"}
 
 
-def test_delta_empty_domain_rejected():
-    from kbeq.errors import DomainSizeError
-    t = real_table(Z, Box((2,)), lambda p: Fraction(0))
-    with pytest.raises(DomainSizeError):
-        delta(t, Z.element((5,)))
+def test_polynomial_sums_beyond_int64_stay_exact():
+    # 2^6 binomial weights on values of 2^58: the sums need more than int64
+    def alternating(scale):
+        return real_table(Z, Box((8,)),
+                          lambda p: Fraction((-1) ** p.coords[0] * scale))
+
+    for scale in (3, 2**58, 2**70):
+        rep = check_polynomial(alternating(scale), 5)
+        assert not rep.holds
+        x, h = rep.witness.points
+        assert rep.witness.lhs == (-1) ** x.coords[0] * 64 * scale
+

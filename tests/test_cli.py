@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -6,8 +7,8 @@ import pytest
 
 from kbeq.cli import main
 from kbeq.functions import FuncTable, PositiveSolutionForm, synth_table
-from kbeq.groups import FullGroup, GroupSpec
-from kbeq.oracle import random_positive_form
+from kbeq.groups import Box, FullGroup, GroupSpec
+from kbeq.oracle import random_hermitian_form, random_positive_form
 from random import Random
 
 
@@ -87,7 +88,6 @@ def test_decompose_roundtrip_via_files(tmp_path, capsys):
 
 def test_decompose_undersized_window_exits_two(tmp_path, capsys):
     form = PositiveSolutionForm.zero(GroupSpec(1))
-    from kbeq.groups import Box
     ft, gt = synth_table(form, Box((2,)))
     f = tmp_path / "f.json"
     g = tmp_path / "g.json"
@@ -191,3 +191,82 @@ def test_vanishing_wrong_group_exits_two(tmp_path, capsys):
                            "-f", str(f), "-g", str(f))
     assert code == 2
     assert "X^(2)" in payload["error"]
+
+
+# ---------------------------------------------------------------------------
+# byte-identical output on exact inputs
+
+
+def _pinned_inputs(tmp_path):
+    """Seeded exact inputs for the pinned commands, written as JSON files."""
+    group = GroupSpec(1, (4,))
+    form = random_positive_form(group, Random(11))
+    ft, gt = synth_table(form, Box((4,)))
+    bad = dict(ft.values)
+    bad[group.element((2, 1))] += Fraction(1, 3)
+    hf, hg = synth_table(random_hermitian_form(group, Random(5)), Box((3,)))
+    hbad = dict(hf.values)
+    x = group.element((1, 3))
+    hbad[x] = hbad[x] * hbad[x].from_sign(-1)
+    files = {
+        "form": form.to_json(),
+        "f": ft.to_json(),
+        "g": gt.to_json(),
+        "fbad": FuncTable(group, ft.domain, "positive", bad).to_json(),
+        "hbad": FuncTable(group, hf.domain, "complex", hbad).to_json(),
+        "hg": hg.to_json(),
+    }
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        write_json(paths[name], obj)
+    return {k: str(v) for k, v in paths.items()}
+
+
+PINNED = [
+    (lambda p: ["demo", "counterexample"],
+     "8fe818dee8088df4765791af56fae078390fb54ff96a8f5de9e29f66ac0cbc19"),
+    (lambda p: ["demo", "odd-quadratic", "--radius", "4"],
+     "b44f48d1a10bb6c0999a071e19001c14bee0a57bf1ac7db97346c4f449b5f955"),
+    (lambda p: ["suite", "--groups", "Z/2,Z/9,Z x Z/4", "--trials", "2",
+                "--seed", "3"],
+     "5181eac51bf0f5fb8d330a846ca31a86fbe0dd8cc5993aadc619158720659a8b"),
+    (lambda p: ["synth", "--form", p["form"], "--radius", "3"],
+     "d79dc06984d69bf1c6a28d573c46575c3ccdb18afd23f9c85603a4e406751b02"),
+    (lambda p: ["check", "-f", p["f"], "-g", p["g"]],
+     "7e0bf954d07d1dd68d02745a056c43b1e4c24fc2d440833dac36b1c6be0dd0e9"),
+    (lambda p: ["check", "-f", p["fbad"], "-g", p["g"]],
+     "a5c9fc9950daade4a2878e96d6a4a423c8aef420d196870a12e41114cc08da99"),
+    (lambda p: ["check", "-f", p["hbad"], "-g", p["hg"]],
+     "d50b5ab5067f07fcce539d8a9ad3f629c0538be5d56573256b3f8c5ebb030d89"),
+    (lambda p: ["decompose", "-f", p["f"], "-g", p["g"]],
+     "f1b96275155bb19db894dfbde32afa263cd4ba6a74ffe8240057e23d20eeaa9d"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED,
+                         ids=["demo-counterexample", "demo-odd-quadratic",
+                              "suite", "synth", "check-holds",
+                              "check-fails", "check-fails-complex",
+                              "decompose"])
+def test_cli_output_pinned(tmp_path, capsys, argv, digest):
+    main(argv(_pinned_inputs(tmp_path)))
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_check_turn_denominators_beyond_int64(tmp_path, capsys):
+    p, q = 2**40 - 87, 2**40 - 167
+
+    def character(num, den):
+        return {"group": "Z", "domain": {"type": "box", "radius": [4]},
+                "kind": "complex",
+                "values": [[[k], {"log": [0, 1], "turn": [num * k % den, den]}]
+                           for k in range(-4, 5)]}
+
+    f, g = tmp_path / "f.json", tmp_path / "g.json"
+    write_json(f, character(3, p))
+    write_json(g, character(5, q))
+    code, payload, _ = run(capsys, "check", "-f", str(f), "-g", str(g))
+    assert code == 0
+    assert payload["report"]["holds"] is True

@@ -20,7 +20,6 @@ from kbeq.functions import (
     eval_positive,
     form_from_json,
     synth_table,
-    table_even_odd_split,
 )
 from kbeq.groups import Box, FullGroup, GroupSpec, SubgroupSpec
 
@@ -79,31 +78,12 @@ def test_positive_table_func_values():
     assert t.func_value(Z.element((0,))) == pytest.approx(1.0)
 
 
-def test_even_odd_split_examples():
-    box = Box((3,))
-    ident = FuncTable.from_function(Z, box, "real",
-                                    lambda p: Fraction(p.coords[0]))
-    ev, od = table_even_odd_split(ident)
-    assert all(v == 0 for v in ev.values.values())
-    assert od.values == ident.values
-
-    mixed = FuncTable.from_function(
-        Z, box, "real", lambda p: Fraction(p.coords[0] ** 2 + p.coords[0])
-    )
-    ev, od = table_even_odd_split(mixed)
-    for p in mixed.points():
-        assert ev.values[p] == p.coords[0] ** 2
-        assert od.values[p] == p.coords[0]
-        assert ev.values[p] + od.values[p] == mixed.values[p]
-
-
 def test_split_of_hermitian_modulus_is_even():
     # |f| of a character table is identically 1, so log|f| has zero odd part
     chi = CharacterSpec(Z, (Fraction(1, 8),), ())
     t = FuncTable.from_function(Z, Box((3,)), "complex", lambda p: chi.value(p))
     logs = t.abs_log_table().as_real_log()
-    ev, od = table_even_odd_split(logs)
-    assert all(v == 0 for v in od.values.values())
+    assert all(logs.values[p] - logs.values[-p] == 0 for p in logs.points())
 
 
 def test_json_roundtrip_all_kinds():

@@ -6,7 +6,6 @@ from kbeq.groups import (
     Box,
     FullGroup,
     GroupSpec,
-    Points,
     SubgroupSpec,
     add,
     coset_index,
@@ -245,11 +244,3 @@ def test_box_domain():
     assert not box.contains(group.element((3, 0)))
     with pytest.raises(DomainSizeError):
         Box((0,))
-
-
-def test_points_domain_negation_flag():
-    group = GroupSpec(1)
-    pts = (group.element((0,)), group.element((1,)))
-    assert not Points(pts).negation_closed(group)
-    sym = (group.element((-1,)), group.element((0,)), group.element((1,)))
-    assert Points(sym).negation_closed(group)
