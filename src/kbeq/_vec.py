@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -85,6 +84,14 @@ def _combo_codes_grid(info: VecDomain, cx: int, cy: int,
 _pair_cache: dict = {}
 
 
+def _cached(key, value):
+    """Store ``value`` in ``_pair_cache``, clearing it first when full."""
+    if len(_pair_cache) > 6:
+        _pair_cache.clear()
+    _pair_cache[key] = value
+    return value
+
+
 def pair_maps(info: VecDomain, combos: tuple[tuple[int, int], ...]):
     """In-range pair sweep: returns (I, J, [K_combo...], total_pairs).
 
@@ -103,16 +110,12 @@ def pair_maps(info: VecDomain, combos: tuple[tuple[int, int], ...]):
     valid = np.ones((n, n), dtype=bool)
     codes = [_combo_codes_grid(info, cx, cy, valid) for cx, cy in combos]
     flat = np.flatnonzero(valid.reshape(-1))
-    out = (
+    return _cached(key, (
         (flat // n).astype(np.int64),
         (flat % n).astype(np.int64),
         [code.reshape(-1)[flat] for code in codes],
         n * n,
-    )
-    if len(_pair_cache) > 6:
-        _pair_cache.clear()
-    _pair_cache[key] = out
-    return out
+    ))
 
 
 def triple_maps(info: VecDomain, combos: tuple[tuple[int, int, int], ...],
@@ -125,11 +128,8 @@ def triple_maps(info: VecDomain, combos: tuple[tuple[int, int, int], ...],
     hit = _pair_cache.get(key)
     if hit is not None:
         return hit
-    out = _triple_maps_build(info, combos, full_budget, sample_budget)
-    if len(_pair_cache) > 8:
-        _pair_cache.clear()
-    _pair_cache[key] = out
-    return out
+    return _cached(key, _triple_maps_build(info, combos, full_budget,
+                                           sample_budget))
 
 
 def _triple_maps_build(info, combos, full_budget, sample_budget):
@@ -204,8 +204,7 @@ def neg_codes(info: VecDomain) -> np.ndarray:
         else:
             digit = (-col) % group.torsion[c - group.rank]
         code += digit * info.strides[c]
-    _pair_cache[key] = code
-    return code
+    return _cached(key, code)
 
 
 def coset_codes(info: VecDomain, modulus: int) -> tuple[np.ndarray, "callable"]:
@@ -426,35 +425,33 @@ def _sums_differ(arrays, pos, neg, modulus: int) -> np.ndarray:
 # structured-form evaluation
 
 
-def form_log_arrays(P, l, r_entries, info: VecDomain):
-    """Values of ``P(x) + l(x) + r(x)`` over the domain as scaled ints.
+def form_log_arrays(P, l, r_entries, info: VecDomain) -> tuple[np.ndarray, int]:
+    """Values of ``P(x) + l(x) + r(x)`` over the domain: (numerators, denom).
 
     ``r_entries`` is an iterable of (CosetIndex, Fraction) covering X^(2).
-    Returns (nums int64 array, denom) or None when int64 cannot hold the
-    arithmetic exactly.
+    The numerators are int64 where a bound proves the arithmetic fits and
+    Python ints otherwise, so the values are always exact.
     """
     group = info.group
     rank = group.rank
-    denom = 1
     coeffs = [v for row in P.matrix for v in row]
     coeffs += list(l.coeffs) + [v for _, v in r_entries]
-    for v in coeffs:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
+    denom = math.lcm(*(v.denominator for v in coeffs))
     maxc = int(np.abs(info.coords).max(initial=0))
-    bound = max((abs(v) for v in coeffs), default=Fraction(0)) * denom
-    bound = int(bound) + 1
-    if bound * (group.dim * max(maxc, 1)) ** 2 * 4 > _INT_LIMIT:
-        return None
-    C = info.coords.astype(np.int64)
-    B = np.array([[int(v * denom) for v in row] for row in P.matrix],
-                 dtype=np.int64)
-    out = np.einsum("ni,ij,nj->n", C, B, C)
+    bound = int(max(map(abs, coeffs), default=0) * denom) + 1
+    fits = bound * (group.dim * max(maxc, 1)) ** 2 * 4 <= _INT_LIMIT
+    dtype = np.int64 if fits else object
+
+    def scaled(values) -> np.ndarray:
+        return np.array([int(v * denom) for v in values], dtype=dtype)
+
+    C = info.coords.astype(dtype)
+    B = scaled(v for row in P.matrix for v in row).reshape(group.dim, group.dim)
+    out = ((C @ B) * C).sum(axis=1)
     if rank:
-        lv = np.array([int(v * denom) for v in l.coeffs], dtype=np.int64)
-        out = out + C[:, :rank] @ lv
+        out = out + C[:, :rank] @ scaled(l.coeffs)
     codes, encode = coset_codes(info, 2)
-    rarr = np.zeros(group.coset_count(2), dtype=np.int64)
+    rarr = np.zeros(group.coset_count(2), dtype=dtype)
     for idx, v in r_entries:
         rarr[encode(idx)] = int(v * denom)
-    out = out + rarr[codes]
-    return out, denom
+    return out + rarr[codes], denom

@@ -5,8 +5,10 @@ triple-difference equation splits into an even part (quadratic form plus a
 coset-constant map) and an odd part (an additive map).  The quadratic form
 is read off from second differences at doubled generators and divided by
 four, the additive part from values at generators, and the per-coset
-constants from representatives; an exact residual sweep over the whole
-window then certifies the result.
+constants from representatives; a residual sweep over the whole window then
+certifies the result.  One routine serves every real table: it works on the
+table's array encoding, exact numerators over one denominator (int64 or
+Python ints) compared exactly, or floats compared within the tolerance.
 
 The Hermitian route first decomposes the moduli via the positive route,
 then factors the unimodular part into a character (fitted on the doubled
@@ -23,6 +25,7 @@ not a genuine solution.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
@@ -231,11 +234,17 @@ def _require_decomposable_domain(table: FuncTable):
 
 def decompose_T(table: FuncTable, tol: float = DEFAULT_TOL,
                 verify: bool = True):
-    """Split a real table into (P, l, r) with ``T = P + l + r`` exactly.
+    """Split a real table into (P, l, r) with ``T = P + l + r``.
 
-    Requires the triple-difference equation to hold on the window.  The odd
-    part must be additive; the even part decomposes into a quadratic form
-    plus per-coset constants.  A full residual sweep certifies the output.
+    Requires the triple-difference equation to hold on the window.  The
+    table is read as one array (:func:`kbeq._vec.numeric_mode`: exact
+    numerators over one denominator, or floats when it holds any float).
+    The odd part ``(T(x) - T(-x)) / 2`` gives the additive map at the
+    generators and must equal it everywhere; the even part gives the
+    quadratic form from doubled second differences and the per-coset
+    constants at each coset's first point.  A residual sweep of the whole
+    window against the recovered form, exact for exact tables and within
+    ``tol`` for float tables, certifies the output.
     """
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("log-domain decomposition needs a real table")
@@ -245,81 +254,61 @@ def decompose_T(table: FuncTable, tol: float = DEFAULT_TOL,
         rep = check_eq5(table, tol)
         if not rep.holds:
             raise EquationFailsError("triple-difference equation fails", rep)
-    kind, (nums,), denom = _vec.numeric_mode([table])
-    if kind == "int" and nums.dtype == np.int64:
-        return _decompose_T_int(table, _vec.domain_info(group, table.domain),
-                                nums, denom, tol)
-    return _decompose_T_loop(table, tol)
-
-
-def _decompose_T_int(table: FuncTable, info, nums: np.ndarray, denom: int,
-                     tol: float):
-    """Exact array route: values are ``nums / denom`` with one denominator."""
-    group = table.group
+    kind, (T,), denom = _vec.numeric_mode([table])
+    info = _vec.domain_info(group, table.domain)
     pts = table.points()
     ng = _vec.neg_codes(info)
-    even2 = nums + nums[ng]     # twice the even part, over denom
-    odd2 = nums - nums[ng]
-    rank = group.rank
-    # additive part from generators
-    if rank:
-        gen_idx = [_vec.index_of_coords(info, e.coords)
-                   for e in group.generators()[:rank]]
-        l = AdditiveMap(group, tuple(
-            Fraction(int(odd2[i]), 2 * denom) for i in gen_idx
-        ))
-    else:
-        l = AdditiveMap.zero(group)
-    bad = _odd_mismatch_int(info, odd2, denom, l)
+    even2, odd2 = T + T[ng], T - T[ng]  # twice the even and odd parts
+
+    def half(part2, i: int):  # the even or odd part at point i
+        return _value(kind, part2[i], 2 * denom)
+
+    def at(coords) -> int:
+        return _vec.index_of_coords(info, coords)
+
+    l = AdditiveMap(group, tuple(_to_fraction(half(odd2, at(e.coords)))
+                                 for e in group.generators()[: group.rank]))
+    no_P, no_r = QuadraticForm.zero(group), CosetConstantMap.zero(group)
+    bad = _first_mismatch(kind, odd2, 2 * denom,
+                          _vec.form_log_arrays(no_P, l, no_r.entries, info), tol)
+    if bad is not None:
+        x = pts[bad]
+        raise DecompositionError("odd part is not additive",
+                                 _point_witness(x, half(odd2, bad), l.value(x)))
+    P = _quadratic_from_even(group, lambda coords: _to_fraction(half(even2, at(coords))))
+    codes, _ = _vec.coset_codes(info, 2)
+    _, first = np.unique(codes, return_index=True)
+    r = CosetConstantMap(group, tuple(
+        (group.coset_index(pts[i], 2), _to_fraction(half(even2, i)) - P.value(pts[i]))
+        for i in first.tolist()))
+    bad = _first_mismatch(kind, T, denom,
+                          _vec.form_log_arrays(P, l, r.entries, info), tol)
     if bad is not None:
         x = pts[bad]
         raise DecompositionError(
-            "odd part is not additive",
-            _point_witness(x, Fraction(int(odd2[bad]), 2 * denom), l.value(x)),
-        )
-    # quadratic part from doubled second differences of the even part
-    P = _quadratic_from_even(
-        group,
-        lambda coords: Fraction(int(even2[_vec.index_of_coords(info, coords)]),
-                                2 * denom),
-    )
-    # per-coset constants from first representatives
-    codes, _ = _vec.coset_codes(info, 2)
-    _, first = np.unique(codes, return_index=True)
-    entries = []
-    for i in sorted(int(v) for v in first):
-        x = pts[i]
-        entries.append((group.coset_index(x, 2),
-                        Fraction(int(even2[i]), 2 * denom) - P.value(x)))
-    r = CosetConstantMap(group, tuple(entries))
-    _residual_check_int(table, info, nums, denom, P, l, r, tol)
+            "decomposition residual is nonzero",
+            _point_witness(x, _value(kind, T[bad], denom),
+                           P.value(x) + l.value(x) + r.value(x)))
     return P, l, r
 
 
-def _odd_mismatch_int(info, odd2, denom, l: AdditiveMap) -> Optional[int]:
-    """Index of the first point where odd2/(2*denom) != l, else None."""
-    import math
+def _value(kind: str, v, denom: int):
+    """An array entry over ``denom`` as the value it encodes."""
+    return float(v) / denom if kind == "float" else Fraction(int(v), denom)
 
-    rank = info.group.rank
-    if rank:
-        ldenom = 1
-        for c in l.coeffs:
-            ldenom = ldenom * c.denominator // math.gcd(ldenom, c.denominator)
-        lnum = np.array([int(c * ldenom) for c in l.coeffs], dtype=np.int64)
-        lv = info.coords[:, :rank].astype(np.int64) @ lnum
+
+def _first_mismatch(kind: str, nums: np.ndarray, denom: int, model,
+                    tol: float) -> Optional[int]:
+    """First index where ``nums / denom`` differs from a form's values."""
+    mnums, mdenom = model
+    if kind == "float":
+        enc = ("float", [nums / denom, np.asarray(mnums / mdenom, dtype=np.float64)], 1)
     else:
-        ldenom = 1
-        lv = np.zeros(info.n, dtype=np.int64)
-    lim = (1 << 62)
-    if (abs(int(np.abs(odd2).max(initial=0))) * ldenom >= lim
-            or abs(int(np.abs(lv).max(initial=0))) * 2 * denom >= lim):
-        # magnitudes unsafe for int64 cross-multiplication; do it in objects
-        bad = [i for i in range(info.n)
-               if int(odd2[i]) * ldenom != int(lv[i]) * 2 * denom]
-        return bad[0] if bad else None
-    diff = odd2 * ldenom - lv * (2 * denom)
-    nz = np.flatnonzero(diff)
-    return int(nz[0]) if len(nz) else None
+        common = math.lcm(denom, mdenom)
+        enc = ("int", [_vec._rescale(nums, common // denom),
+                       _vec._rescale(mnums, common // mdenom)], common)
+    return _vec.first_failure(enc, [np.arange(len(nums))], ((0, 0, 1), (1, 0, -1)),
+                              tol, product=False)
 
 
 def _quadratic_from_even(group: GroupSpec, even_value) -> QuadraticForm:
@@ -344,75 +333,6 @@ def _quadratic_from_even(group: GroupSpec, even_value) -> QuadraticForm:
                      - even_value(coords_of(k)) + e0)
                 doubled[j][k] = doubled[k][j] = v / 2
     return extend_biadditive(group, doubled)
-
-
-def _residual_check_int(table, info, nums, denom, P, l, r, tol):
-    model = _vec.form_log_arrays(P, l, r.entries, info)
-    pts = table.points()
-    if model is not None:
-        mn, md = model
-        lim = 1 << 62
-        if (abs(int(np.abs(nums).max(initial=0))) * md < lim
-                and abs(int(np.abs(mn).max(initial=0))) * denom < lim):
-            diff = nums * md - mn * denom
-            nz = np.flatnonzero(diff)
-            if len(nz):
-                i = int(nz[0])
-                x = pts[i]
-                raise DecompositionError(
-                    "decomposition residual is nonzero",
-                    _point_witness(x, Fraction(int(nums[i]), denom),
-                                   P.value(x) + l.value(x) + r.value(x)),
-                )
-            return
-    for i, x in enumerate(pts):
-        model_v = P.value(x) + l.value(x) + r.value(x)
-        if Fraction(int(nums[i]), denom) != model_v:
-            raise DecompositionError(
-                "decomposition residual is nonzero",
-                _point_witness(x, Fraction(int(nums[i]), denom), model_v),
-            )
-
-
-def _decompose_T_loop(table: FuncTable, tol: float):
-    """Plain-Python route for float or otherwise unencodable tables."""
-    group = table.group
-    vals = table.values
-    exact = _is_exact_table(table)
-    pts = table.points()
-    even = {x: _halved(vals[x] + vals[-x]) for x in pts}
-    odd = {x: _halved(vals[x] - vals[-x]) for x in pts}
-    rank = group.rank
-    if rank:
-        gens = group.generators()[:rank]
-        l = AdditiveMap(group, tuple(_to_fraction(odd[e]) for e in gens))
-    else:
-        l = AdditiveMap.zero(group)
-    for x in pts:
-        if not _close(odd[x], l.value(x), tol, exact):
-            raise DecompositionError("odd part is not additive",
-                                     _point_witness(x, odd[x], l.value(x)))
-    P = _quadratic_from_even(
-        group, lambda coords: _to_fraction(even[group.element(coords)])
-    )
-    reps: dict = {}
-    for x in pts:
-        reps.setdefault(group.coset_index(x, 2), x)
-    entries = [(idx, _to_fraction(even[x]) - P.value(x))
-               for idx, x in reps.items()]
-    r = CosetConstantMap(group, tuple(entries))
-    for x in pts:
-        model = P.value(x) + l.value(x) + r.value(x)
-        if not _close(vals[x], model, tol, exact):
-            raise DecompositionError("decomposition residual is nonzero",
-                                     _point_witness(x, vals[x], model))
-    return P, l, r
-
-
-def _halved(v):
-    if isinstance(v, float):
-        return v / 2.0
-    return Fraction(v) / 2
 
 
 # ---------------------------------------------------------------------------

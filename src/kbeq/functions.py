@@ -22,9 +22,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Mapping, Optional, Union
 
+from . import _vec
 from .errors import (
     GroupMismatchError,
     GroupParseError,
@@ -199,7 +199,7 @@ class FuncTable:
     depends on ``kind``; positive tables store ``log f(x)``.
     """
 
-    __slots__ = ("group", "domain", "kind", "values", "_points", "_index", "_memo")
+    __slots__ = ("group", "domain", "kind", "values", "_points", "_memo")
 
     def __init__(self, group: GroupSpec, domain: Domain, kind: str,
                  values: Mapping[GroupElement, object]):
@@ -210,7 +210,6 @@ class FuncTable:
         self.kind = kind
         self.values = dict(values)
         self._points = None
-        self._index = None
         self._memo = {}
         self._validate()
 
@@ -241,11 +240,6 @@ class FuncTable:
             self._points = self.domain.points(self.group)
         return self._points
 
-    def index_of(self, x: GroupElement) -> int:
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.points())}
-        return self._index[x]
-
     def __contains__(self, x: GroupElement) -> bool:
         return x in self.values
 
@@ -263,9 +257,6 @@ class FuncTable:
         if isinstance(v, Fraction):
             return float(v)
         return v
-
-    def zero_free(self) -> bool:
-        return all(not value_is_zero(v) for v in self.values.values())
 
     # -- conversions -----------------------------------------------------------
 
@@ -357,12 +348,14 @@ class FuncTable:
                 f"{len(self.values)} points)")
 
 
+def _is_real(v) -> bool:
+    return (isinstance(v, (int, Fraction, float)) and not isinstance(v, bool)
+            and not (isinstance(v, float) and math.isnan(v)))
+
+
 _VALUE_CHECKS = {
-    KIND_REAL: lambda v: isinstance(v, (int, Fraction, float))
-    and not isinstance(v, bool),
-    KIND_POSITIVE: lambda v: isinstance(v, (int, Fraction, float))
-    and not isinstance(v, bool)
-    and not (isinstance(v, float) and math.isnan(v)),
+    KIND_REAL: _is_real,
+    KIND_POSITIVE: _is_real,
     KIND_SIGN: lambda v: isinstance(v, int) and not isinstance(v, bool)
     and v in (1, -1),
     KIND_COMPLEX: lambda v: isinstance(v, (Exact, complex, int, float, Fraction))
@@ -845,7 +838,9 @@ def eval_hermitian(form: HermitianSolutionForm,
 def synth_table(form, domain: Domain) -> tuple[FuncTable, FuncTable]:
     """Render a form as a pair of dense tables over a domain.
 
-    Positive forms always produce genuine solution pairs.  Hermitian forms
+    Positive forms always produce genuine solution pairs, with exact
+    rational logs evaluated over the whole domain at once by
+    :func:`kbeq._vec.form_log_arrays`.  Hermitian forms
     are synthesized only when they satisfy the sufficient condition (sign
     maps constant on cosets of ``X^(2)`` with pointwise product 1, or the
     support-restricted shape on a group with onto doubling); arbitrary
@@ -853,16 +848,14 @@ def synth_table(form, domain: Domain) -> tuple[FuncTable, FuncTable]:
     """
     if isinstance(form, PositiveSolutionForm):
         group = form.group
-        fast = _synth_positive_fast(form, domain)
-        if fast is not None:
-            return fast
-        fvals, gvals = {}, {}
-        for p in domain.points(group):
-            tf, tg = form.log_pair(p)
-            fvals[p] = tf
-            gvals[p] = tg
-        return (FuncTable(group, domain, KIND_POSITIVE, fvals),
-                FuncTable(group, domain, KIND_POSITIVE, gvals))
+        info = _vec.domain_info(group, domain)
+        pts = domain.points(group)
+        tables = []
+        for l, r in ((form.l, form.r), (form.m, form.r.negated())):
+            nums, denom = _vec.form_log_arrays(form.P, l, r.entries, info)
+            tables.append(FuncTable(group, domain, KIND_POSITIVE, {
+                p: Fraction(int(n), denom) for p, n in zip(pts, nums)}))
+        return tuple(tables)
     if isinstance(form, HermitianSolutionForm):
         _require_sufficient(form)
         group = form.group
@@ -874,25 +867,6 @@ def synth_table(form, domain: Domain) -> tuple[FuncTable, FuncTable]:
         return (FuncTable(group, domain, KIND_COMPLEX, fvals),
                 FuncTable(group, domain, KIND_COMPLEX, gvals))
     raise SynthesisError(f"cannot synthesize from {type(form).__name__}")
-
-
-def _synth_positive_fast(form: PositiveSolutionForm, domain: Domain):
-    """Array-backed synthesis of the exact log tables; None when unavailable."""
-    from . import _vec
-
-    info = _vec.domain_info(form.group, domain)
-    if info is None:
-        return None
-    fa = _vec.form_log_arrays(form.P, form.l, form.r.entries, info)
-    ga = _vec.form_log_arrays(form.P, form.m, form.r.negated().entries, info)
-    if fa is None or ga is None:
-        return None
-    pts = domain.points(form.group)
-    (fn, fd), (gn, gd) = fa, ga
-    fvals = {p: Fraction(int(n), fd) for p, n in zip(pts, fn)}
-    gvals = {p: Fraction(int(n), gd) for p, n in zip(pts, gn)}
-    return (FuncTable(form.group, domain, KIND_POSITIVE, fvals),
-            FuncTable(form.group, domain, KIND_POSITIVE, gvals))
 
 
 def _require_sufficient(form: HermitianSolutionForm):

@@ -71,6 +71,18 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_check_nan_value_exits_two(tmp_path, capsys):
+    t = FuncTable.from_function(GroupSpec(1), Box((3,)), "real", lambda p: 0.0)
+    obj = t.to_json()
+    obj["values"][1][1] = math.nan  # written as a JSON NaN
+    f = tmp_path / "f.json"
+    write_json(f, obj)
+    assert "NaN" in f.read_text(encoding="utf-8")
+    code, payload, err = run(capsys, "check", "-f", str(f), "-g", str(f))
+    assert code == 2
+    assert "invalid for kind 'real'" in payload["error"]
+
+
 def test_decompose_roundtrip_via_files(tmp_path, capsys):
     group = GroupSpec(0, (4,))
     form = random_positive_form(group, Random(2))

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kbeq import _vec
 from kbeq.checks import check_kb, check_kb_self
 from kbeq.decompose import (
     decompose_T,
@@ -181,6 +182,13 @@ def test_decompose_T_rejects_non_additive_odd_part():
                    lambda p: Fraction(p.coords[0] ** 3))
     with pytest.raises((DecompositionError, EquationFailsError)):
         decompose_T(t)
+
+
+def test_decompose_T_keeps_the_index_cache_bounded():
+    for radius in range(4, 20):
+        decompose_T(real_table(Z, Box((radius,)), lambda p: Fraction(0)),
+                    verify=False)
+        assert len(_vec._pair_cache) <= 7
 
 
 # ---------------------------------------------------------------------------

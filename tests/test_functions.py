@@ -71,6 +71,13 @@ def test_table_kind_validation():
         FuncTable.from_function(Z, box, "bogus", lambda p: 1)
 
 
+def test_real_and_positive_tables_reject_nan():
+    for kind in ("real", "positive"):
+        with pytest.raises(IncompatibleTablesError):
+            FuncTable.from_function(GroupSpec(1), Box((3,)), kind,
+                                    lambda p: math.nan if p.coords == (1,) else 0.0)
+
+
 def test_positive_table_func_values():
     t = FuncTable.from_function(Z, Box((1,)), "positive",
                                 lambda p: Fraction(p.coords[0]))
@@ -274,6 +281,11 @@ def test_synth_zero_form_is_all_ones():
     f, g = synth_table(zero_positive_form(z2t), FullGroup())
     assert all(v == 0 for v in f.values.values())  # log 1
     assert all(v == 0 for v in g.values.values())
+
+
+def test_synth_positive_on_trivial_group():
+    f, g = synth_table(zero_positive_form(GroupSpec(0, ())), FullGroup())
+    assert list(f.values.values()) == [0] and list(g.values.values()) == [0]
 
 
 def test_synth_positive_matches_eval():

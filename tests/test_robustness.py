@@ -3,9 +3,11 @@
 Every pair and triple check runs through one sweep kernel; the brute-force
 loops in ``reference_checks`` are its oracle, and the two must agree on
 verdict, first witness, ``pairs_checked`` and ``coverage`` for every table
-encoding on box and full-group domains.  The decomposers must never return
-a form for an input that is not a genuine solution: corruptions raise, and
-what does come back always reproduces its input exactly.
+encoding on box and full-group domains.  Positive synthesis and the
+log-domain split run on arrays; the point loops in ``reference_decompose``
+are their oracle.  The decomposers must never return a form for an input
+that is not a genuine solution: corruptions raise, and what does come back
+always reproduces its input exactly.
 """
 
 from fractions import Fraction
@@ -14,10 +16,12 @@ from random import Random
 import pytest
 
 import reference_checks as ref
-from kbeq import checks
+import reference_decompose as ref_dec
+from kbeq import _vec, checks
 from kbeq.checks import check_eq5, check_kb, check_sign_eq26
 from kbeq.decompose import (
     _phase_checks,
+    decompose_T,
     decompose_hermitian,
     decompose_positive,
 )
@@ -28,11 +32,13 @@ from kbeq.errors import (
     KbeqError,
 )
 from kbeq.functions import (
+    AdditiveMap,
     CharacterSpec,
     CosetConstantMap,
     Exact,
     FuncTable,
     HermitianSolutionForm,
+    PositiveSolutionForm,
     QuadraticForm,
     SignMap,
     cval,
@@ -303,6 +309,125 @@ def test_phase_checks_match_reference(exact, corrupt):
     assert info.value.witness["x"] == list(want[1].coords)
     if corrupt == "pair":
         assert info.value.witness["y"] == list(want[2].coords)
+
+
+# ---------------------------------------------------------------------------
+# positive synthesis and the log-domain split against the point loops
+
+DEC_DOMAINS = (("box", GroupSpec(1, (2,)), Box((4,))),
+               ("box2", GroupSpec(2), Box((4, 4))),
+               ("full", ZF, FULL))
+
+
+def _big_form(group, scale):
+    """A positive form over denominators near 2^80, numerators ``scale`` * 2^40."""
+    rank = group.rank
+    mat = [[Fraction(0)] * group.dim for _ in range(group.dim)]
+    for i in range(rank):
+        for j in range(rank):
+            mat[i][j] = Fraction(scale * (1 + (i == j)), BIG_P)
+    return PositiveSolutionForm(
+        QuadraticForm(group, tuple(map(tuple, mat))),
+        AdditiveMap(group, (Fraction(3 * scale, BIG_Q),) * rank),
+        AdditiveMap(group, (Fraction(-2 * scale, BIG_P),) * rank),
+        CosetConstantMap(group, tuple(
+            (idx, Fraction(k * scale + 1, BIG_Q) - Fraction(1, BIG_P))
+            for k, idx in enumerate(group.coset_indices(2)))))
+
+
+def _dec_forms(group):
+    """(name, form, whether its log values need Python-int numerators)."""
+    for seed in range(3):
+        yield f"int{seed}", random_positive_form(group, Random(seed)), False
+    # int64 numerators over a denominator beyond int64, then numerators beyond it
+    yield "bigden", _big_form(group, 1), False
+    yield "big", _big_form(group, BIG_P), True
+
+
+def _bumped(table, point, bump, odd):
+    """``table`` plus ``bump`` at ``point`` (minus ``bump`` at ``-point`` if odd)."""
+    vals = dict(table.values)
+    x = table.group.element(point)
+    vals[x] += bump
+    if odd:
+        vals[-x] -= bump
+    return FuncTable(table.group, table.domain, table.kind, vals)
+
+
+def _dec_variants(table):
+    """Clean, one point corrupted (odd check, or residual check at 0), odd bump."""
+    dim = table.group.dim
+    yield "clean", table
+    yield "point", _bumped(table, (1,) * dim, Fraction(1, 3), False)
+    yield "zero", _bumped(table, (0,) * dim, Fraction(1, 3), False)
+    yield "odd", _bumped(table, (1,) + (0,) * (dim - 1), Fraction(2, 7), True)
+
+
+EXPECTED_ERROR = {"clean": None, "point": "odd part is not additive",
+                  "zero": "decomposition residual is nonzero",
+                  "odd": "odd part is not additive"}
+
+
+def _dec_cases():
+    for dname, group, domain in DEC_DOMAINS:
+        for fname, form, _ in _dec_forms(group):
+            base = synth_table(form, domain)[0].as_real_log()
+            for vname, table in _dec_variants(base):
+                yield f"{dname}-{fname}-{vname}", table, False
+                yield (f"{dname}-{fname}-{vname}-float",
+                       retyped(table, "real", float), True)
+
+
+DEC_CASES = list(_dec_cases())
+
+
+def _outcome(decompose, table):
+    try:
+        return decompose(table)
+    except DecompositionError as exc:
+        return type(exc), str(exc), exc.witness
+
+
+@pytest.mark.parametrize("case", DEC_CASES, ids=[c[0] for c in DEC_CASES])
+def test_decompose_T_matches_reference(case):
+    name, table, is_float = case
+    got = _outcome(lambda t: decompose_T(t, verify=False), table)
+    assert got == _outcome(lambda t: ref_dec.decompose_T(t, checks.DEFAULT_TOL),
+                           table)
+    # no vacuous case: exact inputs fail exactly where they were corrupted
+    if not is_float:
+        want = EXPECTED_ERROR[name.rsplit("-", 1)[1]]
+        assert (got[1] if want else None) == want
+
+
+def test_decompose_T_cases_cover_both_checks_on_floats():
+    messages = {_outcome(lambda t: decompose_T(t, verify=False), t)[1]
+                for _, t, is_float in DEC_CASES if is_float}
+    assert set(EXPECTED_ERROR.values()) - {None} <= messages
+
+
+@pytest.mark.parametrize("name,group,domain", DEC_DOMAINS,
+                         ids=[d[0] for d in DEC_DOMAINS])
+def test_synth_positive_matches_reference(name, group, domain):
+    info = _vec.domain_info(group, domain)
+    for fname, form, big in _dec_forms(group):
+        assert synth_table(form, domain) == ref_dec.synth_positive(form, domain)
+        nums, _ = _vec.form_log_arrays(form.P, form.l, form.r.entries, info)
+        assert (nums.dtype == object) == big  # beyond int64: Python ints
+
+
+@pytest.mark.parametrize("name,group,domain", DEC_DOMAINS,
+                         ids=[d[0] for d in DEC_DOMAINS])
+def test_mixed_table_decomposes_as_float(name, group, domain):
+    # a table mixing floats and rationals takes float arithmetic throughout
+    base = synth_table(random_positive_form(group, Random(5)), domain)[0].as_real_log()
+    for _, table in _dec_variants(base):
+        mixed = FuncTable(group, domain, "real", {
+            p: float(table.values[p]) if i % 2 else table.values[p]
+            for i, p in enumerate(table.points())})
+        decompose = lambda t: decompose_T(t, verify=False)
+        assert _outcome(decompose, mixed) == _outcome(
+            decompose, retyped(table, "real", float))
 
 
 def test_positive_decompose_rejects_random_corruption():
