@@ -68,14 +68,8 @@ from .groups import (
     GroupElement,
     GroupSpec,
     SubgroupSpec,
-    add,
-    coset_index,
-    neg,
     parse_element,
     parse_group,
-    quotient_has_order2,
-    scale,
-    subgroup_contains,
 )
 from .oracle import (
     SignSolutionCensus,

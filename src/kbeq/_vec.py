@@ -5,11 +5,12 @@ with the mixed-radix code ``sum(digit_c * stride_c)`` where free coordinates
 use ``digit = value + radius`` and torsion coordinates use the residue
 itself.  That makes the index of an affine combination ``cx*x + cy*y``
 computable coordinate-wise with numpy, so exhaustive quantifier sweeps run
-as array arithmetic.  :func:`numeric_mode` encodes tables as arrays in
-domain order and :func:`first_failure` evaluates any signed sum or product
-identity over pair or triple index arrays; exactness is kept by scaling
+as array arithmetic.  Tables store their values as arrays in domain order
+(``FuncTable.encoding``); :func:`numeric_mode` brings several tables to one
+arithmetic and :func:`first_failure` evaluates any signed sum or product
+identity over pair or triple index arrays.  Exactness is kept by scaling
 rationals to a common denominator, in int64 only where a bound proves the
-sums fit and in Python ints otherwise.
+sums fit and in Python ints otherwise.  Index maps are cached in one store.
 """
 
 from __future__ import annotations
@@ -36,13 +37,10 @@ class VecDomain:
     radii: tuple[int, ...]      # free-coordinate radii ('' for FullGroup)
 
 
-_domain_cache: dict = {}
-
-
 def domain_info(group: GroupSpec, domain: Domain) -> VecDomain:
     """Vectorization data (coordinates and mixed-radix strides) of a domain."""
     key = (group, domain)
-    hit = _domain_cache.get(key)
+    hit = _pair_cache.get(key)
     if hit is not None:
         return hit
     pts = domain.points(group)
@@ -55,11 +53,8 @@ def domain_info(group: GroupSpec, domain: Domain) -> VecDomain:
     strides = np.ones(dim, dtype=np.int64)
     for c in range(dim - 2, -1, -1):
         strides[c] = strides[c + 1] * radix[c + 1]
-    info = VecDomain(group, domain, len(pts), coords, strides, tuple(radii))
-    if len(_domain_cache) > 16:
-        _domain_cache.clear()
-    _domain_cache[key] = info
-    return info
+    return _cached(key, VecDomain(group, domain, len(pts), coords, strides,
+                                  tuple(radii)))
 
 
 def _combo_codes_grid(info: VecDomain, cx: int, cy: int,
@@ -276,45 +271,20 @@ def _rescale(nums: np.ndarray, factor: int) -> np.ndarray:
     return nums.astype(object) * factor
 
 
-def _table_encoding(table):
-    """One table's values as arrays in domain order, cached on the table.
-
-    Returns ("parity", exponents, 1) for sign tables, ("int", numerators,
-    denominator) or ("float", values, 1) for real and positive tables, and
-    ("exact", (log numerators, log denominator, turn numerators, turn
-    denominator, zero mask), 1) or ("complex", values, 1) for complex tables.
-    """
-    from .functions import Exact, cval
-
-    memo = table._memo
-    enc = memo.get("enc")
-    if enc is not None:
-        return enc
-    pts = table.points()
-    vals = list(table.values.values())
-    if not all(a is b for a, b in zip(table.values, pts)):  # keys out of domain order
-        vals = [table.values[p] for p in pts]
-    if table.kind == "sign":
-        enc = ("parity", np.array([(1 - v) >> 1 for v in vals], dtype=np.int64), 1)
-    elif table.kind != "complex":
-        if any(isinstance(v, float) for v in vals):
-            enc = ("float", np.array([float(v) for v in vals], dtype=np.float64), 1)
-        else:
-            enc = ("int", *_over(vals))
-    elif all(isinstance(v, Exact) for v in vals):
-        enc = ("exact", (*_over([v.log_abs for v in vals]),
-                         *_over([v.turn for v in vals]),
-                         np.array([v.zero for v in vals], dtype=bool)), 1)
-    else:
-        enc = ("complex", np.array([cval(v) for v in vals], dtype=np.complex128), 1)
-    memo["enc"] = enc
-    return enc
+def lowest(nums: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
+    """``nums / denom`` in lowest terms, int64 exactly when ``_ints`` would be."""
+    g = math.gcd(int(np.gcd.reduce(nums, initial=0)), denom)
+    if g > 1:
+        nums, denom = nums // g, denom // g
+    if nums.dtype != np.int64 or int(np.abs(nums).max(initial=0)) > _INT_LIMIT:
+        nums = _ints(nums.tolist())
+    return nums, denom
 
 
 def numeric_mode(tables: Sequence) -> tuple[str, list, int]:
     """Encode tables jointly for :func:`first_failure`: (kind, arrays, denom).
 
-    The arithmetic follows from the values alone:
+    The arithmetic follows from the tables' stored encodings:
 
     * ``"int"``: rationals as integer numerators over one common ``denom``;
     * ``"parity"``: sign tables as 0/1 exponents of -1;
@@ -327,7 +297,7 @@ def numeric_mode(tables: Sequence) -> tuple[str, list, int]:
     Integer arrays are int64 when every value is within ``_INT_LIMIT`` and
     hold Python ints otherwise.
     """
-    encs = [_table_encoding(t) for t in tables]
+    encs = [t.encoding for t in tables]
     kinds = {e[0] for e in encs}
     if kinds == {"parity"}:
         return "parity", [e[1] for e in encs], 1
@@ -343,12 +313,16 @@ def numeric_mode(tables: Sequence) -> tuple[str, list, int]:
         return "exact", [(_rescale(lg, ld // lgd), _rescale(tn, td // tnd), zero)
                          for _, (lg, lgd, tn, tnd, zero), _ in encs], td
     if kinds <= {"exact", "complex"}:
-        return "complex", [
-            e[1] if e[0] == "complex" else
-            np.array([t.values[p].to_complex() for p in t.points()],
-                     dtype=np.complex128)
-            for t, e in zip(tables, encs)], 1
+        return "complex", [e[1] if e[0] == "complex" else _complex(*e[1])
+                           for e in encs], 1
     raise IncompatibleTablesError(f"cannot sweep {sorted(kinds)} tables together")
+
+
+def _complex(lg, lgd, tn, tnd, zero) -> np.ndarray:
+    """An exact-complex encoding as complex128 values."""
+    logs = np.asarray(lg / lgd, dtype=np.float64)
+    turns = np.asarray(tn / tnd, dtype=np.float64)
+    return np.where(zero, 0j, np.exp(logs) * np.exp(2j * np.pi * turns))
 
 
 def first_failure(enc, axes: Sequence[np.ndarray], terms, tol: float,

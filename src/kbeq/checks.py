@@ -285,11 +285,13 @@ def check_hermitian(f: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     """Conjugate symmetry ``f(-x) = conj(f(x))`` at every domain point."""
     if not f.domain.negation_closed(f.group):
         raise DomainSizeError("hermitian check needs a negation-closed domain")
+    vals = f.values.values()
+    ng = _vec.neg_codes(_vec.domain_info(f.group, f.domain))
     checked = 0
-    for x in f.points():
+    for x, v, w in zip(f.points(), vals, ng.tolist()):
         checked += 1
-        lhs = f.values[-x]
-        rhs = cconj(f.values[x]) if f.kind == KIND_COMPLEX else f.values[x]
+        lhs = vals[w]
+        rhs = cconj(v) if f.kind == KIND_COMPLEX else v
         if not values_equal(lhs, rhs, tol):
             return _failed(checked, 1.0, Witness(("x",), (x,), lhs, rhs))
     return _passed(checked, 1.0)
@@ -310,17 +312,15 @@ def check_coset_constant(table: FuncTable, modulus: int,
     """Is the table constant on each coset of ``X^(modulus)`` meeting the domain?"""
     reps: dict = {}
     checked = 0
-    for x in table.points():
+    for x, v in table.values.items():
         idx = table.group.coset_index(x, modulus)
         if idx not in reps:
-            reps[idx] = x
+            reps[idx] = (x, v)
             continue
         checked += 1
-        rep = reps[idx]
-        if not values_equal(table.values[rep], table.values[x], tol):
-            return _failed(checked, 1.0,
-                           Witness(("x", "y"), (rep, x),
-                                   table.values[rep], table.values[x]))
+        rep, w = reps[idx]
+        if not values_equal(w, v, tol):
+            return _failed(checked, 1.0, Witness(("x", "y"), (rep, x), w, v))
     return _passed(checked, 1.0)
 
 
@@ -347,9 +347,8 @@ def check_character(table: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     if table.kind != KIND_COMPLEX:
         raise IncompatibleTablesError("character check needs a complex table")
     checked = 0
-    for x in table.points():
+    for x, v in table.values.items():
         checked += 1
-        v = table.values[x]
         if isinstance(v, Exact):
             unimodular = not v.zero and v.log_abs == 0
         else:

@@ -35,6 +35,7 @@ import numpy as np
 from . import _vec
 from .checks import (
     DEFAULT_TOL,
+    _json_value,
     _sides,
     _sweep,
     check_coset_constant,
@@ -95,7 +96,7 @@ def _to_fraction(v) -> Fraction:
 
 
 def _is_exact_table(table: FuncTable) -> bool:
-    return all(not isinstance(v, (float, complex)) for v in table.values.values())
+    return table.encoding[0] not in ("float", "complex")
 
 
 def _close(a, b, tol: float, exact: bool) -> bool:
@@ -105,17 +106,7 @@ def _close(a, b, tol: float, exact: bool) -> bool:
 
 
 def _point_witness(x: GroupElement, lhs, rhs) -> dict:
-    def enc(v):
-        if isinstance(v, Fraction):
-            return [v.numerator, v.denominator]
-        if isinstance(v, Exact):
-            c = v.to_complex()
-            return [c.real, c.imag]
-        if isinstance(v, complex):
-            return [v.real, v.imag]
-        return v
-
-    return {"x": list(x.coords), "lhs": enc(lhs), "rhs": enc(rhs)}
+    return {"x": list(x.coords), "lhs": _json_value(lhs), "rhs": _json_value(rhs)}
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +158,12 @@ def recover_deg2(table: FuncTable, tol: float = DEFAULT_TOL,
         _to_fraction(gen_vals[j] - c0) - mat[j][j] for j in range(group.rank)
     ))
     c = _to_fraction(c0) if exact else c0
-    for x in table.points():
+    for x, v in vals.items():
         model = P.value(x) + l.value(x) + c
-        if not _close(vals[x], model, tol, exact):
+        if not _close(v, model, tol, exact):
             raise DecompositionError(
                 "recovered degree-2 model does not reproduce the table",
-                _point_witness(x, vals[x], model),
+                _point_witness(x, v, model),
             )
     return P, l, c
 
@@ -433,18 +424,21 @@ def _all_characters(group: GroupSpec):
 
 
 def _complexified(table: FuncTable) -> FuncTable:
+    mode, arrays, denom = table.encoding
     if table.kind == KIND_COMPLEX:
         return table
     if table.kind == KIND_SIGN:
-        return FuncTable(table.group, table.domain, KIND_COMPLEX,
-                         {p: Exact.from_sign(v) for p, v in table.values.items()})
-    if table.kind == KIND_POSITIVE:
-        return FuncTable(table.group, table.domain, KIND_COMPLEX,
-                         {p: Exact.from_log(v) if not isinstance(v, float)
-                          else complex(np.exp(v)) for p, v in table.values.items()})
-    raise IncompatibleTablesError(
-        "hermitian decomposition needs complex, sign or positive tables"
-    )
+        return table.unimodular_part()
+    if table.kind != KIND_POSITIVE:
+        raise IncompatibleTablesError(
+            "hermitian decomposition needs complex, sign or positive tables"
+        )
+    if mode == "float":
+        enc = ("complex", np.exp(arrays).astype(np.complex128), 1)
+    else:
+        zeros = np.zeros(len(arrays), dtype=np.int64)
+        enc = ("exact", (arrays, denom, zeros, 1, zeros.astype(bool)), 1)
+    return FuncTable._of(table.group, table.domain, KIND_COMPLEX, enc)
 
 
 def _check_positive_real_at_zero(table: FuncTable, tol: float, name: str):
@@ -531,22 +525,20 @@ def _unit_turn(v, order: Optional[int], tol: float) -> Fraction:
 
 def _restriction_matches(p: FuncTable, alpha: CharacterSpec, tol: float):
     group = p.group
-    for x in p.points():
+    for x, v in p.values.items():
         if any(r != 0 for r in group.coset_index(x, 2).residues):
             continue
-        if not values_equal(p.values[x], alpha.value(x), tol):
+        if not values_equal(v, alpha.value(x), tol):
             raise DecompositionError(
                 "phase part is not multiplicative on the doubled subgroup",
-                _point_witness(x, p.values[x], alpha.value(x)),
+                _point_witness(x, v, alpha.value(x)),
             )
 
 
 def _sign_table_from_ratio(p: FuncTable, alpha: CharacterSpec,
                            tol: float) -> FuncTable:
-    group = p.group
-    out = {}
-    for x in p.points():
-        v = p.values[x]
+    out = []  # exponents of -1
+    for x, v in p.values.items():
         if isinstance(v, Exact):
             dt = (v.turn - alpha.turn(x)) % 1
             if v.log_abs != 0 or dt not in (Fraction(0), Fraction(1, 2)):
@@ -554,35 +546,36 @@ def _sign_table_from_ratio(p: FuncTable, alpha: CharacterSpec,
                     "ratio to the extended character is not +-1",
                     _point_witness(x, v, alpha.value(x)),
                 )
-            out[x] = 1 if dt == 0 else -1
+            out.append(0 if dt == 0 else 1)
         else:
             ratio = cval(v) / cval(alpha.value(x))
             if abs(ratio - 1) <= tol:
-                out[x] = 1
+                out.append(0)
             elif abs(ratio + 1) <= tol:
-                out[x] = -1
+                out.append(1)
             else:
                 raise DecompositionError(
                     "ratio to the extended character is not +-1",
                     _point_witness(x, v, alpha.value(x)),
                 )
-    return FuncTable(group, p.domain, KIND_SIGN, out)
+    return FuncTable._of(p.group, p.domain, KIND_SIGN,
+                         ("parity", np.array(out, dtype=np.int64), 1))
 
 
 def _require_even(tab: FuncTable, name: str):
-    for x in tab.points():
-        if tab.values[-x] != tab.values[x]:
-            raise DecompositionError(
-                f"{name} is not even", _point_witness(x, tab.values[x],
-                                                      tab.values[-x])
-            )
+    vals = tab.values.values()
+    ng = _vec.neg_codes(_vec.domain_info(tab.group, tab.domain))
+    for x, v, w in zip(tab.points(), vals, ng.tolist()):
+        if vals[w] != v:
+            raise DecompositionError(f"{name} is not even",
+                                     _point_witness(x, v, vals[w]))
 
 
 def _sign_map_from_table(tab: FuncTable, modulus: int) -> SignMap:
     group = tab.group
     reps: dict = {}
-    for x in tab.points():
-        reps.setdefault(group.coset_index(x, modulus), tab.values[x])
+    for x, v in tab.values.items():
+        reps.setdefault(group.coset_index(x, modulus), v)
     if len(reps) != group.coset_count(modulus):
         raise DomainSizeError(
             f"window does not meet every coset of X^({modulus})"
@@ -616,8 +609,8 @@ def decompose_hermitian(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
     if f.group != g.group or f.domain != g.domain:
         raise IncompatibleTablesError("tables must share group and domain")
     for name, tab in (("f", f), ("g", g)):
-        for x in tab.points():
-            if value_is_zero(tab.values[x]):
+        for x, v in tab.values.items():
+            if value_is_zero(v):
                 raise DecompositionError(
                     f"{name} vanishes; this route needs non-vanishing tables",
                     _point_witness(x, 0, "nonzero"),
@@ -676,8 +669,8 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL,
     still need not be multiplicative.
     """
     f = _complexified(f)
-    for x in f.points():
-        if value_is_zero(f.values[x]):
+    for x, v in f.values.items():
+        if value_is_zero(v):
             raise DecompositionError(
                 "f vanishes; this route needs non-vanishing tables",
                 _point_witness(x, 0, "nonzero"),

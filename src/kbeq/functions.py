@@ -8,6 +8,10 @@ multiplicative functional equation becomes exact additive arithmetic.
 tables hold +/-1, and ``complex`` tables hold either floating complex numbers
 or :class:`Exact` values ``exp(log_abs) * exp(2*pi*i*turn)`` with rational
 ``log_abs`` and ``turn``, which keeps characters and sign structure exact.
+A table stores its values once, as numpy arrays in domain order (integer
+numerators over one denominator, sign exponents, floats, exact log and turn
+numerators with a zero mask, or complex128); its ``values`` mapping is a
+read-only view decoding them.
 
 The structured forms mirror the two classification results: positive
 solutions are ``exp(P + l + r)`` / ``exp(P + m - r)`` with a quadratic form
@@ -20,9 +24,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Optional, Union
+
+import numpy as np
 
 from . import _vec
 from .errors import (
@@ -94,10 +101,6 @@ class Exact:
         if s == -1:
             return Exact(turn=Fraction(1, 2))
         raise ValueError(f"sign must be +1 or -1, got {s}")
-
-    @staticmethod
-    def from_log(q: Rational) -> "Exact":
-        return Exact(log_abs=Fraction(q))
 
     @staticmethod
     def unit(turn: Rational) -> "Exact":
@@ -190,73 +193,70 @@ KIND_POSITIVE = "positive"
 KIND_SIGN = "sign"
 KIND_COMPLEX = "complex"
 _KINDS = (KIND_REAL, KIND_POSITIVE, KIND_SIGN, KIND_COMPLEX)
+_KEYS_DIFFER = "table keys must equal the enumerated domain exactly"
 
 
 class FuncTable:
     """Finitely supported evaluation table over a domain of a group.
 
-    ``values`` maps every domain point to a stored value whose meaning
-    depends on ``kind``; positive tables store ``log f(x)``.
+    The values are stored once, in lowest terms, as ``encoding`` (see
+    :func:`_encode`); ``values`` is a read-only mapping view that decodes
+    them, every domain point mapping to a value whose meaning depends on
+    ``kind``; positive tables store ``log f(x)``.
     """
 
-    __slots__ = ("group", "domain", "kind", "values", "_points", "_memo")
+    __slots__ = ("group", "domain", "kind", "encoding")
 
     def __init__(self, group: GroupSpec, domain: Domain, kind: str,
                  values: Mapping[GroupElement, object]):
-        if kind not in _KINDS:
-            raise IncompatibleTablesError(f"unknown table kind {kind!r}")
-        self.group = group
-        self.domain = domain
-        self.kind = kind
-        self.values = dict(values)
-        self._points = None
-        self._memo = {}
-        self._validate()
+        pts = domain.points(group)
+        if len(values) != len(pts) or not all(p in values for p in pts):
+            raise IncompatibleTablesError(_KEYS_DIFFER)
+        self._fill(group, domain, kind, _encode(kind, [values[p] for p in pts], pts))
 
-    def _validate(self):
-        pts = self.points()
-        if len(self.values) != len(pts) or any(p not in self.values for p in pts):
-            raise IncompatibleTablesError(
-                "table keys must equal the enumerated domain exactly"
-            )
-        check = _VALUE_CHECKS[self.kind]
-        for p, v in self.values.items():
-            if not check(v):
-                raise IncompatibleTablesError(
-                    f"value {v!r} at {p} is invalid for kind {self.kind!r}"
-                )
+    def _fill(self, group: GroupSpec, domain: Domain, kind: str, encoding):
+        mode, arrays, denom = encoding
+        if mode == "int":
+            arrays, denom = _vec.lowest(arrays, denom)
+        elif mode == "exact":
+            arrays = (*_vec.lowest(*arrays[:2]), *_vec.lowest(*arrays[2:4]), arrays[4])
+        for a in (arrays[0], arrays[2], arrays[4]) if mode == "exact" else (arrays,):
+            a.setflags(write=False)  # derived tables share these arrays
+        self.group, self.domain, self.kind = group, domain, kind
+        self.encoding = (mode, arrays, denom)
+
+    @classmethod
+    def _of(cls, group: GroupSpec, domain: Domain, kind: str,
+            encoding) -> "FuncTable":
+        """A table from an encoding whose arrays are in domain order."""
+        table = object.__new__(cls)
+        table._fill(group, domain, kind, encoding)
+        return table
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def from_function(cls, group: GroupSpec, domain: Domain, kind: str,
                       fn: Callable[[GroupElement], object]) -> "FuncTable":
-        return cls(group, domain, kind, {p: fn(p) for p in domain.points(group)})
+        pts = domain.points(group)
+        return cls._of(group, domain, kind, _encode(kind, [fn(p) for p in pts], pts))
 
     # -- access ---------------------------------------------------------------
 
     def points(self) -> list[GroupElement]:
-        if self._points is None:
-            self._points = self.domain.points(self.group)
-        return self._points
+        return self.domain.points(self.group)
 
-    def __contains__(self, x: GroupElement) -> bool:
-        return x in self.values
+    @property
+    def values(self) -> "TableValues":
+        """Read-only mapping view: point -> stored value (the log for positive tables)."""
+        return TableValues(self)
 
-    def value(self, x: GroupElement):
-        """Stored value (the log for positive tables)."""
-        return self.values[x]
-
-    def func_value(self, x: GroupElement):
-        """The represented function's value at ``x`` (float/complex/int)."""
-        v = self.values[x]
-        if self.kind == KIND_POSITIVE:
-            return math.exp(float(v))
-        if self.kind == KIND_COMPLEX:
-            return cval(v)
-        if isinstance(v, Fraction):
-            return float(v)
-        return v
+    def _index(self, x) -> int:
+        """Domain index of the point ``x``; KeyError when it is not one."""
+        if not isinstance(x, GroupElement) or x.group != self.group:
+            raise KeyError(x)
+        return _vec.index_of_coords(_vec.domain_info(self.group, self.domain),
+                                    x.coords)
 
     # -- conversions -----------------------------------------------------------
 
@@ -264,59 +264,45 @@ class FuncTable:
         """Positive table viewed as the real table of its logs."""
         if self.kind != KIND_POSITIVE:
             raise IncompatibleTablesError("as_real_log needs a positive table")
-        out = FuncTable(self.group, self.domain, KIND_REAL, self.values)
-        out._memo = self._memo  # same values, same numeric encodings
-        return out
+        return FuncTable._of(self.group, self.domain, KIND_REAL, self.encoding)
 
     def abs_log_table(self) -> "FuncTable":
         """Positive table of ``log |f|``; requires a zero-free table."""
-        out = {}
-        for p, v in self.values.items():
-            if self.kind == KIND_POSITIVE:
-                out[p] = v
-            elif self.kind == KIND_SIGN:
-                out[p] = Fraction(0)
-            elif self.kind == KIND_COMPLEX:
-                if isinstance(v, Exact):
-                    if v.zero:
-                        raise IncompatibleTablesError("zero value has no log")
-                    out[p] = v.log_abs
-                else:
-                    a = abs(complex(v))
-                    if a == 0:
-                        raise IncompatibleTablesError("zero value has no log")
-                    out[p] = math.log(a)
-            else:
-                raise IncompatibleTablesError("abs_log_table needs a multiplicative kind")
-        return FuncTable(self.group, self.domain, KIND_POSITIVE, out)
+        mode, arrays, _ = self.encoding
+        if self.kind == KIND_POSITIVE:
+            enc = self.encoding
+        elif self.kind == KIND_SIGN:
+            enc = ("int", np.zeros(len(self.points()), dtype=np.int64), 1)
+        elif self.kind != KIND_COMPLEX:
+            raise IncompatibleTablesError("abs_log_table needs a multiplicative kind")
+        elif _has_zero(self.encoding):
+            raise IncompatibleTablesError("zero value has no log")
+        elif mode == "exact":
+            enc = ("int", arrays[0], arrays[1])
+        else:
+            enc = ("float", np.log(np.abs(arrays)), 1)
+        return FuncTable._of(self.group, self.domain, KIND_POSITIVE, enc)
 
     def unimodular_part(self) -> "FuncTable":
         """Complex table ``f / |f|``; requires a zero-free table."""
-        out = {}
-        for p, v in self.values.items():
-            if self.kind == KIND_SIGN:
-                out[p] = Exact.from_sign(v)
-            elif self.kind == KIND_POSITIVE:
-                out[p] = Exact.one()
-            elif self.kind == KIND_COMPLEX:
-                if isinstance(v, Exact):
-                    if v.zero:
-                        raise IncompatibleTablesError("zero value has no phase")
-                    out[p] = Exact.unit(v.turn)
-                else:
-                    c = complex(v)
-                    if c == 0:
-                        raise IncompatibleTablesError("zero value has no phase")
-                    out[p] = c / abs(c)
-            else:
-                raise IncompatibleTablesError("unimodular_part needs a multiplicative kind")
-        return FuncTable(self.group, self.domain, KIND_COMPLEX, out)
+        mode, arrays, _ = self.encoding
+        if self.kind not in (KIND_SIGN, KIND_POSITIVE, KIND_COMPLEX):
+            raise IncompatibleTablesError("unimodular_part needs a multiplicative kind")
+        if _has_zero(self.encoding):
+            raise IncompatibleTablesError("zero value has no phase")
+        if mode == "complex":
+            return FuncTable._of(self.group, self.domain, KIND_COMPLEX,
+                                 ("complex", arrays / np.abs(arrays), 1))
+        zeros = np.zeros(len(self.points()), dtype=np.int64)
+        turns = {"parity": (arrays, 2), "exact": arrays[2:4]}.get(mode, (zeros, 1))
+        return FuncTable._of(self.group, self.domain, KIND_COMPLEX,
+                             ("exact", (zeros, 1, *turns, zeros.astype(bool)), 1))
 
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
-        vals = [[list(p.coords), _value_to_json(self.kind, self.values[p])]
-                for p in self.points()]
+        vals = [[list(p.coords), _value_to_json(self.kind, v)]
+                for p, v in zip(self.points(), _decode(self.encoding))]
         return {
             "group": str(self.group),
             "domain": self.domain.to_json(),
@@ -331,21 +317,113 @@ class FuncTable:
         kind = obj["kind"]
         if kind not in _KINDS:
             raise GroupParseError(f"unknown table kind {kind!r}")
-        values = {}
+        info = _vec.domain_info(group, domain)
+        vals = [None] * info.n
         for coords, raw in obj["values"]:
-            values[group.element(coords)] = _value_from_json(kind, raw)
-        return cls(group, domain, kind, values)
+            value = _value_from_json(kind, raw)
+            try:
+                vals[_vec.index_of_coords(info, group.reduce(coords))] = value
+            except KeyError:
+                raise IncompatibleTablesError(_KEYS_DIFFER) from None
+        if None in vals:
+            raise IncompatibleTablesError(_KEYS_DIFFER)
+        return cls._of(group, domain, kind, _encode(kind, vals, domain.points(group)))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, FuncTable)
-                and self.group == other.group
-                and self.domain == other.domain
-                and self.kind == other.kind
-                and self.values == other.values)
+        if not (isinstance(other, FuncTable) and self.group == other.group
+                and self.domain == other.domain and self.kind == other.kind):
+            return False
+        if self.encoding[0] == other.encoding[0]:
+            return _same(self.encoding, other.encoding)
+        return _decode(self.encoding) == _decode(other.encoding)
 
     def __repr__(self) -> str:
         return (f"FuncTable({self.group}, kind={self.kind}, "
-                f"{len(self.values)} points)")
+                f"{len(self.points())} points)")
+
+
+class TableValues(Mapping):
+    """Read-only ``{point: stored value}`` view of a table, in domain order, decoded
+    from its arrays as ``Fraction``, ``float``, +-1, :class:`Exact` or ``complex``."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: FuncTable):
+        self._table = table
+
+    def __getitem__(self, x):
+        return _decode(self._table.encoding, [self._table._index(x)])[0]
+
+    def __iter__(self):
+        return iter(self._table.points())
+
+    def __len__(self) -> int:
+        return len(self._table.points())
+
+    def values(self) -> list:
+        return _decode(self._table.encoding)
+
+    def items(self) -> list:
+        return list(zip(self._table.points(), _decode(self._table.encoding)))
+
+
+def _encode(kind: str, vals: list, pts: list):
+    """Values in domain order as ``(mode, arrays, denom)``, each value validated.
+
+    Sign tables are ("parity", exponents of -1, 1); real and positive tables
+    ("int", numerators, denominator) or, holding any float, ("float",
+    values, 1); complex tables ("exact", (log numerators, log denominator,
+    turn numerators, turn denominator, zero mask), 1) when every value is
+    :class:`Exact`, and ("complex", complex128 values, 1) otherwise.  Integer
+    arrays are int64 when every value is within ``_vec._INT_LIMIT``.
+    """
+    check = _VALUE_CHECKS.get(kind)
+    if check is None:
+        raise IncompatibleTablesError(f"unknown table kind {kind!r}")
+    for p, v in zip(pts, vals):
+        if not check(v):
+            raise IncompatibleTablesError(
+                f"value {v!r} at {p} is invalid for kind {kind!r}"
+            )
+    if kind == KIND_SIGN:
+        return "parity", np.array([(1 - v) >> 1 for v in vals], dtype=np.int64), 1
+    if kind != KIND_COMPLEX:
+        if any(isinstance(v, float) for v in vals):
+            return "float", np.array(vals, dtype=np.float64), 1
+        return ("int", *_vec._over(vals))
+    if all(isinstance(v, Exact) for v in vals):
+        return "exact", (*_vec._over([v.log_abs for v in vals]),
+                         *_vec._over([v.turn for v in vals]),
+                         np.array([v.zero for v in vals], dtype=bool)), 1
+    return "complex", np.array([cval(v) for v in vals], dtype=np.complex128), 1
+
+
+def _decode(encoding, at=slice(None)) -> list:
+    """Stored values at the indices ``at`` (all by default) as Python values."""
+    mode, arrays, denom = encoding
+    if mode == "parity":
+        return (1 - 2 * arrays[at]).tolist()
+    if mode == "int":
+        return [Fraction(n, denom) for n in arrays[at].tolist()]
+    if mode != "exact":
+        return arrays[at].tolist()
+    lg, lgd, tn, tnd, zero = arrays
+    return [Exact.zero_value() if z else Exact(Fraction(a, lgd), Fraction(t, tnd))
+            for a, t, z in zip(lg[at].tolist(), tn[at].tolist(), zero[at].tolist())]
+
+
+def _has_zero(encoding) -> bool:
+    mode, arrays, _ = encoding
+    if mode == "exact":
+        return bool(arrays[4].any())
+    return mode == "complex" and bool((arrays == 0).any())
+
+
+def _same(a, b) -> bool:
+    """Equality of two encodings of one mode, array by array."""
+    if isinstance(a, tuple):
+        return all(map(_same, a, b))
+    return bool(np.array_equal(a, b))
 
 
 def _is_real(v) -> bool:
@@ -849,23 +927,18 @@ def synth_table(form, domain: Domain) -> tuple[FuncTable, FuncTable]:
     if isinstance(form, PositiveSolutionForm):
         group = form.group
         info = _vec.domain_info(group, domain)
-        pts = domain.points(group)
-        tables = []
-        for l, r in ((form.l, form.r), (form.m, form.r.negated())):
-            nums, denom = _vec.form_log_arrays(form.P, l, r.entries, info)
-            tables.append(FuncTable(group, domain, KIND_POSITIVE, {
-                p: Fraction(int(n), denom) for p, n in zip(pts, nums)}))
-        return tuple(tables)
+        return tuple(
+            FuncTable._of(group, domain, KIND_POSITIVE,
+                          ("int", *_vec.form_log_arrays(form.P, l, r.entries, info)))
+            for l, r in ((form.l, form.r), (form.m, form.r.negated())))
     if isinstance(form, HermitianSolutionForm):
         _require_sufficient(form)
         group = form.group
-        fvals, gvals = {}, {}
-        for p in domain.points(group):
-            fa, gb = form.exact_pair(p)
-            fvals[p] = fa
-            gvals[p] = gb
-        return (FuncTable(group, domain, KIND_COMPLEX, fvals),
-                FuncTable(group, domain, KIND_COMPLEX, gvals))
+        pts = domain.points(group)
+        pairs = [form.exact_pair(p) for p in pts]
+        return tuple(FuncTable._of(group, domain, KIND_COMPLEX,
+                                   _encode(KIND_COMPLEX, [pair[i] for pair in pairs], pts))
+                     for i in (0, 1))
     raise SynthesisError(f"cannot synthesize from {type(form).__name__}")
 
 

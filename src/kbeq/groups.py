@@ -30,12 +30,6 @@ __all__ = [
     "FullGroup",
     "Box",
     "Domain",
-    "add",
-    "neg",
-    "scale",
-    "coset_index",
-    "subgroup_contains",
-    "quotient_has_order2",
     "parse_group",
     "parse_element",
 ]
@@ -226,23 +220,6 @@ class CosetIndex:
 def _check_modulus(modulus: int):
     if modulus not in (2, 4):
         raise GroupMismatchError(f"coset modulus must be 2 or 4, got {modulus}")
-
-
-# module-level aliases matching the operation names used elsewhere
-def add(x: GroupElement, y: GroupElement) -> GroupElement:
-    return x.group.add(x, y)
-
-
-def neg(x: GroupElement) -> GroupElement:
-    return x.group.neg(x)
-
-
-def scale(n: int, x: GroupElement) -> GroupElement:
-    return x.group.scale(n, x)
-
-
-def coset_index(x: GroupElement, modulus: int) -> CosetIndex:
-    return x.group.coset_index(x, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +429,6 @@ class SubgroupSpec:
                             nxt.append(y)
             frontier = nxt
         return sorted(seen, key=lambda e: e.coords)
-
-
-def subgroup_contains(sub: SubgroupSpec, x: GroupElement) -> bool:
-    return sub.contains(x)
-
-
-def quotient_has_order2(sub: SubgroupSpec) -> bool:
-    return sub.quotient_has_order2()
 
 
 # ---------------------------------------------------------------------------

@@ -136,8 +136,7 @@ class SignSolutionCensus:
         return len(self.pairs)
 
     def contains_values(self, f: FuncTable, g: FuncTable) -> bool:
-        want = (dict(f.values), dict(g.values))
-        return any((dict(a.values), dict(b.values)) == want
+        return any(a.values == f.values and b.values == g.values
                    for a, b in self.pairs)
 
     def to_json(self) -> dict:
@@ -146,10 +145,8 @@ class SignSolutionCensus:
             "count": self.count,
             "pairs": [
                 {
-                    "a": [[list(p.coords), int(v)] for p, v in
-                          sorted(a.values.items(), key=lambda t: t[0].coords)],
-                    "b": [[list(p.coords), int(v)] for p, v in
-                          sorted(b.values.items(), key=lambda t: t[0].coords)],
+                    "a": [[list(p.coords), v] for p, v in a.values.items()],
+                    "b": [[list(p.coords), v] for p, v in b.values.items()],
                     **ann,
                 }
                 for (a, b), ann in zip(self.pairs, self.annotations)
@@ -218,11 +215,9 @@ def enum_sign_solutions(group: GroupSpec, order_budget: int = 256,
         rhs = rest * (bmat[:, ii] * bmat[:, jj])
         good = np.flatnonzero((lhs == rhs).all(axis=1))
         for cb in good:
-            bv = vecs[int(cb)]
-            a_tab = FuncTable(group, FullGroup(), KIND_SIGN,
-                              {e: int(av[i]) for i, e in enumerate(elements)})
-            b_tab = FuncTable(group, FullGroup(), KIND_SIGN,
-                              {e: int(bv[i]) for i, e in enumerate(elements)})
+            a_tab, b_tab = (FuncTable._of(group, FullGroup(), KIND_SIGN,
+                                          ("parity", (1 - v.astype(np.int64)) >> 1, 1))
+                            for v in (av, vecs[int(cb)]))
             pairs.append((a_tab, b_tab))
             annotations.append(_annotate_pair(group, a_tab, b_tab))
     return SignSolutionCensus(group, pairs, annotations)
@@ -230,13 +225,14 @@ def enum_sign_solutions(group: GroupSpec, order_budget: int = 256,
 
 def _annotate_pair(group: GroupSpec, a: FuncTable, b: FuncTable) -> dict:
     relation = {}
+    pairs = list(zip(a.points(), a.values.values(), b.values.values()))
     for idx in group.coset_indices(2):
         rel = None
         consistent = True
-        for x in a.points():
+        for x, u, v in pairs:
             if group.coset_index(x, 2) != idx:
                 continue
-            this = 1 if a.values[x] == b.values[x] else -1
+            this = 1 if u == v else -1
             if rel is None:
                 rel = this
             elif rel != this:
@@ -601,8 +597,6 @@ def enum_restricted_kb(group: GroupSpec, log_grid: Sequence = (-1, 0, 1),
     large to list; use :func:`scan_restricted_kb` to stream it instead.
     """
     solver = _GridSolver(group, [Fraction(v) for v in log_grid], budget)
-    elements = solver.elements
-    denom = solver.denom
     out: list[tuple[FuncTable, FuncTable]] = []
 
     def emit(rows: np.ndarray):
@@ -610,15 +604,12 @@ def enum_restricted_kb(group: GroupSpec, log_grid: Sequence = (-1, 0, 1),
             raise BudgetExceededError(
                 f"more than {max_pairs} solutions; use scan_restricted_kb"
             )
+        # columns alternate f and g in element order, which is domain order
         for row in rows:
-            fvals = {e: Fraction(int(row[2 * i]), denom)
-                     for i, e in enumerate(elements)}
-            gvals = {e: Fraction(int(row[2 * i + 1]), denom)
-                     for i, e in enumerate(elements)}
-            out.append((
-                FuncTable(group, FullGroup(), KIND_POSITIVE, fvals),
-                FuncTable(group, FullGroup(), KIND_POSITIVE, gvals),
-            ))
+            out.append(tuple(
+                FuncTable._of(group, FullGroup(), KIND_POSITIVE,
+                              ("int", row[side::2], solver.denom))
+                for side in (0, 1)))
 
     solver.run(emit)
     return out
@@ -820,10 +811,9 @@ def _suite_builtin_checks(record):
           and all(form.b.value(x) == g.values[x] for x in g.points()))
     record("builtin-counterexample-decomposition", ok)
     # mutation: a single flipped sign must break the equation
-    bad_vals = dict(f.values)
-    flip = group.element((1, 1))
-    bad_vals[flip] = -bad_vals[flip]
-    bad = FuncTable(group, FullGroup(), KIND_SIGN, bad_vals)
+    flipped = f.encoding[1].copy()
+    flipped[f.points().index(group.element((1, 1)))] ^= 1
+    bad = FuncTable._of(group, FullGroup(), KIND_SIGN, ("parity", flipped, 1))
     rep = check_kb(bad, g)
     record("builtin-counterexample-mutation",
            (not rep.holds) and rep.witness is not None)

@@ -6,14 +6,42 @@ and complex numbers), with no encoding and no index arrays.  They are the
 oracle for the sweep kernel in ``kbeq.checks`` and ``kbeq.decompose``: like
 the kernel they count every in-range tuple and report the lexicographically
 first failure, so verdicts, witnesses, ``pairs_checked`` and ``coverage``
-can be compared one for one.
+can be compared one for one.  ``table_encoding`` builds a table's arrays
+point by point from plain values; it is the oracle for the encoding that
+``FuncTable`` stores.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
+import numpy as np
+
+from kbeq._vec import _INT_LIMIT
 from kbeq.checks import CheckReport, Witness
 from kbeq.functions import Exact, cmul, cval, values_equal
+
+
+def _over(values):
+    """Rationals as numerators over their least common denominator."""
+    denom = lcm(*{Fraction(v).denominator for v in values})
+    nums = [int(Fraction(v) * denom) for v in values]
+    small = max(map(abs, nums), default=0) <= _INT_LIMIT
+    return np.array(nums, dtype=np.int64 if small else object), denom
+
+
+def table_encoding(kind, values):
+    """``(mode, arrays, denom)`` of a table holding ``values`` in domain order."""
+    if kind == "sign":
+        return "parity", np.array([(1 - v) // 2 for v in values], dtype=np.int64), 1
+    if kind != "complex":
+        if any(isinstance(v, float) for v in values):
+            return "float", np.array([float(v) for v in values]), 1
+        return ("int", *_over(values))
+    if all(isinstance(v, Exact) for v in values):
+        return "exact", (*_over([v.log_abs for v in values]),
+                         *_over([v.turn for v in values]),
+                         np.array([v.zero for v in values])), 1
+    return "complex", np.array([cval(v) for v in values], dtype=complex), 1
 
 
 def _combo(x, y, cx, cy):
@@ -23,7 +51,7 @@ def _combo(x, y, cx, cy):
 def _pair_loop(table, combos, witness_if_bad) -> CheckReport:
     """Every (x, y) whose combination points lie in the domain, in order."""
     pts = table.points()
-    vals = table.values
+    vals = dict(table.values.items())
     checked = 0
     first = None
     for x in pts:
@@ -49,7 +77,7 @@ def _differs(acc, exact: bool, tol: float) -> bool:
 def check_polynomial(table, n: int, tol: float) -> CheckReport:
     coeffs = [(-1) ** (n + 1 - j) * comb(n + 1, j) for j in range(n + 2)]
     exact = _exact(table)
-    vals = table.values
+    vals = dict(table.values.items())
 
     def bad(x, h):
         acc = sum(c * vals[_combo(x, h, 1, j)] for j, c in enumerate(coeffs))
@@ -67,7 +95,7 @@ _EQ5 = (((1, 0, 0), -1), ((1, 1, 0), 2), ((1, 2, 0), -1),
 def check_eq5(table, tol: float) -> CheckReport:
     """Exhaustive triple sweep of the triple-difference equation."""
     pts = table.points()
-    vals = table.values
+    vals = dict(table.values.items())
     group = table.group
     exact = _exact(table)
     checked = 0
@@ -126,7 +154,7 @@ def check_sign_eq26(a, b, tol: float) -> CheckReport:
 
 
 def check_quadratic(table, tol: float) -> CheckReport:
-    vals = table.values
+    vals = dict(table.values.items())
     exact = _exact(table)
 
     def bad(x, y):
@@ -140,7 +168,7 @@ def check_quadratic(table, tol: float) -> CheckReport:
 
 
 def check_cauchy(table, tol: float) -> CheckReport:
-    vals = table.values
+    vals = dict(table.values.items())
     exact = _exact(table)
 
     def bad(x, y):
@@ -153,7 +181,7 @@ def check_cauchy(table, tol: float) -> CheckReport:
 
 
 def check_character(table, tol: float) -> CheckReport:
-    vals = table.values
+    vals = dict(table.values.items())
     pts = table.points()
     for i, x in enumerate(pts):
         v = vals[x]
@@ -183,7 +211,7 @@ def phase_failure(p, tol: float):
 
     Returns ("double", x), ("pair", x, y) or None.
     """
-    vals = p.values
+    vals = dict(p.values.items())
     group = p.group
     for x in p.points():
         x2 = group.scale(2, x)

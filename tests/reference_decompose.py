@@ -49,7 +49,7 @@ def decompose_T(table, tol):
     """(P, l, r) with ``T = P + l + r``, without the equation check."""
     _require_decomposable_domain(table)
     group = table.group
-    vals = table.values
+    vals = dict(table.values.items())
     exact = _is_exact_table(table)
     pts = table.points()
     even = {x: _halved(vals[x] + vals[-x]) for x in pts}

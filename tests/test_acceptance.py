@@ -88,7 +88,7 @@ def test_criterion_1_counterexample_reproduction():
         group = f.group
         x, y = group.element((1, 1)), group.element((1, 3))
         assert group.coset_index(x, 2) == group.coset_index(y, 2)
-        assert f.value(x) == 1 and f.value(y) == -1
+        assert f.values[x] == 1 and f.values[y] == -1
 
 
 def test_criterion_2_counterexample_decomposition():
@@ -98,8 +98,8 @@ def test_criterion_2_counterexample_decomposition():
         assert form.alpha.is_trivial() and form.beta.is_trivial()
         assert form.P.is_zero() and form.r.is_zero()
         for x in f.points():
-            assert form.a.value(x) == f.value(x)
-            assert form.b.value(x) == g.value(x)
+            assert form.a.value(x) == f.values[x]
+            assert form.b.value(x) == g.values[x]
 
 
 def test_criterion_3_odd_quadratic_demo():

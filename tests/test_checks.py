@@ -252,8 +252,8 @@ def test_check_coset_constant():
     assert rep.witness.points[0].coords == (1, 0)
     assert rep.witness.points[1].coords == (1, 2)
     # the pair named by the classification example also witnesses it
-    assert f.value(f.group.element((1, 1))) == 1
-    assert f.value(f.group.element((1, 3))) == -1
+    assert f.values[f.group.element((1, 1))] == 1
+    assert f.values[f.group.element((1, 3))] == -1
     assert f.group.coset_index(f.group.element((1, 1)), 2) == \
         f.group.coset_index(f.group.element((1, 3)), 2)
 

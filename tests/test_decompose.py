@@ -423,7 +423,7 @@ def test_self_rejects_unequal_moduli_shape():
     g = GroupSpec(0, (2,))
     f = FuncTable.from_function(
         g, FullGroup(), "complex",
-        lambda p: Exact.from_log(Fraction(p.coords[0])))
+        lambda p: Exact(log_abs=Fraction(p.coords[0])))
     with pytest.raises((DecompositionError, EquationFailsError)):
         decompose_self(f)
 
@@ -499,7 +499,7 @@ def test_vanishing_rejects_zero_product_at_origin():
 def test_vanishing_rejects_unequal_moduli():
     f, _ = vanishing_pair_on_z9()
     vals = dict(f.values)
-    vals[Z9.element((3,))] = vals[Z9.element((3,))] * Exact.from_log(1)
+    vals[Z9.element((3,))] = vals[Z9.element((3,))] * Exact(log_abs=Fraction(1))
     g2 = FuncTable(Z9, FullGroup(), "complex", vals)
     with pytest.raises((DecompositionError, EquationFailsError)):
         decompose_vanishing(f, g2, verify=False)

@@ -35,15 +35,15 @@ CENSUS_44_COUNT = 64
 
 def test_counterexample_values():
     f, g = builtin_counterexample()
-    assert f.value(Z44.element((1, 1))) == 1
-    assert g.value(Z44.element((1, 1))) == -1
-    assert f.value(Z44.element((2, 2))) == 1
-    assert g.value(Z44.element((2, 2))) == 1
-    assert f.value(Z44.element((1, 3))) == -1
-    assert g.value(Z44.element((1, 3))) == 1
+    assert f.values[Z44.element((1, 1))] == 1
+    assert g.values[Z44.element((1, 1))] == -1
+    assert f.values[Z44.element((2, 2))] == 1
+    assert g.values[Z44.element((2, 2))] == 1
+    assert f.values[Z44.element((1, 3))] == -1
+    assert g.values[Z44.element((1, 3))] == 1
     # the product f*g is -1 exactly on the (1,1) doubled coset
     for x in f.points():
-        prod = f.value(x) * g.value(x)
+        prod = f.values[x] * g.values[x]
         on_diag = Z44.coset_index(x, 2).residues == (1, 1)
         assert prod == (-1 if on_diag else 1)
 
@@ -76,10 +76,10 @@ def test_counterexample_mutation_detected():
 def test_odd_quadratic_values():
     t = builtin_odd_quadratic(4)
     g = t.group
-    assert t.value(g.element((1, 1))) == -1
-    assert t.value(g.element((2, 3))) == 1
+    assert t.values[g.element((1, 1))] == -1
+    assert t.values[g.element((2, 3))] == 1
     for k in range(-4, 5):
-        assert t.value(g.element((0, k))) == 1
+        assert t.values[g.element((0, k))] == 1
     assert check_kb_self(t).holds
 
 

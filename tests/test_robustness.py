@@ -5,14 +5,17 @@ loops in ``reference_checks`` are its oracle, and the two must agree on
 verdict, first witness, ``pairs_checked`` and ``coverage`` for every table
 encoding on box and full-group domains.  Positive synthesis and the
 log-domain split run on arrays; the point loops in ``reference_decompose``
-are their oracle.  The decomposers must never return a form for an input
-that is not a genuine solution: corruptions raise, and what does come back
-always reproduces its input exactly.
+are their oracle, and ``reference_checks.table_encoding`` is the oracle for
+the arrays a table stores.  The decomposers must never return a form for an
+input that is not a genuine solution: corruptions raise, and what does come
+back always reproduces its input exactly.
 """
 
+import json
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 import reference_checks as ref
@@ -29,6 +32,7 @@ from kbeq.errors import (
     DecompositionError,
     EquationFailsError,
     GroupParseError,
+    IncompatibleTablesError,
     KbeqError,
 )
 from kbeq.functions import (
@@ -187,6 +191,9 @@ def _kb_cases():
         yield f"complex-{name}", tuple(_float_complex(t) for t in herm), False
         yield (f"complex-{name}-zero",
                (_float_complex(herm[0], [1, 1]), _float_complex(herm[1])), False)
+        yield (f"mixed-{name}-zero",  # exact beside float complex: complex128
+               (replaced(herm[0], (1, 1), Exact.zero_value()),
+                _float_complex(herm[1])), False)
     cex = builtin_counterexample()
     yield "parity-full", cex, True
     yield "parity-full-bad", (replaced(cex[0], (2, 1), 1), cex[1]), True
@@ -207,6 +214,7 @@ def _kb_cases():
     yield "exact-vanishing-bad", (replaced(van[0], (3,), Exact.unit(Fraction(1, 3))),
                                   van[1]), True
     yield "complex-vanishing", tuple(_float_complex(t) for t in van), False
+    yield "mixed-vanishing", (van[0], _float_complex(van[1])), False
     yield "overflow", _big_characters(False), True
     yield "overflow-bad", _big_characters(True), True
     # small numerators over a turn denominator beyond int64
@@ -428,6 +436,152 @@ def test_mixed_table_decomposes_as_float(name, group, domain):
         decompose = lambda t: decompose_T(t, verify=False)
         assert _outcome(decompose, mixed) == _outcome(
             decompose, retyped(table, "real", float))
+
+
+# ---------------------------------------------------------------------------
+# the stored table encoding against the point-by-point encoder
+
+
+def _same_encoding(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_encoding, a, b))
+    return a == b
+
+
+def _mixed(table):
+    """``table`` with every other value as a float, through the mapping constructor."""
+    return FuncTable(table.group, table.domain, table.kind, {
+        p: float(v) if i % 2 else v for i, (p, v) in enumerate(table.values.items())})
+
+
+def _encoding_cases():
+    """(id, table built by the library, the plain values it was built from,
+    and the table it must equal value for value and type for type when its
+    values are normalized, or None)."""
+    pos = synth_table(random_positive_form(ZB, Random(7)), BOX)[0]
+    yield "int64", pos, dict(pos.values.items()), None
+    big = synth_table(_big_form(ZB, BIG_P), BOX)[0]
+    yield "beyond-int64", big, dict(big.values.items()), None
+    cex = builtin_counterexample()[0]
+    yield "parity", cex, dict(cex.values.items()), None
+    flt = retyped(pos, "positive", float)
+    yield "float", flt, dict(flt.values.items()), None
+    van = _vanishing_pair()[0]
+    yield "exact-zeros", van, dict(van.values.items()), None
+    herm = synth_table(random_hermitian_form(ZB, Random(3)), BOX)[0]
+    fc = _float_complex(herm, [1, 1])  # what the JSON reader hands over: an exact 0
+    yield ("complex-json-zero", fc, {p: Exact.zero_value() if v == 0 else v
+                                     for p, v in fc.values.items()},
+           retyped(fc, "complex", complex))
+    real = pos.as_real_log()
+    mixed = _mixed(real)
+    yield ("mixed-real", mixed, {p: float(v) if i % 2 else v
+                                 for i, (p, v) in enumerate(real.values.items())},
+           retyped(real, "real", float))
+    ints = FuncTable.from_function(ZB, BOX, "real", lambda p: p.coords[0] ** 2)
+    yield ("python-int", ints, {p: p.coords[0] ** 2 for p in ints.points()},
+           retyped(ints, "real", Fraction))
+
+
+ENCODING_CASES = list(_encoding_cases())
+
+
+@pytest.mark.parametrize("case", ENCODING_CASES, ids=[c[0] for c in ENCODING_CASES])
+def test_stored_encoding_matches_reference(case):
+    _, table, vals, normal = case
+    group, domain, kind = table.group, table.domain, table.kind
+    built = FuncTable(group, domain, kind, vals)
+    want = ref.table_encoding(kind, [vals[p] for p in table.points()])
+    assert _same_encoding(built.encoding, want)
+    assert _same_encoding(table.encoding, want)  # also in lowest terms
+    assert built == table
+    assert FuncTable.from_json(json.loads(json.dumps(table.to_json()))) == table
+    assert FuncTable(group, domain, kind, dict(table.values)) == table
+    if normal is not None:  # floats, complex numbers (0j) or Fractions read back
+        assert list(map(type, table.values.values())) == \
+            list(map(type, normal.values.values()))
+        assert table == normal
+        assert _report(check_kb(table, table)) == _report(check_kb(normal, normal))
+
+
+def test_synthesized_tables_equal_their_json():
+    z2 = GroupSpec(2)
+    # coefficients over 2 whose values are all integers: a denominator to reduce
+    halves = PositiveSolutionForm(
+        QuadraticForm(z2, ((0, Fraction(1, 2)), (Fraction(1, 2), 0))),
+        AdditiveMap.zero(z2), AdditiveMap.zero(z2), CosetConstantMap.zero(z2))
+    forms = [(z2, Box((4, 4)), halves)]
+    forms += [(group, domain, form) for _, group, domain in DEC_DOMAINS
+              for _, form, _ in _dec_forms(group)]
+    for group, domain, form in forms:
+        for t in synth_table(form, domain):
+            assert FuncTable.from_json(t.to_json()) == t
+    assert synth_table(halves, Box((4, 4)))[0].encoding[2] == 1
+
+
+def test_table_equality_compares_values():
+    def real(fn):
+        return FuncTable.from_function(ZB, BOX, "real", fn)
+
+    halves = real(lambda p: Fraction(p.coords[0], 2))
+    assert halves != real(lambda p: Fraction(p.coords[0], 3))  # same numerators
+    assert halves == real(lambda p: p.coords[0] / 2)  # exact against float
+    assert halves != real(lambda p: p.coords[0] / 2 + 1e-9)
+    f = synth_table(random_hermitian_form(ZB, Random(3)), BOX)[0]
+    assert f != _float_complex(f)
+
+
+def _report(rep):
+    return rep.to_json(), None if rep.witness is None else repr(rep.witness)
+
+
+def test_mixed_tables_keep_their_outcomes():
+    # normalized tables keep the verdicts, witness points and recovered
+    # forms of the exact tables they were made from
+    form = random_positive_form(ZB, Random(7))
+    f, g = synth_table(form, Box((4,)))
+    mixed = _mixed(f)
+    for g_ in (g, replaced(g, (1, 1), Fraction(1, 3))):
+        got, want = check_kb(mixed, g_), check_kb(f, g_)
+        assert (got.holds, got.pairs_checked) == (want.holds, want.pairs_checked)
+        assert got.holds or got.witness.points == want.witness.points
+    assert decompose_T(mixed.as_real_log()) == (form.P, form.l, form.r)
+    fh, gh = synth_table(random_hermitian_form(ZB, Random(3)), BOX)
+    got = check_kb(_float_complex(fh, [1, 1]), _float_complex(gh))
+    want = check_kb(replaced(fh, (1, 1), Exact.zero_value()), gh)
+    assert not got.holds and got.witness.points == want.witness.points
+
+
+def test_table_rejections_keep_their_messages():
+    box = Box((1,))
+    pts = box.points(ZB)
+    cases = (
+        ("real", {p: Fraction(0) for p in pts[1:]},
+         "table keys must equal the enumerated domain exactly"),
+        ("real", {p: float("nan") if p == pts[0] else 0.0 for p in pts},
+         f"value nan at {pts[0]} is invalid for kind 'real'"),
+        ("positive", {p: True for p in pts},
+         f"value True at {pts[0]} is invalid for kind 'positive'"),
+        ("sign", {p: 0 if p == pts[1] else 1 for p in pts},
+         f"value 0 at {pts[1]} is invalid for kind 'sign'"),
+    )
+    for kind, vals, message in cases:
+        with pytest.raises(IncompatibleTablesError) as info:
+            FuncTable(ZB, box, kind, vals)
+        assert str(info.value) == message
+    obj = FuncTable.from_function(ZB, box, "real", lambda p: Fraction(1)).to_json()
+    for values in (obj["values"][1:], obj["values"] + [[[2, 0], [1, 1]]]):
+        with pytest.raises(IncompatibleTablesError,
+                           match="table keys must equal the enumerated domain exactly"):
+            FuncTable.from_json({**obj, "values": values})
+    herm = synth_table(random_hermitian_form(ZB, Random(3)), BOX)[0]
+    for t in (replaced(herm, (1, 1), Exact.zero_value()), _float_complex(herm, [1, 1])):
+        with pytest.raises(IncompatibleTablesError, match="zero value has no log"):
+            t.abs_log_table()
+        with pytest.raises(IncompatibleTablesError, match="zero value has no phase"):
+            t.unimodular_part()
 
 
 def test_positive_decompose_rejects_random_corruption():
