@@ -485,10 +485,10 @@ def _fit_doubled_turns(p: FuncTable, tol: float) -> list[Fraction]:
     group = p.group
     turns = []
     for i, e in enumerate(group.generators()):
-        x = group.scale(2, e)
-        if x not in p.values:
-            raise DomainSizeError("window must contain the doubled generators")
-        v = p.values[x]
+        try:
+            v = p.values[group.scale(2, e)]
+        except KeyError:
+            raise DomainSizeError("window must contain the doubled generators") from None
         if i < group.rank:
             order = None
         else:
@@ -625,8 +625,9 @@ def decompose_hermitian(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
     _check_positive_real_at_zero(f, tol, "f")
     _check_positive_real_at_zero(g, tol, "g")
     z = f.group.zero()
-    prod = f.values[z] * g.values[z] if isinstance(f.values[z], Exact) \
-        and isinstance(g.values[z], Exact) else cval(f.values[z]) * cval(g.values[z])
+    f0, g0 = f.values[z], g.values[z]
+    prod = f0 * g0 if isinstance(f0, Exact) and isinstance(g0, Exact) \
+        else cval(f0) * cval(g0)
     if not values_equal(prod, Exact.one() if isinstance(prod, Exact) else 1.0, tol):
         raise DecompositionError("f(0) g(0) must equal 1",
                                  _point_witness(z, prod, 1))
@@ -736,8 +737,8 @@ def decompose_vanishing(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
     if group.order() > character_budget:
         raise BudgetExceededError("group too large for character enumeration")
     pts = f.points()
-    if all(value_is_zero(f.values[x]) for x in pts) or \
-            all(value_is_zero(g.values[x]) for x in pts):
+    fvals, gvals = f.values.values(), g.values.values()
+    if all(map(value_is_zero, fvals)) or all(map(value_is_zero, gvals)):
         raise DecompositionError("tables must not be identically zero")
     for name, tab in (("f", f), ("g", g)):
         rep = check_hermitian(tab, tol)
@@ -759,8 +760,7 @@ def decompose_vanishing(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
                                  _point_witness(z, prod, 1))
     _check_positive_real_at_zero(f, tol, "f")
     # equal moduli everywhere (includes matching supports)
-    for x in pts:
-        fa, ga = f.values[x], g.values[x]
+    for x, fa, ga in zip(pts, fvals, gvals):
         if value_is_zero(fa) != value_is_zero(ga):
             raise DecompositionError("|f| != |g| (supports differ)",
                                      _point_witness(x, fa, ga))
@@ -770,20 +770,21 @@ def decompose_vanishing(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
         lb = ga.log_abs if isinstance(ga, Exact) else abs(cval(ga))
         if not values_equal(la, lb, tol):
             raise DecompositionError("|f| != |g|", _point_witness(x, fa, ga))
-    support = [x for x in pts if not value_is_zero(f.values[x])]
-    sup_set = set(support)
-    for a in support:
-        for b in support:
-            if (a - b) not in sup_set:
+    # supports match, so both restrictions share the keys in domain order
+    f_on = {x: v for x, v in zip(pts, fvals) if not value_is_zero(v)}
+    g_on = {x: v for x, v in zip(pts, gvals) if not value_is_zero(v)}
+    for a in f_on:
+        for b in f_on:
+            if (a - b) not in f_on:
                 raise DecompositionError(
                     "support is not a subgroup",
                     {"x": list(a.coords), "y": list(b.coords)},
                 )
-    if {group.scale(2, x) for x in support} != sup_set:
+    if {group.scale(2, x) for x in f_on} != f_on.keys():
         raise DecompositionError("doubling is not onto the support")
     gens: list[GroupElement] = []
     known = {z}
-    for x in support:
+    for x in f_on:
         if x not in known:
             gens.append(x)
             known = set(SubgroupSpec(group, tuple(gens)).elements())
@@ -792,35 +793,33 @@ def decompose_vanishing(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
         raise DecompositionError(
             "quotient by the support subgroup has an element of order 2"
         )
-    for x in support:
-        v = f.values[x]
+    for x, v in f_on.items():
         la = v.log_abs if isinstance(v, Exact) else abs(cval(v))
         if not values_equal(la, Fraction(0) if isinstance(v, Exact) else 1.0,
                             tol):
             raise DecompositionError(
                 "modulus is not 1 on the support", _point_witness(x, v, 1)
             )
-    alpha = _fit_character_on(group, f, support, tol)
-    beta = _fit_character_on(group, g, support, tol)
+    alpha = _fit_character_on(group, f_on.items(), tol)
+    beta = _fit_character_on(group, g_on.items(), tol)
     form = HermitianSolutionForm(
         alpha, beta, SignMap.trivial(group, 4), SignMap.trivial(group, 4),
         QuadraticForm.zero(group), CosetConstantMap.zero(group), sub,
     )
-    for x in pts:
+    for x, fa, ga in zip(pts, fvals, gvals):
         fv, gv = form.exact_pair(x)
-        if not (values_equal(fv, f.values[x], tol)
-                and values_equal(gv, g.values[x], tol)):
+        if not (values_equal(fv, fa, tol) and values_equal(gv, ga, tol)):
             raise DecompositionError(
                 "reconstructed form does not reproduce the input",
-                _point_witness(x, f.values[x], fv),
+                _point_witness(x, fa, fv),
             )
     return form
 
 
-def _fit_character_on(group: GroupSpec, tab: FuncTable,
-                      support: list[GroupElement], tol: float) -> CharacterSpec:
+def _fit_character_on(group: GroupSpec, on_support, tol: float) -> CharacterSpec:
+    """A character of the group agreeing with the ``(point, value)`` pairs."""
     for chi in _all_characters(group):
-        if all(values_equal(tab.values[x], chi.value(x), tol) for x in support):
+        if all(values_equal(v, chi.value(x), tol) for x, v in on_support):
             return chi
     raise DecompositionError(
         "restricted phase does not agree with any character of the group"

@@ -333,8 +333,6 @@ class FuncTable:
         if not (isinstance(other, FuncTable) and self.group == other.group
                 and self.domain == other.domain and self.kind == other.kind):
             return False
-        if self.encoding[0] == other.encoding[0]:
-            return _same(self.encoding, other.encoding)
         return _decode(self.encoding) == _decode(other.encoding)
 
     def __repr__(self) -> str:
@@ -417,13 +415,6 @@ def _has_zero(encoding) -> bool:
     if mode == "exact":
         return bool(arrays[4].any())
     return mode == "complex" and bool((arrays == 0).any())
-
-
-def _same(a, b) -> bool:
-    """Equality of two encodings of one mode, array by array."""
-    if isinstance(a, tuple):
-        return all(map(_same, a, b))
-    return bool(np.array_equal(a, b))
 
 
 def _is_real(v) -> bool:

@@ -797,9 +797,8 @@ def _suite_builtin_checks(record):
            not check_coset_constant(f, 2).holds)
     group = f.group
     prods = {}
-    for x in f.points():
-        prods.setdefault(group.coset_index(x, 2).residues,
-                         set()).add(f.values[x] * g.values[x])
+    for x, fx, gx in zip(f.points(), f.values.values(), g.values.values()):
+        prods.setdefault(group.coset_index(x, 2).residues, set()).add(fx * gx)
     record("builtin-counterexample-product-pattern",
            prods.get((1, 1)) == {-1}
            and all(v == {1} for idx, v in prods.items() if idx != (1, 1)),
@@ -807,8 +806,8 @@ def _suite_builtin_checks(record):
     form = decompose_hermitian(f, g)
     ok = (form.alpha.is_trivial() and form.beta.is_trivial()
           and form.P.is_zero() and form.r.is_zero()
-          and all(form.a.value(x) == f.values[x] for x in f.points())
-          and all(form.b.value(x) == g.values[x] for x in g.points()))
+          and all(form.a.value(x) == v for x, v in f.values.items())
+          and all(form.b.value(x) == v for x, v in g.values.items()))
     record("builtin-counterexample-decomposition", ok)
     # mutation: a single flipped sign must break the equation
     flipped = f.encoding[1].copy()
@@ -864,8 +863,8 @@ def _suite_hermitian_soundness(record, gname, group, domain, trials, rng):
             break
         back = decompose_hermitian(f, g)
         # extensions are non-unique (principal choice), so compare as functions
-        same = all(back.exact_pair(x) == (f.values[x], g.values[x])
-                   for x in f.points())
+        same = all(back.exact_pair(x) == fg for x, fg
+                   in zip(f.points(), zip(f.values.values(), g.values.values())))
         if not same:
             ok, detail = False, f"trial {t}: recovered form evaluates differently"
             break

@@ -453,6 +453,22 @@ def test_vanishing_z9():
         assert form.exact_pair(x) == (f.values[x], g.values[x])
 
 
+def test_vanishing_distinct_characters():
+    # f and g restrict different characters to the support {0, 3, 6}
+    def restricted(k):
+        return FuncTable.from_function(
+            Z9, FullGroup(), "complex",
+            lambda p: Exact.unit(Fraction(k * p.coords[0], 9))
+            if p.coords[0] % 3 == 0 else Exact.zero_value())
+
+    f, g = restricted(1), restricted(2)
+    form = decompose_vanishing(f, g)
+    assert form.alpha.torsion_exponents == (1,)
+    assert form.beta.torsion_exponents == (2,)
+    for x, v in f.values.items():
+        assert form.exact_pair(x) == (v, g.values[x])
+
+
 def test_vanishing_full_support():
     g3 = GroupSpec(0, (3,))
     one = FuncTable.from_function(g3, FullGroup(), "complex",

@@ -529,6 +529,8 @@ def test_table_equality_compares_values():
     assert halves != real(lambda p: Fraction(p.coords[0], 3))  # same numerators
     assert halves == real(lambda p: p.coords[0] / 2)  # exact against float
     assert halves != real(lambda p: p.coords[0] / 2 + 1e-9)
+    last = halves.points()[-1]
+    assert halves != replaced(halves, last.coords, halves.values[last] + 1)
     f = synth_table(random_hermitian_form(ZB, Random(3)), BOX)[0]
     assert f != _float_complex(f)
 
