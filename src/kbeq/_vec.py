@@ -7,10 +7,17 @@ itself.  That makes the index of an affine combination ``cx*x + cy*y``
 computable coordinate-wise with numpy, so exhaustive quantifier sweeps run
 as array arithmetic.  Tables store their values as arrays in domain order
 (``FuncTable.encoding``); :func:`numeric_mode` brings several tables to one
-arithmetic and :func:`first_failure` evaluates any signed sum or product
-identity over pair or triple index arrays.  Exactness is kept by scaling
+arithmetic and :func:`failures` evaluates any signed sum or product
+identity over aligned index arrays.  Exactness is kept by scaling
 rationals to a common denominator, in int64 only where a bound proves the
-sums fit and in Python ints otherwise.  Index maps are cached in one store.
+sums fit and in Python ints otherwise.
+
+Pair sweeps never build an n×n array.  A pair is in range iff it is in
+range in every coordinate, so :func:`pair_count` is a product of
+per-coordinate counts and :func:`pair_blocks` generates the pairs block by
+block from per-coordinate digit-pair lists.  Index maps are cached in one
+store holding at most ``_CACHE_BYTES`` of arrays; a pair sweep keeps its
+blocks there when all of them fit, and streams them otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +31,9 @@ import numpy as np
 from .errors import BudgetExceededError, IncompatibleTablesError
 from .groups import Box, Domain, GroupSpec
 
-_PAIR_GUARD = 30_000_000  # refuse quadratic sweeps beyond this many pairs
+_PAIR_GUARD = 30_000_000  # refuse pair sweeps with more in-range pairs
+_BLOCK_PAIRS = 1 << 16    # pairs per block of a pair sweep
+_CACHE_BYTES = 96 << 20   # bytes of arrays the index-map cache may hold
 
 
 @dataclass
@@ -57,60 +66,170 @@ def domain_info(group: GroupSpec, domain: Domain) -> VecDomain:
                                   tuple(radii)))
 
 
-def _combo_codes_grid(info: VecDomain, cx: int, cy: int,
-                      valid: np.ndarray) -> np.ndarray:
-    """Point index of ``cx*x + cy*y`` for every pair, updating ``valid``."""
-    group = info.group
-    n = info.n
-    code = np.zeros((n, n), dtype=np.int64)
-    for c in range(group.dim):
-        col = info.coords[:, c].astype(np.int64)
-        raw = cx * col[:, None] + cy * col[None, :]
-        if c < group.rank:
-            r = info.radii[c]
-            np.logical_and(valid, (raw >= -r) & (raw <= r), out=valid)
-            digit = raw + r
-        else:
-            digit = raw % group.torsion[c - group.rank]
-        code += digit * info.strides[c]
-    return code
-
-
 _pair_cache: dict = {}
 
 
+def _nbytes(value) -> int:
+    """Bytes held by the arrays inside a cached value."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, (tuple, list)):
+        return sum(map(_nbytes, value))
+    if isinstance(value, VecDomain):
+        return value.coords.nbytes + value.strides.nbytes
+    return 0
+
+
 def _cached(key, value):
-    """Store ``value`` in ``_pair_cache``, clearing it first when full."""
-    if len(_pair_cache) > 6:
-        _pair_cache.clear()
-    _pair_cache[key] = value
+    """Keep ``value`` in ``_pair_cache`` if it fits ``_CACHE_BYTES``, dropping
+    the oldest entries until the cache does."""
+    size = _nbytes(value)
+    if size <= _CACHE_BYTES:
+        while size + sum(map(_nbytes, _pair_cache.values())) > _CACHE_BYTES:
+            del _pair_cache[next(iter(_pair_cache))]
+        _pair_cache[key] = value
     return value
 
 
-def pair_maps(info: VecDomain, combos: tuple[tuple[int, int], ...]):
-    """In-range pair sweep: returns (I, J, [K_combo...], total_pairs).
+# ---------------------------------------------------------------------------
+# pair sweeps from per-coordinate factors
+#
+# A pair (x, y) is in range iff it is in range in every coordinate, so the
+# in-range pairs are a product of per-coordinate digit-pair lists.  For each
+# x digit of a coordinate, the y digits keeping every combination in range
+# form one interval: all t residues on a torsion coordinate Z/t, and the
+# intersection of the intervals cut out by -r <= cx*a + cy*b <= r on a free
+# coordinate of radius r.
 
-    Pairs appear in lexicographic (i, j) order; a pair is kept iff every
-    combination point lies in the domain.
-    """
-    key = (info.group, info.domain, combos)
-    hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
-    n = info.n
-    if n * n > _PAIR_GUARD:
+
+def _factors(info: VecDomain, combos) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per coordinate, the first in-range y digit and the count of in-range
+    y digits for each x digit."""
+    group = info.group
+    out = []
+    for c in range(group.dim):
+        if c >= group.rank:
+            t = group.torsion[c - group.rank]
+            out.append((np.zeros(t, dtype=np.int64), np.full(t, t, dtype=np.int64)))
+            continue
+        r = info.radii[c]
+        a = np.arange(-r, r + 1, dtype=np.int64)
+        lo, hi = np.full_like(a, -r), np.full_like(a, r)
+        for cx, cy in combos:
+            if cy == 0:
+                hi[np.abs(cx * a) > r] = -r - 1
+                continue
+            q, shift = abs(cy), (cx if cy > 0 else -cx) * a
+            lo = np.maximum(lo, -((r + shift) // q))   # ceil((-r - shift) / q)
+            hi = np.minimum(hi, (r - shift) // q)
+        out.append((lo + r, np.maximum(hi - lo + 1, 0)))
+    return out
+
+
+def pair_count(info: VecDomain, combos) -> int:
+    """Number of in-range pairs (x, y), the product of the per-coordinate
+    counts; refuses beyond ``_PAIR_GUARD`` before building any index."""
+    count = math.prod(int(cnt.sum()) for _, cnt in _factors(info, combos))
+    if count > _PAIR_GUARD:
         raise BudgetExceededError(
-            f"pair sweep over {n}^2 points exceeds the built-in guard"
+            f"pair sweep over {count} in-range pairs exceeds the built-in "
+            f"guard of {_PAIR_GUARD}"
         )
-    valid = np.ones((n, n), dtype=bool)
-    codes = [_combo_codes_grid(info, cx, cy, valid) for cx, cy in combos]
-    flat = np.flatnonzero(valid.reshape(-1))
-    return _cached(key, (
-        (flat // n).astype(np.int64),
-        (flat % n).astype(np.int64),
-        [code.reshape(-1)[flat] for code in codes],
-        n * n,
-    ))
+    return count
+
+
+def _rows(info: VecDomain, c: int, combos, factor, a0: int, a1: int) -> list:
+    """Index contributions [x, y, *combinations] of coordinate ``c``'s
+    in-range digit pairs whose x digit lies in [a0, a1)."""
+    lo, cnt = factor
+    counts = cnt[a0:a1]
+    x = np.repeat(np.arange(a0, a1, dtype=np.int64), counts)
+    y = np.arange(len(x), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts - lo[a0:a1], counts)
+    group = info.group
+    if c < group.rank:
+        r = info.radii[c]  # digit of cx*(x - r) + cy*(y - r)
+        ks = [cx * x + cy * y - (cx + cy - 1) * r for cx, cy in combos]
+    else:
+        t = group.torsion[c - group.rank]
+        ks = [(cx * x + cy * y) % t for cx, cy in combos]
+    return [d * info.strides[c] for d in (x, y, *ks)]
+
+
+def _outer(a: list, b: list) -> list:
+    """Every entry of ``a`` combined with every entry of ``b``, a-major."""
+    return [(u[:, None] + v).ravel() for u, v in zip(a, b)]
+
+
+def pair_blocks(info: VecDomain, combos, limit: int):
+    """Every in-range pair as aligned index arrays [I, J, *K_combo], in blocks.
+
+    A block holds every in-range pair (x, y) of a contiguous range of x, and
+    the ranges ascend, so the first block holding a pair with some property
+    holds the lexicographically first such pair.  A block has at most
+    ``limit`` pairs unless the pairs of a single x outnumber it.  Within a
+    block the order is not lexicographic.
+    """
+    factors = _factors(info, combos)
+    dim = info.group.dim
+    suffix = [1] * (dim + 1)  # pairs over coordinates c, c+1, ...
+    for c in range(dim - 1, -1, -1):
+        suffix[c] = suffix[c + 1] * int(factors[c][1].sum())
+    tails = {dim: [np.zeros(1, dtype=np.int64)] * (2 + len(combos))}
+
+    def rows(c, a0, a1):
+        return _rows(info, c, combos, factors[c], a0, a1)
+
+    def tail(c):
+        if c not in tails:
+            tails[c] = _outer(rows(c, 0, len(factors[c][1])), tail(c + 1))
+        return tails[c]
+
+    def walk(c, prefix):
+        # prefix: the pairs of coordinates < c for one fixed x prefix
+        if c == dim:
+            yield prefix
+            return
+        cum = np.concatenate(([0], np.cumsum(factors[c][1])))
+        per_row = len(prefix[0]) * suffix[c + 1]
+        a = 0
+        while a < len(cum) - 1:
+            b = int(np.searchsorted(cum, cum[a] + limit // per_row, side="right")) - 1
+            if b > a:
+                yield _outer(_outer(prefix, rows(c, a, b)), tail(c + 1))
+                a = b
+            else:  # one x digit is too many pairs: fix it and split further
+                yield from walk(c + 1, _outer(prefix, rows(c, a, a + 1)))
+                a += 1
+
+    yield from walk(0, tails[dim])
+
+
+def pair_sweep(info: VecDomain, combos, enc, terms, tol: float,
+               product: bool) -> tuple[int, Optional[list[int]]]:
+    """Sweep an identity over every in-range pair (x, y).
+
+    Returns the number of in-range pairs and the point indices
+    [x, y, *combination points] of the lexicographically first failing
+    pair, or None; ``enc``, ``terms``, ``tol`` and ``product`` are as for
+    :func:`failures`.  The pairs run in blocks of ``_BLOCK_PAIRS``, which
+    keeps each block's temporaries small; the blocks are kept in the cache
+    when all of them fit ``_CACHE_BYTES`` and regenerated otherwise.
+    """
+    count = pair_count(info, combos)
+    key = (info.group, info.domain, combos)
+    blocks = _pair_cache.get(key)
+    if blocks is None:
+        blocks = pair_blocks(info, combos, _BLOCK_PAIRS)
+        if count * (2 + len(combos)) * 8 <= _CACHE_BYTES:
+            blocks = _cached(key, list(blocks))
+    work: dict = {}
+    for axes in blocks:
+        hit = failures(enc, axes, terms, tol, product, work)
+        if len(hit):
+            w = hit[np.argmin(axes[0][hit] * info.n + axes[1][hit])]
+            return count, [int(a[w]) for a in axes]
+    return count, None
 
 
 def triple_maps(info: VecDomain, combos: tuple[tuple[int, int, int], ...],
@@ -327,7 +446,14 @@ def _complex(lg, lgd, tn, tnd, zero) -> np.ndarray:
 
 def first_failure(enc, axes: Sequence[np.ndarray], terms, tol: float,
                   product: bool) -> Optional[int]:
-    """Index of the first tuple where a signed identity fails, or None.
+    """Index of the first tuple where a signed identity fails, or None."""
+    hit = failures(enc, axes, terms, tol, product)
+    return int(hit[0]) if len(hit) else None
+
+
+def failures(enc, axes: Sequence[np.ndarray], terms, tol: float,
+             product: bool, work: Optional[dict] = None) -> np.ndarray:
+    """Ascending indices of the tuples where a signed identity fails.
 
     ``axes`` are aligned arrays of point indices, one entry per tuple, and
     each term ``(table, axis, c)`` contributes table ``table`` at ``axes[axis]``
@@ -335,41 +461,62 @@ def first_failure(enc, axes: Sequence[np.ndarray], terms, tol: float,
     ``product`` and ``sum c T(p) == 0`` otherwise; each side collects the
     terms of one coefficient sign.  Exact kinds compare exactly (parity and
     turns modulo their denominator, exact-complex zeros by their masks);
-    float kinds fail where ``|lhs - rhs| <= tol`` does not hold.
+    float kinds fail where ``|lhs - rhs| <= tol`` does not hold.  Side values
+    are accumulated in scratch arrays kept in ``work``, so a sweep passing the
+    same dict for every block reuses them instead of faulting in fresh pages.
     """
     kind, arrays, denom = enc
+    work = {} if work is None else work
     pos = [(t, axes[p], c) for t, p, c in terms if c > 0]
     neg = [(t, axes[p], -c) for t, p, c in terms if c < 0]
     if kind == "exact":
         logs, turns, zeros = zip(*arrays)
         lzero, rzero = (np.logical_or.reduce([zeros[t][K] for t, K, _ in side])
                         for side in (pos, neg))
-        bad = _sums_differ(logs, pos, neg, 0) | _sums_differ(turns, pos, neg, denom)
+        bad = (_sums_differ(logs, pos, neg, 0, work)
+               | _sums_differ(turns, pos, neg, denom, work))
         bad = (lzero != rzero) | (~lzero & bad)
     elif kind == "parity":
-        bad = _sums_differ(arrays, pos, neg, 2)
+        bad = _sums_differ(arrays, pos, neg, 2, work)
     elif kind == "int" and not product:
-        bad = _sums_differ(arrays, pos, neg, 0)
+        bad = _sums_differ(arrays, pos, neg, 0, work)
     elif kind == "int":
         # values are nums / denom: compare lhs * denom^b with rhs * denom^a
         a = sum(c for *_, c in pos)
         b = sum(c for *_, c in neg)
         arrays = _fitted(arrays, lambda m: (max(m, 1) * denom) ** max(a, b))
-        bad = (_side(arrays, pos, True) * denom ** b
-               != _side(arrays, neg, True) * denom ** a)
+        lhs = _side(arrays, pos, True, work, "lhs")
+        rhs = _side(arrays, neg, True, work, "rhs")
+        bad = (np.multiply(lhs, denom ** b, out=lhs)
+               != np.multiply(rhs, denom ** a, out=rhs))
     else:
-        bad = ~(np.abs(_side(arrays, pos, product) - _side(arrays, neg, product))
-                <= tol)
-    hit = np.flatnonzero(bad)
-    return int(hit[0]) if len(hit) else None
+        lhs = _side(arrays, pos, product, work, "lhs")
+        diff = np.subtract(lhs, _side(arrays, neg, product, work, "rhs"), out=lhs)
+        bad = ~(np.abs(diff) <= tol)
+    return np.flatnonzero(bad)
 
 
-def _side(arrays, side, product: bool):
+def _scratch(work: dict, slot: str, dtype, n: int) -> np.ndarray:
+    """A length-``n`` scratch array of ``dtype``, kept in ``work`` under ``slot``."""
+    buf = work.get((slot, dtype))
+    if buf is None or len(buf) < n:
+        buf = work[slot, dtype] = np.empty(n, dtype=dtype)
+    return buf[:n]
+
+
+def _side(arrays, side, product: bool, work: dict, slot: str) -> np.ndarray:
+    """One side's sum or product, in the ``slot`` scratch array."""
     acc = None
     for t, K, c in side:
-        v = arrays[t][K]  # a fresh array, so accumulating in place is safe
-        if c != 1:
-            v = v ** c if product else c * v
+        table = arrays[t]
+        # indices are in range by construction; mode "raise" would buffer out
+        v = np.take(table, K, mode="clip",
+                    out=_scratch(work, slot if acc is None else "term",
+                                 table.dtype, len(K)))
+        if c != 1 and product:
+            v **= c
+        elif c != 1:
+            v *= c
         if acc is None:
             acc = v
         elif product:
@@ -387,12 +534,15 @@ def _fitted(arrays, bound) -> list:
     return [a.astype(object) for a in arrays]
 
 
-def _sums_differ(arrays, pos, neg, modulus: int) -> np.ndarray:
+def _sums_differ(arrays, pos, neg, modulus: int, work: dict) -> np.ndarray:
     """Where the two exact side sums differ (modulo ``modulus`` when nonzero)."""
     weight = sum(c for *_, c in pos + neg)
     arrays = _fitted(arrays, lambda m: max(m * weight, modulus))
-    lhs, rhs = _side(arrays, pos, False), _side(arrays, neg, False)
-    return (lhs - rhs) % modulus != 0 if modulus else lhs != rhs
+    lhs = _side(arrays, pos, False, work, "lhs")
+    rhs = _side(arrays, neg, False, work, "rhs")
+    if not modulus:
+        return lhs != rhs
+    return np.remainder(np.subtract(lhs, rhs, out=lhs), modulus, out=lhs) != 0
 
 
 # ---------------------------------------------------------------------------

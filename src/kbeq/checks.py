@@ -7,11 +7,13 @@ that were checkable (so truncation by a box window stays visible).  Failures
 report the lexicographically first witness, making them reproducible.
 
 Every pair and triple identity runs through one sweep kernel
-(:func:`kbeq._vec.first_failure` over the index arrays of
-:func:`kbeq._vec.pair_maps` or :func:`kbeq._vec.triple_maps`), whose
-arithmetic :func:`kbeq._vec.numeric_mode` picks from the values alone:
-comparisons are exact for rational, sign and exact-complex values and use
-an absolute tolerance (default 1e-9) for floating data.
+(:func:`kbeq._vec.failures`), whose arithmetic
+:func:`kbeq._vec.numeric_mode` picks from the values alone: comparisons are
+exact for rational, sign and exact-complex values and use an absolute
+tolerance (default 1e-9) for floating data.  Pair sweeps
+(:func:`kbeq._vec.pair_sweep`) count their in-range pairs in closed form,
+refuse more than ``kbeq._vec._PAIR_GUARD`` of them before allocating, and
+run in bounded memory; triple sweeps use :func:`kbeq._vec.triple_maps`.
 """
 
 from __future__ import annotations
@@ -149,6 +151,18 @@ def _sweep(tables, axes, terms, tol: float, product: bool = False):
     return [pts[int(a[w])] for a in axes]
 
 
+def _pair_sweep(tables, combos, terms, tol: float, product: bool = False):
+    """In-range pair count, and the points (x, y, then each combination
+    point) of the lexicographically first pair failing the identity or None."""
+    t = tables[0]
+    count, w = _vec.pair_sweep(_vec.domain_info(t.group, t.domain), combos,
+                               _vec.numeric_mode(tables), terms, tol, product)
+    if w is None:
+        return count, None
+    pts = t.points()
+    return count, [pts[i] for i in w]
+
+
 def _sides(tables, at, terms, product: bool = False):
     """Both sides' values at the points ``at``, in the tables' native arithmetic."""
     mul = cmul if tables[0].kind == KIND_COMPLEX else operator.mul
@@ -170,11 +184,9 @@ def _signed_sum(table, at, terms):
     return sum(c * table.values[at[p]] for _, p, c in terms)
 
 
-def _report(tables, axes, considered: int, terms, tol: float, witness,
-            product: bool = False, note: str = None) -> CheckReport:
-    checked = len(axes[0])
+def _report(checked: int, considered: int, at, witness,
+            note: str = None) -> CheckReport:
     coverage = checked / considered if considered else 1.0
-    at = _sweep(tables, axes, terms, tol, product)
     if at is None:
         return _passed(checked, coverage, note)
     return _failed(checked, coverage, witness(at), note)
@@ -183,13 +195,12 @@ def _report(tables, axes, considered: int, terms, tol: float, witness,
 def _pair_check(tables, combos, terms, tol: float, product: bool = False,
                 witness=None) -> CheckReport:
     """Sweep an identity over every in-range pair (x, y)."""
-    t = tables[0]
-    I, J, Ks, total = _vec.pair_maps(_vec.domain_info(t.group, t.domain), combos)
+    checked, at = _pair_sweep(tables, combos, terms, tol, product)
     if witness is None:
         def witness(at):
             return Witness(("x", "y"), (at[0], at[1]),
                            *_sides(tables, at, terms, product))
-    return _report(tables, [I, J, *Ks], total, terms, tol, witness, product)
+    return _report(checked, len(tables[0].points()) ** 2, at, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +247,7 @@ def check_eq5(table: FuncTable, tol: float = DEFAULT_TOL,
         f"sampled {considered} of {info.n ** 3} triples deterministically"
     )
     return _report(
-        (table,), [X, H, K, *Ks], considered, _EQ5_TERMS, tol,
+        len(X), considered, _sweep((table,), [X, H, K, *Ks], _EQ5_TERMS, tol),
         lambda at: Witness(("x", "h", "k"), tuple(at[:3]),
                            _signed_sum(table, at, _EQ5_TERMS), 0),
         note=note,

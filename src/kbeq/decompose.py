@@ -36,6 +36,7 @@ from . import _vec
 from .checks import (
     DEFAULT_TOL,
     _json_value,
+    _pair_sweep,
     _sides,
     _sweep,
     check_coset_constant,
@@ -470,9 +471,8 @@ def _phase_checks(p: FuncTable, tol: float, name: str):
     if at is not None:
         raise DecompositionError(f"{name}(2x) != {name}(x)^2",
                                  _point_witness(at[0], *_sides([p], at, terms, True)))
-    I, J, (Kxy,), _ = _vec.pair_maps(info, ((1, 1),))
-    at = _sweep([p], [I, J, Kxy], ((0, 2, 2), (0, 0, -2), (0, 1, -2)), tol,
-                product=True)
+    _, at = _pair_sweep([p], ((1, 1),), ((0, 2, 2), (0, 0, -2), (0, 1, -2)), tol,
+                        product=True)
     if at is not None:
         raise DecompositionError(
             f"{name}(x+y)^2 != {name}(x)^2 {name}(y)^2",

@@ -634,10 +634,15 @@ def restricted_rows_match_prediction(group: GroupSpec, rows: np.ndarray,
 
     ``rows`` come from :func:`scan_restricted_kb`.  ``T + S`` is summed in
     the rows' own dtype, which is exact because int8 rows hold values within
-    +-127; coset constancy compares each non-representative T column with
+    +-127.  Int8 rows read each (T, S) column pair as one uint16 ``w``:
+    ``257 * w`` holds ``T + S`` modulo 256 in its high byte, in either byte
+    order.  Coset constancy compares each non-representative T column with
     its coset representative's.
     """
-    if np.any(rows[:, 0::2] + rows[:, 1::2]):
+    if rows.dtype == np.int8:
+        if np.any(rows.view(np.uint16) * np.uint16(257) > 255):
+            return False
+    elif np.any(rows[:, 0::2] + rows[:, 1::2]):
         return False
     members, reps = _coset_columns(group)
     return np.array_equal(np.take(rows, members, axis=1),

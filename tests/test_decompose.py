@@ -184,11 +184,16 @@ def test_decompose_T_rejects_non_additive_odd_part():
         decompose_T(t)
 
 
-def test_decompose_T_keeps_the_index_cache_bounded():
+def test_decompose_T_keeps_the_index_cache_bounded(monkeypatch):
+    budget = 2048  # a few windows' index arrays: the loop must evict
+    monkeypatch.setattr(_vec, "_CACHE_BYTES", budget)
+    monkeypatch.setattr(_vec, "_pair_cache", {})
     for radius in range(4, 20):
         decompose_T(real_table(Z, Box((radius,)), lambda p: Fraction(0)),
                     verify=False)
-        assert len(_vec._pair_cache) <= 7
+        assert sum(map(_vec._nbytes, _vec._pair_cache.values())) <= budget
+    assert (Z, Box((4,))) not in _vec._pair_cache  # the oldest went first
+    assert (Z, Box((19,))) in _vec._pair_cache
 
 
 # ---------------------------------------------------------------------------

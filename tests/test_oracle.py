@@ -274,6 +274,26 @@ def test_structural_check_rejects_each_violation(grid):
     assert not restricted_rows_match_prediction(group, bad_t, 1)
 
 
+def test_structural_check_on_int8_rows_matches_the_wrapped_sum():
+    # int8 sums wrap modulo 256, so T = S = -128 passes as it always did
+    group = GroupSpec(0, (2,))
+    rng = np.random.default_rng(5)
+    T = rng.integers(-128, 128, size=(4000, 1))
+    T = np.hstack([T, T])  # the two elements of Z/2 are separate cosets
+    S = -T
+    S[rng.random(S.shape) < 0.001] += 1
+    S[:5] = T[:5] = -128
+    rows = np.empty((len(T), 4), dtype=np.int8)
+    rows[:, 0::2], rows[:, 1::2] = T, S
+    verdicts = set()
+    for block in np.array_split(rows, 40):
+        s = block[:, 1::2].astype(np.int64) + block[:, 0::2]
+        want = not np.any(s % 256)
+        assert restricted_rows_match_prediction(group, block, 1) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_scan_budget_enforced():
     group = GroupSpec(0, (2, 2, 2))
     with pytest.raises(BudgetExceededError):

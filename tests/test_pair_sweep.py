@@ -1,0 +1,236 @@
+"""The streamed pair sweep: closed-form counts, witness order, budget, cache.
+
+Pair sweeps build their in-range pairs from per-coordinate factors and sweep
+them block by block, each block holding every pair of a range of x, so the
+lexicographically first failure is the smallest ``i*n + j`` among the
+failures of the first failing block.  The brute-force loops in
+``reference_checks`` are the oracle: witnesses, ``pairs_checked`` and
+``coverage`` must equal theirs whatever the block size, including when the
+first failure lies beyond the first block or is generated after a failure
+that is lexicographically later.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+from random import Random
+
+import pytest
+
+import reference_checks as ref
+from kbeq import _vec, checks
+from kbeq.cli import main
+from kbeq.errors import BudgetExceededError
+from kbeq.functions import Exact, FuncTable, synth_table
+from kbeq.groups import Box, FullGroup, GroupSpec
+from kbeq.oracle import random_character, random_positive_form
+
+TOL = checks.DEFAULT_TOL
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+DOMAINS = (
+    ("box0", GroupSpec(0, (4, 3)), Box(())),
+    ("box1", GroupSpec(1, (4,)), Box((3,))),
+    ("box2", GroupSpec(2, (2,)), Box((2, 2))),
+    ("full", GroupSpec(0, (4, 2)), FullGroup()),
+    ("full-odd", GroupSpec(0, (9,)), FullGroup()),
+)
+
+
+def corrupted(table, rng, change):
+    """``table`` with ``change`` applied at 2 or 3 random points."""
+    vals = dict(table.values)
+    for p in rng.sample(table.points(), rng.choice((2, 3))):
+        vals[p] = change(vals[p])
+    return FuncTable(table.group, table.domain, table.kind, vals)
+
+
+def _free(p):
+    return [p.coords[c] for c in range(p.group.rank)] + [0, 0]
+
+
+def _real(group, domain, fn):
+    return FuncTable.from_function(group, domain, "real", fn)
+
+
+def _cases(group, domain, rng):
+    """(id, kernel check, reference check, tables) with corrupted tables."""
+    bump = lambda v: v + Fraction(1, 7)  # noqa: E731
+    f, g = synth_table(random_positive_form(group, rng), domain)
+    yield "kb", checks.check_kb, ref.check_kb, (corrupted(f, rng, bump), g)
+    for n in range(4):
+        coeffs = {(i, n - i): Fraction(rng.randint(1, 5), 3) for i in range(n + 1)}
+        poly = _real(group, domain, lambda p: 1 + sum(
+            c * _free(p)[0] ** i * _free(p)[1] ** j for (i, j), c in coeffs.items()))
+        yield (f"polynomial-{n}", lambda t, n=n: checks.check_polynomial(t, n),
+               lambda t, tol, n=n: ref.check_polynomial(t, n, tol),
+               (corrupted(poly, rng, bump),))
+    a, b, c = (Fraction(rng.randint(1, 5), 2) for _ in range(3))
+    quad = _real(group, domain,
+                 lambda p: a * _free(p)[0] ** 2 + b * _free(p)[0] * _free(p)[1]
+                 + c * _free(p)[1] ** 2)
+    yield ("quadratic", checks.check_quadratic, ref.check_quadratic,
+           (corrupted(quad, rng, bump),))
+    add = _real(group, domain, lambda p: a * _free(p)[0] + b * _free(p)[1])
+    yield "cauchy", checks.check_cauchy, ref.check_cauchy, (corrupted(add, rng, bump),)
+    even = [c for c in range(group.dim)
+            if c < group.rank or group.torsion[c - group.rank] % 2 == 0]
+    sign = FuncTable.from_function(
+        group, domain, "sign", lambda p: 1 - 2 * (sum(p.coords[c] for c in even) % 2))
+    yield ("sign-eq26", checks.check_sign_eq26, ref.check_sign_eq26,
+           (corrupted(sign, rng, lambda v: -v), sign))
+    chi = FuncTable.from_function(group, domain, "complex",
+                                  random_character(group, rng).value)
+    yield ("character", checks.check_character, ref.check_character,
+           (corrupted(chi, rng, lambda v: v * Exact.unit(Fraction(1, 5))),))
+
+
+def assert_agree(got, want, case):
+    assert got.holds == want.holds, case
+    assert got.pairs_checked == want.pairs_checked, case
+    assert got.coverage == want.coverage, case
+    if want.witness is None:
+        assert got.witness is None, case
+    else:
+        assert got.witness.points == want.witness.points, case
+        assert (got.witness.lhs, got.witness.rhs) == (want.witness.lhs,
+                                                       want.witness.rhs), case
+
+
+def test_streamed_witnesses_match_reference(monkeypatch):
+    calls = []  # (axes, failing positions) of each block swept
+    sweep_block = _vec.failures
+
+    def spy(enc, axes, *rest):
+        hit = sweep_block(enc, axes, *rest)
+        calls.append((axes, hit))
+        return hit
+
+    monkeypatch.setattr(_vec, "failures", spy)
+    default_block = _vec._BLOCK_PAIRS
+    beyond_first_block = reordered = failing = 0
+    for name, group, domain in DOMAINS:
+        for seed in range(2):
+            for check_name, check, reference, tables in _cases(group, domain,
+                                                                Random(seed)):
+                case = f"{name}-{check_name}-{seed}"
+                want = reference(*tables, TOL)
+                failing += not want.holds
+                # default blocks, then small and tiny ones
+                for block in (default_block, 300, 16):
+                    monkeypatch.setattr(_vec, "_BLOCK_PAIRS", block)
+                    monkeypatch.setattr(_vec, "_pair_cache", {})
+                    calls.clear()
+                    assert_agree(check(*tables), want, (case, block))
+                    if want.holds:
+                        continue
+                    beyond_first_block += len(calls) > 1
+                    axes, hit = calls[-1]
+                    keys = axes[0][hit] * len(tables[0].points()) + axes[1][hit]
+                    reordered += int(keys.argmin()) != 0
+    # the corruptions break every case; both orderings the sweep must undo occur
+    assert failing == 90
+    assert beyond_first_block >= 10
+    assert reordered >= 5
+
+
+def test_counts_come_from_the_per_coordinate_factors():
+    group = GroupSpec(2, (4, 3))
+    info = _vec.domain_info(group, Box((10, 10)))
+    kb = ((1, 1), (1, -1), (0, -1))
+    assert _vec.pair_count(info, kb) == 221 ** 2 * 144 == 7_033_104
+    # polynomial combinations x + j*h: |a + j*b| <= r for j <= 2, per axis
+    small = _vec.domain_info(GroupSpec(1, (2,)), Box((3,)))
+    combos = ((1, 0), (1, 1), (1, 2))
+    pts = [p.coords[0] for p in Box((3,)).points(GroupSpec(1))]
+    per_axis = sum(all(abs(a + j * b) <= 3 for j in range(3)) for a in pts for b in pts)
+    assert _vec.pair_count(small, combos) == per_axis * 4
+
+
+def test_blocks_cover_the_pairs_once_in_ascending_x_ranges():
+    group, domain = GroupSpec(2, (3,)), Box((3, 2))
+    info = _vec.domain_info(group, domain)
+    combos = ((1, 1), (1, -1), (0, -1))
+    pts = [p.coords for p in domain.points(group)]
+    want = {}
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            if all(abs(cx * a + cy * b) <= r for cx, cy in combos
+                   for a, b, r in zip(x, y, domain.radius)):
+                want[i, j] = [_vec.index_of_coords(info, group.reduce(
+                    [cx * a + cy * b for a, b in zip(x, y)])) for cx, cy in combos]
+    seen, last = {}, -1
+    for I, J, *Ks in _vec.pair_blocks(info, combos, 40):
+        assert len(I) <= max(40, info.n)
+        assert I.min() > last  # each block starts past the previous one's x
+        last = int(I.max())
+        for i, j, *ks in zip(I.tolist(), J.tolist(), *(k.tolist() for k in Ks)):
+            assert (i, j) not in seen
+            seen[i, j] = ks
+    assert seen == want
+
+
+def test_pair_budget_refuses_before_allocating(tmp_path, capsys):
+    # 200 020 001 in-range pairs on 20 001 points: far over the guard
+    group, domain = GroupSpec(1), Box((10_000,))
+    f = FuncTable.from_function(group, domain, "positive", lambda p: Fraction(0))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceededError):
+            checks.check_kb(f, f)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 4 << 20
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f.to_json()), encoding="utf-8")
+    assert main(["check", "-f", str(path), "-g", str(path)]) == 2
+    assert "guard" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_radius_14_window_check_answers_in_bounded_memory(tmp_path):
+    # 10 092 points and 25 522 704 in-range pairs, within the pair guard
+    group = GroupSpec(2, (4, 3))
+    f, g = synth_table(random_positive_form(group, Random(1)), Box((14, 14)))
+    paths = []
+    for name, table in (("f", f), ("g", g)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(table.to_json()), encoding="utf-8")
+    child = ("import resource, sys\n"
+             "from kbeq.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+             "print(peak, file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    res = subprocess.run(
+        [sys.executable, "-c", child, "check", "-f", str(paths[0]), "-g", str(paths[1])],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)["report"]
+    assert report["holds"] and report["pairs_checked"] == 25_522_704
+    peak_kb = int(res.stderr.strip().splitlines()[-1])  # ru_maxrss is in KiB
+    assert peak_kb < 300 * 1024
+
+
+def test_pair_index_sets_are_cached_only_within_the_byte_budget(monkeypatch):
+    group = GroupSpec(1, (2,))
+    small, large = Box((3,)), Box((12,))
+    combos = ((1, 1), (1, -1), (0, -1))
+    # 25 * 4 pairs fit, 313 * 4 do not
+    monkeypatch.setattr(_vec, "_CACHE_BYTES", 5 * 8 * 200)
+    monkeypatch.setattr(_vec, "_pair_cache", {})
+    for domain in (small, large):
+        t = FuncTable.from_function(group, domain, "positive", lambda p: Fraction(0))
+        assert checks.check_kb(t, t).holds
+    assert (group, small, combos) in _vec._pair_cache
+    assert (group, large, combos) not in _vec._pair_cache
+    assert sum(map(_vec._nbytes, _vec._pair_cache.values())) <= 5 * 8 * 200
