@@ -3,14 +3,17 @@
 Domains enumerate points in lexicographic coordinate order, which coincides
 with the mixed-radix code ``sum(digit_c * stride_c)`` where free coordinates
 use ``digit = value + radius`` and torsion coordinates use the residue
-itself.  That makes the index of an affine combination ``cx*x + cy*y``
-computable coordinate-wise with numpy, so exhaustive quantifier sweeps run
-as array arithmetic.  Tables store their values as arrays in domain order
-(``FuncTable.encoding``); :func:`numeric_mode` brings several tables to one
-arithmetic and :func:`failures` evaluates any signed sum or product
-identity over aligned index arrays.  Exactness is kept by scaling
-rationals to a common denominator, in int64 only where a bound proves the
-sums fit and in Python ints otherwise.
+itself.  :func:`point_codes` is the one encoder of that rule: it maps
+integer coordinate arrays, torsion coordinates unreduced, to domain indices
+and an in-domain mask, so the index of an affine combination such as
+``cx*x + cy*y`` is array arithmetic and exhaustive quantifier sweeps run in
+numpy.  Pair sweeps alone build their indices from per-coordinate factors,
+and coset codes use the coset radix instead.  Tables store their values as
+arrays in domain order (``FuncTable.encoding``); :func:`numeric_mode` brings
+several tables to one arithmetic and :func:`failures` evaluates any signed
+sum or product identity over aligned index arrays.  Exactness is kept by
+scaling rationals to a common denominator, in int64 only where a bound
+proves the sums fit and in Python ints otherwise.
 
 Pair sweeps never build an n×n array.  A pair is in range iff it is in
 range in every coordinate, so :func:`pair_count` is a product of
@@ -43,7 +46,7 @@ class VecDomain:
     n: int
     coords: np.ndarray          # (n, dim) int32, reduced coordinates
     strides: np.ndarray         # (dim,) int64
-    radii: tuple[int, ...]      # free-coordinate radii ('' for FullGroup)
+    radii: tuple[int, ...]      # free-coordinate radii (() for FullGroup)
 
 
 def domain_info(group: GroupSpec, domain: Domain) -> VecDomain:
@@ -262,21 +265,12 @@ def _triple_maps_build(info, combos, full_budget, sample_budget):
     X = idx // (n * n)
     H = (idx // n) % n
     K = idx % n
-    group = info.group
+    C = info.coords.astype(np.int64)
     valid = np.ones(len(idx), dtype=bool)
     codes = []
     for cx, ch, ck in combos:
-        code = np.zeros(len(idx), dtype=np.int64)
-        for c in range(group.dim):
-            col = info.coords[:, c].astype(np.int64)
-            raw = cx * col[X] + ch * col[H] + ck * col[K]
-            if c < group.rank:
-                r = info.radii[c]
-                valid &= (raw >= -r) & (raw <= r)
-                digit = raw + r
-            else:
-                digit = raw % group.torsion[c - group.rank]
-            code += digit * info.strides[c]
+        code, inside = point_codes(info, cx * C[X] + ch * C[H] + ck * C[K])
+        valid &= inside
         codes.append(code)
     keep = np.flatnonzero(valid)
     return (X[keep], H[keep], K[keep], [c[keep] for c in codes],
@@ -287,20 +281,31 @@ def _triple_maps_build(info, combos, full_budget, sample_budget):
 # point-level index maps
 
 
+def point_codes(info: VecDomain, coords) -> tuple[np.ndarray, np.ndarray]:
+    """Domain indices of the rows of an (m, dim) integer coordinate array,
+    plus the mask of rows inside the domain.
+
+    A free digit is ``v + r`` and a torsion digit ``v mod t``, so torsion
+    coordinates need not be reduced; the index of a row outside the domain
+    is meaningless.
+    """
+    digits = np.array(coords, dtype=np.int64)
+    inside = np.ones(len(digits), dtype=bool)
+    for c, r in enumerate(info.radii):
+        inside &= np.abs(digits[:, c]) <= r
+    for c, t in enumerate(info.group.torsion, info.group.rank):
+        digits[:, c] %= t
+    # adding r to each free digit adds the origin's index to every code
+    origin = sum(r * s for r, s in zip(info.radii, info.strides.tolist()))
+    return digits @ info.strides + origin, inside
+
+
 def index_of_coords(info: VecDomain, coords: Sequence[int]) -> int:
-    """Domain index of an (in-range) reduced coordinate vector."""
-    group = info.group
-    code = 0
-    for c in range(group.dim):
-        v = coords[c]
-        if c < group.rank:
-            if abs(v) > info.radii[c]:
-                raise KeyError(f"coordinates {coords} outside the domain")
-            digit = v + info.radii[c]
-        else:
-            digit = v % group.torsion[c - group.rank]
-        code += digit * int(info.strides[c])
-    return code
+    """Domain index of a coordinate vector; KeyError outside the domain."""
+    code, inside = point_codes(info, [coords])
+    if not inside[0]:
+        raise KeyError(f"coordinates {coords} outside the domain")
+    return int(code[0])
 
 
 def neg_codes(info: VecDomain) -> np.ndarray:
@@ -309,16 +314,7 @@ def neg_codes(info: VecDomain) -> np.ndarray:
     hit = _pair_cache.get(key)
     if hit is not None:
         return hit
-    group = info.group
-    code = np.zeros(info.n, dtype=np.int64)
-    for c in range(group.dim):
-        col = info.coords[:, c].astype(np.int64)
-        if c < group.rank:
-            digit = -col + info.radii[c]
-        else:
-            digit = (-col) % group.torsion[c - group.rank]
-        code += digit * info.strides[c]
-    return _cached(key, code)
+    return _cached(key, point_codes(info, -info.coords.astype(np.int64))[0])
 
 
 def coset_codes(info: VecDomain, modulus: int) -> tuple[np.ndarray, "callable"]:
@@ -345,20 +341,7 @@ def coset_codes(info: VecDomain, modulus: int) -> tuple[np.ndarray, "callable"]:
 
 def scale_codes(info: VecDomain, factor: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-point index of ``factor * x`` plus an in-domain validity mask."""
-    group = info.group
-    code = np.zeros(info.n, dtype=np.int64)
-    valid = np.ones(info.n, dtype=bool)
-    for c in range(group.dim):
-        col = info.coords[:, c].astype(np.int64)
-        raw = factor * col
-        if c < group.rank:
-            r = info.radii[c]
-            valid &= (raw >= -r) & (raw <= r)
-            digit = raw + r
-        else:
-            digit = raw % group.torsion[c - group.rank]
-        code += digit * info.strides[c]
-    return code, valid
+    return point_codes(info, factor * info.coords.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

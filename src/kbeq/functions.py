@@ -317,17 +317,17 @@ class FuncTable:
         kind = obj["kind"]
         if kind not in _KINDS:
             raise GroupParseError(f"unknown table kind {kind!r}")
+        rows = obj["values"]
+        vals = [_value_from_json(kind, raw) for _, raw in rows]
         info = _vec.domain_info(group, domain)
-        vals = [None] * info.n
-        for coords, raw in obj["values"]:
-            value = _value_from_json(kind, raw)
-            try:
-                vals[_vec.index_of_coords(info, group.reduce(coords))] = value
-            except KeyError:
-                raise IncompatibleTablesError(_KEYS_DIFFER) from None
-        if None in vals:
+        codes, inside = _vec.point_codes(info, _coords_from_json(group, rows))
+        order = np.argsort(codes)
+        # n rows inside the domain with n distinct indices: every point once
+        if (len(rows) != info.n or not inside.all()
+                or not np.array_equal(codes[order], np.arange(info.n))):
             raise IncompatibleTablesError(_KEYS_DIFFER)
-        return cls._of(group, domain, kind, _encode(kind, vals, domain.points(group)))
+        return cls._of(group, domain, kind, _encode(
+            kind, [vals[i] for i in order.tolist()], domain.points(group)))
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, FuncTable) and self.group == other.group
@@ -458,6 +458,21 @@ def _value_to_json(kind: str, v):
         return {"log": _rat_to_json(v.log_abs), "turn": _rat_to_json(v.turn)}
     c = complex(v)
     return [c.real, c.imag]
+
+
+def _coords_from_json(group: GroupSpec, rows: list) -> np.ndarray:
+    """The coordinate vectors of JSON table rows as an (m, dim) int64 array."""
+    coords = [c for c, _ in rows]
+    for c in coords:
+        if len(c) != group.dim:
+            raise GroupMismatchError(f"expected {group.dim} coordinates, got {len(c)}")
+    if not {type(v) for c in coords for v in c} <= {int}:
+        bad = next(c for c in coords if any(type(v) is not int for v in c))
+        raise GroupParseError(f"table coordinates must be integers, got {bad!r}")
+    try:
+        return np.array(coords, dtype=np.int64).reshape(len(coords), group.dim)
+    except OverflowError:
+        raise GroupParseError("table coordinates must fit in 64 bits") from None
 
 
 def _value_from_json(kind: str, raw):

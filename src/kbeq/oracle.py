@@ -22,14 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from random import Random
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import _vec
 from .checks import (
+    _KB_COMBOS,
     check_coset_constant,
     check_hermitian,
     check_kb,
@@ -169,41 +170,27 @@ def enum_sign_solutions(group: GroupSpec, order_budget: int = 256,
     n = group.order()
     if n > order_budget:
         raise BudgetExceededError(f"group order {n} exceeds budget {order_budget}")
-    elements = group.elements()
-    index = {e: i for i, e in enumerate(elements)}
-    inside = [all(r == 0 for r in group.coset_index(e, 2).residues)
-              for e in elements]
-    # negation orbits of elements outside X^(2)
-    orbit_of: dict[int, int] = {}
-    orbits: list[list[int]] = []
-    for i, e in enumerate(elements):
-        if inside[i] or i in orbit_of:
-            continue
-        j = index[-e]
-        orbit_of[i] = orbit_of[j] = len(orbits)
-        orbits.append(sorted({i, j}))
-    k = len(orbits)
+    info = _vec.domain_info(group, FullGroup())
+    cosets, _ = _vec.coset_codes(info, 2)
+    # negation orbits of elements outside X^(2), numbered by least element
+    outside = np.flatnonzero(cosets != 0)
+    least = np.minimum(outside, _vec.neg_codes(info)[outside])
+    firsts, orbit_of = np.unique(least, return_inverse=True)
+    k = len(firsts)
     if 4**k > candidate_budget:
         raise BudgetExceededError(
             f"{4**k} candidate pairs exceed the candidate budget"
         )
-    # pair sweep index tables
-    ii, jj = np.divmod(np.arange(n * n), n)
-    kxy = np.empty(n * n, dtype=np.int64)
-    kxmy = np.empty(n * n, dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            kxy[a * n + b] = index[elements[a] + elements[b]]
-            kxmy[a * n + b] = index[elements[a] - elements[b]]
+    # every pair (x, y) with the indices of x+y and x-y, in any order
+    ii, jj, kxy, kxmy = map(np.concatenate, zip(
+        *_vec.pair_blocks(info, ((1, 1), (1, -1)), n * n)))
     # candidate value matrices, chunked over a-choices
     choice_bits = np.array(
         [[(c >> (k - 1 - o)) & 1 for o in range(k)] for c in range(2**k)],
         dtype=np.int8,
     ) if k else np.zeros((1, 0), dtype=np.int8)
     vecs = np.ones((2**k, n), dtype=np.int8)
-    for o, orb in enumerate(orbits):
-        for i in orb:
-            vecs[:, i] = 1 - 2 * choice_bits[:, o]
+    vecs[:, outside] = 1 - 2 * choice_bits[:, orbit_of]
     pairs = []
     annotations = []
     for ca in range(2**k):
@@ -299,26 +286,14 @@ class _GridSolver:
 
         Instance (x, y) reads ``T(x+y) + S(x-y) - T(x) - T(y) - S(x) - S(-y)``
         with ``T(e)`` in column ``2e`` and ``S(e)`` in column ``2e+1``.
-        Elements are numbered in lexicographic coordinate order, so the
-        index of a coordinate vector is its mixed-radix value.
         """
         n = len(self.elements)
-        torsion = np.array(self.group.torsion, dtype=np.int64)
-        coords = np.array([e.coords for e in self.elements],
-                          dtype=np.int64).reshape(n, len(torsion))
-        strides = np.array([math.prod(self.group.torsion[d + 1:])
-                            for d in range(len(torsion))], dtype=np.int64)
-
-        def index(c):
-            return (c % torsion) @ strides
-
-        x, y = np.divmod(np.arange(n * n), n)
-        cx, cy = coords[x], coords[y]
+        x, y, s, d, ny = map(np.concatenate, zip(*_vec.pair_blocks(
+            _vec.domain_info(self.group, FullGroup()), _KB_COMBOS, n * n)))
         m = np.zeros((n * n, self.nvars), dtype=np.int64)
         pair = np.arange(n * n)
-        for var, co in ((2 * index(cx + cy), 1), (2 * index(cx - cy) + 1, 1),
-                        (2 * x, -1), (2 * y, -1),
-                        (2 * x + 1, -1), (2 * index(-cy) + 1, -1)):
+        for var, co in ((2 * s, 1), (2 * d + 1, 1), (2 * x, -1), (2 * y, -1),
+                        (2 * x + 1, -1), (2 * ny + 1, -1)):
             np.add.at(m, (pair, var), co)
         return np.unique(m[m.any(axis=1)], axis=0)
 
@@ -644,23 +619,12 @@ def restricted_rows_match_prediction(group: GroupSpec, rows: np.ndarray,
             return False
     elif np.any(rows[:, 0::2] + rows[:, 1::2]):
         return False
-    members, reps = _coset_columns(group)
-    return np.array_equal(np.take(rows, members, axis=1),
-                          np.take(rows, reps, axis=1))
-
-
-@lru_cache(maxsize=64)
-def _coset_columns(group: GroupSpec) -> tuple[np.ndarray, np.ndarray]:
-    """T columns of elements that are not the first of their doubled coset,
-    and the T columns of those first elements."""
-    first_of: dict = {}
-    members, reps = [], []
-    for i, e in enumerate(group.elements()):
-        j = first_of.setdefault(group.coset_index(e, 2), i)
-        if j != i:
-            members.append(2 * i)
-            reps.append(2 * j)
-    return np.array(members, dtype=np.intp), np.array(reps, dtype=np.intp)
+    cosets, _ = _vec.coset_codes(_vec.domain_info(group, FullGroup()), 2)
+    _, first, coset = np.unique(cosets, return_index=True, return_inverse=True)
+    rep = first[coset]  # each element's first coset member
+    members = np.flatnonzero(rep != np.arange(len(rep)))
+    return np.array_equal(np.take(rows, 2 * members, axis=1),
+                          np.take(rows, 2 * rep[members], axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,20 @@ def test_check_nan_value_exits_two(tmp_path, capsys):
     assert "invalid for kind 'real'" in payload["error"]
 
 
+@pytest.mark.parametrize("values,message", [
+    ([[[0], 2.0], [[1], 2.0], [[2], 2.0], [[1], 99.0]],
+     "table keys must equal the enumerated domain exactly"),
+    ([[[0.5], 2.0], [[1], 2.0], [[2], 2.0]], "table coordinates must be integers"),
+    ([[[False], 2.0], [[1], 2.0], [[2], 2.0]], "table coordinates must be integers"),
+], ids=["duplicate-point", "float-coordinate", "bool-coordinate"])
+def test_bad_table_points_exit_two(tmp_path, capsys, values, message):
+    f = tmp_path / "f.json"
+    write_json(f, {**const_table(2.0), "values": values})
+    code, payload, _ = run(capsys, "check", "-f", str(f), "-g", str(f))
+    assert code == 2
+    assert message in payload["error"]
+
+
 def test_decompose_roundtrip_via_files(tmp_path, capsys):
     group = GroupSpec(0, (4,))
     form = random_positive_form(group, Random(2))

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from kbeq.oracle import (
     scan_restricted_kb,
     verify_theorem_suite,
 )
-from reference_grid_solver import reference_rows
+from reference_grid_solver import ReferenceGridSolver, reference_rows
 
 Z44 = GroupSpec(0, (4, 4))
 
@@ -87,55 +88,61 @@ def test_odd_quadratic_values():
 # sign census
 
 
+def abelian_groups(max_order):
+    """Every Abelian group of order <= max_order, one presentation per
+    isomorphism type: a product of cyclic prime-power factors, one
+    partition of each prime's exponent."""
+    def partitions(k, top):
+        if k == 0:
+            yield ()
+        for i in range(min(k, top), 0, -1):
+            for rest in partitions(k - i, i):
+                yield (i,) + rest
+
+    groups = []
+    for order in range(1, max_order + 1):
+        choices, m, p = [()], order, 2
+        while m > 1:
+            k = 0
+            while m % p == 0:
+                m, k = m // p, k + 1
+            choices = [c + tuple(p**e for e in part)
+                       for c in choices for part in partitions(k, k)]
+            p += 1
+        groups += [GroupSpec(0, c) for c in choices]
+    return groups
+
+
+ABELIAN_LE_32 = abelian_groups(32)
+
+
 def unpruned_sign_census(group):
-    """Independent brute force: every +-1 assignment pair, no pruning."""
+    """Independent brute force over every +-1 assignment pair, in the
+    census's emission order: lexicographic, +1 before -1."""
     elements = group.elements()
-    n = len(elements)
     doubled = {group.scale(2, x) for x in elements}
-    found = []
-    for abits in product((1, -1), repeat=n):
-        fa = dict(zip(elements, abits))
-        if any(fa[x] != 1 for x in doubled):
-            continue
-        if any(fa[-x] != fa[x] for x in elements):
-            continue
-        for bbits in product((1, -1), repeat=n):
-            fb = dict(zip(elements, bbits))
-            if any(fb[x] != 1 for x in doubled):
-                continue
-            if any(fb[-x] != fb[x] for x in elements):
-                continue
-            ok = all(
-                fa[x + y] * fb[x - y] == fa[x] * fa[y] * fb[x] * fb[y]
-                for x in elements for y in elements
-            )
-            if ok:
-                found.append((tuple(fa[x] for x in elements),
-                              tuple(fb[x] for x in elements)))
-    return sorted(found)
+    at = {x: i for i, x in enumerate(elements)}
+    quads = [(at[x + y], at[x - y], at[x], at[y])
+             for x in elements for y in elements]
+    # only even maps that are 1 on the doubled image enter the pair loop
+    candidates = [
+        bits for bits in product((1, -1), repeat=len(elements))
+        if all(bits[at[x]] == 1 for x in doubled)
+        and all(bits[at[-x]] == bits[at[x]] for x in elements)
+    ]
+    return [(a, b) for a in candidates for b in candidates
+            if all(a[s] * b[d] == a[x] * a[y] * b[x] * b[y]
+                   for s, d, x, y in quads)]
 
 
-def test_census_z2z2_matches_unpruned_bruteforce():
-    group = GroupSpec(0, (2, 2))
+@pytest.mark.parametrize("group", [g for g in ABELIAN_LE_32 if g.order() <= 8],
+                         ids=str)
+def test_census_matches_unpruned_bruteforce(group):
     census = enum_sign_solutions(group)
     elements = group.elements()
-    got = sorted(
-        (tuple(a.values[x] for x in elements),
-         tuple(b.values[x] for x in elements))
-        for a, b in census.pairs
-    )
-    assert got == unpruned_sign_census(group)
-
-
-def test_census_z2_matches_unpruned_bruteforce():
-    group = GroupSpec(0, (2,))
-    census = enum_sign_solutions(group)
-    elements = group.elements()
-    got = sorted(
-        (tuple(a.values[x] for x in elements),
-         tuple(b.values[x] for x in elements))
-        for a, b in census.pairs
-    )
+    got = [(tuple(a.values[x] for x in elements),
+            tuple(b.values[x] for x in elements))
+           for a, b in census.pairs]
     assert got == unpruned_sign_census(group)
 
 
@@ -378,6 +385,21 @@ def test_scan_budget_matches_reference():
     streamed = np.concatenate(chunks)
     assert 0 < len(streamed) <= 100
     assert streamed.tobytes() == full[:len(streamed)].tobytes()
+
+
+@pytest.mark.parametrize("group", ABELIAN_LE_32, ids=str)
+def test_raw_instances_match_reference(group):
+    elements = group.elements()
+    got = _GridSolver(group, [Fraction(0)], 10**9)._raw_instances()
+    index = {e: i for i, e in enumerate(elements)}
+    want = ReferenceGridSolver._raw_instances(
+        SimpleNamespace(elements=elements), index)
+    dense = np.zeros((len(want), 2 * len(elements)), dtype=np.int64)
+    for r, terms in enumerate(want):
+        for v, c in terms:
+            dense[r, v] = c
+    assert len(got) == len(want)
+    assert set(map(tuple, got.tolist())) == set(map(tuple, dense.tolist()))
 
 
 class _SystemSolver(_GridSolver):

@@ -497,7 +497,18 @@ def test_stored_encoding_matches_reference(case):
     assert _same_encoding(built.encoding, want)
     assert _same_encoding(table.encoding, want)  # also in lowest terms
     assert built == table
-    assert FuncTable.from_json(json.loads(json.dumps(table.to_json()))) == table
+    obj = json.loads(json.dumps(table.to_json()))
+    assert FuncTable.from_json(obj) == table
+    rows = obj["values"]
+    shuffled = rows[:]
+    Random(3).shuffle(shuffled)
+    # torsion coordinates shifted by -t, 0 or +t: unreduced, same points
+    unreduced = [[c[:group.rank] + [v + t * (i % 3 - 1)
+                                    for v, t in zip(c[group.rank:], group.torsion)], raw]
+                 for i, (c, raw) in enumerate(rows)]
+    assert unreduced != rows
+    for values in (rows[::-1], shuffled, unreduced):
+        assert FuncTable.from_json({**obj, "values": values}) == table
     assert FuncTable(group, domain, kind, dict(table.values)) == table
     if normal is not None:  # floats, complex numbers (0j) or Fractions read back
         assert list(map(type, table.values.values())) == \
@@ -574,10 +585,15 @@ def test_table_rejections_keep_their_messages():
             FuncTable(ZB, box, kind, vals)
         assert str(info.value) == message
     obj = FuncTable.from_function(ZB, box, "real", lambda p: Fraction(1)).to_json()
-    for values in (obj["values"][1:], obj["values"] + [[[2, 0], [1, 1]]]):
+    rows, again = obj["values"], [[0, 1], [99, 1]]
+    for values in (rows[1:], rows + [[[2, 0], [1, 1]]],
+                   rows + [again], rows[1:] + [again], rows + [[[0, 5], [1, 1]]]):
         with pytest.raises(IncompatibleTablesError,
                            match="table keys must equal the enumerated domain exactly"):
             FuncTable.from_json({**obj, "values": values})
+    for coords in ([-1.7, 0], [-1, 0.0], [True, 0], [-1, False]):
+        with pytest.raises(GroupParseError, match="table coordinates must be integers"):
+            FuncTable.from_json({**obj, "values": [[coords, rows[0][1]]] + rows[1:]})
     herm = synth_table(random_hermitian_form(ZB, Random(3)), BOX)[0]
     for t in (replaced(herm, (1, 1), Exact.zero_value()), _float_complex(herm, [1, 1])):
         with pytest.raises(IncompatibleTablesError, match="zero value has no log"):
