@@ -25,6 +25,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Optional
 
+import numpy as np
+
 from . import _vec
 from .errors import DomainSizeError, IncompatibleTablesError
 from .functions import (
@@ -321,17 +323,17 @@ def check_sign_eq26(a: FuncTable, b: FuncTable,
 def check_coset_constant(table: FuncTable, modulus: int,
                          tol: float = DEFAULT_TOL) -> CheckReport:
     """Is the table constant on each coset of ``X^(modulus)`` meeting the domain?"""
-    reps: dict = {}
+    codes, _ = _vec.coset_codes(_vec.domain_info(table.group, table.domain), modulus)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    pts, vals = table.points(), table.values.values()
     checked = 0
-    for x, v in table.values.items():
-        idx = table.group.coset_index(x, modulus)
-        if idx not in reps:
-            reps[idx] = (x, v)
+    for i, (r, v) in enumerate(zip(first[inverse].tolist(), vals)):
+        if r == i:  # the first point of its coset represents it
             continue
         checked += 1
-        rep, w = reps[idx]
+        w = vals[r]
         if not values_equal(w, v, tol):
-            return _failed(checked, 1.0, Witness(("x", "y"), (rep, x), w, v))
+            return _failed(checked, 1.0, Witness(("x", "y"), (pts[r], pts[i]), w, v))
     return _passed(checked, 1.0)
 
 

@@ -17,15 +17,20 @@ square roots) times a +/-1-valued map, and validates every structural
 claim: evenness, triviality on the doubled subgroup, the sign equation,
 and constancy on quadrupled (or doubled, in the one-function case) cosets.
 
-Every recovery validates itself against the input and raises
-:class:`~kbeq.errors.DecompositionError` with a witness when the input is
-not a genuine solution.
+Every decomposition certifies itself, then explains failures.  On exact
+tables a form that passes the exact residual and structure checks solves
+the equation on the whole group, so no equation sweep runs unless the
+recovery raises; the sweeps then run in sweep-first order, and a failing
+one is raised as :class:`~kbeq.errors.EquationFailsError` in place of the
+recovery's own error.  Float tables are swept first: a residual within
+``tol`` does not bound the equation's error by ``tol``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
@@ -37,6 +42,7 @@ from .checks import (
     DEFAULT_TOL,
     _json_value,
     _pair_sweep,
+    _require_same,
     _sides,
     _sweep,
     check_coset_constant,
@@ -54,6 +60,7 @@ from .errors import (
     EquationFailsError,
     GroupHypothesisError,
     IncompatibleTablesError,
+    KbeqError,
 )
 from .functions import (
     AdditiveMap,
@@ -110,12 +117,31 @@ def _point_witness(x: GroupElement, lhs, rhs) -> dict:
     return {"x": list(x.coords), "lhs": _json_value(lhs), "rhs": _json_value(rhs)}
 
 
+def _require(rep, message: str):
+    if not rep.holds:
+        raise EquationFailsError(message, rep)
+
+
+@contextmanager
+def _certified(tables, check, message: str):
+    """Run a decomposition body under its equation sweep ``check()``: first
+    on float tables, and on exact ones only once the body has raised."""
+    exact = all(map(_is_exact_table, tables))
+    if not exact:
+        _require(check(), message)
+    try:
+        yield
+    except KbeqError:
+        if exact:
+            _require(check(), message)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # degree-2 recovery and the halving extensions
 
 
-def recover_deg2(table: FuncTable, tol: float = DEFAULT_TOL,
-                 verify: bool = True):
+def recover_deg2(table: FuncTable, tol: float = DEFAULT_TOL):
     """Recover (P, l, c) with ``T = P + l + c`` from a degree-<=2 table.
 
     The biadditive part is half the mixed second difference at generator
@@ -124,49 +150,45 @@ def recover_deg2(table: FuncTable, tol: float = DEFAULT_TOL,
     """
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("degree-2 recovery needs a real table")
-    group = table.group
-    if verify:
-        rep = check_polynomial(table, 2, tol=tol)
-        if not rep.holds:
-            raise EquationFailsError(
-                "table is not a polynomial of degree <= 2", rep
-            )
-    vals = table.values
-    zero = group.zero()
-    gens = group.generators()
-    try:
-        c0 = vals[zero]
-        free = gens[: group.rank]
-        pair_vals = {
-            (j, k): vals[free[j] + free[k]]
-            for j in range(group.rank)
-            for k in range(j, group.rank)
-        }
-        gen_vals = [vals[e] for e in free]
-    except KeyError as exc:
-        raise DomainSizeError(
-            "window must contain 0, the generators and their pairwise sums"
-        ) from exc
-    exact = _is_exact_table(table)
-    d = group.dim
-    mat = [[Fraction(0)] * d for _ in range(d)]
-    for j in range(group.rank):
-        for k in range(j, group.rank):
-            a = _to_fraction(pair_vals[(j, k)] - gen_vals[j] - gen_vals[k] + c0) / 2
-            mat[j][k] = mat[k][j] = a
-    P = QuadraticForm(group, tuple(tuple(row) for row in mat))
-    l = AdditiveMap(group, tuple(
-        _to_fraction(gen_vals[j] - c0) - mat[j][j] for j in range(group.rank)
-    ))
-    c = _to_fraction(c0) if exact else c0
-    for x, v in vals.items():
-        model = P.value(x) + l.value(x) + c
-        if not _close(v, model, tol, exact):
-            raise DecompositionError(
-                "recovered degree-2 model does not reproduce the table",
-                _point_witness(x, v, model),
-            )
-    return P, l, c
+    with _certified((table,), lambda: check_polynomial(table, 2, tol=tol),
+                    "table is not a polynomial of degree <= 2"):
+        group = table.group
+        vals = table.values
+        zero = group.zero()
+        gens = group.generators()
+        try:
+            c0 = vals[zero]
+            free = gens[: group.rank]
+            pair_vals = {
+                (j, k): vals[free[j] + free[k]]
+                for j in range(group.rank)
+                for k in range(j, group.rank)
+            }
+            gen_vals = [vals[e] for e in free]
+        except KeyError as exc:
+            raise DomainSizeError(
+                "window must contain 0, the generators and their pairwise sums"
+            ) from exc
+        exact = _is_exact_table(table)
+        d = group.dim
+        mat = [[Fraction(0)] * d for _ in range(d)]
+        for j in range(group.rank):
+            for k in range(j, group.rank):
+                a = _to_fraction(pair_vals[(j, k)] - gen_vals[j] - gen_vals[k] + c0) / 2
+                mat[j][k] = mat[k][j] = a
+        P = QuadraticForm(group, tuple(tuple(row) for row in mat))
+        l = AdditiveMap(group, tuple(
+            _to_fraction(gen_vals[j] - c0) - mat[j][j] for j in range(group.rank)
+        ))
+        c = _to_fraction(c0) if exact else c0
+        for x, v in vals.items():
+            model = P.value(x) + l.value(x) + c
+            if not _close(v, model, tol, exact):
+                raise DecompositionError(
+                    "recovered degree-2 model does not reproduce the table",
+                    _point_witness(x, v, model),
+                )
+        return P, l, c
 
 
 def extend_biadditive(group: GroupSpec,
@@ -224,8 +246,7 @@ def _require_decomposable_domain(table: FuncTable):
             )
 
 
-def decompose_T(table: FuncTable, tol: float = DEFAULT_TOL,
-                verify: bool = True):
+def decompose_T(table: FuncTable, tol: float = DEFAULT_TOL):
     """Split a real table into (P, l, r) with ``T = P + l + r``.
 
     Requires the triple-difference equation to hold on the window.  The
@@ -241,11 +262,14 @@ def decompose_T(table: FuncTable, tol: float = DEFAULT_TOL,
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("log-domain decomposition needs a real table")
     _require_decomposable_domain(table)
+    with _certified((table,), lambda: check_eq5(table, tol),
+                    "triple-difference equation fails"):
+        return _split_T(table, tol)
+
+
+def _split_T(table: FuncTable, tol: float):
+    """The split of :func:`decompose_T`, with no equation sweep."""
     group = table.group
-    if verify:
-        rep = check_eq5(table, tol)
-        if not rep.holds:
-            raise EquationFailsError("triple-difference equation fails", rep)
     kind, (T,), denom = _vec.numeric_mode([table])
     info = _vec.domain_info(group, table.domain)
     pts = table.points()
@@ -331,8 +355,8 @@ def _quadratic_from_even(group: GroupSpec, even_value) -> QuadraticForm:
 # positive pairs
 
 
-def decompose_positive(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
-                       verify: bool = True) -> PositiveSolutionForm:
+def decompose_positive(f: FuncTable, g: FuncTable,
+                       tol: float = DEFAULT_TOL) -> PositiveSolutionForm:
     """Recover the structured form of a positive solution pair.
 
     Both log tables are decomposed independently; the theory forces equal
@@ -341,29 +365,28 @@ def decompose_positive(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
     """
     if f.kind != KIND_POSITIVE or g.kind != KIND_POSITIVE:
         raise IncompatibleTablesError("positive decomposition needs positive tables")
-    if verify:
-        rep = check_kb(f, g, tol)
-        if not rep.holds:
-            raise EquationFailsError("the functional equation fails", rep)
-    exact = _is_exact_table(f) and _is_exact_table(g)
-    P1, l1, r1 = decompose_T(f.as_real_log(), tol, verify=verify)
-    P2, l2, r2 = decompose_T(g.as_real_log(), tol, verify=verify)
-    for i in range(f.group.dim):
-        for j in range(f.group.dim):
-            if not _close(P1.matrix[i][j], P2.matrix[i][j], tol, exact):
+    _require_same(f, g)
+    with _certified((f, g), lambda: check_kb(f, g, tol),
+                    "the functional equation fails"):
+        exact = _is_exact_table(f) and _is_exact_table(g)
+        P1, l1, r1 = decompose_T(f.as_real_log(), tol)
+        P2, l2, r2 = decompose_T(g.as_real_log(), tol)
+        for i in range(f.group.dim):
+            for j in range(f.group.dim):
+                if not _close(P1.matrix[i][j], P2.matrix[i][j], tol, exact):
+                    raise DecompositionError(
+                        "quadratic parts of the two tables differ",
+                        {"entry": [i, j],
+                         "lhs": [P1.matrix[i][j].numerator, P1.matrix[i][j].denominator],
+                         "rhs": [P2.matrix[i][j].numerator, P2.matrix[i][j].denominator]},
+                    )
+        for idx, v in r1.entries:
+            if not _close(r2.at(idx), -v, tol, exact):
                 raise DecompositionError(
-                    "quadratic parts of the two tables differ",
-                    {"entry": [i, j],
-                     "lhs": [P1.matrix[i][j].numerator, P1.matrix[i][j].denominator],
-                     "rhs": [P2.matrix[i][j].numerator, P2.matrix[i][j].denominator]},
+                    "coset parts are not opposite",
+                    {"coset": list(idx.residues)},
                 )
-    for idx, v in r1.entries:
-        if not _close(r2.at(idx), -v, tol, exact):
-            raise DecompositionError(
-                "coset parts are not opposite",
-                {"coset": list(idx.residues)},
-            )
-    return PositiveSolutionForm(P1, l1, l2, r1)
+        return PositiveSolutionForm(P1, l1, l2, r1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,20 +468,37 @@ def _complexified(table: FuncTable) -> FuncTable:
 def _check_positive_real_at_zero(table: FuncTable, tol: float, name: str):
     v = table.values[table.group.zero()]
     if isinstance(v, Exact):
-        if v.zero or v.turn != 0:
-            raise DecompositionError(
-                f"{name}(0) must be a positive real; a global -1 factor is "
-                "not representable with sign maps fixed to 1 on X^(2)",
-                _point_witness(table.group.zero(), v, 1),
-            )
-        return
-    c = cval(v)
-    if abs(c.imag) > tol or c.real <= 0:
+        bad = v.zero or v.turn != 0
+    else:
+        c = cval(v)
+        bad = abs(c.imag) > tol or c.real <= 0
+    if bad:
         raise DecompositionError(
             f"{name}(0) must be a positive real; a global -1 factor is "
             "not representable with sign maps fixed to 1 on X^(2)",
             _point_witness(table.group.zero(), v, 1),
         )
+
+
+def _require_nonvanishing(table: FuncTable, name: str):
+    for x, v in table.values.items():
+        if value_is_zero(v):
+            raise DecompositionError(
+                f"{name} vanishes; this route needs non-vanishing tables",
+                _point_witness(x, 0, "nonzero"),
+            )
+
+
+def _require_unit_product_at_zero(f: FuncTable, g: FuncTable, tol: float):
+    z = f.group.zero()
+    f0, g0 = f.values[z], g.values[z]
+    if value_is_zero(f0) or value_is_zero(g0):
+        raise DecompositionError("f(0) g(0) must equal 1, got 0")
+    prod = f0 * g0 if isinstance(f0, Exact) and isinstance(g0, Exact) \
+        else cval(f0) * cval(g0)
+    if not values_equal(prod, Exact.one() if isinstance(prod, Exact) else 1.0, tol):
+        raise DecompositionError("f(0) g(0) must equal 1",
+                                 _point_witness(z, prod, 1))
 
 
 def _phase_checks(p: FuncTable, tol: float, name: str):
@@ -594,13 +634,13 @@ def _hermitian_phase_part(ftab: FuncTable, tol: float, name: str):
     return alpha, s
 
 
-def decompose_hermitian(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
-                        verify: bool = True) -> HermitianSolutionForm:
+def decompose_hermitian(f: FuncTable, g: FuncTable,
+                        tol: float = DEFAULT_TOL) -> HermitianSolutionForm:
     """Recover characters, sign maps, quadratic and coset parts of a
     Hermitian non-vanishing solution pair.
 
-    Validates Hermitian symmetry, non-vanishing, the equation itself, the
-    phase identities, that the leftover signs are even, trivial on the
+    Validates Hermitian symmetry, non-vanishing, the equation (see the
+    module docstring), the phase identities, that the leftover signs are even, trivial on the
     doubled subgroup, satisfy the sign equation, and are constant on
     quadrupled cosets.
     """
@@ -609,60 +649,39 @@ def decompose_hermitian(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
     if f.group != g.group or f.domain != g.domain:
         raise IncompatibleTablesError("tables must share group and domain")
     for name, tab in (("f", f), ("g", g)):
-        for x, v in tab.values.items():
-            if value_is_zero(v):
-                raise DecompositionError(
-                    f"{name} vanishes; this route needs non-vanishing tables",
-                    _point_witness(x, 0, "nonzero"),
-                )
-        rep = check_hermitian(tab, tol)
-        if not rep.holds:
-            raise EquationFailsError(f"{name} is not Hermitian", rep)
-    if verify:
-        rep = check_kb(f, g, tol)
-        if not rep.holds:
-            raise EquationFailsError("the functional equation fails", rep)
-    _check_positive_real_at_zero(f, tol, "f")
-    _check_positive_real_at_zero(g, tol, "g")
-    z = f.group.zero()
-    f0, g0 = f.values[z], g.values[z]
-    prod = f0 * g0 if isinstance(f0, Exact) and isinstance(g0, Exact) \
-        else cval(f0) * cval(g0)
-    if not values_equal(prod, Exact.one() if isinstance(prod, Exact) else 1.0, tol):
-        raise DecompositionError("f(0) g(0) must equal 1",
-                                 _point_witness(z, prod, 1))
-    pform = decompose_positive(f.abs_log_table(), g.abs_log_table(), tol,
-                               verify=verify)
-    exact = _is_exact_table(f) and _is_exact_table(g)
-    if not (_all_close(pform.l.coeffs, tol, exact)
-            and _all_close(pform.m.coeffs, tol, exact)):
-        raise DecompositionError(
-            "moduli have a nonzero additive part; they cannot be even solutions"
-        )
-    alpha, sa = _hermitian_phase_part(f, tol, "f")
-    beta, sb = _hermitian_phase_part(g, tol, "g")
-    rep = check_sign_eq26(sa, sb, tol)
-    if not rep.holds:
-        raise EquationFailsError("leftover signs violate the sign equation", rep)
-    for name, s in (("f", sa), ("g", sb)):
-        rep = check_coset_constant(s, 4, tol)
-        if not rep.holds:
-            raise EquationFailsError(
-                f"{name}-sign part is not constant on quadrupled cosets", rep
+        _require_nonvanishing(tab, name)
+        _require(check_hermitian(tab, tol), f"{name} is not Hermitian")
+    with _certified((f, g), lambda: check_kb(f, g, tol),
+                    "the functional equation fails"):
+        _check_positive_real_at_zero(f, tol, "f")
+        _check_positive_real_at_zero(g, tol, "g")
+        _require_unit_product_at_zero(f, g, tol)
+        pform = decompose_positive(f.abs_log_table(), g.abs_log_table(), tol)
+        exact = _is_exact_table(f) and _is_exact_table(g)
+        if not (_all_close(pform.l.coeffs, tol, exact)
+                and _all_close(pform.m.coeffs, tol, exact)):
+            raise DecompositionError(
+                "moduli have a nonzero additive part; they cannot be even solutions"
             )
-    return HermitianSolutionForm(
-        alpha, beta,
-        _sign_map_from_table(sa, 4), _sign_map_from_table(sb, 4),
-        pform.P, pform.r, None,
-    )
+        alpha, sa = _hermitian_phase_part(f, tol, "f")
+        beta, sb = _hermitian_phase_part(g, tol, "g")
+        _require(check_sign_eq26(sa, sb, tol),
+                 "leftover signs violate the sign equation")
+        for name, s in (("f", sa), ("g", sb)):
+            _require(check_coset_constant(s, 4, tol),
+                     f"{name}-sign part is not constant on quadrupled cosets")
+        return HermitianSolutionForm(
+            alpha, beta,
+            _sign_map_from_table(sa, 4), _sign_map_from_table(sb, 4),
+            pform.P, pform.r, None,
+        )
 
 
 def _all_close(values, tol: float, exact: bool) -> bool:
     return all(_close(v, 0, tol, exact) for v in values)
 
 
-def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL,
-                   verify: bool = True):
+def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
     """One-function case: returns (character, sign map mod 2, quadratic form).
 
     Compared with the two-function case the coset part must vanish and the
@@ -670,44 +689,28 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL,
     still need not be multiplicative.
     """
     f = _complexified(f)
-    for x, v in f.values.items():
-        if value_is_zero(v):
+    _require_nonvanishing(f, "f")
+    _require(check_hermitian(f, tol), "f is not Hermitian")
+    with _certified((f,), lambda: check_kb_self(f, tol),
+                    "the one-function equation fails"):
+        _check_positive_real_at_zero(f, tol, "f")
+        exact = _is_exact_table(f)
+        if not values_equal(f.values[f.group.zero()],
+                            Exact.one() if exact else 1.0, tol):
+            raise DecompositionError("f(0) must equal 1 in the one-function case")
+        pform = decompose_positive(f.abs_log_table(), f.abs_log_table(), tol)
+        if not _all_close(pform.l.coeffs, tol, exact):
+            raise DecompositionError("modulus has a nonzero additive part")
+        if not all(_close(v, 0, tol, exact) for _, v in pform.r.entries):
             raise DecompositionError(
-                "f vanishes; this route needs non-vanishing tables",
-                _point_witness(x, 0, "nonzero"),
+                "coset part must vanish when the two functions coincide"
             )
-    rep = check_hermitian(f, tol)
-    if not rep.holds:
-        raise EquationFailsError("f is not Hermitian", rep)
-    if verify:
-        rep = check_kb_self(f, tol)
-        if not rep.holds:
-            raise EquationFailsError("the one-function equation fails", rep)
-    _check_positive_real_at_zero(f, tol, "f")
-    exact = _is_exact_table(f)
-    if not values_equal(f.values[f.group.zero()],
-                        Exact.one() if exact else 1.0, tol):
-        raise DecompositionError("f(0) must equal 1 in the one-function case")
-    pform = decompose_positive(f.abs_log_table(), f.abs_log_table(), tol,
-                               verify=verify)
-    if not _all_close(pform.l.coeffs, tol, exact):
-        raise DecompositionError("modulus has a nonzero additive part")
-    if not all(_close(v, 0, tol, exact) for _, v in pform.r.entries):
-        raise DecompositionError(
-            "coset part must vanish when the two functions coincide"
-        )
-    alpha, sa = _hermitian_phase_part(f, tol, "f")
-    rep = check_sign_eq26(sa, sa, tol)
-    if not rep.holds:
-        raise EquationFailsError(
-            "leftover sign violates a(x+y) a(x-y) = 1", rep
-        )
-    rep = check_coset_constant(sa, 2, tol)
-    if not rep.holds:
-        raise EquationFailsError(
-            "leftover sign is not constant on doubled cosets", rep
-        )
-    return alpha, _sign_map_from_table(sa, 2), pform.P
+        alpha, sa = _hermitian_phase_part(f, tol, "f")
+        _require(check_sign_eq26(sa, sa, tol),
+                 "leftover sign violates a(x+y) a(x-y) = 1")
+        _require(check_coset_constant(sa, 2, tol),
+                 "leftover sign is not constant on doubled cosets")
+        return alpha, _sign_map_from_table(sa, 2), pform.P
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +718,6 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL,
 
 
 def decompose_vanishing(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
-                        verify: bool = True,
                         character_budget: int = 4096) -> HermitianSolutionForm:
     """Support-restricted decomposition on a group with ``X^(2) = X``.
 
@@ -741,79 +743,66 @@ def decompose_vanishing(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
     if all(map(value_is_zero, fvals)) or all(map(value_is_zero, gvals)):
         raise DecompositionError("tables must not be identically zero")
     for name, tab in (("f", f), ("g", g)):
-        rep = check_hermitian(tab, tol)
-        if not rep.holds:
-            raise EquationFailsError(f"{name} is not Hermitian", rep)
-    if verify:
-        rep = check_kb(f, g, tol)
-        if not rep.holds:
-            raise EquationFailsError("the functional equation fails", rep)
-    z = group.zero()
-    f0, g0 = f.values[z], g.values[z]
-    if value_is_zero(f0) or value_is_zero(g0):
-        raise DecompositionError("f(0) g(0) must equal 1, got 0")
-    prod = f0 * g0 if isinstance(f0, Exact) and isinstance(g0, Exact) \
-        else cval(f0) * cval(g0)
-    if not values_equal(prod, Exact.one() if isinstance(prod, Exact) else 1.0,
-                        tol):
-        raise DecompositionError("f(0) g(0) must equal 1",
-                                 _point_witness(z, prod, 1))
-    _check_positive_real_at_zero(f, tol, "f")
-    # equal moduli everywhere (includes matching supports)
-    for x, fa, ga in zip(pts, fvals, gvals):
-        if value_is_zero(fa) != value_is_zero(ga):
-            raise DecompositionError("|f| != |g| (supports differ)",
-                                     _point_witness(x, fa, ga))
-        if value_is_zero(fa):
-            continue
-        la = fa.log_abs if isinstance(fa, Exact) else abs(cval(fa))
-        lb = ga.log_abs if isinstance(ga, Exact) else abs(cval(ga))
-        if not values_equal(la, lb, tol):
-            raise DecompositionError("|f| != |g|", _point_witness(x, fa, ga))
-    # supports match, so both restrictions share the keys in domain order
-    f_on = {x: v for x, v in zip(pts, fvals) if not value_is_zero(v)}
-    g_on = {x: v for x, v in zip(pts, gvals) if not value_is_zero(v)}
-    for a in f_on:
-        for b in f_on:
-            if (a - b) not in f_on:
+        _require(check_hermitian(tab, tol), f"{name} is not Hermitian")
+    with _certified((f, g), lambda: check_kb(f, g, tol),
+                    "the functional equation fails"):
+        _require_unit_product_at_zero(f, g, tol)
+        _check_positive_real_at_zero(f, tol, "f")
+        # equal moduli everywhere (includes matching supports)
+        for x, fa, ga in zip(pts, fvals, gvals):
+            if value_is_zero(fa) != value_is_zero(ga):
+                raise DecompositionError("|f| != |g| (supports differ)",
+                                         _point_witness(x, fa, ga))
+            if value_is_zero(fa):
+                continue
+            la = fa.log_abs if isinstance(fa, Exact) else abs(cval(fa))
+            lb = ga.log_abs if isinstance(ga, Exact) else abs(cval(ga))
+            if not values_equal(la, lb, tol):
+                raise DecompositionError("|f| != |g|", _point_witness(x, fa, ga))
+        # supports match, so both restrictions share the keys in domain order
+        f_on = {x: v for x, v in zip(pts, fvals) if not value_is_zero(v)}
+        g_on = {x: v for x, v in zip(pts, gvals) if not value_is_zero(v)}
+        for a in f_on:
+            for b in f_on:
+                if (a - b) not in f_on:
+                    raise DecompositionError(
+                        "support is not a subgroup",
+                        {"x": list(a.coords), "y": list(b.coords)},
+                    )
+        if {group.scale(2, x) for x in f_on} != f_on.keys():
+            raise DecompositionError("doubling is not onto the support")
+        gens: list[GroupElement] = []
+        known = {group.zero()}
+        for x in f_on:
+            if x not in known:
+                gens.append(x)
+                known = set(SubgroupSpec(group, tuple(gens)).elements())
+        sub = SubgroupSpec(group, tuple(gens))
+        if sub.quotient_has_order2():
+            raise DecompositionError(
+                "quotient by the support subgroup has an element of order 2"
+            )
+        for x, v in f_on.items():
+            la = v.log_abs if isinstance(v, Exact) else abs(cval(v))
+            if not values_equal(la, Fraction(0) if isinstance(v, Exact) else 1.0,
+                                tol):
                 raise DecompositionError(
-                    "support is not a subgroup",
-                    {"x": list(a.coords), "y": list(b.coords)},
+                    "modulus is not 1 on the support", _point_witness(x, v, 1)
                 )
-    if {group.scale(2, x) for x in f_on} != f_on.keys():
-        raise DecompositionError("doubling is not onto the support")
-    gens: list[GroupElement] = []
-    known = {z}
-    for x in f_on:
-        if x not in known:
-            gens.append(x)
-            known = set(SubgroupSpec(group, tuple(gens)).elements())
-    sub = SubgroupSpec(group, tuple(gens))
-    if sub.quotient_has_order2():
-        raise DecompositionError(
-            "quotient by the support subgroup has an element of order 2"
+        alpha = _fit_character_on(group, f_on.items(), tol)
+        beta = _fit_character_on(group, g_on.items(), tol)
+        form = HermitianSolutionForm(
+            alpha, beta, SignMap.trivial(group, 4), SignMap.trivial(group, 4),
+            QuadraticForm.zero(group), CosetConstantMap.zero(group), sub,
         )
-    for x, v in f_on.items():
-        la = v.log_abs if isinstance(v, Exact) else abs(cval(v))
-        if not values_equal(la, Fraction(0) if isinstance(v, Exact) else 1.0,
-                            tol):
-            raise DecompositionError(
-                "modulus is not 1 on the support", _point_witness(x, v, 1)
-            )
-    alpha = _fit_character_on(group, f_on.items(), tol)
-    beta = _fit_character_on(group, g_on.items(), tol)
-    form = HermitianSolutionForm(
-        alpha, beta, SignMap.trivial(group, 4), SignMap.trivial(group, 4),
-        QuadraticForm.zero(group), CosetConstantMap.zero(group), sub,
-    )
-    for x, fa, ga in zip(pts, fvals, gvals):
-        fv, gv = form.exact_pair(x)
-        if not (values_equal(fv, fa, tol) and values_equal(gv, ga, tol)):
-            raise DecompositionError(
-                "reconstructed form does not reproduce the input",
-                _point_witness(x, fa, fv),
-            )
-    return form
+        for x, fa, ga in zip(pts, fvals, gvals):
+            fv, gv = form.exact_pair(x)
+            if not (values_equal(fv, fa, tol) and values_equal(gv, ga, tol)):
+                raise DecompositionError(
+                    "reconstructed form does not reproduce the input",
+                    _point_witness(x, fa, fv),
+                )
+        return form
 
 
 def _fit_character_on(group: GroupSpec, on_support, tol: float) -> CharacterSpec:

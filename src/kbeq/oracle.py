@@ -211,20 +211,13 @@ def enum_sign_solutions(group: GroupSpec, order_budget: int = 256,
 
 
 def _annotate_pair(group: GroupSpec, a: FuncTable, b: FuncTable) -> dict:
-    relation = {}
-    pairs = list(zip(a.points(), a.values.values(), b.values.values()))
-    for idx in group.coset_indices(2):
-        rel = None
-        consistent = True
-        for x, u, v in pairs:
-            if group.coset_index(x, 2) != idx:
-                continue
-            this = 1 if u == v else -1
-            if rel is None:
-                rel = this
-            elif rel != this:
-                consistent = False
-        relation[",".join(map(str, idx.residues))] = rel if consistent else 0
+    codes, encode = _vec.coset_codes(_vec.domain_info(group, a.domain), 2)
+    rel: dict = {}  # coset code -> 1 or -1 when a = b or a = -b on it, else 0
+    for c, u, v in zip(codes.tolist(), a.values.values(), b.values.values()):
+        this = 1 if u == v else -1
+        rel[c] = this if rel.get(c, this) == this else 0
+    relation = {",".join(map(str, idx.residues)): rel.get(encode(idx))
+                for idx in group.coset_indices(2)}
     return {
         "a_constant_mod4": check_coset_constant(a, 4).holds,
         "b_constant_mod4": check_coset_constant(b, 4).holds,

@@ -225,3 +225,33 @@ def phase_failure(p, tol: float):
             if not values_equal(_square(vals[x + y]), rhs, tol):
                 return ("pair", x, y)
     return None
+
+
+def check_coset_constant(table, modulus: int, tol: float) -> CheckReport:
+    """Each point against the first point of its coset of ``X^(modulus)``."""
+    reps: dict = {}
+    checked = 0
+    for x, v in table.values.items():
+        idx = table.group.coset_index(x, modulus)
+        if idx not in reps:
+            reps[idx] = (x, v)
+            continue
+        checked += 1
+        rep, w = reps[idx]
+        if not values_equal(w, v, tol):
+            return CheckReport(False, checked, Witness(("x", "y"), (rep, x), w, v), 1.0)
+    return CheckReport(True, checked, None, 1.0)
+
+
+def coset_relation(a, b) -> dict:
+    """Per coset of ``X^(2)``: 1 where a = b, -1 where a = -b, 0 where
+    neither holds throughout, None where the domain misses the coset."""
+    group = a.group
+    relation = {}
+    for idx in group.coset_indices(2):
+        seen = {1 if u == v else -1
+                for x, u, v in zip(a.points(), a.values.values(), b.values.values())
+                if group.coset_index(x, 2) == idx}
+        key = ",".join(map(str, idx.residues))
+        relation[key] = seen.pop() if len(seen) == 1 else (0 if seen else None)
+    return relation

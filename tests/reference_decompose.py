@@ -1,22 +1,63 @@
-"""Brute-force reference for positive synthesis and the log-domain split.
+"""Brute-force reference for positive synthesis and the log-domain split,
+and sweep-first references for the six decompositions.
 
-Both work one point at a time in the tables' native arithmetic (Fractions
-and Python floats, mixed freely), with no encoding and no index arrays.
-They are the oracle for the array routines in ``kbeq.functions.synth_table``
-and ``kbeq.decompose.decompose_T``: on the same input both must return the
-same forms, or raise the same error with the same witness.
+The first two work one point at a time in the tables' native arithmetic
+(Fractions and Python floats, mixed freely), with no encoding and no index
+arrays.  They are the oracle for the array routines in
+``kbeq.functions.synth_table`` and ``kbeq.decompose._split_T``: on the same
+input both must return the same forms, or raise the same error with the
+same witness.
+
+The ``sweep_first_*`` functions run every equation sweep before the
+recovery, in the order the library ran them before its decompositions
+certified themselves; otherwise they repeat the library's steps.  They are
+the oracle for the certify-then-explain rule in ``kbeq.decompose``: every
+public decomposition must return what they return, or raise the same error
+with the same message, witness and report.
 """
 
 from fractions import Fraction
 
+from kbeq import decompose as dec
+from kbeq.checks import (
+    check_coset_constant,
+    check_eq5,
+    check_hermitian,
+    check_kb,
+    check_kb_self,
+    check_polynomial,
+    check_sign_eq26,
+)
 from kbeq.decompose import (
     _point_witness,
     _quadratic_from_even,
     _require_decomposable_domain,
     _to_fraction,
 )
-from kbeq.errors import DecompositionError
-from kbeq.functions import AdditiveMap, CosetConstantMap, FuncTable
+from kbeq.errors import (
+    BudgetExceededError,
+    DecompositionError,
+    DomainSizeError,
+    EquationFailsError,
+    GroupHypothesisError,
+    IncompatibleTablesError,
+)
+from kbeq.functions import (
+    AdditiveMap,
+    CosetConstantMap,
+    Exact,
+    FuncTable,
+    HermitianSolutionForm,
+    KIND_POSITIVE,
+    KIND_REAL,
+    PositiveSolutionForm,
+    QuadraticForm,
+    SignMap,
+    cval,
+    value_is_zero,
+    values_equal,
+)
+from kbeq.groups import GroupElement, SubgroupSpec
 
 
 def synth_positive(form, domain):
@@ -75,3 +116,294 @@ def decompose_T(table, tol):
             raise DecompositionError("decomposition residual is nonzero",
                                      _point_witness(x, vals[x], model))
     return P, l, r
+
+
+# ---------------------------------------------------------------------------
+# sweep-first decompositions
+
+
+def sweep_first_recover_deg2(table, tol):
+    if table.kind != KIND_REAL:
+        raise IncompatibleTablesError("degree-2 recovery needs a real table")
+    group = table.group
+    rep = check_polynomial(table, 2, tol=tol)
+    if not rep.holds:
+        raise EquationFailsError(
+            "table is not a polynomial of degree <= 2", rep
+        )
+    vals = table.values
+    zero = group.zero()
+    gens = group.generators()
+    try:
+        c0 = vals[zero]
+        free = gens[: group.rank]
+        pair_vals = {
+            (j, k): vals[free[j] + free[k]]
+            for j in range(group.rank)
+            for k in range(j, group.rank)
+        }
+        gen_vals = [vals[e] for e in free]
+    except KeyError as exc:
+        raise DomainSizeError(
+            "window must contain 0, the generators and their pairwise sums"
+        ) from exc
+    exact = _is_exact_table(table)
+    d = group.dim
+    mat = [[Fraction(0)] * d for _ in range(d)]
+    for j in range(group.rank):
+        for k in range(j, group.rank):
+            a = _to_fraction(pair_vals[(j, k)] - gen_vals[j] - gen_vals[k] + c0) / 2
+            mat[j][k] = mat[k][j] = a
+    P = QuadraticForm(group, tuple(tuple(row) for row in mat))
+    l = AdditiveMap(group, tuple(
+        _to_fraction(gen_vals[j] - c0) - mat[j][j] for j in range(group.rank)
+    ))
+    c = _to_fraction(c0) if exact else c0
+    for x, v in vals.items():
+        model = P.value(x) + l.value(x) + c
+        if not _close(v, model, tol, exact):
+            raise DecompositionError(
+                "recovered degree-2 model does not reproduce the table",
+                _point_witness(x, v, model),
+            )
+    return P, l, c
+
+
+def sweep_first_decompose_T(table, tol):
+    if table.kind != KIND_REAL:
+        raise IncompatibleTablesError("log-domain decomposition needs a real table")
+    _require_decomposable_domain(table)
+    rep = check_eq5(table, tol)
+    if not rep.holds:
+        raise EquationFailsError("triple-difference equation fails", rep)
+    return dec._split_T(table, tol)
+
+
+def sweep_first_decompose_positive(f, g, tol):
+    if f.kind != KIND_POSITIVE or g.kind != KIND_POSITIVE:
+        raise IncompatibleTablesError("positive decomposition needs positive tables")
+    rep = check_kb(f, g, tol)
+    if not rep.holds:
+        raise EquationFailsError("the functional equation fails", rep)
+    exact = _is_exact_table(f) and _is_exact_table(g)
+    P1, l1, r1 = sweep_first_decompose_T(f.as_real_log(), tol)
+    P2, l2, r2 = sweep_first_decompose_T(g.as_real_log(), tol)
+    for i in range(f.group.dim):
+        for j in range(f.group.dim):
+            if not _close(P1.matrix[i][j], P2.matrix[i][j], tol, exact):
+                raise DecompositionError(
+                    "quadratic parts of the two tables differ",
+                    {"entry": [i, j],
+                     "lhs": [P1.matrix[i][j].numerator, P1.matrix[i][j].denominator],
+                     "rhs": [P2.matrix[i][j].numerator, P2.matrix[i][j].denominator]},
+                )
+    for idx, v in r1.entries:
+        if not _close(r2.at(idx), -v, tol, exact):
+            raise DecompositionError(
+                "coset parts are not opposite",
+                {"coset": list(idx.residues)},
+            )
+    return PositiveSolutionForm(P1, l1, l2, r1)
+
+
+def _check_positive_real_at_zero(table, tol, name):
+    v = table.values[table.group.zero()]
+    if isinstance(v, Exact):
+        if v.zero or v.turn != 0:
+            raise DecompositionError(
+                f"{name}(0) must be a positive real; a global -1 factor is "
+                "not representable with sign maps fixed to 1 on X^(2)",
+                _point_witness(table.group.zero(), v, 1),
+            )
+        return
+    c = cval(v)
+    if abs(c.imag) > tol or c.real <= 0:
+        raise DecompositionError(
+            f"{name}(0) must be a positive real; a global -1 factor is "
+            "not representable with sign maps fixed to 1 on X^(2)",
+            _point_witness(table.group.zero(), v, 1),
+        )
+
+
+def sweep_first_decompose_hermitian(f, g, tol):
+    f = dec._complexified(f)
+    g = dec._complexified(g)
+    if f.group != g.group or f.domain != g.domain:
+        raise IncompatibleTablesError("tables must share group and domain")
+    for name, tab in (("f", f), ("g", g)):
+        for x, v in tab.values.items():
+            if value_is_zero(v):
+                raise DecompositionError(
+                    f"{name} vanishes; this route needs non-vanishing tables",
+                    _point_witness(x, 0, "nonzero"),
+                )
+        rep = check_hermitian(tab, tol)
+        if not rep.holds:
+            raise EquationFailsError(f"{name} is not Hermitian", rep)
+    rep = check_kb(f, g, tol)
+    if not rep.holds:
+        raise EquationFailsError("the functional equation fails", rep)
+    _check_positive_real_at_zero(f, tol, "f")
+    _check_positive_real_at_zero(g, tol, "g")
+    z = f.group.zero()
+    f0, g0 = f.values[z], g.values[z]
+    prod = f0 * g0 if isinstance(f0, Exact) and isinstance(g0, Exact) \
+        else cval(f0) * cval(g0)
+    if not values_equal(prod, Exact.one() if isinstance(prod, Exact) else 1.0, tol):
+        raise DecompositionError("f(0) g(0) must equal 1",
+                                 _point_witness(z, prod, 1))
+    pform = sweep_first_decompose_positive(f.abs_log_table(), g.abs_log_table(), tol)
+    exact = _is_exact_table(f) and _is_exact_table(g)
+    if not (dec._all_close(pform.l.coeffs, tol, exact)
+            and dec._all_close(pform.m.coeffs, tol, exact)):
+        raise DecompositionError(
+            "moduli have a nonzero additive part; they cannot be even solutions"
+        )
+    alpha, sa = dec._hermitian_phase_part(f, tol, "f")
+    beta, sb = dec._hermitian_phase_part(g, tol, "g")
+    rep = check_sign_eq26(sa, sb, tol)
+    if not rep.holds:
+        raise EquationFailsError("leftover signs violate the sign equation", rep)
+    for name, s in (("f", sa), ("g", sb)):
+        rep = check_coset_constant(s, 4, tol)
+        if not rep.holds:
+            raise EquationFailsError(
+                f"{name}-sign part is not constant on quadrupled cosets", rep
+            )
+    return HermitianSolutionForm(
+        alpha, beta,
+        dec._sign_map_from_table(sa, 4), dec._sign_map_from_table(sb, 4),
+        pform.P, pform.r, None,
+    )
+
+
+def sweep_first_decompose_self(f, tol):
+    f = dec._complexified(f)
+    for x, v in f.values.items():
+        if value_is_zero(v):
+            raise DecompositionError(
+                "f vanishes; this route needs non-vanishing tables",
+                _point_witness(x, 0, "nonzero"),
+            )
+    rep = check_hermitian(f, tol)
+    if not rep.holds:
+        raise EquationFailsError("f is not Hermitian", rep)
+    rep = check_kb_self(f, tol)
+    if not rep.holds:
+        raise EquationFailsError("the one-function equation fails", rep)
+    _check_positive_real_at_zero(f, tol, "f")
+    exact = _is_exact_table(f)
+    if not values_equal(f.values[f.group.zero()],
+                        Exact.one() if exact else 1.0, tol):
+        raise DecompositionError("f(0) must equal 1 in the one-function case")
+    pform = sweep_first_decompose_positive(f.abs_log_table(), f.abs_log_table(), tol)
+    if not dec._all_close(pform.l.coeffs, tol, exact):
+        raise DecompositionError("modulus has a nonzero additive part")
+    if not all(_close(v, 0, tol, exact) for _, v in pform.r.entries):
+        raise DecompositionError(
+            "coset part must vanish when the two functions coincide"
+        )
+    alpha, sa = dec._hermitian_phase_part(f, tol, "f")
+    rep = check_sign_eq26(sa, sa, tol)
+    if not rep.holds:
+        raise EquationFailsError(
+            "leftover sign violates a(x+y) a(x-y) = 1", rep
+        )
+    rep = check_coset_constant(sa, 2, tol)
+    if not rep.holds:
+        raise EquationFailsError(
+            "leftover sign is not constant on doubled cosets", rep
+        )
+    return alpha, dec._sign_map_from_table(sa, 2), pform.P
+
+
+def sweep_first_decompose_vanishing(f, g, tol, character_budget=4096):
+    f = dec._complexified(f)
+    g = dec._complexified(g)
+    if f.group != g.group or f.domain != g.domain:
+        raise IncompatibleTablesError("tables must share group and domain")
+    group = f.group
+    if not group.doubling_is_onto():
+        raise GroupHypothesisError(
+            "the vanishing-support decomposition needs X^(2) = X "
+            "(finite group with odd torsion orders only)"
+        )
+    if group.order() > character_budget:
+        raise BudgetExceededError("group too large for character enumeration")
+    pts = f.points()
+    fvals, gvals = f.values.values(), g.values.values()
+    if all(map(value_is_zero, fvals)) or all(map(value_is_zero, gvals)):
+        raise DecompositionError("tables must not be identically zero")
+    for name, tab in (("f", f), ("g", g)):
+        rep = check_hermitian(tab, tol)
+        if not rep.holds:
+            raise EquationFailsError(f"{name} is not Hermitian", rep)
+    rep = check_kb(f, g, tol)
+    if not rep.holds:
+        raise EquationFailsError("the functional equation fails", rep)
+    z = group.zero()
+    f0, g0 = f.values[z], g.values[z]
+    if value_is_zero(f0) or value_is_zero(g0):
+        raise DecompositionError("f(0) g(0) must equal 1, got 0")
+    prod = f0 * g0 if isinstance(f0, Exact) and isinstance(g0, Exact) \
+        else cval(f0) * cval(g0)
+    if not values_equal(prod, Exact.one() if isinstance(prod, Exact) else 1.0,
+                        tol):
+        raise DecompositionError("f(0) g(0) must equal 1",
+                                 _point_witness(z, prod, 1))
+    _check_positive_real_at_zero(f, tol, "f")
+    # equal moduli everywhere (includes matching supports)
+    for x, fa, ga in zip(pts, fvals, gvals):
+        if value_is_zero(fa) != value_is_zero(ga):
+            raise DecompositionError("|f| != |g| (supports differ)",
+                                     _point_witness(x, fa, ga))
+        if value_is_zero(fa):
+            continue
+        la = fa.log_abs if isinstance(fa, Exact) else abs(cval(fa))
+        lb = ga.log_abs if isinstance(ga, Exact) else abs(cval(ga))
+        if not values_equal(la, lb, tol):
+            raise DecompositionError("|f| != |g|", _point_witness(x, fa, ga))
+    # supports match, so both restrictions share the keys in domain order
+    f_on = {x: v for x, v in zip(pts, fvals) if not value_is_zero(v)}
+    g_on = {x: v for x, v in zip(pts, gvals) if not value_is_zero(v)}
+    for a in f_on:
+        for b in f_on:
+            if (a - b) not in f_on:
+                raise DecompositionError(
+                    "support is not a subgroup",
+                    {"x": list(a.coords), "y": list(b.coords)},
+                )
+    if {group.scale(2, x) for x in f_on} != f_on.keys():
+        raise DecompositionError("doubling is not onto the support")
+    gens: list[GroupElement] = []
+    known = {z}
+    for x in f_on:
+        if x not in known:
+            gens.append(x)
+            known = set(SubgroupSpec(group, tuple(gens)).elements())
+    sub = SubgroupSpec(group, tuple(gens))
+    if sub.quotient_has_order2():
+        raise DecompositionError(
+            "quotient by the support subgroup has an element of order 2"
+        )
+    for x, v in f_on.items():
+        la = v.log_abs if isinstance(v, Exact) else abs(cval(v))
+        if not values_equal(la, Fraction(0) if isinstance(v, Exact) else 1.0,
+                            tol):
+            raise DecompositionError(
+                "modulus is not 1 on the support", _point_witness(x, v, 1)
+            )
+    alpha = dec._fit_character_on(group, f_on.items(), tol)
+    beta = dec._fit_character_on(group, g_on.items(), tol)
+    form = HermitianSolutionForm(
+        alpha, beta, SignMap.trivial(group, 4), SignMap.trivial(group, 4),
+        QuadraticForm.zero(group), CosetConstantMap.zero(group), sub,
+    )
+    for x, fa, ga in zip(pts, fvals, gvals):
+        fv, gv = form.exact_pair(x)
+        if not (values_equal(fv, fa, tol) and values_equal(gv, ga, tol)):
+            raise DecompositionError(
+                "reconstructed form does not reproduce the input",
+                _point_witness(x, fa, fv),
+            )
+    return form

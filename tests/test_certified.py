@@ -1,0 +1,265 @@
+"""Certify-then-explain decompositions against their sweep-first references.
+
+On exact tables the decompositions in ``kbeq.decompose`` run the equation
+sweeps only when the recovery fails; the references in
+``reference_decompose`` always sweep first.  On a corpus of clean and
+corrupted tables, exact and float, over windows and whole groups, both
+must agree on the result or on the error's type, message, witness and
+report.  The corpus must reach every outcome the rule distinguishes, and
+every exact success must satisfy the equation it certifies.
+"""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+import reference_decompose as ref
+from kbeq import _vec
+from kbeq.checks import (
+    DEFAULT_TOL,
+    check_eq5,
+    check_kb,
+    check_kb_self,
+    check_polynomial,
+)
+from kbeq.decompose import (
+    _complexified,
+    decompose_T,
+    decompose_hermitian,
+    decompose_positive,
+    decompose_self,
+    decompose_vanishing,
+    recover_deg2,
+)
+from kbeq.errors import BudgetExceededError, KbeqError
+from kbeq.functions import (
+    CharacterSpec,
+    CosetConstantMap,
+    Exact,
+    FuncTable,
+    HermitianSolutionForm,
+    QuadraticForm,
+    SignMap,
+    synth_table,
+)
+from kbeq.groups import Box, FullGroup, GroupSpec, SubgroupSpec
+from kbeq.oracle import (
+    builtin_odd_quadratic,
+    random_hermitian_form,
+    random_positive_form,
+)
+
+# (name, library function, sweep-first reference, the sweep it certifies)
+FUNCS = {
+    "deg2": (recover_deg2, ref.sweep_first_recover_deg2,
+             lambda t, tol: check_polynomial(t, 2, tol)),
+    "T": (decompose_T, ref.sweep_first_decompose_T, check_eq5),
+    "positive": (decompose_positive, ref.sweep_first_decompose_positive, check_kb),
+    "hermitian": (decompose_hermitian, ref.sweep_first_decompose_hermitian,
+                  lambda f, g, tol: check_kb(_complexified(f), _complexified(g), tol)),
+    "self": (decompose_self, ref.sweep_first_decompose_self,
+             lambda f, tol: check_kb_self(_complexified(f), tol)),
+    "vanishing": (decompose_vanishing, ref.sweep_first_decompose_vanishing, check_kb),
+}
+
+ZZ4 = GroupSpec(1, (4,))
+Z42 = GroupSpec(0, (4, 2))
+Z9 = GroupSpec(0, (9,))
+
+
+def _replaced(table, changes):
+    vals = dict(table.values)
+    for coords, fn in changes.items():
+        x = table.group.element(coords)
+        vals[x] = fn(vals[x])
+    return FuncTable(table.group, table.domain, table.kind, vals)
+
+
+def _map(table, fn, kind=None):
+    return FuncTable(table.group, table.domain, kind or table.kind,
+                     {p: fn(v) for p, v in table.values.items()})
+
+
+def _negated_at(table, coords):
+    """``table`` negated at ``x`` and ``-x``: a Hermitian table stays Hermitian."""
+    x = table.group.element(coords)
+    minus = Exact.from_sign(-1)
+    return _replaced(table, {c: (lambda v: v * minus)
+                             for c in {x.coords, (-x).coords}})
+
+
+def _float_complex(table):
+    return _map(table, lambda v: 0 if v.zero else v.to_complex())
+
+
+def _real_cases():
+    """Real tables: degree-2 polynomials and positive log tables."""
+    poly = FuncTable.from_function(
+        ZZ4, Box((4,)), "real",
+        lambda p: Fraction(3, 2) * p.coords[0] ** 2 - Fraction(p.coords[0], 3)
+        + Fraction(5, 7))
+    cubic = FuncTable.from_function(ZZ4, Box((4,)), "real",
+                                   lambda p: Fraction(p.coords[0] ** 3, 5))
+    tiny = FuncTable.from_function(ZZ4, Box((1,)), "real",
+                                   lambda p: Fraction(p.coords[0] ** 2))
+    const = FuncTable.from_function(Z42, FullGroup(), "real", lambda p: Fraction(2, 3))
+    bump = {(2, 1): lambda v: v + Fraction(1, 3)}
+    for name, t in (("poly", poly), ("poly-bad", _replaced(poly, bump)),
+                    ("cubic", cubic), ("tiny", tiny), ("const", const)):
+        yield "deg2", name, (t,)
+    logs = synth_table(random_positive_form(ZZ4, Random(3)), Box((4,)))[0].as_real_log()
+    small = synth_table(random_positive_form(ZZ4, Random(3)), Box((3,)))[0].as_real_log()
+    full = synth_table(random_positive_form(Z42, Random(4)), FullGroup())[0].as_real_log()
+    for name, t in (("log", logs), ("log-bad", _replaced(logs, bump)),
+                    ("cubic", cubic), ("small", small), ("full", full),
+                    ("full-bad", _replaced(full, {(1, 1): lambda v: v + 1}))):
+        yield "T", name, (t,)
+
+
+def _positive_cases():
+    for gname, group, domain in (("box", ZZ4, Box((4,))), ("full", Z42, FullGroup()),
+                                 ("small", ZZ4, Box((3,)))):
+        f, g = synth_table(random_positive_form(group, Random(7)), domain)
+        bump = {(1, 1): lambda v: v + Fraction(1, 5)}
+        yield "positive", f"{gname}", (f, g)
+        yield "positive", f"{gname}-fbad", (_replaced(f, bump), g)
+        yield "positive", f"{gname}-gbad", (f, _replaced(g, bump))
+    # one form on two windows: each table decomposes, but they are no pair
+    form = random_positive_form(ZZ4, Random(7))
+    yield "positive", "two-windows", (synth_table(form, Box((4,)))[0],
+                                      synth_table(form, Box((5,)))[1])
+
+
+def _hermitian_cases():
+    minus = Exact.from_sign(-1)
+    for gname, group, domain, x in (("box", ZZ4, Box((4,)), (1, 3)),
+                                    ("full", Z42, FullGroup(), (1, 1)),
+                                    ("small", ZZ4, Box((3,)), (1, 3))):
+        f, g = synth_table(random_hermitian_form(group, Random(5)), domain)
+        skew = _replaced(f, {x: lambda v: v * Exact.unit(Fraction(1, 8))})
+        yield "hermitian", gname, (f, g)
+        yield "hermitian", f"{gname}-neg-at-x", (_negated_at(f, x), g)
+        yield "hermitian", f"{gname}-global-neg", (_map(f, lambda v: v * minus),
+                                                  _map(g, lambda v: v * minus))
+        yield "hermitian", f"{gname}-skew", (skew, g)
+    # a positive pair read as a Hermitian one: its moduli have additive parts
+    f, g = synth_table(random_positive_form(ZZ4, Random(2)), Box((4,)))
+    yield "hermitian", "positive-with-l", (f, g)
+
+
+def _self_cases():
+    minus = Exact.from_sign(-1)
+    odd = _complexified(builtin_odd_quadratic(4))
+    chi = FuncTable.from_function(GroupSpec(0, (5,)), FullGroup(), "complex",
+                                  lambda p: CharacterSpec(p.group, (), (3,)).value(p))
+    quad = _complexified(FuncTable.from_function(
+        GroupSpec(1), Box((4,)), "positive", lambda p: Fraction(p.coords[0] ** 2, 3)))
+    for name, f in (("odd-quadratic", odd), ("character", chi), ("quadratic", quad)):
+        yield "self", name, (f,)
+        yield "self", f"{name}-neg-at-x", (_negated_at(f, f.points()[1].coords),)
+        yield "self", f"{name}-global-neg", (_map(f, lambda v: v * minus),)
+
+
+def _vanishing_form(support):
+    return HermitianSolutionForm(
+        CharacterSpec(Z9, (), (2,)), CharacterSpec(Z9, (), (7,)),
+        SignMap.trivial(Z9, 4), SignMap.trivial(Z9, 4),
+        QuadraticForm.zero(Z9), CosetConstantMap.zero(Z9),
+        SubgroupSpec(Z9, support))
+
+
+def _vanishing_cases():
+    f, g = synth_table(_vanishing_form((Z9.element((3,)),)), FullGroup())
+    whole, _ = synth_table(_vanishing_form((Z9.element((1,)),)), FullGroup())
+    double = Exact(log_abs=Fraction(1))
+    yield "vanishing", "z9", (f, g)
+    yield "vanishing", "z9-neg-at-x", (_negated_at(f, (3,)), g)
+    yield "vanishing", "z9-moduli", (f, _replaced(g, {(3,): lambda v: v * double,
+                                                      (6,): lambda v: v * double}))
+    yield "vanishing", "z9-not-subgroup", (whole, _replaced(
+        whole, {(1,): lambda v: Exact.zero_value(), (8,): lambda v: Exact.zero_value()}))
+    one = FuncTable.from_function(GroupSpec(0, (4,)), FullGroup(), "complex",
+                                  lambda p: Exact.one())
+    yield "vanishing", "even-order", (one, one)
+
+
+def _floated(func, args):
+    if func in ("deg2", "T", "positive"):
+        return tuple(_map(t, float) for t in args)
+    return tuple(_float_complex(_complexified(t)) for t in args)
+
+
+def _corpus():
+    for func, name, args in (*_real_cases(), *_positive_cases(), *_hermitian_cases(),
+                             *_self_cases(), *_vanishing_cases()):
+        yield f"{func}-{name}", func, args, True
+        yield f"{func}-{name}-float", func, _floated(func, args), False
+
+
+CORPUS = list(_corpus())
+
+
+def _outcome(fn, args):
+    try:
+        result = fn(*args, DEFAULT_TOL)
+    except KbeqError as exc:
+        report = getattr(exc, "report", None)
+        return (type(exc).__name__, str(exc), getattr(exc, "witness", None),
+                report.to_json() if report is not None else None)
+    return ("ok", result.to_json() if hasattr(result, "to_json") else result)
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=[c[0] for c in CORPUS])
+def test_decomposition_matches_sweep_first_reference(case):
+    name, func, args, exact = case
+    lib, reference, sweep = FUNCS[func]
+    got = _outcome(lib, args)
+    assert got == _outcome(reference, args)
+    if exact and got[0] == "ok":  # soundness: a certified form solves the equation
+        assert sweep(*args, DEFAULT_TOL).holds
+
+
+SWEEP_MESSAGES = {
+    "deg2": "table is not a polynomial of degree <= 2",
+    "T": "triple-difference equation fails",
+    "positive": "the functional equation fails",
+    "self": "the one-function equation fails",
+}
+
+
+def test_corpus_reaches_every_outcome():
+    outcomes = {name: _outcome(FUNCS[func][0], args)
+                for name, func, args, exact in CORPUS if exact}
+    kinds = {o[0] for o in outcomes.values()}
+    assert {"ok", "EquationFailsError", "DecompositionError", "DomainSizeError",
+            "IncompatibleTablesError", "GroupHypothesisError"} <= kinds
+    # every sweep kind fails somewhere: check_polynomial, check_eq5, check_kb
+    # (two-function) and check_kb_self
+    messages = {o[1] for o in outcomes.values() if o[0] == "EquationFailsError"}
+    assert set(SWEEP_MESSAGES.values()) <= messages
+    # a decomposition failing on a pair whose equation holds (f(0) = -1)
+    holds_but_fails = [
+        name for name, func, args, exact in CORPUS
+        if exact and outcomes[name][0] == "DecompositionError"
+        and FUNCS[func][2](*args, DEFAULT_TOL).holds
+    ]
+    assert any("global-neg" in name for name in holds_but_fails)
+    # every function has an exact success
+    assert {func for name, func, _, exact in CORPUS
+            if exact and outcomes[name][0] == "ok"} == set(FUNCS)
+
+
+def test_positive_beyond_the_pair_guard_returns_the_seed_form():
+    # 31 * 31 * 12 points, 33 315 984 in-range pairs: more than the sweep takes
+    group = GroupSpec(2, (4, 3))
+    domain = Box((15, 15))
+    assert _vec._PAIR_GUARD < 33_315_984
+    form = random_positive_form(group, Random(1))
+    f, g = synth_table(form, domain)
+    assert decompose_positive(f, g).to_json() == form.to_json()
+    with pytest.raises(BudgetExceededError):
+        check_kb(f, g)
+    bad = _replaced(f, {(3, 2, 1, 0): lambda v: v + 1})
+    with pytest.raises(BudgetExceededError):
+        decompose_positive(bad, g)

@@ -1,10 +1,14 @@
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_checks as ref
+
 from kbeq.checks import (
+    DEFAULT_TOL,
     check_cauchy,
     check_character,
     check_coset_constant,
@@ -263,6 +267,45 @@ def test_check_coset_constant():
          GroupSpec(0, (4, 4)).coset_indices(2)})
     t = real_table(Z44, FullGroup(), rmap.value)
     assert check_coset_constant(t, 2).holds
+
+
+COSET_DOMAINS = [
+    (GroupSpec(0, (4, 4)), FullGroup()),
+    (GroupSpec(0, (6,)), FullGroup()),
+    (GroupSpec(1, (4,)), Box((3,))),
+    (GroupSpec(2), Box((2, 2))),
+]
+
+
+def _coset_tables(group, domain, rng):
+    """Tables mostly constant on cosets of X^(4), with a few points changed."""
+    kinds = {
+        "sign": lambda r: r.choice((1, -1)),
+        "real": lambda r: Fraction(r.randrange(3), 2),
+        "float": lambda r: float(r.randrange(3)) / 3,
+        "complex": lambda r: Exact.unit(Fraction(r.randrange(4), 4)),
+    }
+    for kind, draw in kinds.items():
+        for _ in range(4):
+            base = {idx: draw(rng) for idx in group.coset_indices(4)}
+            changed = set(rng.sample(domain.points(group), rng.randrange(3)))
+            yield FuncTable.from_function(
+                group, domain, "real" if kind == "float" else kind,
+                lambda p: draw(rng) if p in changed else base[group.coset_index(p, 4)])
+
+
+@pytest.mark.parametrize("group,domain", COSET_DOMAINS,
+                         ids=[f"{g}-{type(d).__name__}" for g, d in COSET_DOMAINS])
+def test_check_coset_constant_matches_reference(group, domain):
+    rng = Random(str(group))
+    verdicts = set()
+    for t in _coset_tables(group, domain, rng):
+        for modulus in (2, 4):
+            got = check_coset_constant(t, modulus)
+            assert got.to_json() == ref.check_coset_constant(
+                t, modulus, DEFAULT_TOL).to_json()
+            verdicts.add(got.holds)
+    assert verdicts == {True, False}
 
 
 def test_check_quadratic_and_cauchy():

@@ -230,16 +230,25 @@ def _pinned_inputs(tmp_path):
     ft, gt = synth_table(form, Box((4,)))
     bad = dict(ft.values)
     bad[group.element((2, 1))] += Fraction(1, 3)
-    hf, hg = synth_table(random_hermitian_form(group, Random(5)), Box((3,)))
+    hform = random_hermitian_form(group, Random(5))
+    hf, hg = synth_table(hform, Box((3,)))
+    wf, wg = synth_table(hform, Box((4,)))  # wide enough to decompose
     hbad = dict(hf.values)
     x = group.element((1, 3))
     hbad[x] = hbad[x] * hbad[x].from_sign(-1)
+    hneg = dict(hf.values)  # still Hermitian, but the equation fails
+    for y in (x, -x):
+        hneg[y] = hneg[y] * hneg[y].from_sign(-1)
     files = {
         "form": form.to_json(),
         "f": ft.to_json(),
         "g": gt.to_json(),
         "fbad": FuncTable(group, ft.domain, "positive", bad).to_json(),
         "hbad": FuncTable(group, hf.domain, "complex", hbad).to_json(),
+        "hneg": FuncTable(group, hf.domain, "complex", hneg).to_json(),
+        "hf": hf.to_json(),
+        "wf": wf.to_json(),
+        "wg": wg.to_json(),
         "hg": hg.to_json(),
     }
     paths = {}
@@ -267,6 +276,16 @@ PINNED = [
      "d50b5ab5067f07fcce539d8a9ad3f629c0538be5d56573256b3f8c5ebb030d89"),
     (lambda p: ["decompose", "-f", p["f"], "-g", p["g"]],
      "f1b96275155bb19db894dfbde32afa263cd4ba6a74ffe8240057e23d20eeaa9d"),
+    (lambda p: ["decompose", "-f", p["fbad"], "-g", p["g"]],
+     "2c8e96c816885f2a8f718fa035785f10ad3bc8740210d3af3dda398d525e4964"),
+    (lambda p: ["decompose-hermitian", "-f", p["hf"], "-g", p["hg"]],
+     "e59aa8d2de8e21c8410aba198cbeac9c2b2acd28e7f8574ace4341229f4f3171"),
+    (lambda p: ["decompose-hermitian", "-f", p["hneg"], "-g", p["hg"]],
+     "ca7fe6de734f8b2ada37099ee08dfd16c1dc4e0be017c84caa4d5a2d79986cd9"),
+    (lambda p: ["decompose-hermitian", "-f", p["wf"], "-g", p["wg"]],
+     "dc842324144ef35027c0aad061437e6eac14de1b2de267e53c4bb833e27130c4"),
+    (lambda p: ["enum-signs", "--group", "Z/4 x Z/4"],
+     "f9c8d6e435f91bbf7ee89025e41725aa3d9b4581e7e943ee296d637063e36cb7"),
 ]
 
 
@@ -274,7 +293,10 @@ PINNED = [
                          ids=["demo-counterexample", "demo-odd-quadratic",
                               "suite", "synth", "check-holds",
                               "check-fails", "check-fails-complex",
-                              "decompose"])
+                              "decompose", "decompose-fails",
+                              "decompose-hermitian-radius3",
+                              "decompose-hermitian-fails",
+                              "decompose-hermitian", "enum-signs"])
 def test_cli_output_pinned(tmp_path, capsys, argv, digest):
     main(argv(_pinned_inputs(tmp_path)))
     out = capsys.readouterr().out

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbeq import _vec
-from kbeq.checks import check_kb, check_kb_self
+from kbeq.checks import DEFAULT_TOL, check_kb, check_kb_self
 from kbeq.decompose import (
+    _split_T,
     decompose_T,
     decompose_hermitian,
     decompose_positive,
@@ -189,8 +190,8 @@ def test_decompose_T_keeps_the_index_cache_bounded(monkeypatch):
     monkeypatch.setattr(_vec, "_CACHE_BYTES", budget)
     monkeypatch.setattr(_vec, "_pair_cache", {})
     for radius in range(4, 20):
-        decompose_T(real_table(Z, Box((radius,)), lambda p: Fraction(0)),
-                    verify=False)
+        _split_T(real_table(Z, Box((radius,)), lambda p: Fraction(0)),
+                 DEFAULT_TOL)
         assert sum(map(_vec._nbytes, _vec._pair_cache.values())) <= budget
     assert (Z, Box((4,))) not in _vec._pair_cache  # the oldest went first
     assert (Z, Box((19,))) in _vec._pair_cache
@@ -506,7 +507,7 @@ def test_vanishing_rejects_non_subgroup_support():
         Z9, FullGroup(), "complex",
         lambda p: Exact.one() if p.coords[0] in (0, 1) else Exact.zero_value())
     with pytest.raises((DecompositionError, EquationFailsError)):
-        decompose_vanishing(f, f, verify=False)
+        decompose_vanishing(f, f)
 
 
 def test_vanishing_rejects_zero_product_at_origin():
@@ -514,7 +515,7 @@ def test_vanishing_rejects_zero_product_at_origin():
         Z9, FullGroup(), "complex",
         lambda p: Exact.one() if p.coords[0] == 3 else Exact.zero_value())
     with pytest.raises((DecompositionError, EquationFailsError)):
-        decompose_vanishing(f, f, verify=False)
+        decompose_vanishing(f, f)
 
 
 def test_vanishing_rejects_unequal_moduli():
@@ -523,7 +524,7 @@ def test_vanishing_rejects_unequal_moduli():
     vals[Z9.element((3,))] = vals[Z9.element((3,))] * Exact(log_abs=Fraction(1))
     g2 = FuncTable(Z9, FullGroup(), "complex", vals)
     with pytest.raises((DecompositionError, EquationFailsError)):
-        decompose_vanishing(f, g2, verify=False)
+        decompose_vanishing(f, g2)
 
 
 def test_two_coset_group_signs_are_multiplicative():

@@ -1,17 +1,21 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from random import Random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kbeq.checks import check_coset_constant, check_kb, check_kb_self
+import reference_checks as ref
+
+from kbeq.checks import DEFAULT_TOL, check_coset_constant, check_kb, check_kb_self
 from kbeq.errors import BudgetExceededError
 from kbeq.functions import FuncTable
-from kbeq.groups import FullGroup, GroupSpec, parse_group
+from kbeq.groups import Box, FullGroup, GroupSpec, parse_group
 from kbeq.oracle import (
     _GridSolver,
+    _annotate_pair,
     builtin_counterexample,
     builtin_odd_quadratic,
     enum_restricted_kb,
@@ -172,6 +176,29 @@ def test_census_every_member_solves_sign_equation():
     from kbeq.checks import check_sign_eq26
     for a, b in census.pairs:
         assert check_sign_eq26(a, b).holds
+
+
+@pytest.mark.parametrize("group,domain", [
+    (Z44, FullGroup()), (GroupSpec(0, (2, 6)), FullGroup()),
+    (GroupSpec(1, (4,)), Box((2,))), (GroupSpec(2), Box((1, 1))),
+], ids=["Z44", "Z2xZ6", "ZxZ4-box", "Z2-box"])
+def test_annotations_match_reference_on_arbitrary_sign_pairs(group, domain):
+    # arbitrary sign pairs, not just census members, so that every relation
+    # value (1, -1 and 0) occurs
+    rng = Random(str(group))
+    relations = set()
+    for _ in range(12):
+        a, b = (FuncTable.from_function(group, domain, "sign",
+                                        lambda p: rng.choice((1, 1, -1)))
+                for _ in "ab")
+        ann = _annotate_pair(group, a, b)
+        assert ann["coset_relation"] == ref.coset_relation(a, b)
+        for m in (2, 4):
+            for name, t in (("a", a), ("b", b)):
+                assert ann[f"{name}_constant_mod{m}"] == ref.check_coset_constant(
+                    t, m, DEFAULT_TOL).holds
+        relations |= set(ann["coset_relation"].values())
+    assert relations == {0, 1, -1}
 
 
 def test_census_budget():

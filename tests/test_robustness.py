@@ -24,6 +24,7 @@ from kbeq import _vec, checks
 from kbeq.checks import check_eq5, check_kb, check_sign_eq26
 from kbeq.decompose import (
     _phase_checks,
+    _split_T,
     decompose_T,
     decompose_hermitian,
     decompose_positive,
@@ -399,7 +400,7 @@ def _outcome(decompose, table):
 @pytest.mark.parametrize("case", DEC_CASES, ids=[c[0] for c in DEC_CASES])
 def test_decompose_T_matches_reference(case):
     name, table, is_float = case
-    got = _outcome(lambda t: decompose_T(t, verify=False), table)
+    got = _outcome(lambda t: _split_T(t, checks.DEFAULT_TOL), table)
     assert got == _outcome(lambda t: ref_dec.decompose_T(t, checks.DEFAULT_TOL),
                            table)
     # no vacuous case: exact inputs fail exactly where they were corrupted
@@ -409,7 +410,7 @@ def test_decompose_T_matches_reference(case):
 
 
 def test_decompose_T_cases_cover_both_checks_on_floats():
-    messages = {_outcome(lambda t: decompose_T(t, verify=False), t)[1]
+    messages = {_outcome(lambda t: _split_T(t, checks.DEFAULT_TOL), t)[1]
                 for _, t, is_float in DEC_CASES if is_float}
     assert set(EXPECTED_ERROR.values()) - {None} <= messages
 
@@ -433,7 +434,7 @@ def test_mixed_table_decomposes_as_float(name, group, domain):
         mixed = FuncTable(group, domain, "real", {
             p: float(table.values[p]) if i % 2 else table.values[p]
             for i, p in enumerate(table.points())})
-        decompose = lambda t: decompose_T(t, verify=False)
+        decompose = lambda t: _split_T(t, checks.DEFAULT_TOL)
         assert _outcome(decompose, mixed) == _outcome(
             decompose, retyped(table, "real", float))
 
