@@ -20,7 +20,8 @@ range in every coordinate, so :func:`pair_count` is a product of
 per-coordinate counts and :func:`pair_blocks` generates the pairs block by
 block from per-coordinate digit-pair lists.  Index maps are cached in one
 store holding at most ``_CACHE_BYTES`` of arrays; a pair sweep keeps its
-blocks there when all of them fit, and streams them otherwise.
+blocks there when all of them fit, and otherwise streams them through
+reused scratch arrays.
 """
 
 from __future__ import annotations
@@ -131,14 +132,8 @@ def _factors(info: VecDomain, combos) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def pair_count(info: VecDomain, combos) -> int:
     """Number of in-range pairs (x, y), the product of the per-coordinate
-    counts; refuses beyond ``_PAIR_GUARD`` before building any index."""
-    count = math.prod(int(cnt.sum()) for _, cnt in _factors(info, combos))
-    if count > _PAIR_GUARD:
-        raise BudgetExceededError(
-            f"pair sweep over {count} in-range pairs exceeds the built-in "
-            f"guard of {_PAIR_GUARD}"
-        )
-    return count
+    counts; builds no index, so any window can be counted."""
+    return math.prod(int(cnt.sum()) for _, cnt in _factors(info, combos))
 
 
 def _rows(info: VecDomain, c: int, combos, factor, a0: int, a1: int) -> list:
@@ -159,19 +154,26 @@ def _rows(info: VecDomain, c: int, combos, factor, a0: int, a1: int) -> list:
     return [d * info.strides[c] for d in (x, y, *ks)]
 
 
-def _outer(a: list, b: list) -> list:
-    """Every entry of ``a`` combined with every entry of ``b``, a-major."""
-    return [(u[:, None] + v).ravel() for u, v in zip(a, b)]
+def _outer(a: list, b: list, work: Optional[dict] = None) -> list:
+    """Every entry of ``a`` combined with every entry of ``b``, a-major, in
+    scratch arrays kept in ``work`` (fresh arrays without it)."""
+    work = {} if work is None else work
+    shape = (len(a[0]), len(b[0]))
+    return [np.add(u[:, None], v, out=_scratch(work, f"index{k}", np.int64,
+                                               shape[0] * shape[1]).reshape(shape)
+                   ).ravel() for k, (u, v) in enumerate(zip(a, b))]
 
 
-def pair_blocks(info: VecDomain, combos, limit: int):
+def pair_blocks(info: VecDomain, combos, limit: int, work: Optional[dict] = None):
     """Every in-range pair as aligned index arrays [I, J, *K_combo], in blocks.
 
     A block holds every in-range pair (x, y) of a contiguous range of x, and
     the ranges ascend, so the first block holding a pair with some property
     holds the lexicographically first such pair.  A block has at most
     ``limit`` pairs unless the pairs of a single x outnumber it.  Within a
-    block the order is not lexicographic.
+    block the order is not lexicographic.  Given a ``work`` dict, blocks are
+    written into scratch arrays kept there, so each block is valid only
+    until the next one is generated.
     """
     factors = _factors(info, combos)
     dim = info.group.dim
@@ -199,7 +201,7 @@ def pair_blocks(info: VecDomain, combos, limit: int):
         while a < len(cum) - 1:
             b = int(np.searchsorted(cum, cum[a] + limit // per_row, side="right")) - 1
             if b > a:
-                yield _outer(_outer(prefix, rows(c, a, b)), tail(c + 1))
+                yield _outer(_outer(prefix, rows(c, a, b)), tail(c + 1), work)
                 a = b
             else:  # one x digit is too many pairs: fix it and split further
                 yield from walk(c + 1, _outer(prefix, rows(c, a, a + 1)))
@@ -215,18 +217,26 @@ def pair_sweep(info: VecDomain, combos, enc, terms, tol: float,
     Returns the number of in-range pairs and the point indices
     [x, y, *combination points] of the lexicographically first failing
     pair, or None; ``enc``, ``terms``, ``tol`` and ``product`` are as for
-    :func:`failures`.  The pairs run in blocks of ``_BLOCK_PAIRS``, which
+    :func:`failures`.  More than ``_PAIR_GUARD`` pairs are refused before
+    any index is built.  The pairs run in blocks of ``_BLOCK_PAIRS``, which
     keeps each block's temporaries small; the blocks are kept in the cache
-    when all of them fit ``_CACHE_BYTES`` and regenerated otherwise.
+    when all of them fit ``_CACHE_BYTES``, and otherwise regenerated into
+    the same scratch arrays block after block.
     """
     count = pair_count(info, combos)
+    if count > _PAIR_GUARD:
+        raise BudgetExceededError(
+            f"pair sweep over {count} in-range pairs exceeds the built-in "
+            f"guard of {_PAIR_GUARD}"
+        )
     key = (info.group, info.domain, combos)
+    work: dict = {}
     blocks = _pair_cache.get(key)
     if blocks is None:
-        blocks = pair_blocks(info, combos, _BLOCK_PAIRS)
         if count * (2 + len(combos)) * 8 <= _CACHE_BYTES:
-            blocks = _cached(key, list(blocks))
-    work: dict = {}
+            blocks = _cached(key, list(pair_blocks(info, combos, _BLOCK_PAIRS)))
+        else:
+            blocks = pair_blocks(info, combos, _BLOCK_PAIRS, work)
     for axes in blocks:
         hit = failures(enc, axes, terms, tol, product, work)
         if len(hit):

@@ -1,10 +1,15 @@
 """Exhaustive checkers for the functional equations.
 
-Every checker sweeps all in-range argument tuples of its equation over the
+Every checker decides all in-range argument tuples of its equation over the
 table domain: a tuple is checked iff every point the equation touches lies
 in the domain, and the report carries the fraction of conceivable tuples
 that were checkable (so truncation by a box window stays visible).  Failures
 report the lexicographically first witness, making them reproducible.
+Checkers sweep their tuples, except that :func:`check_kb` first certifies an
+exact positive pair by its sweep-free decomposition
+(:func:`kbeq._split._split_positive`); a certified report counts the
+in-range pairs in closed form without sweeping them, and the sweep runs only
+when the certificate fails, to find the witness.
 
 Every pair and triple identity runs through one sweep kernel
 (:func:`kbeq._vec.failures`), whose arithmetic
@@ -21,14 +26,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Optional
 
 import numpy as np
 
 from . import _vec
-from .errors import DomainSizeError, IncompatibleTablesError
+from ._split import _is_exact_table, _split_positive
+from .errors import DomainSizeError, IncompatibleTablesError, KbeqError
 from .functions import (
     Exact,
     FuncTable,
@@ -36,6 +41,7 @@ from .functions import (
     KIND_POSITIVE,
     KIND_REAL,
     KIND_SIGN,
+    _json_value,
     cconj,
     cmul,
     cval,
@@ -80,26 +86,17 @@ class Witness:
         return out
 
 
-def _json_value(v):
-    if isinstance(v, Exact):
-        c = v.to_complex()
-        return [c.real, c.imag]
-    if isinstance(v, Fraction):
-        return [v.numerator, v.denominator]
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return v
-
-
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of an exhaustive check.
 
     ``pairs_checked`` is the number of in-range argument tuples, all of
-    which a pair or triple sweep evaluates, failing or not; the point-wise
-    side conditions count the points up to the first failure.  ``coverage``
-    is the fraction of conceivable tuples whose required points fit the
-    domain.
+    which a pair or triple sweep evaluates, failing or not; a report
+    certified without a sweep (:func:`check_kb` on an exact positive
+    solution pair) counts them in closed form without evaluating them.
+    The point-wise side conditions count the points up to the first
+    failure.  ``coverage`` is the fraction of conceivable tuples whose
+    required points fit the domain.
     """
 
     holds: bool
@@ -268,20 +265,46 @@ _KB_TERMS = ((0, 2, 1), (1, 3, 1), (0, 0, -1), (0, 1, -1), (1, 0, -1), (1, 4, -1
 def check_kb(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     """Exhaustive check of ``f(x+y) g(x-y) = f(x) f(y) g(x) g(-y)``.
 
-    Positive tables are compared in the log domain (exactly for rational
-    logs); sign tables exactly; real tables as plain products (exactly for
-    rationals); complex tables by modulus-``tol`` closeness unless all
-    values are exact.  Tables containing zeros are allowed.
+    An exact positive pair whose logs split sweep-free as ``P + l + r`` and
+    ``P + m - r`` (exact residuals, equal quadratic parts, opposite coset
+    parts) solves the equation on the whole group, so it holds without a
+    sweep: ``pairs_checked`` is the closed-form count of in-range pairs,
+    answered even beyond the pair guard.  Every other pair is swept:
+    positive tables in the log domain (exactly for rational logs), sign
+    tables exactly, real tables as plain products (exactly for rationals),
+    complex tables by modulus-``tol`` closeness unless all values are exact,
+    and a failure reports the lexicographically first witness.  Tables
+    containing zeros are allowed.
     """
     _require_same(f, g)
-    return _pair_check((f, g), _KB_COMBOS, _KB_TERMS, tol,
-                       product=f.kind != KIND_POSITIVE,
-                       witness=lambda at: _kb_witness(f, g, at[0], at[1]))
+    if _certified_positive(f, g, tol):
+        info = _vec.domain_info(f.group, f.domain)
+        count = _vec.pair_count(info, _KB_COMBOS)
+        return _passed(count, count / info.n ** 2)
+    return _kb_sweep(f, g, tol)
 
 
 def check_kb_self(f: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     """The one-function equation ``f(x+y) f(x-y) = f(x)^2 f(y) f(-y)``."""
     return check_kb(f, f, tol)
+
+
+def _certified_positive(f: FuncTable, g: FuncTable, tol: float) -> bool:
+    """Does the sweep-free split certify an exact positive pair?"""
+    if f.kind != KIND_POSITIVE or not (_is_exact_table(f) and _is_exact_table(g)):
+        return False
+    try:
+        _split_positive(f, g, tol)
+    except KbeqError:
+        return False
+    return True
+
+
+def _kb_sweep(f: FuncTable, g: FuncTable, tol: float) -> CheckReport:
+    """:func:`check_kb` by sweeping every in-range pair."""
+    return _pair_check((f, g), _KB_COMBOS, _KB_TERMS, tol,
+                       product=f.kind != KIND_POSITIVE,
+                       witness=lambda at: _kb_witness(f, g, at[0], at[1]))
 
 
 def _kb_witness(f, g, x, y) -> Witness:

@@ -2,13 +2,11 @@
 
 The positive route goes through the log domain: a table satisfying the
 triple-difference equation splits into an even part (quadratic form plus a
-coset-constant map) and an odd part (an additive map).  The quadratic form
-is read off from second differences at doubled generators and divided by
-four, the additive part from values at generators, and the per-coset
-constants from representatives; a residual sweep over the whole window then
-certifies the result.  One routine serves every real table: it works on the
-table's array encoding, exact numerators over one denominator (int64 or
-Python ints) compared exactly, or floats compared within the tolerance.
+coset-constant map) and an odd part (an additive map), and the two log
+tables of a pair must share the quadratic form and have opposite coset
+maps.  The split itself, certified by a residual sweep over the whole
+window, lives in :mod:`kbeq._split`, where :func:`kbeq.checks.check_kb`
+uses it too; this module runs it under the equation sweeps below.
 
 The Hermitian route first decomposes the moduli via the positive route,
 then factors the unimodular part into a character (fitted on the doubled
@@ -29,7 +27,6 @@ recovery's own error.  Float tables are swept first: a residual within
 from __future__ import annotations
 
 import cmath
-import math
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
@@ -38,9 +35,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _vec
+from ._split import (
+    _close,
+    _is_exact_table,
+    _pair_form,
+    _point_witness,
+    _require_decomposable_domain,
+    _split_T,
+    _to_fraction,
+    extend_biadditive,
+)
 from .checks import (
     DEFAULT_TOL,
-    _json_value,
     _pair_sweep,
     _require_same,
     _sides,
@@ -80,7 +86,7 @@ from .functions import (
     value_is_zero,
     values_equal,
 )
-from .groups import Box, GroupElement, GroupSpec, SubgroupSpec
+from .groups import GroupElement, GroupSpec, SubgroupSpec
 
 __all__ = [
     "recover_deg2",
@@ -93,29 +99,6 @@ __all__ = [
     "decompose_self",
     "decompose_vanishing",
 ]
-
-MIN_BOX_RADIUS = 4  # doubled second differences need 2e_j + 2e_k in range
-
-
-def _to_fraction(v) -> Fraction:
-    if isinstance(v, float):
-        return Fraction(v).limit_denominator(10**9)
-    return Fraction(v)
-
-
-def _is_exact_table(table: FuncTable) -> bool:
-    return table.encoding[0] not in ("float", "complex")
-
-
-def _close(a, b, tol: float, exact: bool) -> bool:
-    if exact:
-        return a == b
-    return abs(float(a) - float(b)) <= tol
-
-
-def _point_witness(x: GroupElement, lhs, rhs) -> dict:
-    return {"x": list(x.coords), "lhs": _json_value(lhs), "rhs": _json_value(rhs)}
-
 
 def _require(rep, message: str):
     if not rep.holds:
@@ -191,33 +174,6 @@ def recover_deg2(table: FuncTable, tol: float = DEFAULT_TOL):
         return P, l, c
 
 
-def extend_biadditive(group: GroupSpec,
-                      doubled: Sequence[Sequence]) -> QuadraticForm:
-    """Extend a symmetric biadditive form given on doubled generators.
-
-    ``doubled[j][k]`` is the form's value at ``(2e_j, 2e_k)``; the extension
-    divides by four.  Torsion rows must vanish (a real biadditive form kills
-    torsion) and the matrix must be symmetric, otherwise the data is not a
-    biadditive form on the doubled subgroup.
-    """
-    d = group.dim
-    rows = [list(row) for row in doubled]
-    if len(rows) != d or any(len(r) != d for r in rows):
-        raise DecompositionError("doubled-generator matrix must be dim x dim")
-    for i in range(d):
-        for j in range(d):
-            if _to_fraction(rows[i][j]) != _to_fraction(rows[j][i]):
-                raise DecompositionError(
-                    "values are not symmetric: not a biadditive form"
-                )
-            if (i >= group.rank or j >= group.rank) and rows[i][j]:
-                raise DecompositionError(
-                    "nonzero torsion entry: not a real biadditive form on X^(2)"
-                )
-    mat = tuple(tuple(_to_fraction(v) / 4 for v in row) for row in rows)
-    return QuadraticForm(group, mat)
-
-
 def extend_additive(group: GroupSpec, doubled: Sequence) -> AdditiveMap:
     """Extend an additive map given on doubled generators (halving)."""
     vals = list(doubled)
@@ -234,16 +190,6 @@ def extend_additive(group: GroupSpec, doubled: Sequence) -> AdditiveMap:
 
 # ---------------------------------------------------------------------------
 # the log-domain decomposition
-
-
-def _require_decomposable_domain(table: FuncTable):
-    group = table.group
-    if group.rank and isinstance(table.domain, Box):
-        if any(r < MIN_BOX_RADIUS for r in table.domain.radius):
-            raise DomainSizeError(
-                f"decomposition needs box radius >= {MIN_BOX_RADIUS} on every "
-                "free coordinate (doubled second differences must fit)"
-            )
 
 
 def decompose_T(table: FuncTable, tol: float = DEFAULT_TOL):
@@ -267,90 +213,6 @@ def decompose_T(table: FuncTable, tol: float = DEFAULT_TOL):
         return _split_T(table, tol)
 
 
-def _split_T(table: FuncTable, tol: float):
-    """The split of :func:`decompose_T`, with no equation sweep."""
-    group = table.group
-    kind, (T,), denom = _vec.numeric_mode([table])
-    info = _vec.domain_info(group, table.domain)
-    pts = table.points()
-    ng = _vec.neg_codes(info)
-    even2, odd2 = T + T[ng], T - T[ng]  # twice the even and odd parts
-
-    def half(part2, i: int):  # the even or odd part at point i
-        return _value(kind, part2[i], 2 * denom)
-
-    def at(coords) -> int:
-        return _vec.index_of_coords(info, coords)
-
-    l = AdditiveMap(group, tuple(_to_fraction(half(odd2, at(e.coords)))
-                                 for e in group.generators()[: group.rank]))
-    no_P, no_r = QuadraticForm.zero(group), CosetConstantMap.zero(group)
-    bad = _first_mismatch(kind, odd2, 2 * denom,
-                          _vec.form_log_arrays(no_P, l, no_r.entries, info), tol)
-    if bad is not None:
-        x = pts[bad]
-        raise DecompositionError("odd part is not additive",
-                                 _point_witness(x, half(odd2, bad), l.value(x)))
-    P = _quadratic_from_even(group, lambda coords: _to_fraction(half(even2, at(coords))))
-    codes, _ = _vec.coset_codes(info, 2)
-    _, first = np.unique(codes, return_index=True)
-    r = CosetConstantMap(group, tuple(
-        (group.coset_index(pts[i], 2), _to_fraction(half(even2, i)) - P.value(pts[i]))
-        for i in first.tolist()))
-    bad = _first_mismatch(kind, T, denom,
-                          _vec.form_log_arrays(P, l, r.entries, info), tol)
-    if bad is not None:
-        x = pts[bad]
-        raise DecompositionError(
-            "decomposition residual is nonzero",
-            _point_witness(x, _value(kind, T[bad], denom),
-                           P.value(x) + l.value(x) + r.value(x)))
-    return P, l, r
-
-
-def _value(kind: str, v, denom: int):
-    """An array entry over ``denom`` as the value it encodes."""
-    return float(v) / denom if kind == "float" else Fraction(int(v), denom)
-
-
-def _first_mismatch(kind: str, nums: np.ndarray, denom: int, model,
-                    tol: float) -> Optional[int]:
-    """First index where ``nums / denom`` differs from a form's values."""
-    mnums, mdenom = model
-    if kind == "float":
-        enc = ("float", [nums / denom, np.asarray(mnums / mdenom, dtype=np.float64)], 1)
-    else:
-        common = math.lcm(denom, mdenom)
-        enc = ("int", [_vec._rescale(nums, common // denom),
-                       _vec._rescale(mnums, common // mdenom)], common)
-    return _vec.first_failure(enc, [np.arange(len(nums))], ((0, 0, 1), (1, 0, -1)),
-                              tol, product=False)
-
-
-def _quadratic_from_even(group: GroupSpec, even_value) -> QuadraticForm:
-    """Quadratic part out of doubled second differences of the even part."""
-    rank = group.rank
-    d = group.dim
-    doubled = [[Fraction(0)] * d for _ in range(d)]
-    if rank:
-        zero = (0,) * d
-
-        def coords_of(j, k=None):
-            c = [0] * d
-            c[j] += 2
-            if k is not None:
-                c[k] += 2
-            return tuple(c)
-
-        e0 = even_value(zero)
-        for j in range(rank):
-            for k in range(j, rank):
-                v = (even_value(coords_of(j, k)) - even_value(coords_of(j))
-                     - even_value(coords_of(k)) + e0)
-                doubled[j][k] = doubled[k][j] = v / 2
-    return extend_biadditive(group, doubled)
-
-
 # ---------------------------------------------------------------------------
 # positive pairs
 
@@ -368,25 +230,9 @@ def decompose_positive(f: FuncTable, g: FuncTable,
     _require_same(f, g)
     with _certified((f, g), lambda: check_kb(f, g, tol),
                     "the functional equation fails"):
-        exact = _is_exact_table(f) and _is_exact_table(g)
-        P1, l1, r1 = decompose_T(f.as_real_log(), tol)
-        P2, l2, r2 = decompose_T(g.as_real_log(), tol)
-        for i in range(f.group.dim):
-            for j in range(f.group.dim):
-                if not _close(P1.matrix[i][j], P2.matrix[i][j], tol, exact):
-                    raise DecompositionError(
-                        "quadratic parts of the two tables differ",
-                        {"entry": [i, j],
-                         "lhs": [P1.matrix[i][j].numerator, P1.matrix[i][j].denominator],
-                         "rhs": [P2.matrix[i][j].numerator, P2.matrix[i][j].denominator]},
-                    )
-        for idx, v in r1.entries:
-            if not _close(r2.at(idx), -v, tol, exact):
-                raise DecompositionError(
-                    "coset parts are not opposite",
-                    {"coset": list(idx.residues)},
-                )
-        return PositiveSolutionForm(P1, l1, l2, r1)
+        return _pair_form(decompose_T(f.as_real_log(), tol),
+                          decompose_T(g.as_real_log(), tol),
+                          tol, _is_exact_table(f) and _is_exact_table(g))
 
 
 # ---------------------------------------------------------------------------

@@ -437,6 +437,19 @@ def _rat_to_json(q: Rational) -> list[int]:
     return [f.numerator, f.denominator]
 
 
+def _json_value(v):
+    """A witness value as JSON: ``[re, im]`` for complex and exact values,
+    ``[num, den]`` for rationals, anything else as is."""
+    if isinstance(v, Exact):
+        c = v.to_complex()
+        return [c.real, c.imag]
+    if isinstance(v, Fraction):
+        return [v.numerator, v.denominator]
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    return v
+
+
 def _rat_from_json(raw) -> Fraction:
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
         return Fraction(int(raw[0]), int(raw[1]))

@@ -4,7 +4,7 @@ and sweep-first references for the six decompositions.
 The first two work one point at a time in the tables' native arithmetic
 (Fractions and Python floats, mixed freely), with no encoding and no index
 arrays.  They are the oracle for the array routines in
-``kbeq.functions.synth_table`` and ``kbeq.decompose._split_T``: on the same
+``kbeq.functions.synth_table`` and ``kbeq._split._split_T``: on the same
 input both must return the same forms, or raise the same error with the
 same witness.
 
@@ -28,7 +28,8 @@ from kbeq.checks import (
     check_polynomial,
     check_sign_eq26,
 )
-from kbeq.decompose import (
+from kbeq._split import (
+    _doubled_probes,
     _point_witness,
     _quadratic_from_even,
     _require_decomposable_domain,
@@ -101,9 +102,8 @@ def decompose_T(table, tol):
         if not _close(odd[x], l.value(x), tol, exact):
             raise DecompositionError("odd part is not additive",
                                      _point_witness(x, odd[x], l.value(x)))
-    P = _quadratic_from_even(
-        group, lambda coords: _to_fraction(even[group.element(coords)])
-    )
+    P = _quadratic_from_even(group, [_to_fraction(even[group.element(coords)])
+                                     for coords in _doubled_probes(group)])
     reps: dict = {}
     for x in pts:
         reps.setdefault(group.coset_index(x, 2), x)

@@ -1,4 +1,4 @@
-"""Certify-then-explain decompositions against their sweep-first references.
+"""Certify-then-explain decompositions and checks against sweep-first references.
 
 On exact tables the decompositions in ``kbeq.decompose`` run the equation
 sweeps only when the recovery fails; the references in
@@ -7,15 +7,24 @@ corrupted tables, exact and float, over windows and whole groups, both
 must agree on the result or on the error's type, message, witness and
 report.  The corpus must reach every outcome the rule distinguishes, and
 every exact success must satisfy the equation it certifies.
+
+``check_kb`` likewise certifies an exact positive pair by its sweep-free
+split and sweeps only when that fails; its reports must equal the forced
+sweep's, witness included, on clean and corrupted pairs.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 import reference_decompose as ref
-from kbeq import _vec
+from kbeq import _split, _vec, checks
 from kbeq.checks import (
     DEFAULT_TOL,
     check_eq5,
@@ -34,11 +43,13 @@ from kbeq.decompose import (
 )
 from kbeq.errors import BudgetExceededError, KbeqError
 from kbeq.functions import (
+    AdditiveMap,
     CharacterSpec,
     CosetConstantMap,
     Exact,
     FuncTable,
     HermitianSolutionForm,
+    PositiveSolutionForm,
     QuadraticForm,
     SignMap,
     synth_table,
@@ -258,8 +269,146 @@ def test_positive_beyond_the_pair_guard_returns_the_seed_form():
     form = random_positive_form(group, Random(1))
     f, g = synth_table(form, domain)
     assert decompose_positive(f, g).to_json() == form.to_json()
-    with pytest.raises(BudgetExceededError):
-        check_kb(f, g)
+    # the certificate counts the pairs without sweeping them
+    rep = check_kb(f, g)
+    assert rep.holds and rep.pairs_checked == 33_315_984
+    assert rep.coverage == 33_315_984 / len(f.points()) ** 2
+    # a corrupted copy needs the sweep, which the guard refuses
     bad = _replaced(f, {(3, 2, 1, 0): lambda v: v + 1})
     with pytest.raises(BudgetExceededError):
+        check_kb(bad, g)
+    with pytest.raises(BudgetExceededError):
         decompose_positive(bad, g)
+
+
+# ---------------------------------------------------------------------------
+# check_kb: certified against swept reports
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+BIG = 2**61 - 1  # a prime: log numerators beyond int64
+KB_DOMAINS = (
+    ("box3", ZZ4, Box((3,))),  # below the split's radius: always swept
+    ("box4", ZZ4, Box((4,))),
+    ("box6", GroupSpec(2, (3,)), Box((6, 6))),
+    ("full", Z42, FullGroup()),
+    ("full-odd", Z9, FullGroup()),
+)
+
+
+def _with(form, **parts):
+    """``form`` with some of its parts replaced."""
+    return PositiveSolutionForm(**{"P": form.P, "l": form.l, "m": form.m,
+                                   "r": form.r, **parts})
+
+
+def _big(form):
+    """``form`` scaled by ``BIG / 7``: every log numerator beyond int64."""
+    group = form.group
+    return PositiveSolutionForm(
+        QuadraticForm(group, tuple(tuple(v * BIG / 7 for v in row)
+                                   for row in form.P.matrix)),
+        *(AdditiveMap(group, tuple(v * BIG / 7 + 1 for v in a.coeffs))
+          for a in (form.l, form.m)),
+        CosetConstantMap(group, tuple((idx, v * BIG / 7 + 1)
+                                      for idx, v in form.r.entries)))
+
+
+def _corruptions(table, rng):
+    """(name, table) for one point off zero, one point at zero, an odd bump
+    that is not additive and an even bump that only the residual sees."""
+    group, bump = table.group, Fraction(1, 5)
+    pts = table.points()
+    x = rng.choice(pts[1:])
+    yield "point", _replaced(table, {x.coords: lambda v: v + bump})
+    yield "zero", _replaced(table, {group.zero().coords: lambda v: v + bump})
+    y = rng.choice([p for p in pts if p != -p])
+    yield "odd-bump", _replaced(table, {y.coords: lambda v: v + bump,
+                                        (-y).coords: lambda v: v - bump})
+    # off the points the split reads: the doubled probes and each coset's first
+    read = {group.element(c) for c in _split._doubled_probes(group)}
+    firsts: dict = {}
+    for p in pts:
+        firsts.setdefault(group.coset_index(p, 2), p)
+    read |= set(firsts.values())
+    z = [p for p in pts if p not in read and -p not in read][-1]
+    yield "even-bump", _replaced(table, {z.coords: lambda v: v + bump,
+                                         (-z).coords: lambda v: v + bump})
+
+
+def _kb_cases():
+    """(id, f, g, whether the pair is a solution of the equation)."""
+    for dname, group, domain in KB_DOMAINS:
+        for seed in range(2):
+            rng = Random(seed)
+            form = random_positive_form(group, rng)
+            other = random_positive_form(group, rng)
+            for fname, fm in (("int", form), ("big", _big(form))):
+                f, g = synth_table(fm, domain)
+                case = f"{dname}-{seed}-{fname}"
+                yield case, f, g, True
+                for cname, bad in _corruptions(f, rng):
+                    yield f"{case}-{cname}", bad, g, False
+            # equal P, r2 != -r1; then P1 != P2
+            yield (f"{dname}-{seed}-r", synth_table(form, domain)[0],
+                   synth_table(_with(form, r=other.r), domain)[1], False)
+            if group.rank:
+                yield (f"{dname}-{seed}-P", synth_table(form, domain)[0],
+                       synth_table(_with(form, P=other.P), domain)[1], False)
+            # one-function pairs: r = 0 and m = l
+            self_form = _with(form, m=form.l, r=CosetConstantMap.zero(group))
+            f, _ = synth_table(self_form, domain)
+            yield f"{dname}-{seed}-self", f, f, True
+            yield f"{dname}-{seed}-self-even-bump", *(
+                [dict(_corruptions(f, rng))["even-bump"]] * 2), False
+
+
+KB_CASES = list(_kb_cases())
+
+
+def _kb_key(rep):
+    return rep.to_json(), repr(rep.witness)
+
+
+@pytest.mark.parametrize("case", KB_CASES, ids=[c[0] for c in KB_CASES])
+def test_certified_check_kb_matches_the_sweep(case):
+    name, f, g, solution = case
+    want = checks._kb_sweep(f, g, DEFAULT_TOL)
+    assert want.holds == solution
+    assert _kb_key(check_kb(f, g)) == _kb_key(want)
+    if f is g:
+        assert _kb_key(check_kb_self(f)) == _kb_key(want)
+
+
+def test_check_kb_corpus_reaches_every_path():
+    certified = {name for name, f, g, _ in KB_CASES
+                 if checks._certified_positive(f, g, DEFAULT_TOL)}
+    # every solution certifies unless the window is below the split's radius
+    assert certified == {name for name, f, g, solution in KB_CASES
+                         if solution and not name.startswith("box3")}
+    # the fallback sweep both holds and fails; log numerators exceed int64
+    assert {solution for name, *_, solution in KB_CASES
+            if name.startswith("box3")} == {True, False}
+    assert {f.encoding[1].dtype for _, f, _, _ in KB_CASES} == {
+        np.dtype(np.int64), np.dtype(object)}
+
+
+def test_certified_check_builds_no_pair_block(monkeypatch):
+    group = GroupSpec(2, (4, 3))
+    f, g = synth_table(random_positive_form(group, Random(1)), Box((14, 14)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certified check must not sweep")
+
+    monkeypatch.setattr(_vec, "pair_blocks", refuse)
+    rep = check_kb(f, g)
+    assert rep.holds and rep.pairs_checked == 25_522_704
+
+
+@pytest.mark.parametrize("module", ["kbeq._split", "kbeq.checks", "kbeq.decompose",
+                                    "kbeq._vec", "kbeq.oracle", "kbeq.cli"])
+def test_each_module_imports_first(module):
+    # a fresh interpreter importing this module before any other kbeq module
+    res = subprocess.run([sys.executable, "-c", f"import {module}"],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert res.returncode == 0, res.stderr

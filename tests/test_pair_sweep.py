@@ -17,6 +17,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from random import Random
 
@@ -103,16 +104,17 @@ def assert_agree(got, want, case):
 
 
 def test_streamed_witnesses_match_reference(monkeypatch):
-    calls = []  # (axes, failing positions) of each block swept
+    calls = []  # (axes, failing positions) of each pair block swept
     sweep_block = _vec.failures
 
     def spy(enc, axes, *rest):
         hit = sweep_block(enc, axes, *rest)
-        calls.append((axes, hit))
+        if len(axes) > 1:  # not a point-wise residual of check_kb's certificate
+            calls.append((axes, hit))
         return hit
 
     monkeypatch.setattr(_vec, "failures", spy)
-    default_block = _vec._BLOCK_PAIRS
+    default_block, default_cache = _vec._BLOCK_PAIRS, _vec._CACHE_BYTES
     beyond_first_block = reordered = failing = 0
     for name, group, domain in DOMAINS:
         for seed in range(2):
@@ -121,12 +123,15 @@ def test_streamed_witnesses_match_reference(monkeypatch):
                 case = f"{name}-{check_name}-{seed}"
                 want = reference(*tables, TOL)
                 failing += not want.holds
-                # default blocks, then small and tiny ones
-                for block in (default_block, 300, 16):
+                # default blocks, then small and tiny ones; cached, then
+                # streamed through reused scratch arrays
+                for block, cache in product((default_block, 300, 16),
+                                            (default_cache, 0)):
                     monkeypatch.setattr(_vec, "_BLOCK_PAIRS", block)
+                    monkeypatch.setattr(_vec, "_CACHE_BYTES", cache)
                     monkeypatch.setattr(_vec, "_pair_cache", {})
                     calls.clear()
-                    assert_agree(check(*tables), want, (case, block))
+                    assert_agree(check(*tables), want, (case, block, cache))
                     if want.holds:
                         continue
                     beyond_first_block += len(calls) > 1
@@ -176,9 +181,14 @@ def test_blocks_cover_the_pairs_once_in_ascending_x_ranges():
 
 
 def test_pair_budget_refuses_before_allocating(tmp_path, capsys):
-    # 200 020 001 in-range pairs on 20 001 points: far over the guard
+    # 200 020 001 in-range pairs on 20 001 points: far over the guard.  A
+    # solution is certified without a sweep; a cubic log needs the sweep.
     group, domain = GroupSpec(1), Box((10_000,))
-    f = FuncTable.from_function(group, domain, "positive", lambda p: Fraction(0))
+    zero = FuncTable.from_function(group, domain, "positive", lambda p: Fraction(0))
+    rep = checks.check_kb(zero, zero)
+    assert rep.holds and rep.pairs_checked == 200_020_001
+    f = FuncTable.from_function(group, domain, "positive",
+                                lambda p: Fraction(p.coords[0] ** 3))
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
@@ -225,11 +235,11 @@ def test_pair_index_sets_are_cached_only_within_the_byte_budget(monkeypatch):
     group = GroupSpec(1, (2,))
     small, large = Box((3,)), Box((12,))
     combos = ((1, 1), (1, -1), (0, -1))
-    # 25 * 4 pairs fit, 313 * 4 do not
+    # 25 * 4 pairs fit, 313 * 4 do not; sign tables are always swept
     monkeypatch.setattr(_vec, "_CACHE_BYTES", 5 * 8 * 200)
     monkeypatch.setattr(_vec, "_pair_cache", {})
     for domain in (small, large):
-        t = FuncTable.from_function(group, domain, "positive", lambda p: Fraction(0))
+        t = FuncTable.from_function(group, domain, "sign", lambda p: 1)
         assert checks.check_kb(t, t).holds
     assert (group, small, combos) in _vec._pair_cache
     assert (group, large, combos) not in _vec._pair_cache
