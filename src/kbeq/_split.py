@@ -4,19 +4,31 @@ A real table satisfying the triple-difference equation splits as
 ``T = P + l + r``: the odd part ``(T(x) - T(-x)) / 2`` is an additive map,
 read off at the generators; the even part gives the quadratic form from
 doubled second differences (divided by four) and the per-coset constants
-at each coset's first point.  One routine serves every real table: it
-works on the table's array encoding, exact numerators over one
-denominator (int64 or Python ints) compared exactly, or floats compared
-within the tolerance, and a residual sweep of the whole window against the
-recovered form certifies the result.
+at each coset's first point.  One routine serves every real table and
+works on integer arrays, building no ``Fraction`` on the exact path: the
+parts (:class:`_Parts`) are the Gram matrix, the additive coefficients and
+the coset constants as numerators over one denominator, int64 or Python
+ints by the :func:`kbeq._vec.lowest` rule.  On exact numerators ``T`` over
+``denom``, with ``even2`` and ``odd2`` twice the even and odd parts, ``l``
+is ``odd2`` at the generators, the Gram numerators are second differences
+of ``even2`` at the doubled probes, and the coset constants are
+``8 even2 - P`` at each coset's first point, all over ``16 denom``.  A
+float table is read at the same points, rounded to rationals
+(``_to_fraction``), and split in the same integer arithmetic.  The odd
+part and then the whole window are compared with the parts' values from
+:func:`kbeq._vec.form_values`, the integer evaluator synthesis shares:
+exactly for exact tables, within the tolerance for float ones.  That
+residual certifies the result; ``Fraction`` forms are built only for a
+caller that returns them (:func:`_forms`) or for a witness.
 
 A positive pair whose logs split as ``P + l + r`` and ``P + m - r`` solves
 the equation on the whole group, hence on every window: the parallelogram
 law settles the ``P`` terms, and ``x+y``, ``x-y`` share an ``X^(2)``-coset,
 as do ``y`` and ``-y``, so the ``r`` terms cancel.  On exact tables
 :func:`_split_positive` is therefore a certificate of the equation that
-sweeps no pair; :mod:`kbeq.checks` tries it before sweeping ``check_kb``,
-and :mod:`kbeq.decompose` builds the positive decompositions from the same
+sweeps no pair; it compares the two splits' parts as integer arrays.
+:mod:`kbeq.checks` tries it before sweeping ``check_kb``, and
+:mod:`kbeq.decompose` builds the positive decompositions from the same
 parts.  This module imports neither of them.
 """
 
@@ -24,7 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,12 +63,6 @@ def _to_fraction(v) -> Fraction:
 
 def _is_exact_table(table: FuncTable) -> bool:
     return table.encoding[0] not in ("float", "complex")
-
-
-def _close(a, b, tol: float, exact: bool) -> bool:
-    if exact:
-        return a == b
-    return abs(float(a) - float(b)) <= tol
 
 
 def _point_witness(x: GroupElement, lhs, rhs) -> dict:
@@ -94,6 +100,29 @@ def extend_biadditive(group: GroupSpec,
 # the log-domain split
 
 
+class _Parts(NamedTuple):
+    """A split ``T = P + l + r`` as integer numerators over one denominator:
+    ``P(x) = x^T B x``, ``l`` by free coordinate and ``r`` by coset code
+    modulo ``X^(2)`` (:func:`kbeq._vec.coset_codes`)."""
+
+    B: np.ndarray
+    l: np.ndarray
+    r: np.ndarray
+    den: int
+
+
+def _rats(nums: np.ndarray, den: int) -> list[Fraction]:
+    return [Fraction(v, den) for v in nums.tolist()]
+
+
+def _forms(group: GroupSpec, parts: _Parts):
+    """The parts as ``(QuadraticForm, AdditiveMap, CosetConstantMap)``."""
+    B, l, r, den = parts
+    return (QuadraticForm(group, tuple(tuple(_rats(row, den)) for row in B)),
+            AdditiveMap(group, tuple(_rats(l, den))),
+            CosetConstantMap(group, tuple(zip(group.coset_indices(2), _rats(r, den)))))
+
+
 def _require_decomposable_domain(table: FuncTable):
     group = table.group
     if group.rank and isinstance(table.domain, Box):
@@ -108,44 +137,81 @@ def _split_T(table: FuncTable, tol: float):
     """(P, l, r) with ``T = P + l + r``, certified by its residual and
     preceded by no equation sweep; the window must hold the doubled probes
     (:func:`_require_decomposable_domain`)."""
+    return _forms(table.group, _split_parts(table, tol))
+
+
+def _split_parts(table: FuncTable, tol: float) -> _Parts:
+    """:func:`_split_T` as integer parts.  The table's kind is not read, so a
+    positive table splits as the real table of its logs."""
     group = table.group
+    d, rank = group.dim, group.rank
     kind, (T,), denom = _vec.numeric_mode([table])
     info = _vec.domain_info(group, table.domain)
-    pts = table.points()
+    gens, probes, first, (J, K) = _read_points(info)
     ng = _vec.neg_codes(info)
     even2, odd2 = T + T[ng], T - T[ng]  # twice the even and odd parts
+    # the odd part at the generators, the even part at the probes and at each
+    # coset's first point, as numerators over h
+    read, h = _halves(kind, np.concatenate([odd2[gens], even2[probes], even2[first]]),
+                      denom)
+    l, e, r_even = np.split(read, [rank, len(read) - len(first)])
+    no_B, no_l = np.zeros((d, d), dtype=np.int64), np.zeros(rank, dtype=np.int64)
+    no_r = np.zeros(len(first), dtype=np.int64)
+    _certify(table, kind, odd2, 2 * denom, _vec.form_values(no_B, l, no_r, h, info),
+             tol, "odd part is not additive")
+    # doubled second differences of the even part: the Gram matrix over 8 h
+    B = np.zeros((d, d), dtype=e.dtype)
+    B[J, K] = B[K, J] = e[1 + rank:] - e[1 + J] - e[1 + K] + e[0]
+    P, P_den = _vec.form_values(B, no_l, no_r, 8 * h, info)
+    r = _vec._rescale(r_even, 8) - _vec._rescale(P[first], 8 * h // P_den)
+    parts = _Parts(B, _vec._rescale(l, 8), r, 8 * h)
+    _certify(table, kind, T, denom, _vec.form_values(*parts, info), tol,
+             "decomposition residual is nonzero")
+    return parts
 
-    def half(part2, i: int):  # the even or odd part at point i
-        return _value(kind, part2[i], 2 * denom)
 
-    # the generators, then the doubled probes, as indices of one lookup
-    gens = [e.coords for e in group.generators()[: group.rank]]
-    at = _vec.point_codes(info, gens + _doubled_probes(group))[0].tolist()
-    l = AdditiveMap(group, tuple(_to_fraction(half(odd2, i))
-                                 for i in at[: group.rank]))
-    no_P, no_r = QuadraticForm.zero(group), CosetConstantMap.zero(group)
-    bad = _first_mismatch(kind, odd2, 2 * denom,
-                          _vec.form_log_arrays(no_P, l, no_r.entries, info), tol)
-    if bad is not None:
-        x = pts[bad]
-        raise DecompositionError("odd part is not additive",
-                                 _point_witness(x, half(odd2, bad), l.value(x)))
-    P = _quadratic_from_even(group, [_to_fraction(half(even2, i))
-                                     for i in at[group.rank:]])
-    codes, _ = _vec.coset_codes(info, 2)
-    _, first = np.unique(codes, return_index=True)
-    r = CosetConstantMap(group, tuple(
-        (group.coset_index(pts[i], 2), _to_fraction(half(even2, i)) - P.value(pts[i]))
-        for i in first.tolist()))
-    bad = _first_mismatch(kind, T, denom,
-                          _vec.form_log_arrays(P, l, r.entries, info), tol)
-    if bad is not None:
-        x = pts[bad]
-        raise DecompositionError(
-            "decomposition residual is nonzero",
-            _point_witness(x, _value(kind, T[bad], denom),
-                           P.value(x) + l.value(x) + r.value(x)))
-    return P, l, r
+def _read_points(info: _vec.VecDomain):
+    """Domain indices the split reads: the generators, the doubled probes
+    (:func:`_doubled_probes`) and each coset's first point, by coset code;
+    then the index pairs ``j <= k`` of the probes ``2e_j + 2e_k``."""
+
+    def build():
+        group = info.group
+        gens = [e.coords for e in group.generators()[: group.rank]]
+        at = _vec.point_codes(info, gens + _doubled_probes(group))[0]
+        _, first = np.unique(_vec.coset_codes(info, 2)[0], return_index=True)
+        return at[: group.rank], at[group.rank:], first, np.triu_indices(group.rank)
+
+    return _vec.memo((info.group, info.domain, "split"), build)
+
+
+def _halves(kind: str, part2: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
+    """``part2 / (2 denom)`` as integer numerators over one denominator,
+    float values rounded to rationals first."""
+    if kind == "float":
+        return _vec._over([_to_fraction(_value(kind, v, 2 * denom)) for v in part2])
+    return part2, 2 * denom
+
+
+def _certify(table: FuncTable, kind: str, nums: np.ndarray, denom: int, model,
+             tol: float, message: str):
+    """Raise ``message`` at the first point where ``nums / denom`` differs
+    from the model's values: at all on exact tables, by more than ``tol`` on
+    float ones."""
+    mnums, mdenom = model
+    if kind == "float":
+        bad = ~(np.abs(nums / denom - np.asarray(mnums / mdenom, dtype=np.float64))
+                <= tol)
+    else:
+        common = math.lcm(denom, mdenom)
+        bad = (_vec._rescale(nums, common // denom)
+               != _vec._rescale(mnums, common // mdenom))
+    hit = np.flatnonzero(bad)
+    if len(hit):
+        at = int(hit[0])
+        raise DecompositionError(message, _point_witness(
+            table.points()[at], _value(kind, nums[at], denom),
+            Fraction(int(mnums[at]), mdenom)))
 
 
 def _value(kind: str, v, denom: int):
@@ -153,24 +219,9 @@ def _value(kind: str, v, denom: int):
     return float(v) / denom if kind == "float" else Fraction(int(v), denom)
 
 
-def _first_mismatch(kind: str, nums: np.ndarray, denom: int, model,
-                    tol: float) -> Optional[int]:
-    """First index where ``nums / denom`` differs from a form's values."""
-    mnums, mdenom = model
-    if kind == "float":
-        enc = ("float", [nums / denom, np.asarray(mnums / mdenom, dtype=np.float64)], 1)
-    else:
-        common = math.lcm(denom, mdenom)
-        enc = ("int", [_vec._rescale(nums, common // denom),
-                       _vec._rescale(mnums, common // mdenom)], common)
-    return _vec.first_failure(enc, [np.arange(len(nums))], ((0, 0, 1), (1, 0, -1)),
-                              tol, product=False)
-
-
 def _doubled_probes(group: GroupSpec) -> list[tuple[int, ...]]:
     """Coordinates of 0, of each ``2e_j`` and of each ``2e_j + 2e_k``
-    (``j <= k``) over the free coordinates, in the order
-    :func:`_quadratic_from_even` reads them."""
+    (``j <= k``) over the free coordinates, in that order."""
     rank, d = group.rank, group.dim
 
     def doubled(*js) -> tuple[int, ...]:
@@ -183,55 +234,61 @@ def _doubled_probes(group: GroupSpec) -> list[tuple[int, ...]]:
             + [doubled(j, k) for j in range(rank) for k in range(j, rank)])
 
 
-def _quadratic_from_even(group: GroupSpec, even: Sequence) -> QuadraticForm:
-    """Quadratic part out of doubled second differences of the even part,
-    given its values at :func:`_doubled_probes`."""
-    rank, d = group.rank, group.dim
-    doubled = [[Fraction(0)] * d for _ in range(d)]
-    e0, single, pairs = even[0], even[1: rank + 1], iter(even[rank + 1:])
-    for j in range(rank):
-        for k in range(j, rank):
-            v = next(pairs) - single[j] - single[k] + e0
-            doubled[j][k] = doubled[k][j] = v / 2
-    return extend_biadditive(group, doubled)
-
-
 # ---------------------------------------------------------------------------
 # positive pairs
 
 
-def _pair_form(f_parts, g_parts, tol: float, exact: bool) -> PositiveSolutionForm:
-    """The positive form of two log splits ``(P, l, r)``: the theory forces
+def _differ(a: np.ndarray, da: int, b: np.ndarray, db: int, tol: float,
+            exact: bool) -> np.ndarray:
+    """Where ``a / da`` and ``b / db`` differ: at all when ``exact``, else
+    by more than ``tol``."""
+    if exact:
+        return _vec._rescale(a, db) != _vec._rescale(b, da)
+    floats = [np.array([v / den for v in nums.ravel().tolist()], dtype=np.float64)
+              for nums, den in ((a, da), (b, db))]
+    return ~(np.abs(floats[0] - floats[1]) <= tol).reshape(a.shape)
+
+
+def _pair_check(group: GroupSpec, f_parts: _Parts, g_parts: _Parts, tol: float,
+                exact: bool):
+    """Raise unless two log splits form a positive pair: the theory forces
     equal quadratic parts and opposite coset parts, and both are verified
     (exactly when ``exact``)."""
-    (P1, l1, r1), (P2, l2, r2) = f_parts, g_parts
-    d = P1.group.dim
-    for i in range(d):
-        for j in range(d):
-            if not _close(P1.matrix[i][j], P2.matrix[i][j], tol, exact):
-                raise DecompositionError(
-                    "quadratic parts of the two tables differ",
-                    {"entry": [i, j],
-                     "lhs": [P1.matrix[i][j].numerator, P1.matrix[i][j].denominator],
-                     "rhs": [P2.matrix[i][j].numerator, P2.matrix[i][j].denominator]},
-                )
-    for idx, v in r1.entries:
-        if not _close(r2.at(idx), -v, tol, exact):
-            raise DecompositionError(
-                "coset parts are not opposite",
-                {"coset": list(idx.residues)},
-            )
-    return PositiveSolutionForm(P1, l1, l2, r1)
+    (Bf, _, rf, df), (Bg, _, rg, dg) = f_parts, g_parts
+    bad = np.argwhere(_differ(Bf, df, Bg, dg, tol, exact))
+    if len(bad):
+        i, j = bad[0].tolist()
+        lhs, rhs = Fraction(int(Bf[i, j]), df), Fraction(int(Bg[i, j]), dg)
+        raise DecompositionError(
+            "quadratic parts of the two tables differ",
+            {"entry": [i, j],
+             "lhs": [lhs.numerator, lhs.denominator],
+             "rhs": [rhs.numerator, rhs.denominator]},
+        )
+    bad = np.flatnonzero(_differ(rg, dg, -rf, df, tol, exact))
+    if len(bad):
+        raise DecompositionError(
+            "coset parts are not opposite",
+            {"coset": list(group.coset_indices(2)[bad[0]].residues)},
+        )
 
 
-def _split_positive(f: FuncTable, g: FuncTable, tol: float) -> PositiveSolutionForm:
-    """The form of a positive pair on one window, with no equation sweep.
+def _positive_form(group: GroupSpec, f_parts: _Parts,
+                   g_parts: _Parts) -> PositiveSolutionForm:
+    """The positive form ``(P, l, m, r)`` of a checked pair of splits."""
+    P, l, r = _forms(group, f_parts)
+    m = AdditiveMap(group, tuple(_rats(g_parts.l, g_parts.den)))
+    return PositiveSolutionForm(P, l, m, r)
+
+
+def _split_positive(f: FuncTable, g: FuncTable, tol: float) -> tuple[_Parts, _Parts]:
+    """The splits of a positive pair on one window, with no equation sweep.
 
     Raises :class:`~kbeq.errors.KbeqError` when the window is too small or
-    the pair is not of the form; on exact tables a returned form certifies
+    the pair is not of the form; on exact tables returned parts certify
     that the pair solves the equation on the whole group.
     """
     _require_decomposable_domain(f)
-    exact = _is_exact_table(f) and _is_exact_table(g)
-    return _pair_form(_split_T(f.as_real_log(), tol), _split_T(g.as_real_log(), tol),
-                      tol, exact)
+    parts = _split_parts(f, tol), _split_parts(g, tol)
+    _pair_check(f.group, *parts, tol, _is_exact_table(f) and _is_exact_table(g))
+    return parts

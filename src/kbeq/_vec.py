@@ -52,10 +52,10 @@ class VecDomain:
 
 def domain_info(group: GroupSpec, domain: Domain) -> VecDomain:
     """Vectorization data (coordinates and mixed-radix strides) of a domain."""
-    key = (group, domain)
-    hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
+    return memo((group, domain), lambda: _domain_info_build(group, domain))
+
+
+def _domain_info_build(group: GroupSpec, domain: Domain) -> VecDomain:
     pts = domain.points(group)
     coords = np.array([p.coords for p in pts], dtype=np.int32)
     if coords.ndim == 1:  # zero-dimensional group
@@ -66,8 +66,7 @@ def domain_info(group: GroupSpec, domain: Domain) -> VecDomain:
     strides = np.ones(dim, dtype=np.int64)
     for c in range(dim - 2, -1, -1):
         strides[c] = strides[c + 1] * radix[c + 1]
-    return _cached(key, VecDomain(group, domain, len(pts), coords, strides,
-                                  tuple(radii)))
+    return VecDomain(group, domain, len(pts), coords, strides, tuple(radii))
 
 
 _pair_cache: dict = {}
@@ -93,6 +92,15 @@ def _cached(key, value):
             del _pair_cache[next(iter(_pair_cache))]
         _pair_cache[key] = value
     return value
+
+
+def memo(key, build):
+    """The cached value under ``key``, built by ``build()`` and kept (within
+    ``_CACHE_BYTES``) on a miss."""
+    hit = _pair_cache.get(key)
+    if hit is not None:
+        return hit
+    return _cached(key, build())
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +259,8 @@ def triple_maps(info: VecDomain, combos: tuple[tuple[int, int, int], ...],
 
     Returns (X, H, K, [K_combo...], total, exhaustive).
     """
-    key = (info.group, info.domain, combos, full_budget, sample_budget)
-    hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
-    return _cached(key, _triple_maps_build(info, combos, full_budget,
-                                           sample_budget))
+    return memo((info.group, info.domain, combos, full_budget, sample_budget),
+                lambda: _triple_maps_build(info, combos, full_budget, sample_budget))
 
 
 def _triple_maps_build(info, combos, full_budget, sample_budget):
@@ -320,11 +324,8 @@ def index_of_coords(info: VecDomain, coords: Sequence[int]) -> int:
 
 def neg_codes(info: VecDomain) -> np.ndarray:
     """Per-point index of the negated point (domains are negation-closed)."""
-    key = (info.group, info.domain, "neg")
-    hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
-    return _cached(key, point_codes(info, -info.coords.astype(np.int64))[0])
+    return memo((info.group, info.domain, "neg"),
+                lambda: point_codes(info, -info.coords.astype(np.int64))[0])
 
 
 def coset_codes(info: VecDomain, modulus: int) -> tuple[np.ndarray, "callable"]:
@@ -332,21 +333,27 @@ def coset_codes(info: VecDomain, modulus: int) -> tuple[np.ndarray, "callable"]:
 
     The encoder maps a :class:`~kbeq.groups.CosetIndex` to the same code
     space, so arrays indexed by coset code can be filled from coset maps.
+    Codes ascend with the cosets' residues, lexicographically.  The per-point
+    array is cached and read-only.
     """
     group = info.group
     radix = [modulus] * group.rank + [math.gcd(modulus, n) for n in group.torsion]
     strides = [1] * group.dim
     for c in range(group.dim - 2, -1, -1):
         strides[c] = strides[c + 1] * radix[c + 1]
-    code = np.zeros(info.n, dtype=np.int64)
-    for c in range(group.dim):
-        col = info.coords[:, c].astype(np.int64)
-        code += (col % radix[c]) * strides[c]
+
+    def build() -> np.ndarray:
+        code = np.zeros(info.n, dtype=np.int64)
+        for c in range(group.dim):
+            col = info.coords[:, c].astype(np.int64)
+            code += (col % radix[c]) * strides[c]
+        code.setflags(write=False)
+        return code
 
     def encode(idx) -> int:
         return sum(r * s for r, s in zip(idx.residues, strides))
 
-    return code, encode
+    return memo((group, info.domain, "coset", modulus), build), encode
 
 
 def scale_codes(info: VecDomain, factor: int) -> tuple[np.ndarray, np.ndarray]:
@@ -385,6 +392,8 @@ def _rescale(nums: np.ndarray, factor: int) -> np.ndarray:
 
 def lowest(nums: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
     """``nums / denom`` in lowest terms, int64 exactly when ``_ints`` would be."""
+    if not nums.any():  # the gcd is denom, which may not fit int64
+        return np.zeros(len(nums), dtype=np.int64), 1
     g = math.gcd(int(np.gcd.reduce(nums, initial=0)), denom)
     if g > 1:
         nums, denom = nums // g, denom // g
@@ -542,33 +551,59 @@ def _sums_differ(arrays, pos, neg, modulus: int, work: dict) -> np.ndarray:
 # structured-form evaluation
 
 
+def form_values(B: np.ndarray, l: np.ndarray, r: np.ndarray, den: int,
+                info: VecDomain) -> tuple[np.ndarray, int]:
+    """Values of ``x^T B x + l(x) + r(x)`` over ``den``: (numerators, denom).
+
+    ``B`` is the symmetric dim x dim integer matrix, zero on torsion rows,
+    ``l`` the free-coordinate coefficients and ``r`` the coset constants by
+    coset code modulo ``X^(2)`` (:func:`coset_codes`), all numerators over
+    ``den``.  The values at every domain point are over the lowest common
+    denominator of the coefficients.  The numerators are int64 where a bound
+    proves the arithmetic fits and Python ints otherwise, so the values are
+    always exact.
+    """
+    d, rank = info.group.dim, info.group.rank
+    flat, den = lowest(np.concatenate([np.ravel(B), l, r]), den)
+    S, (J, K), maxc = _form_basis(info)
+    codes, _ = coset_codes(info, 2)
+    bound = int(np.abs(flat).max(initial=0)) + 1
+    if flat.dtype != np.int64 or bound * (d * max(maxc, 1)) ** 2 * 4 > _INT_LIMIT:
+        flat, S = flat.astype(object), S.astype(object)
+    B, l, r = flat[: d * d].reshape(d, d), flat[d * d: d * d + rank], flat[d * d + rank:]
+    # x^T B x is the sum over j <= k of B[j, k] x_j x_k, off-diagonal terms twice
+    coeffs = np.concatenate([np.where(J == K, 1, 2) * B[J, K], l])
+    return coeffs @ S + r[codes], den
+
+
+def _form_basis(info: VecDomain):
+    """What :func:`form_values` reads of a domain: the products ``x_j x_k``
+    (``j <= k``) of free coordinates and then the free coordinates, one row
+    each; those index pairs; and the largest coordinate magnitude."""
+
+    def build():
+        rank = info.group.rank
+        X = np.ascontiguousarray(info.coords[:, :rank].T, dtype=np.int64)
+        J, K = np.triu_indices(rank)
+        return (np.concatenate([X[J] * X[K], X]), (J, K),
+                int(np.abs(info.coords).max(initial=0)))
+
+    return memo((info.group, info.domain, "form"), build)
+
+
 def form_log_arrays(P, l, r_entries, info: VecDomain) -> tuple[np.ndarray, int]:
     """Values of ``P(x) + l(x) + r(x)`` over the domain: (numerators, denom).
 
     ``r_entries`` is an iterable of (CosetIndex, Fraction) covering X^(2).
-    The numerators are int64 where a bound proves the arithmetic fits and
-    Python ints otherwise, so the values are always exact.
+    The rational parts are scaled to integers over their least common
+    denominator and evaluated by :func:`form_values`.
     """
     group = info.group
-    rank = group.rank
-    coeffs = [v for row in P.matrix for v in row]
-    coeffs += list(l.coeffs) + [v for _, v in r_entries]
-    denom = math.lcm(*(v.denominator for v in coeffs))
-    maxc = int(np.abs(info.coords).max(initial=0))
-    bound = int(max(map(abs, coeffs), default=0) * denom) + 1
-    fits = bound * (group.dim * max(maxc, 1)) ** 2 * 4 <= _INT_LIMIT
-    dtype = np.int64 if fits else object
-
-    def scaled(values) -> np.ndarray:
-        return np.array([int(v * denom) for v in values], dtype=dtype)
-
-    C = info.coords.astype(dtype)
-    B = scaled(v for row in P.matrix for v in row).reshape(group.dim, group.dim)
-    out = ((C @ B) * C).sum(axis=1)
-    if rank:
-        out = out + C[:, :rank] @ scaled(l.coeffs)
-    codes, encode = coset_codes(info, 2)
-    rarr = np.zeros(group.coset_count(2), dtype=dtype)
+    _, encode = coset_codes(info, 2)
+    r = [0] * group.coset_count(2)
     for idx, v in r_entries:
-        rarr[encode(idx)] = int(v * denom)
-    return out + rarr[codes], denom
+        r[encode(idx)] = v
+    d, rank = group.dim, group.rank
+    nums, den = _over([v for row in P.matrix for v in row] + list(l.coeffs) + r)
+    return form_values(nums[: d * d], nums[d * d: d * d + rank], nums[d * d + rank:],
+                       den, info)

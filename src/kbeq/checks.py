@@ -290,7 +290,8 @@ def check_kb_self(f: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
 
 
 def _certified_positive(f: FuncTable, g: FuncTable, tol: float) -> bool:
-    """Does the sweep-free split certify an exact positive pair?"""
+    """Does the sweep-free split certify an exact positive pair?  Only the
+    split's integer parts are compared; no form is built."""
     if f.kind != KIND_POSITIVE or not (_is_exact_table(f) and _is_exact_table(g)):
         return False
     try:

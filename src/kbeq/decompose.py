@@ -36,12 +36,13 @@ import numpy as np
 
 from . import _vec
 from ._split import (
-    _close,
+    _forms,
     _is_exact_table,
-    _pair_form,
+    _pair_check,
     _point_witness,
+    _positive_form,
     _require_decomposable_domain,
-    _split_T,
+    _split_parts,
     _to_fraction,
     extend_biadditive,
 )
@@ -122,6 +123,12 @@ def _certified(tables, check, message: str):
 
 # ---------------------------------------------------------------------------
 # degree-2 recovery and the halving extensions
+
+
+def _close(a, b, tol: float, exact: bool) -> bool:
+    if exact:
+        return a == b
+    return abs(float(a) - float(b)) <= tol
 
 
 def recover_deg2(table: FuncTable, tol: float = DEFAULT_TOL):
@@ -205,12 +212,17 @@ def decompose_T(table: FuncTable, tol: float = DEFAULT_TOL):
     window against the recovered form, exact for exact tables and within
     ``tol`` for float tables, certifies the output.
     """
+    return _forms(table.group, _decompose_parts(table, tol))
+
+
+def _decompose_parts(table: FuncTable, tol: float):
+    """:func:`decompose_T` as the split's integer parts."""
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("log-domain decomposition needs a real table")
     _require_decomposable_domain(table)
     with _certified((table,), lambda: check_eq5(table, tol),
                     "triple-difference equation fails"):
-        return _split_T(table, tol)
+        return _split_parts(table, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +233,20 @@ def decompose_positive(f: FuncTable, g: FuncTable,
                        tol: float = DEFAULT_TOL) -> PositiveSolutionForm:
     """Recover the structured form of a positive solution pair.
 
-    Both log tables are decomposed independently; the theory forces equal
-    quadratic parts and opposite coset parts, and both facts are verified
-    (exactly for rational tables).
+    Both log tables are decomposed independently, into the integer parts of
+    :mod:`kbeq._split`; the theory forces equal quadratic parts and opposite
+    coset parts, and both facts are verified on those arrays (exactly for
+    rational tables) before the form is built from them.
     """
     if f.kind != KIND_POSITIVE or g.kind != KIND_POSITIVE:
         raise IncompatibleTablesError("positive decomposition needs positive tables")
     _require_same(f, g)
     with _certified((f, g), lambda: check_kb(f, g, tol),
                     "the functional equation fails"):
-        return _pair_form(decompose_T(f.as_real_log(), tol),
-                          decompose_T(g.as_real_log(), tol),
-                          tol, _is_exact_table(f) and _is_exact_table(g))
+        parts = (_decompose_parts(f.as_real_log(), tol),
+                 _decompose_parts(g.as_real_log(), tol))
+        _pair_check(f.group, *parts, tol, _is_exact_table(f) and _is_exact_table(g))
+        return _positive_form(f.group, *parts)
 
 
 # ---------------------------------------------------------------------------

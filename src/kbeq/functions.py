@@ -936,8 +936,11 @@ def synth_table(form, domain: Domain) -> tuple[FuncTable, FuncTable]:
     """Render a form as a pair of dense tables over a domain.
 
     Positive forms always produce genuine solution pairs, with exact
-    rational logs evaluated over the whole domain at once by
-    :func:`kbeq._vec.form_log_arrays`.  Hermitian forms
+    rational logs evaluated over the whole domain at once: the form's
+    coefficients are scaled to integers over one denominator
+    (:func:`kbeq._vec.form_log_arrays`) and evaluated by
+    :func:`kbeq._vec.form_values`, the integer evaluator the log-domain split
+    (:mod:`kbeq._split`) shares.  Hermitian forms
     are synthesized only when they satisfy the sufficient condition (sign
     maps constant on cosets of ``X^(2)`` with pointwise product 1, or the
     support-restricted shape on a group with onto doubling); arbitrary

@@ -17,6 +17,7 @@ with the same message, witness and report.
 """
 
 from fractions import Fraction
+from typing import Sequence
 
 from kbeq import decompose as dec
 from kbeq.checks import (
@@ -31,9 +32,10 @@ from kbeq.checks import (
 from kbeq._split import (
     _doubled_probes,
     _point_witness,
-    _quadratic_from_even,
     _require_decomposable_domain,
+    _split_T,
     _to_fraction,
+    extend_biadditive,
 )
 from kbeq.errors import (
     BudgetExceededError,
@@ -58,7 +60,7 @@ from kbeq.functions import (
     value_is_zero,
     values_equal,
 )
-from kbeq.groups import GroupElement, SubgroupSpec
+from kbeq.groups import GroupElement, GroupSpec, SubgroupSpec
 
 
 def synth_positive(form, domain):
@@ -85,6 +87,19 @@ def _halved(v):
     if isinstance(v, float):
         return v / 2.0
     return Fraction(v) / 2
+
+
+def _quadratic_from_even(group: GroupSpec, even: Sequence) -> QuadraticForm:
+    """Quadratic part out of doubled second differences of the even part,
+    given its values at :func:`_doubled_probes`."""
+    rank, d = group.rank, group.dim
+    doubled = [[Fraction(0)] * d for _ in range(d)]
+    e0, single, pairs = even[0], even[1: rank + 1], iter(even[rank + 1:])
+    for j in range(rank):
+        for k in range(j, rank):
+            v = next(pairs) - single[j] - single[k] + e0
+            doubled[j][k] = doubled[k][j] = v / 2
+    return extend_biadditive(group, doubled)
 
 
 def decompose_T(table, tol):
@@ -176,7 +191,7 @@ def sweep_first_decompose_T(table, tol):
     rep = check_eq5(table, tol)
     if not rep.holds:
         raise EquationFailsError("triple-difference equation fails", rep)
-    return dec._split_T(table, tol)
+    return _split_T(table, tol)
 
 
 def sweep_first_decompose_positive(f, g, tol):

@@ -412,3 +412,99 @@ def test_each_module_imports_first(module):
                          capture_output=True, text=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": str(SRC)})
     assert res.returncode == 0, res.stderr
+
+
+# ---------------------------------------------------------------------------
+# the integer-array split: no Fraction on the certificate, no int64 wraparound
+
+
+def _fraction_counter(monkeypatch) -> list:
+    """A one-item list counting the Fractions built from now on: each
+    ``Fraction.__new__`` call, and each ``Fraction._from_coprime_ints`` call
+    where it exists (Python 3.12 builds arithmetic results through it)."""
+    count = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    coprime = getattr(Fraction, "_from_coprime_ints", None)
+    if coprime is not None:
+        def counting_coprime(cls, numerator, denominator):
+            count[0] += 1
+            return coprime(numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counting_coprime))
+    return count
+
+
+def test_certified_check_builds_no_fraction(monkeypatch):
+    group = GroupSpec(2, (4, 3))
+    f, g = synth_table(random_positive_form(group, Random(1)), Box((6, 6)))
+    assert check_kb(f, g).holds  # warms the index caches
+    count = _fraction_counter(monkeypatch)
+    assert Fraction(1, 3) and count[0] == 1  # the counter sees construction
+    assert checks._certified_positive(f, g, DEFAULT_TOL)
+    rep = check_kb(f, g)
+    assert rep.holds and count[0] == 1
+
+
+def test_positive_decomposition_builds_fractions_independent_of_the_window(monkeypatch):
+    group = GroupSpec(2, (4, 3))
+    form = random_positive_form(group, Random(1))
+    pairs = [synth_table(form, Box((radius, radius))) for radius in (6, 12)]
+    for f, g in pairs:
+        decompose_positive(f, g)  # warms the index caches
+    count = _fraction_counter(monkeypatch)
+    built = []
+    for f, g in pairs:
+        before = count[0]
+        assert decompose_positive(f, g).to_json() == form.to_json()
+        built.append(count[0] - before)
+    assert built[0] == built[1] > 0
+
+
+INT64_EDGE = GroupSpec(2, (2,))
+
+
+def _int64_edge_form(seed: int):
+    """A positive form whose logs on ``Box((4, 4))`` have int64 numerators
+    within 16 times of ``_vec._INT_LIMIT`` = 2^58."""
+    group, rng = INT64_EDGE, Random(seed)
+    s = 2**52 // 7
+    P = QuadraticForm(group, ((Fraction(rng.randrange(s, 2 * s), 3),
+                               Fraction(-s, 3), Fraction(0)),
+                              (Fraction(-s, 3), Fraction(rng.randrange(s, 2 * s), 3),
+                               Fraction(0)),
+                              (Fraction(0),) * 3))
+    l, m = (AdditiveMap(group, (Fraction(rng.randrange(-s, s), 3),
+                                Fraction(rng.randrange(-s, s), 3))) for _ in range(2))
+    r = CosetConstantMap(group, tuple((idx, Fraction(rng.randrange(-s, s), 3))
+                                      for idx in group.coset_indices(2)))
+    return PositiveSolutionForm(P, l, m, r)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_split_near_the_int64_limit_matches_the_sweep(seed):
+    form = _int64_edge_form(seed)
+    f, g = synth_table(form, Box((4, 4)))
+    info = _vec.domain_info(INT64_EDGE, Box((4, 4)))
+    # not vacuous: int64 table numerators whose x16 rescale and whose
+    # quadratic products leave int64
+    for t in (f, g):
+        nums = t.encoding[1]
+        assert nums.dtype == np.int64
+        assert int(np.abs(nums).max()) <= _vec._INT_LIMIT
+        assert int(np.abs(nums).max()) * 16 > _vec._INT_LIMIT
+        parts = _split._split_parts(t, DEFAULT_TOL)
+        assert _vec.form_values(*parts, info)[0].dtype == object
+    assert _kb_key(check_kb(f, g)) == _kb_key(checks._kb_sweep(f, g, DEFAULT_TOL))
+    assert checks._certified_positive(f, g, DEFAULT_TOL)
+    assert decompose_positive(f, g).to_json() == form.to_json()
+    bad = _replaced(f, {(1, 2, 1): lambda v: v + Fraction(1, 5)})
+    want = checks._kb_sweep(bad, g, DEFAULT_TOL)
+    assert not want.holds
+    assert _kb_key(check_kb(bad, g)) == _kb_key(want)

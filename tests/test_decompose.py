@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kbeq import _vec
+from kbeq._split import _split_T
 from kbeq.checks import DEFAULT_TOL, check_kb, check_kb_self
 from kbeq.decompose import (
-    _split_T,
     decompose_T,
     decompose_hermitian,
     decompose_positive,

@@ -244,3 +244,18 @@ def test_pair_index_sets_are_cached_only_within_the_byte_budget(monkeypatch):
     assert (group, small, combos) in _vec._pair_cache
     assert (group, large, combos) not in _vec._pair_cache
     assert sum(map(_vec._nbytes, _vec._pair_cache.values())) <= 5 * 8 * 200
+
+
+def test_coset_codes_are_cached_and_read_only(monkeypatch):
+    monkeypatch.setattr(_vec, "_pair_cache", {})
+    group, domain = GroupSpec(2, (4, 3)), Box((3, 3))
+    info = _vec.domain_info(group, domain)
+    for modulus in (2, 4):
+        codes, encode = _vec.coset_codes(info, modulus)
+        assert (group, domain, "coset", modulus) in _vec._pair_cache
+        assert _vec.coset_codes(info, modulus)[0] is codes
+        with pytest.raises(ValueError):
+            codes[0] = 1
+        # the encoder maps each point's coset index to the point's code
+        assert codes.tolist() == [encode(group.coset_index(p, modulus))
+                                  for p in domain.points(group)]

@@ -21,10 +21,10 @@ import pytest
 import reference_checks as ref
 import reference_decompose as ref_dec
 from kbeq import _vec, checks
+from kbeq._split import _split_T
 from kbeq.checks import check_eq5, check_kb, check_sign_eq26
 from kbeq.decompose import (
     _phase_checks,
-    _split_T,
     decompose_T,
     decompose_hermitian,
     decompose_positive,
