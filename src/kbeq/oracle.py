@@ -490,10 +490,10 @@ class _GridSolver:
             hit = np.isin(self._tsum(di), targets)
             keep = hit if keep is None else np.logical_and(keep, hit, out=keep)
         if keep is None:
-            rows = self._block0 + row
+            rows = _add_row(self._block0, row, np.empty_like(self._block0))
         else:
             rows = self._block0[keep]
-            rows += row
+            _add_row(rows, row, rows)
         for di in self.block_dets:
             if self.det_den[di] != 1:
                 t = self._tsum(di)
@@ -538,6 +538,26 @@ class _GridSolver:
         return out
 
 
+_LINE_ROWS = 256  # rows per flat line when a block adds its prefix row
+
+
+def _add_row(block: np.ndarray, row: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[:] = block + row`` for C-contiguous ``block`` and ``out`` (which
+    may be ``block``), in the block's dtype.
+
+    Whole lines of ``_LINE_ROWS`` rows are added to a tiled copy of ``row``,
+    so numpy's inner loop runs along a line rather than along one short row;
+    the rows after the last whole line take a plain broadcast.
+    """
+    whole = len(block) - len(block) % _LINE_ROWS
+    if whole:
+        width = _LINE_ROWS * block.shape[1]
+        np.add(block[:whole].reshape(-1, width), np.tile(row, _LINE_ROWS),
+               out=out[:whole].reshape(-1, width))
+    np.add(block[whole:], row, out=out[whole:])
+    return out
+
+
 def scan_restricted_kb(group: GroupSpec, log_grid: Sequence = (-1, 0, 1),
                        on_chunk: Optional[Callable[[np.ndarray, int], None]] = None,
                        budget: int = 10**9) -> int:
@@ -546,7 +566,10 @@ def scan_restricted_kb(group: GroupSpec, log_grid: Sequence = (-1, 0, 1),
     ``on_chunk`` receives (rows, denominator): each row is one solution,
     columns alternating the scaled logs of f and g in element order.  Rows
     across the whole scan are distinct (the search branches on disjoint
-    values) and their order is deterministic.  Returns the exact count.
+    values) and their order is deterministic.  Chunks arrive in stream
+    order, and each is a fresh C-contiguous array that no later chunk
+    reuses, so the caller may keep it (or views into it) without copying.
+    Returns the exact count.
     """
     solver = _GridSolver(group, [Fraction(v) for v in log_grid], budget)
     if on_chunk is None:
@@ -596,28 +619,74 @@ def predicted_restricted_count(group: GroupSpec,
     return m ** group.coset_count(2)
 
 
+_CHECK_ROWS = 8192  # rows per slice of the structural check
+
+
 def restricted_rows_match_prediction(group: GroupSpec, rows: np.ndarray,
                                      denom: int) -> bool:
     """Structural test: every row is (T coset-constant, S = -T).
 
-    ``rows`` come from :func:`scan_restricted_kb`.  ``T + S`` is summed in
-    the rows' own dtype, which is exact because int8 rows hold values within
-    +-127.  Int8 rows read each (T, S) column pair as one uint16 ``w``:
-    ``257 * w`` holds ``T + S`` modulo 256 in its high byte, in either byte
-    order.  Coset constancy compares each non-representative T column with
-    its coset representative's.
+    ``rows`` come from :func:`scan_restricted_kb`.  They are checked in
+    slices of ``_CHECK_ROWS`` rows, each read as one flat line of one word
+    per element, so the scratch arrays hold one slice whatever the length
+    of ``rows``.  A slice first tests ``T + S``, summed in the rows' own
+    dtype, which is exact because int8 rows hold values within +-127.  An
+    int8 word is the (T, S) column pair read as one uint16 ``w``: ``257 *
+    w`` holds ``T + S`` modulo 256 in its high byte, in either byte order,
+    and once that is 0 two words are equal exactly when their T values are.
+    An int64 word is the T column.  Coset constancy then compares the line
+    with itself shifted by ``d`` words, for each shift ``d`` from an
+    element back to the previous element of its doubled coset, and keeps
+    the comparisons at those elements only; equality chains to each
+    coset's first element.
     """
-    if rows.dtype == np.int8:
-        if np.any(rows.view(np.uint16) * np.uint16(257) > 255):
-            return False
-    elif np.any(rows[:, 0::2] + rows[:, 1::2]):
-        return False
-    cosets, _ = _vec.coset_codes(_vec.domain_info(group, FullGroup()), 2)
-    _, first, coset = np.unique(cosets, return_index=True, return_inverse=True)
-    rep = first[coset]  # each element's first coset member
-    members = np.flatnonzero(rep != np.arange(len(rep)))
-    return np.array_equal(np.take(rows, 2 * members, axis=1),
-                          np.take(rows, 2 * rep[members], axis=1))
+    shifts = _coset_shifts(group)
+    wide = rows.dtype != np.int8
+    size = min(_CHECK_ROWS, len(rows)) * (rows.shape[1] // 2)
+    total = np.empty(size, dtype=rows.dtype if wide else np.uint16)
+    differ = np.empty(size, dtype=bool)
+    for start in range(0, len(rows), _CHECK_ROWS):
+        flat = rows[start:start + _CHECK_ROWS].reshape(-1)
+        m = len(flat) // 2
+        if wide:
+            words = flat[0::2]
+            if np.add(words, flat[1::2], out=total[:m]).any():
+                return False
+        else:
+            words = flat.view(np.uint16)
+            if np.multiply(words, np.uint16(257), out=total[:m]).max() > 255:
+                return False
+        for d, care in shifts:
+            neq = np.not_equal(words[d:], words[:-d], out=differ[:m - d])
+            if np.logical_and(neq, care[:m - d], out=neq).any():
+                return False
+    return True
+
+
+def _coset_shifts(group: GroupSpec) -> tuple[tuple[int, np.ndarray], ...]:
+    """``(d, care)`` pairs for the structural check, cached per group.
+
+    Each ``d`` is the distance from an element back to the previous element
+    of its doubled coset.  ``care[q]`` is true when word ``q + d`` of a
+    flat line of ``_CHECK_ROWS`` rows belongs to an element at distance
+    ``d``; every element but the first of its coset has one distance.
+    """
+    info = _vec.domain_info(group, FullGroup())
+
+    def build():
+        cosets, _ = _vec.coset_codes(info, 2)
+        order = np.argsort(cosets, kind="stable")
+        mate = cosets[order[1:]] == cosets[order[:-1]]
+        member = order[1:][mate]
+        dist = member - order[:-1][mate]
+        out = []
+        for d in np.unique(dist).tolist():
+            line = np.zeros(info.n, dtype=bool)
+            line[member[dist == d]] = True
+            out.append((d, np.tile(line, _CHECK_ROWS)[d:]))
+        return tuple(out)
+
+    return _vec.memo((group, info.domain, "coset shifts"), build)
 
 
 # ---------------------------------------------------------------------------

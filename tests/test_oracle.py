@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -13,8 +14,12 @@ from kbeq.checks import DEFAULT_TOL, check_coset_constant, check_kb, check_kb_se
 from kbeq.errors import BudgetExceededError
 from kbeq.functions import FuncTable
 from kbeq.groups import Box, FullGroup, GroupSpec, parse_group
+from kbeq import oracle
 from kbeq.oracle import (
+    _CHECK_ROWS,
+    _LINE_ROWS,
     _GridSolver,
+    _add_row,
     _annotate_pair,
     builtin_counterexample,
     builtin_odd_quadratic,
@@ -306,6 +311,19 @@ def test_structural_check_rejects_each_violation(grid):
     bad_t[-1, 2 * member] += 1
     bad_t[-1, 2 * member + 1] -= 1  # keeps S = -T
     assert not restricted_rows_match_prediction(group, bad_t, 1)
+    # the same rows tiled to three whole slices and a partial one: a
+    # violation in a middle slice or in the last row of the partial slice
+    length = 3 * _CHECK_ROWS + _CHECK_ROWS // 3
+    tiled = np.tile(rows, (-(-length // len(rows)), 1))[:length]
+    assert restricted_rows_match_prediction(group, tiled, 1)
+    bad_s = tiled.copy()
+    bad_s[_CHECK_ROWS + 17, 2 * member + 1] += 1
+    bad_t = tiled.copy()
+    bad_t[-1, 2 * member] += 1
+    bad_t[-1, 2 * member + 1] -= 1
+    for bad in (bad_s, bad_t):
+        assert restricted_rows_match_prediction(group, bad[:_CHECK_ROWS], 1)
+        assert not restricted_rows_match_prediction(group, bad, 1)
 
 
 def test_structural_check_on_int8_rows_matches_the_wrapped_sum():
@@ -326,6 +344,24 @@ def test_structural_check_on_int8_rows_matches_the_wrapped_sum():
         assert restricted_rows_match_prediction(group, block, 1) == want
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("length", [3 ** 11, 3 ** 12])
+def test_structural_check_memory_is_bounded(length):
+    # Z/4 x Z/2 x Z/2: element e shares its doubled coset with e +- 8
+    group = GroupSpec(0, (4, 2, 2))
+    T = np.random.default_rng(3).integers(-1, 2, size=(length, 8), dtype=np.int8)
+    T = np.hstack([T, T])
+    rows = np.empty((length, 32), dtype=np.int8)
+    rows[:, 0::2], rows[:, 1::2] = T, -T
+    tracemalloc.start()
+    try:
+        ok = restricted_rows_match_prediction(group, rows, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 1 << 20, peak
 
 
 def test_scan_budget_enforced():
@@ -412,6 +448,53 @@ def test_scan_budget_matches_reference():
     streamed = np.concatenate(chunks)
     assert 0 < len(streamed) <= 100
     assert streamed.tobytes() == full[:len(streamed)].tobytes()
+
+
+@pytest.mark.parametrize("chunk_rows", [3 ** 7, 3 ** 8])
+@pytest.mark.parametrize("grid, in_place", [
+    ((-1, 0, 1), False),   # every block is the whole template
+    ((-200, 0, 200), True),  # blocks keep the rows that pass a test
+])
+def test_multi_block_stream_matches_reference(monkeypatch, chunk_rows, grid,
+                                              in_place):
+    group = GroupSpec(0, (2, 2, 2))
+    monkeypatch.setattr(_GridSolver, "chunk_rows", chunk_rows)
+    paths = set()
+
+    def spy(block, row, out):
+        paths.add(out is block)
+        return _add_row(block, row, out)
+
+    monkeypatch.setattr(oracle, "_add_row", spy)
+    chunks = []  # kept without copying: a reused buffer would show
+    count = scan_restricted_kb(group, grid, lambda rows, d: chunks.append(rows))
+    ref_count, ref_rows, _ = reference_rows(group, grid)
+    assert paths == {in_place}
+    assert len(chunks) == 3 ** 8 // chunk_rows
+    assert all(c.flags.c_contiguous for c in chunks)
+    assert count == ref_count == len(ref_rows)
+    assert np.concatenate(chunks).tobytes() == ref_rows.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+@pytest.mark.parametrize("length", [0, 5, 3 * _LINE_ROWS, 2 * _LINE_ROWS + 7])
+def test_add_row_matches_the_broadcast_sum(dtype, length):
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(length)
+    block = rng.integers(info.min, info.max, size=(length, 6), dtype=dtype,
+                         endpoint=True)
+    row = rng.integers(info.min, info.max, size=6, dtype=dtype, endpoint=True)
+    want = block + row  # wraps in the dtype, as the stream always did
+    assert _add_row(block, row, np.empty_like(block)).tobytes() == want.tobytes()
+    assert _add_row(block, row, block) is block
+    assert block.tobytes() == want.tobytes()
+
+
+def test_add_row_wraps_int8_in_whole_lines_and_in_the_tail():
+    block = np.full((_LINE_ROWS + 1, 4), 127, dtype=np.int8)
+    got = _add_row(block, np.array([1, 2, -1, 0], dtype=np.int8),
+                   np.empty_like(block))
+    assert (got == np.array([-128, -127, 126, 127], dtype=np.int8)).all()
 
 
 @pytest.mark.parametrize("group", ABELIAN_LE_32, ids=str)
