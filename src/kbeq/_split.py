@@ -189,7 +189,8 @@ def _halves(kind: str, part2: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
     """``part2 / (2 denom)`` as integer numerators over one denominator,
     float values rounded to rationals first."""
     if kind == "float":
-        return _vec._over([_to_fraction(_value(kind, v, 2 * denom)) for v in part2])
+        return _vec._fractions_over([_to_fraction(_value(kind, v, 2 * denom))
+                                     for v in part2])
     return part2, 2 * denom
 
 

@@ -56,17 +56,20 @@ def domain_info(group: GroupSpec, domain: Domain) -> VecDomain:
 
 
 def _domain_info_build(group: GroupSpec, domain: Domain) -> VecDomain:
-    pts = domain.points(group)
-    coords = np.array([p.coords for p in pts], dtype=np.int32)
-    if coords.ndim == 1:  # zero-dimensional group
-        coords = coords.reshape(len(pts), 0)
-    radii = domain.radius if isinstance(domain, Box) else ()
-    radix = [2 * r + 1 for r in radii] + list(group.torsion)
-    dim = group.dim
-    strides = np.ones(dim, dtype=np.int64)
-    for c in range(dim - 2, -1, -1):
+    # the point of index i has the mixed-radix digits of i, offset by each
+    # range's start: the order of ``domain.points``, without building them
+    ranges = domain.ranges(group)
+    radix = [len(r) for r in ranges]
+    n = math.prod(radix)
+    strides = np.ones(group.dim, dtype=np.int64)
+    for c in range(group.dim - 2, -1, -1):
         strides[c] = strides[c + 1] * radix[c + 1]
-    return VecDomain(group, domain, len(pts), coords, strides, tuple(radii))
+    index = np.arange(n, dtype=np.int64)
+    coords = np.empty((n, group.dim), dtype=np.int32)
+    for c, r in enumerate(ranges):
+        coords[:, c] = index // strides[c] % len(r) + r.start
+    radii = domain.radius if isinstance(domain, Box) else ()
+    return VecDomain(group, domain, n, coords, strides, tuple(radii))
 
 
 _pair_cache: dict = {}
@@ -376,10 +379,27 @@ def _ints(values: list) -> np.ndarray:
     return np.array(values, dtype=object)
 
 
-def _over(values: list) -> tuple[np.ndarray, int]:
-    """Rationals as integer numerators over their least common denominator."""
-    denom = math.lcm(*{v.denominator for v in values})
-    return _ints([v.numerator * (denom // v.denominator) for v in values]), denom
+def _over(nums: Sequence[int], dens: Sequence[int]) -> tuple[np.ndarray, int]:
+    """The rationals ``nums[i] / dens[i]`` (nonzero integer denominators of
+    either sign, in any terms) as numerators over their least common
+    denominator, int64 exactly when ``_ints`` would be.
+
+    The values over the lcm of the given denominators are brought to lowest
+    terms by one gcd: no rational is reduced on its own.
+    """
+    denom = math.lcm(*set(dens))
+    top = max(map(abs, nums), default=0)
+    if max(top, 1) * denom <= _INT_LIMIT:
+        scaled = np.array(nums, dtype=np.int64) * (denom // np.array(dens, dtype=np.int64))
+    else:
+        scaled = np.array([a * (denom // d) for a, d in zip(nums, dens)], dtype=object)
+    return lowest(scaled, denom)
+
+
+def _fractions_over(values) -> tuple[np.ndarray, int]:
+    """Rationals (``Fraction`` or ``int``) as :func:`_over` numerators over
+    their least common denominator."""
+    return _over([v.numerator for v in values], [v.denominator for v in values])
 
 
 def _rescale(nums: np.ndarray, factor: int) -> np.ndarray:
@@ -604,6 +624,7 @@ def form_log_arrays(P, l, r_entries, info: VecDomain) -> tuple[np.ndarray, int]:
     for idx, v in r_entries:
         r[encode(idx)] = v
     d, rank = group.dim, group.rank
-    nums, den = _over([v for row in P.matrix for v in row] + list(l.coeffs) + r)
+    nums, den = _fractions_over([v for row in P.matrix for v in row]
+                                + list(l.coeffs) + r)
     return form_values(nums[: d * d], nums[d * d: d * d + rank], nums[d * d + rank:],
                        den, info)

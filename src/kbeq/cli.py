@@ -19,7 +19,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import checks, decompose, oracle
 from .errors import (
     BudgetExceededError,
     DecompositionError,
@@ -88,10 +87,12 @@ def _summary(line: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (payload, exit_code)
+# subcommand handlers; each returns (payload, exit_code) and imports the
+# library modules it runs, so a process loads only what its command uses
 
 
 def _cmd_check(args):
+    from . import checks
     f = _load_table(args.f, args.group)
     g = _load_table(args.g, args.group) if args.g else f
     rep = checks.check_kb(f, g, args.tol)
@@ -102,6 +103,7 @@ def _cmd_check(args):
 
 
 def _cmd_check_self(args):
+    from . import checks
     f = _load_table(args.f, args.group)
     rep = checks.check_kb_self(f, args.tol)
     _summary(f"one-function equation holds: {rep.holds} "
@@ -111,6 +113,7 @@ def _cmd_check_self(args):
 
 
 def _cmd_decompose(args):
+    from . import decompose
     f = _load_table(args.f, args.group)
     g = _load_table(args.g, args.group)
     form = decompose.decompose_positive(f, g, args.tol)
@@ -120,6 +123,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_decompose_hermitian(args):
+    from . import decompose
     f = _load_table(args.f, args.group)
     g = _load_table(args.g, args.group)
     form = decompose.decompose_hermitian(f, g, args.tol)
@@ -129,6 +133,7 @@ def _cmd_decompose_hermitian(args):
 
 
 def _cmd_decompose_vanishing(args):
+    from . import decompose
     f = _load_table(args.f, args.group)
     g = _load_table(args.g, args.group)
     form = decompose.decompose_vanishing(f, g, args.tol)
@@ -139,6 +144,7 @@ def _cmd_decompose_vanishing(args):
 
 
 def _cmd_synth(args):
+    from . import checks
     with open(args.form, "r", encoding="utf-8") as fh:
         form = form_from_json(json.load(fh))
     group = form.group
@@ -152,6 +158,7 @@ def _cmd_synth(args):
 
 
 def _cmd_enum_signs(args):
+    from . import oracle
     group = parse_group(args.group)
     census = oracle.enum_sign_solutions(group, order_budget=args.budget)
     _summary(f"{census.count} sign pairs on {group}")
@@ -159,6 +166,7 @@ def _cmd_enum_signs(args):
 
 
 def _cmd_enum_kb(args):
+    from . import oracle
     group = parse_group(args.group)
     grid = [Fraction(part) for part in args.grid.split(",")]
     pairs = oracle.enum_restricted_kb(group, grid, budget=args.budget,
@@ -175,6 +183,7 @@ def _cmd_enum_kb(args):
 
 
 def _cmd_demo(args):
+    from . import checks, decompose, oracle
     if args.example == "counterexample":
         f, g = oracle.builtin_counterexample()
         rep = checks.check_kb(f, g, args.tol)
@@ -223,6 +232,7 @@ def _cmd_demo(args):
 
 
 def _cmd_suite(args):
+    from . import oracle
     groups = (tuple(s.strip() for s in args.groups.split(","))
               if args.groups else oracle.DEFAULT_SUITE_GROUPS)
     report = oracle.verify_theorem_suite(groups, trials=args.trials,

@@ -27,6 +27,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -318,7 +319,7 @@ class FuncTable:
         if kind not in _KINDS:
             raise GroupParseError(f"unknown table kind {kind!r}")
         rows = obj["values"]
-        vals = [_value_from_json(kind, raw) for _, raw in rows]
+        mode, arrays, denom = _json_encoding(kind, [raw for _, raw in rows])
         info = _vec.domain_info(group, domain)
         codes, inside = _vec.point_codes(info, _coords_from_json(group, rows))
         order = np.argsort(codes)
@@ -326,8 +327,18 @@ class FuncTable:
         if (len(rows) != info.n or not inside.all()
                 or not np.array_equal(codes[order], np.arange(info.n))):
             raise IncompatibleTablesError(_KEYS_DIFFER)
-        return cls._of(group, domain, kind, _encode(
-            kind, [vals[i] for i in order.tolist()], domain.points(group)))
+        if mode == "exact":
+            lg, lgd, tn, tnd, zero = arrays
+            arrays = (lg[order], lgd, tn[order], tnd, zero[order])
+        else:
+            arrays = arrays[order]
+        nan = np.flatnonzero(np.isnan(arrays)) if mode == "float" else ()
+        if len(nan):
+            raise IncompatibleTablesError(
+                f"value nan at {group.element(info.coords[nan[0]].tolist())} "
+                f"is invalid for kind {kind!r}"
+            )
+        return cls._of(group, domain, kind, (mode, arrays, denom))
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, FuncTable) and self.group == other.group
@@ -388,10 +399,10 @@ def _encode(kind: str, vals: list, pts: list):
     if kind != KIND_COMPLEX:
         if any(isinstance(v, float) for v in vals):
             return "float", np.array(vals, dtype=np.float64), 1
-        return ("int", *_vec._over(vals))
+        return ("int", *_vec._fractions_over(vals))
     if all(isinstance(v, Exact) for v in vals):
-        return "exact", (*_vec._over([v.log_abs for v in vals]),
-                         *_vec._over([v.turn for v in vals]),
+        return "exact", (*_vec._fractions_over([v.log_abs for v in vals]),
+                         *_vec._fractions_over([v.turn for v in vals]),
                          np.array([v.zero for v in vals], dtype=bool)), 1
     return "complex", np.array([cval(v) for v in vals], dtype=np.complex128), 1
 
@@ -450,10 +461,19 @@ def _json_value(v):
     return v
 
 
+def _int_pair_from_json(raw):
+    """``raw`` itself, once checked to be a JSON ``[num, den]`` rational: two
+    integers, the denominator nonzero, in any terms."""
+    if (isinstance(raw, (list, tuple)) and len(raw) == 2
+            and type(raw[0]) is int and type(raw[1]) is int and raw[1]):
+        return raw
+    raise GroupParseError(
+        f"expected [num, den] rational of integers with a nonzero "
+        f"denominator, got {raw!r}")
+
+
 def _rat_from_json(raw) -> Fraction:
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return Fraction(int(raw[0]), int(raw[1]))
-    raise GroupParseError(f"expected [num, den] rational, got {raw!r}")
+    return Fraction(*_int_pair_from_json(raw))
 
 
 def _value_to_json(kind: str, v):
@@ -476,10 +496,11 @@ def _value_to_json(kind: str, v):
 def _coords_from_json(group: GroupSpec, rows: list) -> np.ndarray:
     """The coordinate vectors of JSON table rows as an (m, dim) int64 array."""
     coords = [c for c, _ in rows]
+    dim = group.dim
     for c in coords:
-        if len(c) != group.dim:
-            raise GroupMismatchError(f"expected {group.dim} coordinates, got {len(c)}")
-    if not {type(v) for c in coords for v in c} <= {int}:
+        if len(c) != dim:
+            raise GroupMismatchError(f"expected {dim} coordinates, got {len(c)}")
+    if not set(map(type, chain.from_iterable(coords))) <= {int}:
         bad = next(c for c in coords if any(type(v) is not int for v in c))
         raise GroupParseError(f"table coordinates must be integers, got {bad!r}")
     try:
@@ -488,34 +509,74 @@ def _coords_from_json(group: GroupSpec, rows: list) -> np.ndarray:
         raise GroupParseError("table coordinates must fit in 64 bits") from None
 
 
-def _value_from_json(kind: str, raw):
-    if kind == KIND_SIGN:
-        if raw in (1, -1):
-            return int(raw)
-        raise GroupParseError(f"sign value must be +-1, got {raw!r}")
-    if kind == KIND_REAL:
-        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            return float(raw) if isinstance(raw, float) else Fraction(raw)
-        return _rat_from_json(raw)
+def _is_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def _real_from_json(kind: str, raw):
+    """A real or positive table value as a ``[num, den]`` pair of integers,
+    or as ``(float, None)``; positive tables read the log of a plain number."""
     if kind == KIND_POSITIVE:
-        if isinstance(raw, dict) and "log" in raw:
-            inner = raw["log"]
-            if isinstance(inner, (int, float)) and not isinstance(inner, bool):
-                return float(inner)
-            return _rat_from_json(inner)
-        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        if not (isinstance(raw, dict) and "log" in raw):
+            if not _is_number(raw):
+                raise GroupParseError(f"cannot parse positive value {raw!r}")
             if raw <= 0:
                 raise GroupParseError(f"positive table value must be > 0, got {raw!r}")
-            return math.log(float(raw))
-        raise GroupParseError(f"cannot parse positive value {raw!r}")
-    # complex
+            return math.log(float(raw)), None
+        raw = raw["log"]
+        if _is_number(raw):
+            return float(raw), None
+    elif isinstance(raw, float):
+        return raw, None
+    elif _is_number(raw):
+        return raw, 1
+    return _int_pair_from_json(raw)
+
+
+def _complex_from_json(raw) -> tuple:
+    """A complex table value as ``(log num, log den, turn num, turn den)``
+    integers, exact zero as ``None``, or a float value as a ``complex``."""
     if raw == 0:
-        return Exact.zero_value()
+        return None
     if isinstance(raw, dict) and "turn" in raw:
-        return Exact(_rat_from_json(raw["log"]), _rat_from_json(raw["turn"]))
+        return (*_int_pair_from_json(raw["log"]), *_int_pair_from_json(raw["turn"]))
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
         return complex(float(raw[0]), float(raw[1]))
     raise GroupParseError(f"cannot parse complex value {raw!r}")
+
+
+def _json_encoding(kind: str, raws: list):
+    """JSON table values, in the order given, as the ``(mode, arrays,
+    denom)`` of :func:`_encode`.
+
+    Exact entries stay integer pairs: :func:`kbeq._vec._over` brings each
+    column to lowest terms over one denominator, and turns are then taken
+    modulo 1, as :class:`Exact` takes them.  No per-value ``Fraction`` or
+    :class:`Exact` is built.
+    """
+    if kind == KIND_SIGN:
+        for raw in raws:
+            if raw not in (1, -1):
+                raise GroupParseError(f"sign value must be +-1, got {raw!r}")
+        return "parity", (1 - np.array(raws, dtype=np.int64)) >> 1, 1
+    if kind != KIND_COMPLEX:
+        vals = [_real_from_json(kind, raw) for raw in raws]
+        if any(d is None for _, d in vals):  # any float: float arithmetic
+            return "float", np.array([a if d is None else a / d for a, d in vals],
+                                     dtype=np.float64), 1
+        return ("int", *_vec._over([a for a, _ in vals], [d for _, d in vals]))
+    vals = [_complex_from_json(raw) for raw in raws]
+    if any(isinstance(v, complex) for v in vals):
+        # int / int is correctly rounded, as the float of a Fraction is
+        return "complex", np.array([
+            v if isinstance(v, complex) else 0j if v is None
+            else math.exp(v[0] / v[1]) * cmath.exp(2j * math.pi * (v[2] % v[3] / v[3]))
+            for v in vals], dtype=np.complex128), 1
+    zero = np.array([v is None for v in vals], dtype=bool)
+    ints = [(0, 1, 0, 1) if v is None else v for v in vals]
+    turns, tden = _vec._over([v[2] for v in ints], [v[3] for v in ints])
+    return "exact", (*_vec._over([v[0] for v in ints], [v[1] for v in ints]),
+                     turns % tden, tden, zero), 1
 
 
 # ---------------------------------------------------------------------------

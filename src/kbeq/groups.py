@@ -438,11 +438,11 @@ class SubgroupSpec:
 _points_cache: dict = {}
 
 
-def _cached_points(group: GroupSpec, domain, build) -> list[GroupElement]:
+def _cached_points(group: GroupSpec, domain) -> list[GroupElement]:
     key = (group, domain)
     pts = _points_cache.get(key)
     if pts is None:
-        pts = build()
+        pts = [GroupElement(group, c) for c in product(*domain.ranges(group))]
         if len(_points_cache) > 32:
             _points_cache.clear()
         _points_cache[key] = pts
@@ -453,10 +453,14 @@ def _cached_points(group: GroupSpec, domain, build) -> list[GroupElement]:
 class FullGroup:
     """The whole group as a domain; only valid when the group is finite."""
 
-    def points(self, group: GroupSpec) -> list[GroupElement]:
+    def ranges(self, group: GroupSpec) -> list[range]:
+        """Per-coordinate value ranges; the points are their product, in order."""
         if not group.is_finite:
             raise DomainSizeError("FullGroup domain requires rank 0")
-        return _cached_points(group, self, group.elements)
+        return [range(n) for n in group.torsion]
+
+    def points(self, group: GroupSpec) -> list[GroupElement]:
+        return _cached_points(group, self)
 
     def contains(self, x: GroupElement) -> bool:
         return True
@@ -480,18 +484,17 @@ class Box:
             if r < 1:
                 raise DomainSizeError(f"box radius must be >= 1, got {r}")
 
-    def points(self, group: GroupSpec) -> list[GroupElement]:
+    def ranges(self, group: GroupSpec) -> list[range]:
+        """Per-coordinate value ranges; the points are their product, in order."""
         if len(self.radius) != group.rank:
             raise DomainSizeError(
                 f"box has {len(self.radius)} radii for rank {group.rank}"
             )
+        return ([range(-r, r + 1) for r in self.radius]
+                + [range(n) for n in group.torsion])
 
-        def build():
-            ranges = [range(-r, r + 1) for r in self.radius]
-            ranges += [range(n) for n in group.torsion]
-            return [GroupElement(group, coords) for coords in product(*ranges)]
-
-        return _cached_points(group, self, build)
+    def points(self, group: GroupSpec) -> list[GroupElement]:
+        return _cached_points(group, self)
 
     def contains(self, x: GroupElement) -> bool:
         return all(abs(x.coords[j]) <= r for j, r in enumerate(self.radius))

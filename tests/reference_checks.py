@@ -8,9 +8,13 @@ the kernel they count every in-range tuple and report the lexicographically
 first failure, so verdicts, witnesses, ``pairs_checked`` and ``coverage``
 can be compared one for one.  ``table_encoding`` builds a table's arrays
 point by point from plain values; it is the oracle for the encoding that
-``FuncTable`` stores.
+``FuncTable`` stores.  ``table_from_json`` reads a table file value by value
+into ``Fraction``, ``float``, :class:`~kbeq.functions.Exact` and ``complex``
+values and builds the table from the resulting mapping; it is the oracle for
+``FuncTable.from_json``, which reads the values straight into integer arrays.
 """
 
+import math
 from fractions import Fraction
 from math import comb, lcm
 
@@ -18,7 +22,9 @@ import numpy as np
 
 from kbeq._vec import _INT_LIMIT
 from kbeq.checks import CheckReport, Witness
-from kbeq.functions import Exact, cmul, cval, values_equal
+from kbeq.errors import GroupMismatchError, GroupParseError, IncompatibleTablesError
+from kbeq.functions import Exact, FuncTable, cmul, cval, values_equal
+from kbeq.groups import domain_from_json, parse_group
 
 
 def _over(values):
@@ -42,6 +48,73 @@ def table_encoding(kind, values):
                          *_over([v.turn for v in values]),
                          np.array([v.zero for v in values])), 1
     return "complex", np.array([cval(v) for v in values], dtype=complex), 1
+
+
+def _rat_from_json(raw) -> Fraction:
+    if (isinstance(raw, (list, tuple)) and len(raw) == 2
+            and all(type(v) is int for v in raw) and raw[1] != 0):
+        return Fraction(raw[0], raw[1])
+    raise GroupParseError(
+        f"expected [num, den] rational of integers with a nonzero "
+        f"denominator, got {raw!r}")
+
+
+def _is_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def value_from_json(kind, raw):
+    """One JSON table value as the Python value it denotes."""
+    if kind == "sign":
+        if raw in (1, -1):
+            return int(raw)
+        raise GroupParseError(f"sign value must be +-1, got {raw!r}")
+    if kind == "real":
+        if _is_number(raw):
+            return raw if isinstance(raw, float) else Fraction(raw)
+        return _rat_from_json(raw)
+    if kind == "positive":
+        if isinstance(raw, dict) and "log" in raw:
+            inner = raw["log"]
+            return float(inner) if _is_number(inner) else _rat_from_json(inner)
+        if _is_number(raw):
+            if raw <= 0:
+                raise GroupParseError(f"positive table value must be > 0, got {raw!r}")
+            return math.log(float(raw))
+        raise GroupParseError(f"cannot parse positive value {raw!r}")
+    if raw == 0:
+        return Exact.zero_value()
+    if isinstance(raw, dict) and "turn" in raw:
+        return Exact(_rat_from_json(raw["log"]), _rat_from_json(raw["turn"]))
+    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+        return complex(float(raw[0]), float(raw[1]))
+    raise GroupParseError(f"cannot parse complex value {raw!r}")
+
+
+def table_from_json(obj) -> FuncTable:
+    """A table file read value by value: the values first, in row order,
+    then the coordinates, then the mapping constructor (which checks the
+    points and, in domain order, the values)."""
+    group = parse_group(obj["group"])
+    domain = domain_from_json(obj["domain"])
+    kind = obj["kind"]
+    if kind not in ("real", "positive", "sign", "complex"):
+        raise GroupParseError(f"unknown table kind {kind!r}")
+    rows = obj["values"]
+    vals = [value_from_json(kind, raw) for _, raw in rows]
+    domain.points(group)  # a domain that does not fit the group raises
+    for c, _ in rows:
+        if len(c) != group.dim:
+            raise GroupMismatchError(f"expected {group.dim} coordinates, got {len(c)}")
+    for c, _ in rows:
+        if any(type(v) is not int for v in c):
+            raise GroupParseError(f"table coordinates must be integers, got {c!r}")
+    if any(not -2**63 <= v < 2**63 for c, _ in rows for v in c):
+        raise GroupParseError("table coordinates must fit in 64 bits")
+    pts = [group.element(c) for c, _ in rows]
+    if not all(map(domain.contains, pts)) or len(set(pts)) != len(pts):
+        raise IncompatibleTablesError("table keys must equal the enumerated domain exactly")
+    return FuncTable(group, domain, kind, dict(zip(pts, vals)))
 
 
 def _combo(x, y, cx, cy):

@@ -13,6 +13,7 @@ split and sweeps only when that fails; its reports must equal the forced
 sweep's, witness included, on clean and corrupted pairs.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 import reference_decompose as ref
-from kbeq import _split, _vec, checks
+from kbeq import _split, _vec, checks, cli
 from kbeq.checks import (
     DEFAULT_TOL,
     check_eq5,
@@ -450,6 +451,27 @@ def test_certified_check_builds_no_fraction(monkeypatch):
     assert checks._certified_positive(f, g, DEFAULT_TOL)
     rep = check_kb(f, g)
     assert rep.holds and count[0] == 1
+
+
+def test_certified_cli_check_builds_no_fraction_and_no_point_list(tmp_path, monkeypatch):
+    # from the table files to the report: the JSON reader fills integer
+    # arrays and the domain's coordinates are derived, not enumerated
+    group = GroupSpec(2, (4, 3))
+    paths = []
+    for name, table in zip("fg", synth_table(random_positive_form(group, Random(2)),
+                                             Box((7, 7)))):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(table.to_json()), encoding="utf-8")
+    count = _fraction_counter(monkeypatch)
+    listed = []
+    points = Box.points
+    monkeypatch.setattr(Box, "points", lambda box, g: listed.append(box) or points(box, g))
+    out = tmp_path / "report.json"
+    code = cli.main(["check", "-f", str(paths[0]), "-g", str(paths[1]), "--output", str(out)])
+    report = json.loads(out.read_text(encoding="utf-8"))["report"]
+    assert code == 0 and report["holds"] and report["pairs_checked"] > 0
+    assert count[0] == 0 and listed == []
+    assert Box((7, 7)).points(group) and listed == [Box((7, 7))]  # the counter sees calls
 
 
 def test_positive_decomposition_builds_fractions_independent_of_the_window(monkeypatch):

@@ -97,6 +97,25 @@ def test_bad_table_points_exit_two(tmp_path, capsys, values, message):
     assert message in payload["error"]
 
 
+@pytest.mark.parametrize("bad", [[1, 0], [1.9, 2], [True, 2], ["3", 2]],
+                         ids=["zero-denominator", "float", "bool", "string"])
+def test_malformed_rationals_exit_two(tmp_path, capsys, bad):
+    # each was read as a rational through int(), or raised ZeroDivisionError
+    f = tmp_path / "f.json"
+    write_json(f, {**const_table({"log": [1, 2]}),
+                   "values": [[[0], {"log": bad}], [[1], 2.0], [[2], 2.0]]})
+    code, payload, _ = run(capsys, "check", "-f", str(f), "-g", str(f))
+    assert code == 2
+    assert "rational of integers with a nonzero denominator" in payload["error"]
+    form = PositiveSolutionForm.zero(GroupSpec(1)).to_json()
+    form["P"][0][0] = bad
+    path = tmp_path / "form.json"
+    write_json(path, form)
+    code, payload, _ = run(capsys, "synth", "--form", str(path))
+    assert code == 2
+    assert "rational of integers with a nonzero denominator" in payload["error"]
+
+
 def test_decompose_roundtrip_via_files(tmp_path, capsys):
     group = GroupSpec(0, (4,))
     form = random_positive_form(group, Random(2))

@@ -31,6 +31,7 @@ from kbeq.decompose import (
 )
 from kbeq.errors import (
     DecompositionError,
+    DomainSizeError,
     EquationFailsError,
     GroupParseError,
     IncompatibleTablesError,
@@ -47,6 +48,7 @@ from kbeq.functions import (
     QuadraticForm,
     SignMap,
     cval,
+    form_from_json,
     synth_table,
 )
 from kbeq.groups import Box, FullGroup, GroupSpec, SubgroupSpec, domain_from_json
@@ -568,6 +570,20 @@ def test_mixed_tables_keep_their_outcomes():
     assert not got.holds and got.witness.points == want.witness.points
 
 
+def _bad_key_rows(rows, raw):
+    """Row lists of a table over ``Box((1,))`` of ``ZB`` whose points are
+    missing, repeated or outside the domain; added rows hold ``raw``."""
+    again = [[0, 1], raw]
+    return (rows[1:], rows + [[[2, 0], raw]], rows + [again], rows[1:] + [again],
+            rows + [[[0, 5], raw]])
+
+
+def _bad_coordinate_rows(rows):
+    """Row lists whose first row has a coordinate that is not an integer."""
+    return [[[coords, rows[0][1]]] + rows[1:]
+            for coords in ([-1.7, 0], [-1, 0.0], [True, 0], [-1, False])]
+
+
 def test_table_rejections_keep_their_messages():
     box = Box((1,))
     pts = box.points(ZB)
@@ -586,21 +602,179 @@ def test_table_rejections_keep_their_messages():
             FuncTable(ZB, box, kind, vals)
         assert str(info.value) == message
     obj = FuncTable.from_function(ZB, box, "real", lambda p: Fraction(1)).to_json()
-    rows, again = obj["values"], [[0, 1], [99, 1]]
-    for values in (rows[1:], rows + [[[2, 0], [1, 1]]],
-                   rows + [again], rows[1:] + [again], rows + [[[0, 5], [1, 1]]]):
+    for values in _bad_key_rows(obj["values"], [99, 1]):
         with pytest.raises(IncompatibleTablesError,
                            match="table keys must equal the enumerated domain exactly"):
             FuncTable.from_json({**obj, "values": values})
-    for coords in ([-1.7, 0], [-1, 0.0], [True, 0], [-1, False]):
+    for values in _bad_coordinate_rows(obj["values"]):
         with pytest.raises(GroupParseError, match="table coordinates must be integers"):
-            FuncTable.from_json({**obj, "values": [[coords, rows[0][1]]] + rows[1:]})
+            FuncTable.from_json({**obj, "values": values})
     herm = synth_table(random_hermitian_form(ZB, Random(3)), BOX)[0]
     for t in (replaced(herm, (1, 1), Exact.zero_value()), _float_complex(herm, [1, 1])):
         with pytest.raises(IncompatibleTablesError, match="zero value has no log"):
             t.abs_log_table()
         with pytest.raises(IncompatibleTablesError, match="zero value has no phase"):
             t.unimodular_part()
+
+
+# ---------------------------------------------------------------------------
+# table files: the integer-array reader against the value-by-value reference
+
+
+# numerators on both sides of _vec._INT_LIMIT = 2^58, of int64 and beyond it
+EDGE_NUMERATORS = (0, 1, 5, 2**58 - 1, 2**58, 2**58 + 1, 2**63, 2**70)
+JSON_DOMAINS = [(ZB, BOX), (GroupSpec(2, (3,)), Box((2, 1))),
+                (GroupSpec(0, (4, 2)), FULL), (GroupSpec(0, ()), FULL),
+                (GroupSpec(0, (3,)), Box(()))]
+JSON_STYLES = [("real", "exact"), ("real", "float"), ("real", "mixed"),
+               ("positive", "exact"), ("positive", "float"), ("positive", "mixed"),
+               ("sign", "exact"), ("complex", "exact"), ("complex", "float"),
+               ("complex", "mixed")]
+
+
+@pytest.mark.parametrize("group,domain", JSON_DOMAINS + [(GroupSpec(2, (4, 3)), Box((3, 2)))],
+                         ids=["box", "rank2-box", "full", "trivial", "rank0-box", "window"])
+def test_domain_coordinates_follow_the_point_order(group, domain):
+    # derived from the mixed-radix digits of each index, not from the points
+    info = _vec._domain_info_build(group, domain)
+    assert info.coords.tolist() == [list(p.coords) for p in domain.points(group)]
+    assert info.coords.shape == (info.n, group.dim)
+    for bad_group, bad_domain in ((GroupSpec(1), FULL), (GroupSpec(2), Box((1,)))):
+        with pytest.raises(DomainSizeError):
+            _vec._domain_info_build(bad_group, bad_domain)
+
+
+def _json_rat(rng, edge: bool) -> list:
+    """A rational as a JSON pair in random terms: unreduced, and with a
+    negative denominator about half the time."""
+    num = rng.choice(EDGE_NUMERATORS) if edge else rng.randrange(50)
+    num *= rng.choice((1, -1))
+    den = rng.choice((1, 2, 3, 7, 12))
+    k = rng.choice((1, 2, -1, -3))
+    return [num * k, den * k]
+
+
+def _json_value(rng, kind: str, style: str, edge: bool):
+    """One JSON table value of ``kind``, exact, float or either."""
+    exact = style == "exact" or (style == "mixed" and rng.random() < 0.5)
+    if kind == "sign":
+        return rng.choice((1, -1))
+    if kind == "real":
+        if not exact:
+            return rng.uniform(-5, 5)
+        return rng.randrange(-9, 9) if rng.random() < 0.2 else _json_rat(rng, edge)
+    if kind == "positive":
+        if exact:
+            return {"log": _json_rat(rng, edge)}
+        return rng.uniform(0.1, 5) if rng.random() < 0.3 else {"log": rng.uniform(-5, 5)}
+    if not exact:
+        return [rng.uniform(-2, 2), rng.uniform(-2, 2)]
+    if rng.random() < 0.2:
+        return 0
+    den = rng.choice((1, 2, 5, 12, -4))
+    # turns outside [0, 1); a float table reads the log as a float, so small
+    return {"log": _json_rat(rng, edge and style == "exact"),
+            "turn": [rng.randrange(-3 * abs(den), 3 * abs(den) + 1), den]}
+
+
+def _json_table(group, domain, kind, style, seed):
+    """A table file with random values of the style, its rows shuffled and
+    every other torsion coordinate shifted by its modulus."""
+    rng = Random(seed)
+    edge = seed % 2 == 1
+    rows = []
+    for i, coords in enumerate(domain.points(group)):
+        coords = list(coords.coords)
+        for c, t in enumerate(group.torsion, group.rank):
+            coords[c] += t * (i % 2)
+        rows.append([coords, _json_value(rng, kind, style, edge)])
+    rng.shuffle(rows)
+    return {"group": str(group), "domain": domain.to_json(), "kind": kind,
+            "values": rows}
+
+
+def _read_outcome(read, obj):
+    try:
+        table = read(obj)
+    except (KbeqError, ValueError) as exc:
+        return type(exc), str(exc)
+    return table
+
+
+def _assert_same_read(obj):
+    got = _read_outcome(FuncTable.from_json, obj)
+    want = _read_outcome(ref.table_from_json, obj)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, FuncTable), got
+    assert _same_encoding(got.encoding, want.encoding)
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("group,domain", JSON_DOMAINS,
+                         ids=["box", "rank2-box", "full", "trivial", "rank0-box"])
+@pytest.mark.parametrize("kind,style", JSON_STYLES,
+                         ids=[f"{k}-{s}" for k, s in JSON_STYLES])
+def test_from_json_matches_reference(group, domain, kind, style):
+    for seed in range(4):
+        obj = json.loads(json.dumps(_json_table(group, domain, kind, style, seed)))
+        _assert_same_read(obj)
+
+
+def test_from_json_cases_reach_every_encoding():
+    modes, big = set(), False
+    for group, domain in JSON_DOMAINS:
+        for kind, style in JSON_STYLES:
+            for seed in range(4):
+                enc = FuncTable.from_json(_json_table(group, domain, kind, style, seed)).encoding
+                modes.add(enc[0])
+                arrays = enc[1][:3:2] if enc[0] == "exact" else (enc[1],)
+                big |= any(a.dtype == object for a in arrays)
+    assert modes == {"int", "float", "parity", "exact", "complex"} and big
+
+
+# malformed values per kind, each also read in the first row of a table
+MALFORMED_VALUES = {
+    "real": [float("nan"), [1.9, 2], [True, 2], ["3", 2], [1, 0], [1, 2, 3], "x", True],
+    "positive": [{"log": [1, 0]}, {"log": [1.9, 2]}, {"log": float("nan")},
+                 {"log": True}, -1.0, 0, "x", {"loge": 1}],
+    "sign": [0, 2, "x", 1.5],
+    "complex": [{"log": [0, 1], "turn": [1, 0]}, {"log": [0.5, 1], "turn": [0, 1]},
+                {"log": [0, 1], "turn": [False, 1]}, "x", [1]],
+}
+VALID_VALUES = {"real": [1, 1], "positive": {"log": [1, 1]}, "sign": 1,
+                "complex": {"log": [1, 1], "turn": [1, 3]}}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_VALUES))
+def test_from_json_refuses_what_the_reference_refuses(kind):
+    box = Box((1,))
+    raw = VALID_VALUES[kind]
+    obj = {"group": str(ZB), "domain": box.to_json(), "kind": kind,
+           "values": [[list(p.coords), raw] for p in box.points(ZB)]}
+    rows = obj["values"]
+    tables = [rows] + list(_bad_key_rows(rows, raw)) + _bad_coordinate_rows(rows)
+    tables += [[[rows[0][0], bad]] + rows[1:] for bad in MALFORMED_VALUES[kind]]
+    tables += [rows + [[[1, 0, 0], raw]], rows[:1] + [[[2, 0], raw]]]
+    for values in tables:
+        _assert_same_read({**obj, "values": values})
+    assert FuncTable.from_json(obj).to_json() == FuncTable.from_json(
+        {**obj, "values": rows[::-1]}).to_json()
+
+
+def test_malformed_rationals_are_refused():
+    # floats, booleans and strings were read through int() before, and a
+    # zero denominator raised ZeroDivisionError
+    base = {"group": "Z/2", "domain": {"type": "full"}, "kind": "positive"}
+    for bad in ([1.9, 2], [True, 2], ["3", 2], [1, 0], [1, 2.0]):
+        obj = {**base, "values": [[[0], {"log": bad}], [[1], {"log": [1, 2]}]]}
+        with pytest.raises(GroupParseError, match="rational of integers with a nonzero"):
+            FuncTable.from_json(obj)
+        form = PositiveSolutionForm.zero(GroupSpec(1)).to_json()
+        form["l"] = [bad]
+        with pytest.raises(GroupParseError, match="rational of integers with a nonzero"):
+            form_from_json(form)
 
 
 def test_positive_decompose_rejects_random_corruption():
