@@ -12,14 +12,23 @@ ints by the :func:`kbeq._vec.lowest` rule.  On exact numerators ``T`` over
 ``denom``, with ``even2`` and ``odd2`` twice the even and odd parts, ``l``
 is ``odd2`` at the generators, the Gram numerators are second differences
 of ``even2`` at the doubled probes, and the coset constants are
-``8 even2 - P`` at each coset's first point, all over ``16 denom``.  A
-float table is read at the same points, rounded to rationals
-(``_to_fraction``), and split in the same integer arithmetic.  The odd
-part and then the whole window are compared with the parts' values from
-:func:`kbeq._vec.form_values`, the integer evaluator synthesis shares:
-exactly for exact tables, within the tolerance for float ones.  That
-residual certifies the result; ``Fraction`` forms are built only for a
-caller that returns them (:func:`_forms`) or for a witness.
+``8 even2 - P`` at each coset's first point, all over ``16 denom``; ``P``
+is evaluated at those points alone.  A float table is read at the same
+points, rounded to rationals (``_to_fraction``), and split in the same
+integer arithmetic.  The residual comes first: the whole window is compared
+once with the parts' values from :func:`kbeq._vec.form_values`, the integer
+evaluator synthesis shares, exactly for exact tables and within the
+tolerance for float ones, and that comparison certifies the result.  Only
+when it fails is the odd part compared with the additive map everywhere, to
+explain the failure: a non-additive odd part is the error reported before a
+nonzero residual.  On an exact table a zero residual already makes the odd
+part additive, since ``P`` and ``r`` are even.  ``Fraction`` forms are built
+only for a caller that returns them (:func:`_forms`) or for a witness.
+
+An exact table's split depends on its values alone, so the first one
+certified is kept on the table (``FuncTable._parts``) and freed with it; a
+float table's split depends on the tolerance, and neither it nor a failed
+split is kept.
 
 A positive pair whose logs split as ``P + l + r`` and ``P + m - r`` solves
 the equation on the whole group, hence on every window: the parallelogram
@@ -28,8 +37,9 @@ as do ``y`` and ``-y``, so the ``r`` terms cancel.  On exact tables
 :func:`_split_positive` is therefore a certificate of the equation that
 sweeps no pair; it compares the two splits' parts as integer arrays.
 :mod:`kbeq.checks` tries it before sweeping ``check_kb``, and
-:mod:`kbeq.decompose` builds the positive decompositions from the same
-parts.  This module imports neither of them.
+:mod:`kbeq.decompose` builds the positive decompositions from the parts
+:func:`_split_parts` kept on the same tables, so an exact pair checked and
+then decomposed is split once per table.  This module imports neither of them.
 """
 
 from __future__ import annotations
@@ -142,7 +152,11 @@ def _split_T(table: FuncTable, tol: float):
 
 def _split_parts(table: FuncTable, tol: float) -> _Parts:
     """:func:`_split_T` as integer parts.  The table's kind is not read, so a
-    positive table splits as the real table of its logs."""
+    positive table splits as the real table of its logs.  An exact table
+    returns the parts kept on it, once certified; float tables and failed
+    splits are split again on every call."""
+    if table._parts is not None:
+        return table._parts
     group = table.group
     d, rank = group.dim, group.rank
     kind, (T,), denom = _vec.numeric_mode([table])
@@ -157,16 +171,23 @@ def _split_parts(table: FuncTable, tol: float) -> _Parts:
     l, e, r_even = np.split(read, [rank, len(read) - len(first)])
     no_B, no_l = np.zeros((d, d), dtype=np.int64), np.zeros(rank, dtype=np.int64)
     no_r = np.zeros(len(first), dtype=np.int64)
-    _certify(table, kind, odd2, 2 * denom, _vec.form_values(no_B, l, no_r, h, info),
-             tol, "odd part is not additive")
     # doubled second differences of the even part: the Gram matrix over 8 h
     B = np.zeros((d, d), dtype=e.dtype)
     B[J, K] = B[K, J] = e[1 + rank:] - e[1 + J] - e[1 + K] + e[0]
-    P, P_den = _vec.form_values(B, no_l, no_r, 8 * h, info)
-    r = _vec._rescale(r_even, 8) - _vec._rescale(P[first], 8 * h // P_den)
+    P, P_den = _vec._form_at(B, no_l, no_r, 8 * h, info, first)
+    r = _vec._rescale(r_even, 8) - _vec._rescale(P, 8 * h // P_den)
     parts = _Parts(B, _vec._rescale(l, 8), r, 8 * h)
-    _certify(table, kind, T, denom, _vec.form_values(*parts, info), tol,
-             "decomposition residual is nonzero")
+    model = _vec.form_values(*parts, info)
+    if _first_miss(kind, T, denom, model, tol) is not None:
+        # P and r are even, so on an exact table a zero residual makes the
+        # odd part additive; a failure is explained by the odd part first
+        _certify(table, kind, odd2, 2 * denom,
+                 _vec.form_values(no_B, l, no_r, h, info), tol,
+                 "odd part is not additive")
+        _certify(table, kind, T, denom, model, tol,
+                 "decomposition residual is nonzero")
+    if kind != "float":
+        table._parts = parts
     return parts
 
 
@@ -194,11 +215,9 @@ def _halves(kind: str, part2: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
     return part2, 2 * denom
 
 
-def _certify(table: FuncTable, kind: str, nums: np.ndarray, denom: int, model,
-             tol: float, message: str):
-    """Raise ``message`` at the first point where ``nums / denom`` differs
-    from the model's values: at all on exact tables, by more than ``tol`` on
-    float ones."""
+def _first_miss(kind: str, nums: np.ndarray, denom: int, model, tol: float):
+    """The first index where ``nums / denom`` differs from the model's values
+    (at all on exact tables, by more than ``tol`` on float ones), or None."""
     mnums, mdenom = model
     if kind == "float":
         bad = ~(np.abs(nums / denom - np.asarray(mnums / mdenom, dtype=np.float64))
@@ -208,8 +227,15 @@ def _certify(table: FuncTable, kind: str, nums: np.ndarray, denom: int, model,
         bad = (_vec._rescale(nums, common // denom)
                != _vec._rescale(mnums, common // mdenom))
     hit = np.flatnonzero(bad)
-    if len(hit):
-        at = int(hit[0])
+    return int(hit[0]) if len(hit) else None
+
+
+def _certify(table: FuncTable, kind: str, nums: np.ndarray, denom: int, model,
+             tol: float, message: str):
+    """Raise ``message`` at the :func:`_first_miss` of ``nums / denom``."""
+    at = _first_miss(kind, nums, denom, model, tol)
+    if at is not None:
+        mnums, mdenom = model
         raise DecompositionError(message, _point_witness(
             table.points()[at], _value(kind, nums[at], denom),
             Fraction(int(mnums[at]), mdenom)))

@@ -583,10 +583,17 @@ def form_values(B: np.ndarray, l: np.ndarray, r: np.ndarray, den: int,
     proves the arithmetic fits and Python ints otherwise, so the values are
     always exact.
     """
+    return _form_at(B, l, r, den, info, slice(None))
+
+
+def _form_at(B: np.ndarray, l: np.ndarray, r: np.ndarray, den: int,
+             info: VecDomain, at) -> tuple[np.ndarray, int]:
+    """:func:`form_values` at the domain indices ``at`` only, read from a
+    column selection of :func:`_form_basis`'s products."""
     d, rank = info.group.dim, info.group.rank
     flat, den = lowest(np.concatenate([np.ravel(B), l, r]), den)
     S, (J, K), maxc = _form_basis(info)
-    codes, _ = coset_codes(info, 2)
+    S, codes = S[:, at], coset_codes(info, 2)[0][at]
     bound = int(np.abs(flat).max(initial=0)) + 1
     if flat.dtype != np.int64 or bound * (d * max(maxc, 1)) ** 2 * 4 > _INT_LIMIT:
         flat, S = flat.astype(object), S.astype(object)

@@ -206,22 +206,29 @@ def decompose_T(table: FuncTable, tol: float = DEFAULT_TOL):
     table is read as one array (:func:`kbeq._vec.numeric_mode`: exact
     numerators over one denominator, or floats when it holds any float).
     The odd part ``(T(x) - T(-x)) / 2`` gives the additive map at the
-    generators and must equal it everywhere; the even part gives the
-    quadratic form from doubled second differences and the per-coset
-    constants at each coset's first point.  A residual sweep of the whole
-    window against the recovered form, exact for exact tables and within
-    ``tol`` for float tables, certifies the output.
+    generators; the even part gives the quadratic form from doubled second
+    differences and the per-coset constants at each coset's first point.
+    One residual sweep of the whole window against the recovered form,
+    exact for exact tables and within ``tol`` for float tables, certifies
+    the output.  Only when the residual fails is the odd part compared with
+    the additive map everywhere, so that a non-additive odd part is the
+    error reported.
     """
+    if table.kind != KIND_REAL:
+        raise IncompatibleTablesError("log-domain decomposition needs a real table")
     return _forms(table.group, _decompose_parts(table, tol))
 
 
 def _decompose_parts(table: FuncTable, tol: float):
-    """:func:`decompose_T` as the split's integer parts."""
-    if table.kind != KIND_REAL:
-        raise IncompatibleTablesError("log-domain decomposition needs a real table")
+    """:func:`decompose_T` as the split's integer parts; a positive table
+    splits as the real table of its logs."""
     _require_decomposable_domain(table)
-    with _certified((table,), lambda: check_eq5(table, tol),
-                    "triple-difference equation fails"):
+
+    def eq5():
+        real = table.as_real_log() if table.kind == KIND_POSITIVE else table
+        return check_eq5(real, tol)
+
+    with _certified((table,), eq5, "triple-difference equation fails"):
         return _split_parts(table, tol)
 
 
@@ -236,15 +243,15 @@ def decompose_positive(f: FuncTable, g: FuncTable,
     Both log tables are decomposed independently, into the integer parts of
     :mod:`kbeq._split`; the theory forces equal quadratic parts and opposite
     coset parts, and both facts are verified on those arrays (exactly for
-    rational tables) before the form is built from them.
+    rational tables) before the form is built from them.  An exact table
+    reuses the split a :func:`~kbeq.checks.check_kb` certificate kept on it.
     """
     if f.kind != KIND_POSITIVE or g.kind != KIND_POSITIVE:
         raise IncompatibleTablesError("positive decomposition needs positive tables")
     _require_same(f, g)
     with _certified((f, g), lambda: check_kb(f, g, tol),
                     "the functional equation fails"):
-        parts = (_decompose_parts(f.as_real_log(), tol),
-                 _decompose_parts(g.as_real_log(), tol))
+        parts = _decompose_parts(f, tol), _decompose_parts(g, tol)
         _pair_check(f.group, *parts, tol, _is_exact_table(f) and _is_exact_table(g))
         return _positive_form(f.group, *parts)
 

@@ -45,6 +45,10 @@ from .groups import (
     GroupElement,
     GroupSpec,
     SubgroupSpec,
+    _json_field,
+    _json_ints,
+    _json_rows,
+    _json_typed,
     domain_from_json,
     parse_group,
 )
@@ -203,10 +207,12 @@ class FuncTable:
     The values are stored once, in lowest terms, as ``encoding`` (see
     :func:`_encode`); ``values`` is a read-only mapping view that decodes
     them, every domain point mapping to a value whose meaning depends on
-    ``kind``; positive tables store ``log f(x)``.
+    ``kind``; positive tables store ``log f(x)``.  ``_parts`` is None until
+    :mod:`kbeq._split` certifies the split of an exact real or positive
+    table, which it then keeps there.
     """
 
-    __slots__ = ("group", "domain", "kind", "encoding")
+    __slots__ = ("group", "domain", "kind", "encoding", "_parts")
 
     def __init__(self, group: GroupSpec, domain: Domain, kind: str,
                  values: Mapping[GroupElement, object]):
@@ -225,6 +231,7 @@ class FuncTable:
             a.setflags(write=False)  # derived tables share these arrays
         self.group, self.domain, self.kind = group, domain, kind
         self.encoding = (mode, arrays, denom)
+        self._parts = None
 
     @classmethod
     def _of(cls, group: GroupSpec, domain: Domain, kind: str,
@@ -313,18 +320,18 @@ class FuncTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FuncTable":
-        group = parse_group(obj["group"])
-        domain = domain_from_json(obj["domain"])
-        kind = obj["kind"]
+        group = parse_group(_json_field(obj, "group", "table", str))
+        domain = domain_from_json(_json_field(obj, "domain", "table"))
+        kind = _json_field(obj, "kind", "table")
         if kind not in _KINDS:
             raise GroupParseError(f"unknown table kind {kind!r}")
-        rows = obj["values"]
-        mode, arrays, denom = _json_encoding(kind, [raw for _, raw in rows])
+        coords, raws = _json_rows(obj, "values", "table")
+        mode, arrays, denom = _json_encoding(kind, raws)
         info = _vec.domain_info(group, domain)
-        codes, inside = _vec.point_codes(info, _coords_from_json(group, rows))
+        codes, inside = _vec.point_codes(info, _coords_from_json(group, coords))
         order = np.argsort(codes)
         # n rows inside the domain with n distinct indices: every point once
-        if (len(rows) != info.n or not inside.all()
+        if (len(coords) != info.n or not inside.all()
                 or not np.array_equal(codes[order], np.arange(info.n))):
             raise IncompatibleTablesError(_KEYS_DIFFER)
         if mode == "exact":
@@ -493,9 +500,8 @@ def _value_to_json(kind: str, v):
     return [c.real, c.imag]
 
 
-def _coords_from_json(group: GroupSpec, rows: list) -> np.ndarray:
+def _coords_from_json(group: GroupSpec, coords: list) -> np.ndarray:
     """The coordinate vectors of JSON table rows as an (m, dim) int64 array."""
-    coords = [c for c, _ in rows]
     dim = group.dim
     for c in coords:
         if len(c) != dim:
@@ -538,8 +544,10 @@ def _complex_from_json(raw) -> tuple:
     integers, exact zero as ``None``, or a float value as a ``complex``."""
     if raw == 0:
         return None
-    if isinstance(raw, dict) and "turn" in raw:
-        return (*_int_pair_from_json(raw["log"]), *_int_pair_from_json(raw["turn"]))
+    if isinstance(raw, dict):
+        where = f"complex value {raw!r}"
+        return (*_int_pair_from_json(_json_field(raw, "log", where)),
+                *_int_pair_from_json(_json_field(raw, "turn", where)))
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
         return complex(float(raw[0]), float(raw[1]))
     raise GroupParseError(f"cannot parse complex value {raw!r}")
@@ -930,49 +938,52 @@ def _sign_map_to_json(s: SignMap) -> dict:
 
 
 def coset_map_from_json(group: GroupSpec, obj: dict) -> CosetConstantMap:
-    entries = [(CosetIndex(2, tuple(res)), _rat_from_json(raw))
-               for res, raw in obj["table"]]
+    entries = [(CosetIndex(2, _json_ints(res, "coset map residues")),
+                _rat_from_json(raw))
+               for res, raw in zip(*_json_rows(obj, "table", "coset map"))]
     return CosetConstantMap(group, tuple(entries))
 
 
 def character_from_json(group: GroupSpec, obj: dict) -> CharacterSpec:
-    return CharacterSpec(group,
-                         tuple(_rat_from_json(t) for t in obj["free_turns"]),
-                         tuple(obj["torsion_exponents"]))
+    turns = _json_field(obj, "free_turns", "character", list)
+    exps = _json_field(obj, "torsion_exponents", "character")
+    return CharacterSpec(group, tuple(_rat_from_json(t) for t in turns),
+                         _json_ints(exps, "character key 'torsion_exponents'"))
 
 
 def sign_map_from_json(group: GroupSpec, obj: dict) -> SignMap:
-    m = int(obj["modulus"])
-    entries = [(CosetIndex(m, tuple(res)), int(v)) for res, v in obj["table"]]
+    m = _json_field(obj, "modulus", "sign map", int)
+    entries = [(CosetIndex(m, _json_ints(res, "sign map residues")),
+                _json_typed(v, int, "sign map value"))
+               for res, v in zip(*_json_rows(obj, "table", "sign map"))]
     return SignMap(group, m, tuple(entries))
 
 
 def form_from_json(obj: dict):
-    group = parse_group(obj["group"])
-    mat = tuple(tuple(_rat_from_json(v) for v in row) for row in obj["P"])
+    group = parse_group(_json_field(obj, "group", "form", str))
+    rows = _json_field(obj, "P", "form", list)
+    mat = tuple(tuple(map(_rat_from_json, _json_typed(row, list, "form key 'P' row")))
+                for row in rows)
     P = QuadraticForm(group, mat)
-    r = coset_map_from_json(group, obj["r"])
-    if obj["type"] == "positive":
-        return PositiveSolutionForm(
-            P,
-            AdditiveMap(group, tuple(_rat_from_json(v) for v in obj["l"])),
-            AdditiveMap(group, tuple(_rat_from_json(v) for v in obj["m"])),
-            r,
-        )
-    if obj["type"] == "hermitian":
-        support = None
-        if obj.get("support") is not None:
-            support = SubgroupSpec(
-                group, tuple(group.element(c) for c in obj["support"])
-            )
-        return HermitianSolutionForm(
-            character_from_json(group, obj["alpha"]),
-            character_from_json(group, obj["beta"]),
-            sign_map_from_json(group, obj["a"]),
-            sign_map_from_json(group, obj["b"]),
-            P, r, support,
-        )
-    raise GroupParseError(f"unknown form type {obj.get('type')!r}")
+    r = coset_map_from_json(group, _json_field(obj, "r", "form"))
+    kind = _json_field(obj, "type", "form")
+    if kind == "positive":
+        l, m = (AdditiveMap(group, tuple(map(_rat_from_json,
+                                             _json_field(obj, key, "form", list))))
+                for key in ("l", "m"))
+        return PositiveSolutionForm(P, l, m, r)
+    if kind == "hermitian":
+        support = obj.get("support")
+        if support is not None:
+            support = SubgroupSpec(group, tuple(
+                group.element(_json_ints(c, "form support generator"))
+                for c in _json_typed(support, list, "form key 'support'")))
+        alpha, beta = (character_from_json(group, _json_field(obj, key, "form"))
+                       for key in ("alpha", "beta"))
+        a, b = (sign_map_from_json(group, _json_field(obj, key, "form"))
+                for key in ("a", "b"))
+        return HermitianSolutionForm(alpha, beta, a, b, P, r, support)
+    raise GroupParseError(f"unknown form type {kind!r}")
 
 
 # ---------------------------------------------------------------------------

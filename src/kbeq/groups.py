@@ -510,12 +510,68 @@ Domain = Union[FullGroup, Box]
 
 
 def domain_from_json(obj: dict) -> Domain:
-    kind = obj.get("type")
+    kind = _json_field(obj, "type", "domain")
     if kind == "full":
         return FullGroup()
     if kind == "box":
-        return Box(tuple(obj["radius"]))
+        return Box(_json_ints(_json_field(obj, "radius", "domain"),
+                              "domain key 'radius'"))
     raise GroupParseError(f"unknown domain type {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# reading JSON input: a missing key or a wrong type is a GroupParseError
+
+
+_JSON_NAMES = {dict: "object", list: "array", tuple: "array", str: "string",
+               int: "integer", float: "number", bool: "boolean", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_NAMES.get(type(value), type(value).__name__)
+
+
+def _json_typed(value, typ: type, what: str):
+    """``value`` once checked to be a JSON ``typ`` (``dict``, ``list``, ``str``
+    or ``int``); a tuple passes as a list, and a boolean is no integer."""
+    if isinstance(value, bool) or not isinstance(
+            value, (list, tuple) if typ is list else typ):
+        raise GroupParseError(
+            f"{what} must be a JSON {_JSON_NAMES[typ]}, got {_json_type(value)}")
+    return value
+
+
+def _json_field(obj, key: str, where: str, typ: type = None):
+    """``obj[key]``, ``obj`` being the JSON object that ``where`` names;
+    checked by :func:`_json_typed` when ``typ`` is given."""
+    if not isinstance(obj, dict):
+        raise GroupParseError(f"{where} must be a JSON object, got {_json_type(obj)}")
+    if key not in obj:
+        raise GroupParseError(f"{where} has no key {key!r}")
+    return obj[key] if typ is None else _json_typed(obj[key], typ, f"{where} key {key!r}")
+
+
+def _json_ints(value, what: str) -> tuple:
+    """A JSON array of integers as a tuple."""
+    return tuple(_json_typed(v, int, f"{what} entry")
+                 for v in _json_typed(value, list, what))
+
+
+def _json_rows(obj, key: str, where: str) -> tuple[list, list]:
+    """``obj[key]``, a JSON array of ``[array, value]`` rows (table values,
+    coset and sign tables), as the list of arrays and the list of values."""
+    rows = _json_field(obj, key, where, list)
+    pair = (list, tuple)
+    try:
+        arrays, values = [a for a, _ in rows], [v for _, v in rows]
+    except (TypeError, ValueError):  # a row that is no pair
+        arrays = values = None
+    if arrays is None or not set(map(type, arrays)) <= set(pair):
+        bad = next(row for row in rows if not (
+            type(row) in pair and len(row) == 2 and type(row[0]) in pair))
+        raise GroupParseError(
+            f"{where} key {key!r} rows must be [array, value], got {bad!r}")
+    return arrays, values
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,8 @@ class _GridSolver:
         for var, co in ((2 * s, 1), (2 * d + 1, 1), (2 * x, -1), (2 * y, -1),
                         (2 * x + 1, -1), (2 * ny + 1, -1)):
             np.add.at(m, (pair, var), co)
-        return np.unique(m[m.any(axis=1)], axis=0)
+        # a return_* flag: numpy 2.4's unflagged unique imports numpy.ma
+        return np.unique(m[m.any(axis=1)], axis=0, return_index=True)[0]
 
     def _element_order(self, raw: np.ndarray) -> list[int]:
         """Greedy processing order: trigger equation instances early.
@@ -680,7 +681,8 @@ def _coset_shifts(group: GroupSpec) -> tuple[tuple[int, np.ndarray], ...]:
         member = order[1:][mate]
         dist = member - order[:-1][mate]
         out = []
-        for d in np.unique(dist).tolist():
+        # a return_* flag: numpy 2.4's unflagged unique imports numpy.ma
+        for d in np.unique(dist, return_index=True)[0].tolist():
             line = np.zeros(info.n, dtype=bool)
             line[member[dist == d]] = True
             out.append((d, np.tile(line, _CHECK_ROWS)[d:]))

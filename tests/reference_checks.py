@@ -84,7 +84,10 @@ def value_from_json(kind, raw):
         raise GroupParseError(f"cannot parse positive value {raw!r}")
     if raw == 0:
         return Exact.zero_value()
-    if isinstance(raw, dict) and "turn" in raw:
+    if isinstance(raw, dict):
+        for key in ("log", "turn"):
+            if key not in raw:
+                raise GroupParseError(f"complex value {raw!r} has no key {key!r}")
         return Exact(_rat_from_json(raw["log"]), _rat_from_json(raw["turn"]))
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
         return complex(float(raw[0]), float(raw[1]))

@@ -530,3 +530,96 @@ def test_split_near_the_int64_limit_matches_the_sweep(seed):
     want = checks._kb_sweep(bad, g, DEFAULT_TOL)
     assert not want.holds
     assert _kb_key(check_kb(bad, g)) == _kb_key(want)
+
+
+# ---------------------------------------------------------------------------
+# one split per exact table, kept on the table
+
+
+def _form_values_counter(monkeypatch) -> list:
+    """A one-item list counting full-window ``_vec.form_values`` calls from
+    now on (synthesis and every split's residual make one each)."""
+    count = [0]
+    form_values = _vec.form_values
+
+    def counting(*args):
+        count[0] += 1
+        return form_values(*args)
+
+    monkeypatch.setattr(_vec, "form_values", counting)
+    return count
+
+
+def test_roundtrip_evaluates_the_window_four_times(monkeypatch):
+    group, box = GroupSpec(2, (4, 3)), Box((6, 6))
+    form = random_positive_form(group, Random(1))
+    count = _form_values_counter(monkeypatch)
+    f, g = synth_table(form, box)
+    assert count[0] == 2 and f._parts is None and g._parts is None
+    assert check_kb(f, g).holds and count[0] == 4  # one residual per table
+    assert decompose_positive(f, g).to_json() == form.to_json()
+    assert count[0] == 4  # the splits check_kb kept on f and g
+    assert check_kb(f, g).holds and count[0] == 4
+    # the kept parts are the ones a fresh split of an equal table computes
+    for t in (f, g):
+        fresh = FuncTable.from_json(t.to_json())
+        assert fresh._parts is None
+        for kept, again in zip(t._parts, _split._split_parts(fresh, DEFAULT_TOL)):
+            assert np.array_equal(kept, again)
+
+
+def test_check_kb_self_splits_once(monkeypatch):
+    group = GroupSpec(2, (4, 3))
+    form = random_positive_form(group, Random(3))
+    self_form = _with(form, m=form.l, r=CosetConstantMap.zero(group))
+    f, _ = synth_table(self_form, Box((5, 5)))
+    count = _form_values_counter(monkeypatch)
+    assert check_kb_self(f).holds
+    assert count[0] == 1 and f._parts is not None
+
+
+def test_new_tables_keep_no_split():
+    group = GroupSpec(2, (4, 3))
+    f, g = synth_table(random_positive_form(group, Random(4)), Box((4, 4)))
+    assert check_kb(f, g).holds and f._parts is not None
+    derived = [FuncTable.from_json(f.to_json()), f.as_real_log(), f.abs_log_table(),
+               FuncTable._of(f.group, f.domain, f.kind, f.encoding)]
+    assert all(t._parts is None for t in derived)
+    # each splits on its own, to the same parts
+    for t in derived:
+        assert all(map(np.array_equal, _split._split_parts(t, DEFAULT_TOL), f._parts))
+
+
+@pytest.mark.parametrize("coords,message", [
+    ((1, 1, 0, 0), "odd part is not additive"),
+    ((0, 0, 0, 0), "decomposition residual is nonzero"),
+], ids=["odd", "residual"])
+def test_failed_split_is_recomputed(monkeypatch, coords, message):
+    group = GroupSpec(2, (4, 3))
+    f, _ = synth_table(random_positive_form(group, Random(5)), Box((4, 4)))
+    bad = _replaced(f, {coords: lambda v: v + Fraction(1, 5)})
+    count = _form_values_counter(monkeypatch)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(KbeqError, match=message) as info:
+            _split._split_parts(bad, DEFAULT_TOL)
+        errors.append((type(info.value), str(info.value), info.value.witness))
+        assert bad._parts is None
+    # each call evaluates the residual and then, to explain it, the odd part
+    assert errors[0] == errors[1] and count[0] == 4
+
+
+def test_float_split_follows_its_tolerance():
+    group = GroupSpec(2, (4, 3))
+    f, _ = synth_table(random_positive_form(group, Random(6)), Box((4, 4)))
+    off = {p: float(v) + (1e-6 if p.coords == (1, 2, 0, 0) else 0.0)
+           for p, v in f.values.items()}
+    t = FuncTable(group, f.domain, "real", off)
+    want = decompose_T(f.as_real_log())
+    for tol in (1e-3, 1e-12, 1e-3, 1e-12):
+        if tol == 1e-3:  # the bumped point is not one the split reads
+            assert _split._forms(group, _split._split_parts(t, tol)) == want
+        else:
+            with pytest.raises(KbeqError, match="odd part is not additive"):
+                _split._split_parts(t, tol)
+        assert t._parts is None

@@ -116,6 +116,47 @@ def test_malformed_rationals_exit_two(tmp_path, capsys, bad):
     assert "rational of integers with a nonzero denominator" in payload["error"]
 
 
+COMPLEX_Z2 = {"group": "Z/2", "domain": {"type": "full"}, "kind": "complex",
+              "values": [[[0], 0], [[1], 0]]}
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({**COMPLEX_Z2, "values": [[[0], {"turn": [0, 1]}], [[1], 0]]},
+     "complex value {'turn': [0, 1]} has no key 'log'"),
+    ({**COMPLEX_Z2, "values": 5}, "table key 'values' must be a JSON array, got integer"),
+    ({k: v for k, v in COMPLEX_Z2.items() if k != "group"}, "table has no key 'group'"),
+    ({**COMPLEX_Z2, "values": [5, 6]}, "table key 'values' rows must be [array, value]"),
+    ({**COMPLEX_Z2, "domain": {"type": "box"}}, "domain has no key 'radius'"),
+    (5, "table must be a JSON object, got integer"),
+], ids=["no-log", "values-int", "no-group", "row-int", "no-radius", "not-object"])
+def test_malformed_table_json_exits_two(tmp_path, capsys, obj, message):
+    # each ended in a KeyError, TypeError or AttributeError traceback (exit 1)
+    f = tmp_path / "f.json"
+    write_json(f, obj)
+    code, payload, _ = run(capsys, "check", "-f", str(f), "-g", str(f))
+    assert code == 2
+    assert message in payload["error"]
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("type", None, "form has no key 'type'"),
+    ("l", None, "form has no key 'l'"),
+    ("r", {}, "coset map has no key 'table'"),
+    ("P", 5, "form key 'P' must be a JSON array, got integer"),
+], ids=["no-type", "no-l", "no-coset-table", "P-int"])
+def test_malformed_form_json_exits_two(tmp_path, capsys, key, value, message):
+    form = PositiveSolutionForm.zero(GroupSpec(1)).to_json()
+    if value is None:
+        del form[key]
+    else:
+        form[key] = value
+    path = tmp_path / "form.json"
+    write_json(path, form)
+    code, payload, _ = run(capsys, "synth", "--form", str(path))
+    assert code == 2
+    assert message in payload["error"]
+
+
 def test_decompose_roundtrip_via_files(tmp_path, capsys):
     group = GroupSpec(0, (4,))
     form = random_positive_form(group, Random(2))

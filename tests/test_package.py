@@ -96,3 +96,8 @@ def test_commands_load_only_their_modules(tmp_path):
     # the demos still reach the oracle through the lazy imports
     demo = _fresh("demo", "counterexample", "--output", str(tmp_path / "demo.json"))
     assert demo["code"] == 0 and "kbeq.oracle" in demo["modules"]
+    # the grid solver's np.unique calls take a return_* flag, without which
+    # numpy 2.4 imports numpy.ma on the first call
+    enum = _fresh("enum-kb", "--group", "Z/2", "--output", str(tmp_path / "enum.json"))
+    assert enum["code"] == 0 and "kbeq.oracle" in enum["modules"]
+    assert "numpy.ma" not in enum["modules"]

@@ -327,6 +327,8 @@ def test_phase_checks_match_reference(exact, corrupt):
 
 DEC_DOMAINS = (("box", GroupSpec(1, (2,)), Box((4,))),
                ("box2", GroupSpec(2), Box((4, 4))),
+               ("box5", GroupSpec(1, (3,)), Box((5,))),
+               ("box6", GroupSpec(2, (2,)), Box((6, 6))),
                ("full", ZF, FULL))
 
 
@@ -355,28 +357,43 @@ def _dec_forms(group):
     yield "big", _big_form(group, BIG_P), True
 
 
-def _bumped(table, point, bump, odd):
-    """``table`` plus ``bump`` at ``point`` (minus ``bump`` at ``-point`` if odd)."""
+def _bumped(table, point, bump, mirror):
+    """``table`` plus ``bump`` at ``point`` and ``mirror * bump`` at ``-point``."""
     vals = dict(table.values)
     x = table.group.element(point)
     vals[x] += bump
-    if odd:
-        vals[-x] -= bump
+    vals[-x] += mirror * bump
     return FuncTable(table.group, table.domain, table.kind, vals)
 
 
+def _coset_first(table):
+    """The first point ``p`` of the last coset of ``X^(2)`` that holds a
+    point other than ``p`` and ``-p``: an even bump at ``p`` shifts the
+    constant the split reads for that coset, and only there."""
+    group, members = table.group, {}
+    for p in table.points():
+        members.setdefault(group.coset_index(p, 2), []).append(p)
+    return [ps[0] for ps in members.values() if set(ps) - {ps[0], -ps[0]}][-1]
+
+
 def _dec_variants(table):
-    """Clean, one point corrupted (odd check, or residual check at 0), odd bump."""
+    """Clean; one point corrupted (odd check, or residual check at 0); an odd
+    bump; an even bump at the doubled probe ``2e_0`` (the quadratic part);
+    an even bump at a coset's first point (its constant)."""
     dim = table.group.dim
     yield "clean", table
-    yield "point", _bumped(table, (1,) * dim, Fraction(1, 3), False)
-    yield "zero", _bumped(table, (0,) * dim, Fraction(1, 3), False)
-    yield "odd", _bumped(table, (1,) + (0,) * (dim - 1), Fraction(2, 7), True)
+    yield "point", _bumped(table, (1,) * dim, Fraction(1, 3), 0)
+    yield "zero", _bumped(table, (0,) * dim, Fraction(1, 3), 0)
+    yield "odd", _bumped(table, (1,) + (0,) * (dim - 1), Fraction(2, 7), -1)
+    yield "even", _bumped(table, (2,) + (0,) * (dim - 1), Fraction(2, 7), 1)
+    yield "coset", _bumped(table, _coset_first(table).coords, Fraction(3, 5), 1)
 
 
 EXPECTED_ERROR = {"clean": None, "point": "odd part is not additive",
                   "zero": "decomposition residual is nonzero",
-                  "odd": "odd part is not additive"}
+                  "odd": "odd part is not additive",
+                  "even": "decomposition residual is nonzero",
+                  "coset": "decomposition residual is nonzero"}
 
 
 def _dec_cases():
@@ -402,13 +419,15 @@ def _outcome(decompose, table):
 @pytest.mark.parametrize("case", DEC_CASES, ids=[c[0] for c in DEC_CASES])
 def test_decompose_T_matches_reference(case):
     name, table, is_float = case
-    got = _outcome(lambda t: _split_T(t, checks.DEFAULT_TOL), table)
+    split = lambda t: _split_T(t, checks.DEFAULT_TOL)
+    got = _outcome(split, table)
     assert got == _outcome(lambda t: ref_dec.decompose_T(t, checks.DEFAULT_TOL),
                            table)
+    assert _outcome(split, table) == got  # again, from a kept split if exact
     # no vacuous case: exact inputs fail exactly where they were corrupted
     if not is_float:
         want = EXPECTED_ERROR[name.rsplit("-", 1)[1]]
-        assert (got[1] if want else None) == want
+        assert (got[1] if got[0] is DecompositionError else None) == want
 
 
 def test_decompose_T_cases_cover_both_checks_on_floats():
@@ -741,7 +760,8 @@ MALFORMED_VALUES = {
                  {"log": True}, -1.0, 0, "x", {"loge": 1}],
     "sign": [0, 2, "x", 1.5],
     "complex": [{"log": [0, 1], "turn": [1, 0]}, {"log": [0.5, 1], "turn": [0, 1]},
-                {"log": [0, 1], "turn": [False, 1]}, "x", [1]],
+                {"log": [0, 1], "turn": [False, 1]}, {"turn": [0, 1]},
+                {"log": [0, 1]}, "x", [1]],
 }
 VALID_VALUES = {"real": [1, 1], "positive": {"log": [1, 1]}, "sign": 1,
                 "complex": {"log": [1, 1], "turn": [1, 3]}}
@@ -775,6 +795,51 @@ def test_malformed_rationals_are_refused():
         form["l"] = [bad]
         with pytest.raises(GroupParseError, match="rational of integers with a nonzero"):
             form_from_json(form)
+
+
+def _json_mutants(obj, path=()):
+    """Copies of ``obj`` with one member deleted, or replaced by a value of
+    another JSON type, at every depth (the first three items of an array)."""
+    if isinstance(obj, dict):
+        keys = list(obj)
+    elif isinstance(obj, list):
+        keys = list(range(min(len(obj), 3)))
+    else:
+        return
+    for k in keys:
+        for bad in (5, 2.5, True, None, "x", [], [[1]], {}, {"a": 1}, "delete"):
+            copy = json.loads(json.dumps(obj))
+            if bad == "delete":
+                del copy[k]
+            else:
+                copy[k] = bad
+            yield path + (k,), copy
+        for sub, inner in _json_mutants(obj[k], path + (k,)):
+            copy = json.loads(json.dumps(obj))
+            copy[k] = inner
+            yield sub, copy
+
+
+def test_malformed_json_raises_a_kbeq_error():
+    # a missing key or a wrong type ended in KeyError, TypeError or
+    # AttributeError; the CLI turns KbeqError into exit code 2
+    group = GroupSpec(1, (2,))
+    forms = [random_positive_form(group, Random(1)), random_hermitian_form(group, Random(1))]
+    cases = [(form_from_json, form.to_json()) for form in forms]
+    cases += [(FuncTable.from_json, synth_table(form, Box((1,)))[0].to_json())
+              for form in forms]
+    count = 0
+    for read, obj in cases:
+        obj = json.loads(json.dumps(obj))
+        for path, bad in [((), 5), ((), [])] + list(_json_mutants(obj)):
+            count += 1
+            try:
+                read(bad)
+            except KbeqError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{read.__name__} at {path}: {exc!r}")
+    assert count > 1000
 
 
 def test_positive_decompose_rejects_random_corruption():
