@@ -143,18 +143,13 @@ def _require_decomposable_domain(table: FuncTable):
             )
 
 
-def _split_T(table: FuncTable, tol: float):
-    """(P, l, r) with ``T = P + l + r``, certified by its residual and
-    preceded by no equation sweep; the window must hold the doubled probes
-    (:func:`_require_decomposable_domain`)."""
-    return _forms(table.group, _split_parts(table, tol))
-
-
 def _split_parts(table: FuncTable, tol: float) -> _Parts:
-    """:func:`_split_T` as integer parts.  The table's kind is not read, so a
-    positive table splits as the real table of its logs.  An exact table
-    returns the parts kept on it, once certified; float tables and failed
-    splits are split again on every call."""
+    """The parts of ``T = P + l + r``, certified by their residual and
+    preceded by no equation sweep; the window must hold the doubled probes
+    (:func:`_require_decomposable_domain`).  The table's kind is not read,
+    so a positive table splits as the real table of its logs.  An exact
+    table returns the parts kept on it, once certified; float tables and
+    failed splits are split again on every call."""
     if table._parts is not None:
         return table._parts
     group = table.group

@@ -359,11 +359,6 @@ def coset_codes(info: VecDomain, modulus: int) -> tuple[np.ndarray, "callable"]:
     return memo((group, info.domain, "coset", modulus), build), encode
 
 
-def scale_codes(info: VecDomain, factor: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point index of ``factor * x`` plus an in-domain validity mask."""
-    return point_codes(info, factor * info.coords.astype(np.int64))
-
-
 # ---------------------------------------------------------------------------
 # table encodings and the sweep kernel
 

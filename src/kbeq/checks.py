@@ -11,8 +11,9 @@ exact positive pair by its sweep-free decomposition
 in-range pairs in closed form without sweeping them, and the sweep runs only
 when the certificate fails, to find the witness.
 
-Every pair and triple identity runs through one sweep kernel
-(:func:`kbeq._vec.failures`), whose arithmetic
+Every pair and triple identity, and the point-wise comparisons of
+:func:`check_hermitian` and :func:`check_coset_constant`, run through one
+sweep kernel (:func:`kbeq._vec.failures`), whose arithmetic
 :func:`kbeq._vec.numeric_mode` picks from the values alone: comparisons are
 exact for rational, sign and exact-complex values and use an absolute
 tolerance (default 1e-9) for floating data.  Pair sweeps
@@ -35,17 +36,14 @@ from . import _vec
 from ._split import _is_exact_table, _split_positive
 from .errors import DomainSizeError, IncompatibleTablesError, KbeqError
 from .functions import (
-    Exact,
     FuncTable,
     KIND_COMPLEX,
     KIND_POSITIVE,
     KIND_REAL,
     KIND_SIGN,
+    _decode,
     _json_value,
-    cconj,
     cmul,
-    cval,
-    values_equal,
 )
 from .groups import GroupElement
 
@@ -181,6 +179,22 @@ def _sides(tables, at, terms, product: bool = False):
 
 def _signed_sum(table, at, terms):
     return sum(c * table.values[at[p]] for _, p, c in terms)
+
+
+def _at(table: FuncTable, i: int):
+    """The stored value at domain index ``i``, decoded."""
+    return _decode(table.encoding, [i])[0]
+
+
+def _entrywise(tables, axes, tol: float, witness) -> CheckReport:
+    """Does the first table at ``axes[0]`` equal the last at ``axes[1]``,
+    entry by entry?  One kernel call; the count runs up to the first failing
+    entry, whose two point indices ``witness`` turns into the witness."""
+    w = _vec.first_failure(_vec.numeric_mode(tables), axes,
+                           ((0, 0, 1), (len(tables) - 1, 1, -1)), tol, False)
+    if w is None:
+        return _passed(len(axes[0]), 1.0)
+    return _failed(w + 1, 1.0, witness(*(int(a[w]) for a in axes)))
 
 
 def _report(checked: int, considered: int, at, witness,
@@ -319,19 +333,30 @@ def _kb_witness(f, g, x, y) -> Witness:
 
 
 def check_hermitian(f: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Conjugate symmetry ``f(-x) = conj(f(x))`` at every domain point."""
+    """Conjugate symmetry ``f(-x) = conj(f(x))`` at every domain point: ``f``
+    at ``-x`` against its conjugate table at ``x``, in one kernel call."""
     if not f.domain.negation_closed(f.group):
         raise DomainSizeError("hermitian check needs a negation-closed domain")
-    vals = f.values.values()
+    conj = _conjugate(f)
     ng = _vec.neg_codes(_vec.domain_info(f.group, f.domain))
-    checked = 0
-    for x, v, w in zip(f.points(), vals, ng.tolist()):
-        checked += 1
-        lhs = vals[w]
-        rhs = cconj(v) if f.kind == KIND_COMPLEX else v
-        if not values_equal(lhs, rhs, tol):
-            return _failed(checked, 1.0, Witness(("x",), (x,), lhs, rhs))
-    return _passed(checked, 1.0)
+    return _entrywise((f, conj), [ng, np.arange(len(ng))], tol,
+                      lambda i, j: Witness(("x",), (f.points()[j],),
+                                           _at(f, i), _at(conj, j)))
+
+
+def _conjugate(f: FuncTable) -> FuncTable:
+    """The table of ``conj(f(x))``: turns negated, or complex values
+    conjugated; tables of the other kinds are real."""
+    mode, arrays, denom = f.encoding
+    if mode == "exact":
+        lg, lgd, tn, tnd, zero = arrays
+        (tn,) = _vec._fitted([tn], lambda m: max(m, tnd))
+        enc = (mode, (lg, lgd, -tn % tnd, tnd, zero), denom)
+    elif mode == "complex":
+        enc = (mode, np.conj(arrays), denom)
+    else:
+        return f
+    return FuncTable._of(f.group, f.domain, f.kind, enc)
 
 
 def check_sign_eq26(a: FuncTable, b: FuncTable,
@@ -346,19 +371,19 @@ def check_sign_eq26(a: FuncTable, b: FuncTable,
 
 def check_coset_constant(table: FuncTable, modulus: int,
                          tol: float = DEFAULT_TOL) -> CheckReport:
-    """Is the table constant on each coset of ``X^(modulus)`` meeting the domain?"""
+    """Is the table constant on each coset of ``X^(modulus)`` meeting the
+    domain?  Every point but its coset's first, which represents the coset,
+    is compared with that first point, in one kernel call."""
     codes, _ = _vec.coset_codes(_vec.domain_info(table.group, table.domain), modulus)
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    pts, vals = table.points(), table.values.values()
-    checked = 0
-    for i, (r, v) in enumerate(zip(first[inverse].tolist(), vals)):
-        if r == i:  # the first point of its coset represents it
-            continue
-        checked += 1
-        w = vals[r]
-        if not values_equal(w, v, tol):
-            return _failed(checked, 1.0, Witness(("x", "y"), (pts[r], pts[i]), w, v))
-    return _passed(checked, 1.0)
+    rep = first[inverse]
+    others = np.flatnonzero(rep != np.arange(len(rep)))
+
+    def witness(i, j):
+        pts = table.points()
+        return Witness(("x", "y"), (pts[i], pts[j]), _at(table, i), _at(table, j))
+
+    return _entrywise((table,), [rep[others], others], tol, witness)
 
 
 def check_quadratic(table: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -383,15 +408,13 @@ def check_character(table: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     """Multiplicativity and unimodularity of a complex table."""
     if table.kind != KIND_COMPLEX:
         raise IncompatibleTablesError("character check needs a complex table")
-    checked = 0
-    for x, v in table.values.items():
-        checked += 1
-        if isinstance(v, Exact):
-            unimodular = not v.zero and v.log_abs == 0
-        else:
-            unimodular = abs(abs(cval(v)) - 1.0) <= tol
-        if not unimodular:
-            return _failed(checked, 1.0,
-                           Witness(("x",), (x,), v, 1))
+    mode, arrays, _ = table.encoding
+    if mode == "exact":  # exactly zero, or of modulus other than 1
+        bad = arrays[4] | (arrays[0] != 0)
+    else:
+        bad = ~(np.abs(np.abs(arrays) - 1.0) <= tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        return _failed(i + 1, 1.0, Witness(("x",), (table.points()[i],), _at(table, i), 1))
     rep = _pair_check((table,), ((1, 1),), _ADDITIVE_TERMS, tol, product=True)
-    return CheckReport(rep.holds, checked + rep.pairs_checked, rep.witness, 1.0)
+    return CheckReport(rep.holds, len(bad) + rep.pairs_checked, rep.witness, 1.0)

@@ -9,11 +9,17 @@ window, lives in :mod:`kbeq._split`, where :func:`kbeq.checks.check_kb`
 uses it too; this module runs it under the equation sweeps below.
 
 The Hermitian route first decomposes the moduli via the positive route,
-then factors the unimodular part into a character (fitted on the doubled
-subgroup and extended to the whole group with deterministic principal
-square roots) times a +/-1-valued map, and validates every structural
-claim: evenness, triviality on the doubled subgroup, the sign equation,
-and constancy on quadrupled (or doubled, in the one-function case) cosets.
+then factors the unimodular part ``p`` into a character ``alpha`` (fitted
+on the doubled subgroup and extended to the whole group with deterministic
+principal square roots) times a +/-1-valued map, and validates every
+structural claim: ``p = alpha`` on the doubled subgroup, ``p = +-alpha``
+everywhere, evenness, the sign equation, and constancy on quadrupled (or
+doubled, in the one-function case) cosets.  The phase identities
+``p(2x) = p(x)^2`` and ``p(x+y)^2 = p(x)^2 p(y)^2`` are implied by the first
+two on exact tables (both sides are powers of ``alpha``), so they are not
+swept.  Every step reads the tables' stored arrays (``FuncTable.encoding``),
+the character as one exact turn table; values are decoded only for a
+witness.
 
 Every decomposition certifies itself, then explains failures.  On exact
 tables a form that passes the exact residual and structure checks solves
@@ -48,10 +54,7 @@ from ._split import (
 )
 from .checks import (
     DEFAULT_TOL,
-    _pair_sweep,
     _require_same,
-    _sides,
-    _sweep,
     check_coset_constant,
     check_eq5,
     check_hermitian,
@@ -83,6 +86,7 @@ from .functions import (
     PositiveSolutionForm,
     QuadraticForm,
     SignMap,
+    _zero_mask,
     cval,
     value_is_zero,
     values_equal,
@@ -332,68 +336,73 @@ def _complexified(table: FuncTable) -> FuncTable:
     return FuncTable._of(table.group, table.domain, KIND_COMPLEX, enc)
 
 
+def _at_zero(tables):
+    """The product of the tables' values at 0, read from their arrays:
+    ``(log, turn)`` rationals when every table is exact, else a complex
+    number; None when a value is zero."""
+    z = tables[0]._index(tables[0].group.zero())
+    if any(_zero_mask(t.encoding)[z] for t in tables):
+        return None
+    if not all(map(_is_exact_table, tables)):
+        prod, *rest = (cval(t.values[t.group.zero()]) for t in tables)
+        for v in rest:
+            prod *= v
+        return prod
+    _, encs, _ = zip(*(t.encoding for t in tables))
+    return (sum(Fraction(int(lg[z]), lgd) for lg, lgd, *_ in encs),
+            sum(Fraction(int(tn[z]), tnd) for _, _, tn, tnd, _ in encs) % 1)
+
+
+def _is_one(v, tol: float) -> bool:
+    """Is an :func:`_at_zero` product one (exactly, or within ``tol``)?"""
+    if isinstance(v, tuple):
+        return v == (0, 0)
+    return v is not None and abs(v - 1) <= tol
+
+
 def _check_positive_real_at_zero(table: FuncTable, tol: float, name: str):
-    v = table.values[table.group.zero()]
-    if isinstance(v, Exact):
-        bad = v.zero or v.turn != 0
+    v = _at_zero((table,))
+    if isinstance(v, tuple):
+        bad = v[1] != 0
     else:
-        c = cval(v)
-        bad = abs(c.imag) > tol or c.real <= 0
+        bad = v is None or abs(v.imag) > tol or v.real <= 0
     if bad:
+        zero = table.group.zero()
         raise DecompositionError(
             f"{name}(0) must be a positive real; a global -1 factor is "
             "not representable with sign maps fixed to 1 on X^(2)",
-            _point_witness(table.group.zero(), v, 1),
+            _point_witness(zero, table.values[zero], 1),
         )
 
 
 def _require_nonvanishing(table: FuncTable, name: str):
-    for x, v in table.values.items():
-        if value_is_zero(v):
-            raise DecompositionError(
-                f"{name} vanishes; this route needs non-vanishing tables",
-                _point_witness(x, 0, "nonzero"),
-            )
+    zeros = np.flatnonzero(_zero_mask(table.encoding))
+    if len(zeros):
+        raise DecompositionError(
+            f"{name} vanishes; this route needs non-vanishing tables",
+            _point_witness(table.points()[zeros[0]], 0, "nonzero"),
+        )
 
 
 def _require_unit_product_at_zero(f: FuncTable, g: FuncTable, tol: float):
-    z = f.group.zero()
-    f0, g0 = f.values[z], g.values[z]
-    if value_is_zero(f0) or value_is_zero(g0):
+    prod = _at_zero((f, g))
+    if prod is None:
         raise DecompositionError("f(0) g(0) must equal 1, got 0")
-    prod = f0 * g0 if isinstance(f0, Exact) and isinstance(g0, Exact) \
-        else cval(f0) * cval(g0)
-    if not values_equal(prod, Exact.one() if isinstance(prod, Exact) else 1.0, tol):
-        raise DecompositionError("f(0) g(0) must equal 1",
-                                 _point_witness(z, prod, 1))
-
-
-def _phase_checks(p: FuncTable, tol: float, name: str):
-    """Verify p(2x) = p(x)^2 and p(x+y)^2 = p(x)^2 p(y)^2 on the window."""
-    info = _vec.domain_info(p.group, p.domain)
-    code2, valid = _vec.scale_codes(info, 2)
-    sel = np.flatnonzero(valid)
-    terms = ((0, 1, 1), (0, 0, -2))
-    at = _sweep([p], [sel, code2[sel]], terms, tol, product=True)
-    if at is not None:
-        raise DecompositionError(f"{name}(2x) != {name}(x)^2",
-                                 _point_witness(at[0], *_sides([p], at, terms, True)))
-    _, at = _pair_sweep([p], ((1, 1),), ((0, 2, 2), (0, 0, -2), (0, 1, -2)), tol,
-                        product=True)
-    if at is not None:
+    if not _is_one(prod, tol):
         raise DecompositionError(
-            f"{name}(x+y)^2 != {name}(x)^2 {name}(y)^2",
-            {"x": list(at[0].coords), "y": list(at[1].coords)},
-        )
+            "f(0) g(0) must equal 1",
+            _point_witness(f.group.zero(),
+                           Exact(*prod) if isinstance(prod, tuple) else prod, 1))
 
 
 def _fit_doubled_turns(p: FuncTable, tol: float) -> list[Fraction]:
     """Turns of the character candidate at doubled generators."""
     group = p.group
+    mode, arrays, _ = p.encoding
     turns = []
     for i, e in enumerate(group.generators()):
         try:
-            v = p.values[group.scale(2, e)]
+            k = p._index(group.scale(2, e))
         except KeyError:
             raise DomainSizeError("window must contain the doubled generators") from None
         if i < group.rank:
@@ -401,28 +410,27 @@ def _fit_doubled_turns(p: FuncTable, tol: float) -> list[Fraction]:
         else:
             n = group.torsion[i - group.rank]
             order = n // 2 if n % 2 == 0 else n  # order of 2e_i
+        v = Fraction(int(arrays[2][k]), arrays[3]) if mode == "exact" else complex(arrays[k])
         turns.append(_unit_turn(v, order, tol))
     return turns
 
 
 def _unit_turn(v, order: Optional[int], tol: float) -> Fraction:
-    if isinstance(v, Exact):
-        if v.zero or v.log_abs != 0:
-            raise DecompositionError("phase value is not unimodular")
-        t = v.turn
-        if order is not None and (t * order).denominator != 1:
+    """The turn of a unimodular phase value: exact tables give the turn
+    itself, float tables a complex value, rounded to a turn."""
+    if isinstance(v, Fraction):
+        if order is not None and (v * order).denominator != 1:
             raise DecompositionError(
                 f"phase at a doubled generator has no order dividing {order}"
             )
-        return t
-    c = cval(v)
-    if abs(abs(c) - 1.0) > tol:
+        return v
+    if abs(abs(v) - 1.0) > tol:
         raise DecompositionError("phase value is not unimodular")
-    ang = Fraction(cmath.phase(c) / (2 * cmath.pi)) % 1
+    ang = Fraction(cmath.phase(v) / (2 * cmath.pi)) % 1
     if order is not None:
         k = round(ang * order) % order
         t = Fraction(k, order)
-        if abs(cval(Exact.unit(t)) - c) > max(tol, 1e-6):
+        if abs(cval(Exact.unit(t)) - v) > max(tol, 1e-6):
             raise DecompositionError(
                 f"phase at a doubled generator has no order dividing {order}"
             )
@@ -430,73 +438,100 @@ def _unit_turn(v, order: Optional[int], tol: float) -> Fraction:
     return ang.limit_denominator(10**6)
 
 
-def _restriction_matches(p: FuncTable, alpha: CharacterSpec, tol: float):
-    group = p.group
-    for x, v in p.values.items():
-        if any(r != 0 for r in group.coset_index(x, 2).residues):
-            continue
-        if not values_equal(v, alpha.value(x), tol):
-            raise DecompositionError(
-                "phase part is not multiplicative on the doubled subgroup",
-                _point_witness(x, v, alpha.value(x)),
-            )
+def _character_table(alpha: CharacterSpec, p: FuncTable) -> FuncTable:
+    """``alpha`` on the domain of ``p`` as one exact turn table: the turns
+    ``coords @ t mod 1``, with ``t`` the turns of the generators over one
+    denominator."""
+    group = alpha.group
+    info = _vec.domain_info(group, p.domain)
+    t, den = _vec._over(
+        [q.numerator for q in alpha.free_turns] + list(alpha.torsion_exponents),
+        [q.denominator for q in alpha.free_turns] + list(group.torsion))
+    coords = info.coords.astype(np.int64)
+    bound = sum(map(abs, t.tolist())) * int(np.abs(coords).max(initial=0))
+    if t.dtype == object or max(bound, den) > _vec._INT_LIMIT:
+        t, coords = t.astype(object), coords.astype(object)
+    zeros = np.zeros(info.n, dtype=np.int64)
+    return FuncTable._of(group, p.domain, KIND_COMPLEX,
+                         ("exact", (zeros, 1, coords @ t % den, den, zeros.astype(bool)), 1))
 
 
-def _sign_table_from_ratio(p: FuncTable, alpha: CharacterSpec,
-                           tol: float) -> FuncTable:
-    out = []  # exponents of -1
-    for x, v in p.values.items():
-        if isinstance(v, Exact):
-            dt = (v.turn - alpha.turn(x)) % 1
-            if v.log_abs != 0 or dt not in (Fraction(0), Fraction(1, 2)):
-                raise DecompositionError(
-                    "ratio to the extended character is not +-1",
-                    _point_witness(x, v, alpha.value(x)),
-                )
-            out.append(0 if dt == 0 else 1)
-        else:
-            ratio = cval(v) / cval(alpha.value(x))
-            if abs(ratio - 1) <= tol:
-                out.append(0)
-            elif abs(ratio + 1) <= tol:
-                out.append(1)
-            else:
-                raise DecompositionError(
-                    "ratio to the extended character is not +-1",
-                    _point_witness(x, v, alpha.value(x)),
-                )
+def _restriction_matches(p: FuncTable, alpha: FuncTable, tol: float):
+    """``p`` equals the character table ``alpha`` on ``X^(2)``."""
+    info = _vec.domain_info(p.group, p.domain)
+    doubled = np.flatnonzero(_vec.coset_codes(info, 2)[0] == 0)
+    w = _vec.first_failure(_vec.numeric_mode([p, alpha]), [doubled],
+                           ((0, 0, 1), (1, 0, -1)), tol, False)
+    if w is not None:
+        x = p.points()[doubled[w]]
+        raise DecompositionError(
+            "phase part is not multiplicative on the doubled subgroup",
+            _point_witness(x, p.values[x], alpha.values[x]),
+        )
+
+
+def _sign_table_from_ratio(p: FuncTable, alpha: FuncTable, tol: float) -> FuncTable:
+    """The sign table ``p / alpha``: turn differences 0 or 1/2 on exact
+    tables (the logs of ``p`` are zero), ratios within ``tol`` of +-1 on
+    float ones."""
+    kind, (pv, av), denom = _vec.numeric_mode([p, alpha])
+    if kind == "exact":
+        pt, at = _vec._fitted([pv[1], av[1]], lambda m: 2 * max(m, denom))
+        dt = (pt - at) % denom
+        minus = 2 * dt == denom
+        bad = (dt != 0) & ~minus
+    else:
+        ratio = pv / av
+        plus = np.abs(ratio - 1) <= tol
+        minus = ~plus & (np.abs(ratio + 1) <= tol)
+        bad = ~(plus | minus)
+    if bad.any():
+        x = p.points()[int(np.argmax(bad))]
+        raise DecompositionError(
+            "ratio to the extended character is not +-1",
+            _point_witness(x, p.values[x], alpha.values[x]),
+        )
     return FuncTable._of(p.group, p.domain, KIND_SIGN,
-                         ("parity", np.array(out, dtype=np.int64), 1))
+                         ("parity", minus.astype(np.int64), 1))
 
 
 def _require_even(tab: FuncTable, name: str):
-    vals = tab.values.values()
-    ng = _vec.neg_codes(_vec.domain_info(tab.group, tab.domain))
-    for x, v, w in zip(tab.points(), vals, ng.tolist()):
-        if vals[w] != v:
-            raise DecompositionError(f"{name} is not even",
-                                     _point_witness(x, v, vals[w]))
+    rep = check_hermitian(tab)  # a sign table is its own conjugate
+    if not rep.holds:
+        w = rep.witness
+        raise DecompositionError(f"{name} is not even",
+                                 _point_witness(w.points[0], w.rhs, w.lhs))
 
 
 def _sign_map_from_table(tab: FuncTable, modulus: int) -> SignMap:
+    """The sign map of a sign table, read at each coset's first point."""
     group = tab.group
-    reps: dict = {}
-    for x, v in tab.values.items():
-        reps.setdefault(group.coset_index(x, modulus), v)
-    if len(reps) != group.coset_count(modulus):
+    codes, _ = _vec.coset_codes(_vec.domain_info(group, tab.domain), modulus)
+    _, first = np.unique(codes, return_index=True)
+    if len(first) != group.coset_count(modulus):
         raise DomainSizeError(
             f"window does not meet every coset of X^({modulus})"
         )
-    return SignMap.from_mapping(group, modulus, reps)
+    # codes ascend with the cosets' residues, as coset_indices does
+    signs = (1 - 2 * tab.encoding[1][first]).tolist()
+    return SignMap(group, modulus, tuple(zip(group.coset_indices(modulus), signs)))
 
 
 def _hermitian_phase_part(ftab: FuncTable, tol: float, name: str):
-    """Character + sign table of a unimodular phase table."""
+    """Character + sign table of a unimodular phase table ``p``.
+
+    The character ``alpha`` is fitted at the doubled generators and
+    extended; ``p`` must equal ``alpha`` on ``X^(2)`` and ``+-alpha`` at
+    every window point, and the sign table is ``p / alpha``.  On exact
+    tables this implies the phase identities, which are therefore not
+    swept: ``p(2x) = alpha(2x) = alpha(x)^2 = p(x)^2`` and
+    ``p(x+y)^2 = alpha(x+y)^2 = alpha(x)^2 alpha(y)^2 = p(x)^2 p(y)^2``.
+    """
     p = ftab.unimodular_part()
-    _phase_checks(p, tol, name)
     alpha = extend_character(ftab.group, _fit_doubled_turns(p, tol))
-    _restriction_matches(p, alpha, tol)
-    s = _sign_table_from_ratio(p, alpha, tol)
+    alpha_table = _character_table(alpha, p)
+    _restriction_matches(p, alpha_table, tol)
+    s = _sign_table_from_ratio(p, alpha_table, tol)
     _require_even(s, f"{name}-sign part")
     return alpha, s
 
@@ -507,9 +542,12 @@ def decompose_hermitian(f: FuncTable, g: FuncTable,
     Hermitian non-vanishing solution pair.
 
     Validates Hermitian symmetry, non-vanishing, the equation (see the
-    module docstring), the phase identities, that the leftover signs are even, trivial on the
-    doubled subgroup, satisfy the sign equation, and are constant on
-    quadrupled cosets.
+    module docstring), that each phase equals its extended character on the
+    doubled subgroup and +-1 times it everywhere, and that the leftover
+    signs are even, satisfy the sign equation, and are constant on
+    quadrupled cosets.  The phase identities ``p(2x) = p(x)^2`` and
+    ``p(x+y)^2 = p(x)^2 p(y)^2`` follow from the character factorization on
+    exact tables (see :func:`_hermitian_phase_part`) and are not swept.
     """
     f = _complexified(f)
     g = _complexified(g)
@@ -561,10 +599,9 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
     with _certified((f,), lambda: check_kb_self(f, tol),
                     "the one-function equation fails"):
         _check_positive_real_at_zero(f, tol, "f")
-        exact = _is_exact_table(f)
-        if not values_equal(f.values[f.group.zero()],
-                            Exact.one() if exact else 1.0, tol):
+        if not _is_one(_at_zero((f,)), tol):
             raise DecompositionError("f(0) must equal 1 in the one-function case")
+        exact = _is_exact_table(f)
         pform = decompose_positive(f.abs_log_table(), f.abs_log_table(), tol)
         if not _all_close(pform.l.coeffs, tol, exact):
             raise DecompositionError("modulus has a nonzero additive part")

@@ -135,19 +135,6 @@ class Exact:
             return self
         return Exact(n * self.log_abs, n * self.turn)
 
-    def is_one(self) -> bool:
-        return not self.zero and self.log_abs == 0 and self.turn == 0
-
-    def as_sign(self) -> Optional[int]:
-        """+1 or -1 when the value is exactly that, else None."""
-        if self.zero or self.log_abs != 0:
-            return None
-        if self.turn == 0:
-            return 1
-        if self.turn == Fraction(1, 2):
-            return -1
-        return None
-
     def to_complex(self) -> complex:
         if self.zero:
             return 0j
@@ -167,12 +154,6 @@ def cmul(u: ComplexValue, v: ComplexValue) -> ComplexValue:
     if isinstance(u, Exact) and isinstance(v, Exact):
         return u * v
     return cval(u) * cval(v)
-
-
-def cconj(u: ComplexValue) -> ComplexValue:
-    if isinstance(u, Exact):
-        return u.conj()
-    return cval(u).conjugate()
 
 
 def value_is_zero(v) -> bool:
@@ -283,7 +264,7 @@ class FuncTable:
             enc = ("int", np.zeros(len(self.points()), dtype=np.int64), 1)
         elif self.kind != KIND_COMPLEX:
             raise IncompatibleTablesError("abs_log_table needs a multiplicative kind")
-        elif _has_zero(self.encoding):
+        elif _zero_mask(self.encoding).any():
             raise IncompatibleTablesError("zero value has no log")
         elif mode == "exact":
             enc = ("int", arrays[0], arrays[1])
@@ -296,7 +277,7 @@ class FuncTable:
         mode, arrays, _ = self.encoding
         if self.kind not in (KIND_SIGN, KIND_POSITIVE, KIND_COMPLEX):
             raise IncompatibleTablesError("unimodular_part needs a multiplicative kind")
-        if _has_zero(self.encoding):
+        if _zero_mask(self.encoding).any():
             raise IncompatibleTablesError("zero value has no phase")
         if mode == "complex":
             return FuncTable._of(self.group, self.domain, KIND_COMPLEX,
@@ -428,11 +409,15 @@ def _decode(encoding, at=slice(None)) -> list:
             for a, t, z in zip(lg[at].tolist(), tn[at].tolist(), zero[at].tolist())]
 
 
-def _has_zero(encoding) -> bool:
+def _zero_mask(encoding) -> np.ndarray:
+    """Where the stored values of a multiplicative table are zero: only
+    complex tables hold zeros (positive tables store logs)."""
     mode, arrays, _ = encoding
     if mode == "exact":
-        return bool(arrays[4].any())
-    return mode == "complex" and bool((arrays == 0).any())
+        return arrays[4]
+    if mode == "complex":
+        return arrays == 0
+    return np.zeros(len(arrays), dtype=bool)
 
 
 def _is_real(v) -> bool:

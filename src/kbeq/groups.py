@@ -298,69 +298,21 @@ class _ZLattice:
             row = [v - q * w for v, w in zip(row, cur)]
 
 
-def _diagonalize(mat: list[list[int]]) -> list[int]:
-    """Diagonal of an integer matrix under unimodular row/column operations.
+def _rank_mod2(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over ``Z/2`` of integer rows, by elimination on bitmask ints.
 
-    The returned entries present the cokernel as ``(+) Z/d_i  (+)  Z^free``;
-    no divisibility chain is enforced (not needed for isomorphism-invariant
-    questions like the existence of an order-2 element).
+    ``basis`` holds reduced rows with distinct leading bits in descending
+    order, so ``min(v, v ^ b)`` clears the leading bit of ``b`` from ``v``
+    when ``v`` has it and leaves ``v`` alone otherwise.
     """
-    m = [list(map(int, row)) for row in mat]
-    if not m or not m[0]:
-        return []
-    nr, nc = len(m), len(m[0])
-    diag = []
-    r = c = 0
-    while r < nr and c < nc:
-        # find a nonzero pivot
-        pr = pc = -1
-        for i in range(r, nr):
-            for j in range(c, nc):
-                if m[i][j]:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        m[r], m[pr] = m[pr], m[r]
-        for row in m:
-            row[c], row[pc] = row[pc], row[c]
-        while True:
-            # clear column c with row operations
-            for i in range(nr):
-                if i != r and m[i][c]:
-                    if m[i][c] % m[r][c] == 0:
-                        q = m[i][c] // m[r][c]
-                        m[i] = [v - q * w for v, w in zip(m[i], m[r])]
-                    else:
-                        x, y, g = _xgcd(m[r][c], m[i][c])
-                        a, b = m[r][c] // g, m[i][c] // g
-                        new_r = [x * v + y * w for v, w in zip(m[r], m[i])]
-                        m[i] = [-b * v + a * w for v, w in zip(m[r], m[i])]
-                        m[r] = new_r
-            # clear row r with column operations
-            dirty = False
-            for j in range(nc):
-                if j != c and m[r][j]:
-                    if m[r][j] % m[r][c] == 0:
-                        q = m[r][j] // m[r][c]
-                        for row in m:
-                            row[j] -= q * row[c]
-                    else:
-                        x, y, g = _xgcd(m[r][c], m[r][j])
-                        a, b = m[r][c] // g, m[r][j] // g
-                        for row in m:
-                            vc, vj = row[c], row[j]
-                            row[c] = x * vc + y * vj
-                            row[j] = -b * vc + a * vj
-                        dirty = True
-            if not dirty and all(m[i][c] == 0 for i in range(nr) if i != r):
-                break
-        diag.append(abs(m[r][c]))
-        r += 1
-        c += 1
-    return diag
+    basis: list[int] = []
+    for row in rows:
+        v = sum(1 << j for j, a in enumerate(row) if a % 2)
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    return len(basis)
 
 
 @dataclass(frozen=True)
@@ -401,17 +353,17 @@ class SubgroupSpec:
         return self._get_lattice().contains(list(x.coords))
 
     def quotient_has_order2(self) -> bool:
-        """True iff some x outside the subgroup satisfies ``2x`` inside it."""
-        cols = [list(g.coords) for g in self.generators]
-        cols += self._relation_rows()
-        if not cols:
-            cols = [[0] * self.group.dim] if self.group.dim else [[0]]
-        # columns span the lattice; transpose so they become matrix columns
-        mat = [[col[i] for col in cols] for i in range(self.group.dim)]
-        if not mat:
-            return False  # trivial group
-        diag = _diagonalize(mat)
-        return any(d != 0 and d % 2 == 0 for d in diag)
+        """True iff some x outside the subgroup satisfies ``2x`` inside it.
+
+        With ``L`` the lattice of the subgroup and the torsion relations,
+        the quotient is ``Z^d / L = Z^f + (+) Z/d_i``, and it has an element
+        of order 2 iff some ``d_i`` is even.  Since ``Z^d / (L + 2Z^d)`` is
+        ``(Z/2)^(f + e)`` with ``e`` the number of even ``d_i``, and ``f`` is
+        ``d`` minus the rank of ``L``, ``e`` is the rank of ``L`` over Q (its
+        echelon rows) minus their rank modulo 2.
+        """
+        rows = self._get_lattice().rows
+        return len(rows) > _rank_mod2(rows)
 
     def elements(self) -> list[GroupElement]:
         """Closure enumeration; finite groups only (cross-check oracle)."""

@@ -136,10 +136,6 @@ class SignSolutionCensus:
     def count(self) -> int:
         return len(self.pairs)
 
-    def contains_values(self, f: FuncTable, g: FuncTable) -> bool:
-        return any(a.values == f.values and b.values == g.values
-                   for a, b in self.pairs)
-
     def to_json(self) -> dict:
         return {
             "group": str(self.group),
@@ -212,12 +208,16 @@ def enum_sign_solutions(group: GroupSpec, order_budget: int = 256,
 
 def _annotate_pair(group: GroupSpec, a: FuncTable, b: FuncTable) -> dict:
     codes, encode = _vec.coset_codes(_vec.domain_info(group, a.domain), 2)
-    rel: dict = {}  # coset code -> 1 or -1 when a = b or a = -b on it, else 0
-    for c, u, v in zip(codes.tolist(), a.values.values(), b.values.values()):
-        this = 1 if u == v else -1
-        rel[c] = this if rel.get(c, this) == this else 0
-    relation = {",".join(map(str, idx.residues)): rel.get(encode(idx))
-                for idx in group.coset_indices(2)}
+    cosets = [(",".join(map(str, idx.residues)), encode(idx))
+              for idx in group.coset_indices(2)]
+    # per coset code: its points, and those where a = b (equal parity arrays)
+    size = 1 + max(c for _, c in cosets)
+    points = np.bincount(codes, minlength=size)
+    equal = np.bincount(codes[a.encoding[1] == b.encoding[1]], minlength=size)
+    # 1 or -1 where a = b or a = -b throughout a coset, else 0; None off the domain
+    relation = {key: None if not points[c] else
+                1 if equal[c] == points[c] else -1 if not equal[c] else 0
+                for key, c in cosets}
     return {
         "a_constant_mod4": check_coset_constant(a, 4).holds,
         "b_constant_mod4": check_coset_constant(b, 4).holds,

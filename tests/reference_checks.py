@@ -278,6 +278,20 @@ def check_character(table, tol: float) -> CheckReport:
     return CheckReport(rep.holds, len(pts) + rep.pairs_checked, rep.witness, 1.0)
 
 
+def check_hermitian(f, tol: float) -> CheckReport:
+    """``f(-x) = conj(f(x))`` point by point, counting up to the first failure."""
+    vals = dict(f.values.items())
+    for i, (x, v) in enumerate(vals.items()):
+        lhs = vals[-x]
+        if f.kind != "complex":
+            rhs = v
+        else:
+            rhs = v.conj() if isinstance(v, Exact) else cval(v).conjugate()
+        if not values_equal(lhs, rhs, tol):
+            return CheckReport(False, i + 1, Witness(("x",), (x,), lhs, rhs), 1.0)
+    return CheckReport(True, len(vals), None, 1.0)
+
+
 def _square(v):
     return v.power(2) if isinstance(v, Exact) else cval(v) ** 2
 

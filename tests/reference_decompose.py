@@ -4,26 +4,30 @@ and sweep-first references for the six decompositions.
 The first two work one point at a time in the tables' native arithmetic
 (Fractions and Python floats, mixed freely), with no encoding and no index
 arrays.  They are the oracle for the array routines in
-``kbeq.functions.synth_table`` and ``kbeq._split._split_T``: on the same
-input both must return the same forms, or raise the same error with the
-same witness.
+``kbeq.functions.synth_table`` and ``kbeq._split._split_parts`` (read as
+forms by :func:`split_T`): on the same input both must return the same
+forms, or raise the same error with the same witness.
 
 The ``sweep_first_*`` functions run every equation sweep before the
 recovery, in the order the library ran them before its decompositions
-certified themselves; otherwise they repeat the library's steps.  They are
-the oracle for the certify-then-explain rule in ``kbeq.decompose``: every
-public decomposition must return what they return, or raise the same error
-with the same message, witness and report.
+certified themselves; otherwise they repeat the library's steps.  The
+Hermitian and one-function references also keep the library's earlier
+point-by-point phase part, including the phase-identity sweeps it no
+longer runs, and the point loops of ``reference_checks`` for its side
+conditions.  They are the oracle for the certify-then-explain rule and the
+array phase part in ``kbeq.decompose``: every public decomposition must
+return what they return, or raise the same error with the same message,
+witness and report.
 """
 
+import cmath
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
+import reference_checks as ref_checks
 from kbeq import decompose as dec
 from kbeq.checks import (
-    check_coset_constant,
     check_eq5,
-    check_hermitian,
     check_kb,
     check_kb_self,
     check_polynomial,
@@ -31,9 +35,10 @@ from kbeq.checks import (
 )
 from kbeq._split import (
     _doubled_probes,
+    _forms,
     _point_witness,
     _require_decomposable_domain,
-    _split_T,
+    _split_parts,
     _to_fraction,
     extend_biadditive,
 )
@@ -53,9 +58,11 @@ from kbeq.functions import (
     HermitianSolutionForm,
     KIND_POSITIVE,
     KIND_REAL,
+    KIND_SIGN,
     PositiveSolutionForm,
     QuadraticForm,
     SignMap,
+    cmul,
     cval,
     value_is_zero,
     values_equal,
@@ -71,6 +78,12 @@ def synth_positive(form, domain):
         fvals[p], gvals[p] = form.log_pair(p)
     return (FuncTable(group, domain, "positive", fvals),
             FuncTable(group, domain, "positive", gvals))
+
+
+def split_T(table, tol):
+    """The library's split of a real table as (P, l, r), with no equation
+    sweep: the window must hold the doubled probes."""
+    return _forms(table.group, _split_parts(table, tol))
 
 
 def _is_exact_table(table):
@@ -191,7 +204,7 @@ def sweep_first_decompose_T(table, tol):
     rep = check_eq5(table, tol)
     if not rep.holds:
         raise EquationFailsError("triple-difference equation fails", rep)
-    return _split_T(table, tol)
+    return split_T(table, tol)
 
 
 def sweep_first_decompose_positive(f, g, tol):
@@ -240,6 +253,135 @@ def _check_positive_real_at_zero(table, tol, name):
         )
 
 
+def _phase_checks(p, tol, name):
+    """``p(2x) = p(x)^2``, then ``p(x+y)^2 = p(x)^2 p(y)^2``, point by point."""
+    fail = ref_checks.phase_failure(p, tol)
+    if fail is None:
+        return
+    if fail[0] == "double":
+        x = fail[1]
+        raise DecompositionError(
+            f"{name}(2x) != {name}(x)^2",
+            _point_witness(x, p.values[p.group.scale(2, x)],
+                           cmul(p.values[x], p.values[x])))
+    raise DecompositionError(
+        f"{name}(x+y)^2 != {name}(x)^2 {name}(y)^2",
+        {"x": list(fail[1].coords), "y": list(fail[2].coords)},
+    )
+
+
+def _fit_doubled_turns(p, tol):
+    group = p.group
+    turns = []
+    for i, e in enumerate(group.generators()):
+        try:
+            v = p.values[group.scale(2, e)]
+        except KeyError:
+            raise DomainSizeError("window must contain the doubled generators") from None
+        if i < group.rank:
+            order = None
+        else:
+            n = group.torsion[i - group.rank]
+            order = n // 2 if n % 2 == 0 else n  # order of 2e_i
+        turns.append(_unit_turn(v, order, tol))
+    return turns
+
+
+def _unit_turn(v, order: Optional[int], tol):
+    if isinstance(v, Exact):
+        if v.zero or v.log_abs != 0:
+            raise DecompositionError("phase value is not unimodular")
+        t = v.turn
+        if order is not None and (t * order).denominator != 1:
+            raise DecompositionError(
+                f"phase at a doubled generator has no order dividing {order}"
+            )
+        return t
+    c = cval(v)
+    if abs(abs(c) - 1.0) > tol:
+        raise DecompositionError("phase value is not unimodular")
+    ang = Fraction(cmath.phase(c) / (2 * cmath.pi)) % 1
+    if order is not None:
+        k = round(ang * order) % order
+        t = Fraction(k, order)
+        if abs(cval(Exact.unit(t)) - c) > max(tol, 1e-6):
+            raise DecompositionError(
+                f"phase at a doubled generator has no order dividing {order}"
+            )
+        return t
+    return ang.limit_denominator(10**6)
+
+
+def _restriction_matches(p, alpha, tol):
+    group = p.group
+    for x, v in p.values.items():
+        if any(r != 0 for r in group.coset_index(x, 2).residues):
+            continue
+        if not values_equal(v, alpha.value(x), tol):
+            raise DecompositionError(
+                "phase part is not multiplicative on the doubled subgroup",
+                _point_witness(x, v, alpha.value(x)),
+            )
+
+
+def _sign_table_from_ratio(p, alpha, tol):
+    out = {}
+    for x, v in p.values.items():
+        if isinstance(v, Exact):
+            dt = (v.turn - alpha.turn(x)) % 1
+            if v.log_abs != 0 or dt not in (Fraction(0), Fraction(1, 2)):
+                raise DecompositionError(
+                    "ratio to the extended character is not +-1",
+                    _point_witness(x, v, alpha.value(x)),
+                )
+            out[x] = 1 if dt == 0 else -1
+        else:
+            ratio = cval(v) / cval(alpha.value(x))
+            if abs(ratio - 1) <= tol:
+                out[x] = 1
+            elif abs(ratio + 1) <= tol:
+                out[x] = -1
+            else:
+                raise DecompositionError(
+                    "ratio to the extended character is not +-1",
+                    _point_witness(x, v, alpha.value(x)),
+                )
+    return FuncTable(p.group, p.domain, KIND_SIGN, out)
+
+
+def _require_even(tab, name):
+    vals = dict(tab.values.items())
+    for x, v in vals.items():
+        if vals[-x] != v:
+            raise DecompositionError(f"{name} is not even",
+                                     _point_witness(x, v, vals[-x]))
+
+
+def _sign_map_from_table(tab, modulus):
+    group = tab.group
+    reps: dict = {}
+    for x, v in tab.values.items():
+        reps.setdefault(group.coset_index(x, modulus), v)
+    if len(reps) != group.coset_count(modulus):
+        raise DomainSizeError(
+            f"window does not meet every coset of X^({modulus})"
+        )
+    return SignMap.from_mapping(group, modulus, reps)
+
+
+def hermitian_phase_part(ftab, tol, name, sweep=True):
+    """Character + sign table of a unimodular phase table, sweeping the
+    phase identities first unless ``sweep`` is off."""
+    p = ftab.unimodular_part()
+    if sweep:
+        _phase_checks(p, tol, name)
+    alpha = dec.extend_character(ftab.group, _fit_doubled_turns(p, tol))
+    _restriction_matches(p, alpha, tol)
+    s = _sign_table_from_ratio(p, alpha, tol)
+    _require_even(s, f"{name}-sign part")
+    return alpha, s
+
+
 def sweep_first_decompose_hermitian(f, g, tol):
     f = dec._complexified(f)
     g = dec._complexified(g)
@@ -252,7 +394,7 @@ def sweep_first_decompose_hermitian(f, g, tol):
                     f"{name} vanishes; this route needs non-vanishing tables",
                     _point_witness(x, 0, "nonzero"),
                 )
-        rep = check_hermitian(tab, tol)
+        rep = ref_checks.check_hermitian(tab, tol)
         if not rep.holds:
             raise EquationFailsError(f"{name} is not Hermitian", rep)
     rep = check_kb(f, g, tol)
@@ -274,20 +416,20 @@ def sweep_first_decompose_hermitian(f, g, tol):
         raise DecompositionError(
             "moduli have a nonzero additive part; they cannot be even solutions"
         )
-    alpha, sa = dec._hermitian_phase_part(f, tol, "f")
-    beta, sb = dec._hermitian_phase_part(g, tol, "g")
+    alpha, sa = hermitian_phase_part(f, tol, "f")
+    beta, sb = hermitian_phase_part(g, tol, "g")
     rep = check_sign_eq26(sa, sb, tol)
     if not rep.holds:
         raise EquationFailsError("leftover signs violate the sign equation", rep)
     for name, s in (("f", sa), ("g", sb)):
-        rep = check_coset_constant(s, 4, tol)
+        rep = ref_checks.check_coset_constant(s, 4, tol)
         if not rep.holds:
             raise EquationFailsError(
                 f"{name}-sign part is not constant on quadrupled cosets", rep
             )
     return HermitianSolutionForm(
         alpha, beta,
-        dec._sign_map_from_table(sa, 4), dec._sign_map_from_table(sb, 4),
+        _sign_map_from_table(sa, 4), _sign_map_from_table(sb, 4),
         pform.P, pform.r, None,
     )
 
@@ -300,7 +442,7 @@ def sweep_first_decompose_self(f, tol):
                 "f vanishes; this route needs non-vanishing tables",
                 _point_witness(x, 0, "nonzero"),
             )
-    rep = check_hermitian(f, tol)
+    rep = ref_checks.check_hermitian(f, tol)
     if not rep.holds:
         raise EquationFailsError("f is not Hermitian", rep)
     rep = check_kb_self(f, tol)
@@ -318,18 +460,18 @@ def sweep_first_decompose_self(f, tol):
         raise DecompositionError(
             "coset part must vanish when the two functions coincide"
         )
-    alpha, sa = dec._hermitian_phase_part(f, tol, "f")
+    alpha, sa = hermitian_phase_part(f, tol, "f")
     rep = check_sign_eq26(sa, sa, tol)
     if not rep.holds:
         raise EquationFailsError(
             "leftover sign violates a(x+y) a(x-y) = 1", rep
         )
-    rep = check_coset_constant(sa, 2, tol)
+    rep = ref_checks.check_coset_constant(sa, 2, tol)
     if not rep.holds:
         raise EquationFailsError(
             "leftover sign is not constant on doubled cosets", rep
         )
-    return alpha, dec._sign_map_from_table(sa, 2), pform.P
+    return alpha, _sign_map_from_table(sa, 2), pform.P
 
 
 def sweep_first_decompose_vanishing(f, g, tol, character_budget=4096):
@@ -350,7 +492,7 @@ def sweep_first_decompose_vanishing(f, g, tol, character_budget=4096):
     if all(map(value_is_zero, fvals)) or all(map(value_is_zero, gvals)):
         raise DecompositionError("tables must not be identically zero")
     for name, tab in (("f", f), ("g", g)):
-        rep = check_hermitian(tab, tol)
+        rep = ref_checks.check_hermitian(tab, tol)
         if not rep.holds:
             raise EquationFailsError(f"{name} is not Hermitian", rep)
     rep = check_kb(f, g, tol)

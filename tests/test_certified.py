@@ -13,6 +13,7 @@ split and sweeps only when that fails; its reports must equal the forced
 sweep's, witness included, on clean and corrupted pairs.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -26,6 +27,7 @@ import pytest
 
 import reference_decompose as ref
 from kbeq import _split, _vec, checks, cli
+from kbeq import decompose as dec
 from kbeq.checks import (
     DEFAULT_TOL,
     check_eq5,
@@ -280,6 +282,161 @@ def test_positive_beyond_the_pair_guard_returns_the_seed_form():
         check_kb(bad, g)
     with pytest.raises(BudgetExceededError):
         decompose_positive(bad, g)
+
+
+# ---------------------------------------------------------------------------
+# the Hermitian phase part on arrays against the point-by-point reference
+#
+# The library reads the phase part from the stored arrays and no longer
+# sweeps the phase identities, which the character factorization implies;
+# the sweep-first references keep the earlier point loops, identity sweeps
+# included.  Clean pairs and one-function tables, and copies with one fault
+# each, must give the same form or the same error.
+
+PHASE_DOMAINS = (("box4", ZZ4, Box((4,)), 8), ("box5", GroupSpec(2), Box((5, 5)), 1),
+                 ("box6", GroupSpec(1, (2,)), Box((6,)), 2),
+                 ("full", GroupSpec(0, (4, 4)), FullGroup(), 3))
+
+
+def _times(table, factors):
+    """``table`` times ``factors[x]`` at each listed point ``x``."""
+    vals = dict(table.values)
+    for x, u in factors.items():
+        vals[x] = vals[x] * u
+    return FuncTable(table.group, table.domain, table.kind, vals)
+
+
+def _phase_faults(f):
+    """(name, table): ``f`` and copies with one fault; a factor at ``x`` is
+    mirrored by its conjugate at ``-x`` unless ``mirror`` is off."""
+    group = f.group
+    minus = Exact.from_sign(-1)
+
+    def at(coords, u, mirror=True):
+        x = group.element(coords)
+        return {x: u, **({-x: u.conj()} if mirror and -x != x else {})}
+
+    yield "clean", f
+    yield "phase-at-double", _times(f, at((2, 2), Exact.unit(Fraction(1, 3))))
+    yield "phase-at-3-1", _times(f, at((3, 1), Exact.unit(Fraction(1, 4))))
+    yield "flipped-sign", _times(f, at((1, 1), minus))
+    yield "non-even-sign", _times(f, at((1, 1), minus, mirror=False))
+    yield "sign-equation", _times(f, {x: minus for x in f.points()
+                                      if group.coset_index(x, 2).residues == (1, 0)})
+    yield "zero", _times(f, at((1, 1), Exact.zero_value()))
+
+
+def _phase_cases():
+    for dname, group, domain, seed in PHASE_DOMAINS:
+        form = random_hermitian_form(group, Random(seed))
+        # unimodular tables, so that float copies keep the tolerance meaningful
+        unit = dataclasses.replace(form, P=QuadraticForm.zero(group),
+                                   r=CosetConstantMap.zero(group))
+        f, g = synth_table(unit, domain)
+        (s, _) = synth_table(dataclasses.replace(unit, beta=unit.alpha), domain)  # f = g
+        yield f"{dname}-with-moduli", "hermitian", synth_table(form, domain)
+        for fault, bad in _phase_faults(f):
+            yield f"{dname}-pair-{fault}", "hermitian", (bad, g)
+        for fault, bad in _phase_faults(s):
+            yield f"{dname}-self-{fault}", "self", (bad,)
+    # character turns whose common denominator passes int64
+    group = GroupSpec(2)
+    chi = CharacterSpec(group, (Fraction(1, 2**40 - 87), Fraction(3, 2**40 - 167)), ())
+    trivial = SignMap.trivial(group, 4)
+    big = HermitianSolutionForm(chi, chi, trivial, trivial, QuadraticForm.zero(group),
+                                CosetConstantMap.zero(group))
+    f, _ = synth_table(big, Box((4, 4)))
+    yield "big-turns-pair", "hermitian", (f, f)
+    yield "big-turns-self", "self", (f,)
+
+
+PHASE_CASES = [(f"{name}{suffix}", func, args if exact else _floated(func, args), exact)
+               for name, func, args in _phase_cases()
+               for suffix, exact in (("", True), ("-float", False))]
+
+
+@pytest.mark.parametrize("case", PHASE_CASES, ids=[c[0] for c in PHASE_CASES])
+def test_phase_part_matches_point_reference(case):
+    name, func, args, _ = case
+    lib, reference, _ = FUNCS[func]
+    assert _outcome(lib, args) == _outcome(reference, args)
+
+
+@pytest.mark.parametrize("case", PHASE_CASES, ids=[c[0] for c in PHASE_CASES])
+def test_phase_helpers_match_point_loops(case):
+    # the phase part alone, without the equation sweeps that precede it in
+    # the decompositions and without the reference's phase-identity sweeps
+    _, _, (f, *_), _ = case
+    f = _complexified(f)
+    assert (_outcome(lambda t, tol: dec._hermitian_phase_part(t, tol, "f"), (f,))
+            == _outcome(lambda t, tol: ref.hermitian_phase_part(t, tol, "f", sweep=False),
+                        (f,)))
+
+
+def test_phase_cases_reach_every_outcome():
+    outcomes = {name: _outcome(FUNCS[func][0], args)
+                for name, func, args, exact in PHASE_CASES}
+    # every clean exact table decomposes, on a window and on the whole group
+    assert all(outcomes[name][0] == "ok" for name, *_ in PHASE_CASES
+               if name.endswith("-clean") or name.endswith("-with-moduli"))
+    messages = {o[1] for o in outcomes.values() if o[0] != "ok"}
+    assert {"f is not Hermitian", "the functional equation fails",
+            "the one-function equation fails",
+            "f vanishes; this route needs non-vanishing tables"} <= messages
+    # float copies of unimodular solutions decompose too
+    assert any(o[0] == "ok" for name, o in outcomes.items() if name.endswith("-float"))
+    # the phase part alone meets each of its own errors
+    alone = [_outcome(lambda t, tol: dec._hermitian_phase_part(t, tol, "f"),
+                      (_complexified(args[0]),)) for _, _, args, _ in PHASE_CASES]
+    assert {"phase part is not multiplicative on the doubled subgroup",
+            "ratio to the extended character is not +-1",
+            "f-sign part is not even"} <= {o[1] for o in alone if o[0] != "ok"}
+
+
+def _exact_counter(monkeypatch) -> list:
+    """A one-item list counting the :class:`Exact` values built from now on."""
+    count = [0]
+    post_init = Exact.__post_init__
+
+    def counting(self):
+        count[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Exact, "__post_init__", counting)
+    return count
+
+
+def _pair_block_counter(monkeypatch) -> list:
+    """A one-item list counting pair sweeps from an empty index cache."""
+    count = [0]
+    blocks = _vec.pair_blocks
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return blocks(*args, **kwargs)
+
+    monkeypatch.setattr(_vec, "_pair_cache", {})
+    monkeypatch.setattr(_vec, "pair_blocks", counting)
+    return count
+
+
+def test_hermitian_route_builds_no_exact_and_sweeps_once(monkeypatch):
+    group = GroupSpec(2, (4, 3))
+    form = random_hermitian_form(group, Random(1))
+    f, g = synth_table(form, Box((5, 5)))
+    one, _ = synth_table(dataclasses.replace(form, beta=form.alpha,
+                                             r=CosetConstantMap.zero(group)), Box((5, 5)))
+    count = _exact_counter(monkeypatch)
+    assert Exact.one() and count[0] == 1  # the counter sees construction
+    sweeps = _pair_block_counter(monkeypatch)
+    back = decompose_hermitian(f, g)
+    assert count[0] == 1 and sweeps[0] == 1  # the sign equation alone
+    sweeps = _pair_block_counter(monkeypatch)
+    alpha, a, P = decompose_self(one)
+    assert count[0] == 1 and sweeps[0] == 1
+    assert all(back.exact_pair(x) == (f.values[x], g.values[x]) for x in f.points())
+    assert all(one.values[x] == Exact(P.value(x), alpha.turn(x)) * Exact.from_sign(a.value(x))
+               for x in one.points())
 
 
 # ---------------------------------------------------------------------------

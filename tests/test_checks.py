@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,7 +33,11 @@ from kbeq.functions import (
     synth_table,
 )
 from kbeq.groups import Box, FullGroup, GroupSpec
-from kbeq.oracle import builtin_counterexample, builtin_odd_quadratic
+from kbeq.oracle import (
+    builtin_counterexample,
+    builtin_odd_quadratic,
+    random_hermitian_form,
+)
 
 Z = GroupSpec(1)
 Z3 = GroupSpec(0, (3,))
@@ -226,6 +231,12 @@ def test_check_hermitian():
     assert not rep.holds
     assert rep.witness.points[0].coords == (-1,)
 
+    # int64 turn numerators over a denominator beyond int64
+    tiny = FuncTable.from_function(Z, Box((1,)), "complex",
+                                   lambda p: Exact.unit(Fraction(1, 2**70)))
+    assert tiny.encoding[1][2].dtype == np.int64
+    assert check_hermitian(tiny).to_json() == ref.check_hermitian(tiny, DEFAULT_TOL).to_json()
+
 
 def test_check_sign_eq26():
     ones = FuncTable.from_function(Z3, FullGroup(), "sign", lambda p: 1)
@@ -284,13 +295,14 @@ def _coset_tables(group, domain, rng):
         "real": lambda r: Fraction(r.randrange(3), 2),
         "float": lambda r: float(r.randrange(3)) / 3,
         "complex": lambda r: Exact.unit(Fraction(r.randrange(4), 4)),
+        "complex-float": lambda r: Exact.unit(Fraction(r.randrange(4), 4)).to_complex(),
     }
     for kind, draw in kinds.items():
         for _ in range(4):
             base = {idx: draw(rng) for idx in group.coset_indices(4)}
             changed = set(rng.sample(domain.points(group), rng.randrange(3)))
             yield FuncTable.from_function(
-                group, domain, "real" if kind == "float" else kind,
+                group, domain, {"float": "real", "complex-float": "complex"}.get(kind, kind),
                 lambda p: draw(rng) if p in changed else base[group.coset_index(p, 4)])
 
 
@@ -306,6 +318,47 @@ def test_check_coset_constant_matches_reference(group, domain):
                 t, modulus, DEFAULT_TOL).to_json()
             verdicts.add(got.holds)
     assert verdicts == {True, False}
+
+
+def _hermitian_tables(group, domain, rng):
+    """(name, table) Hermitian tables of each kind and storage, and copies
+    with one point x != -x changed."""
+    orbit = {p: min(p.coords, (-p).coords) for p in domain.points(group)}
+    signs = {o: rng.choice((1, -1)) for o in orbit.values()}
+    logs = {o: Fraction(rng.randrange(-3, 4), 2) for o in orbit.values()}
+    phase = synth_table(random_hermitian_form(group, rng), domain)[0].unimodular_part()
+    exact = FuncTable.from_function(
+        group, domain, "complex",
+        lambda p: Exact(logs[orbit[p]]) * phase.values[p])
+    floats = FuncTable.from_function(group, domain, "complex",
+                                     lambda p: exact.values[p].to_complex())
+    tables = {
+        "sign": FuncTable.from_function(group, domain, "sign",
+                                        lambda p: signs[orbit[p]]),
+        "positive": FuncTable.from_function(group, domain, "positive",
+                                            lambda p: logs[orbit[p]]),
+        "exact": exact,
+        "float": floats,
+    }
+    changes = {"sign": lambda v: -v, "positive": lambda v: v + Fraction(1, 3),
+               "exact": lambda v: v * Exact.unit(Fraction(1, 8)),
+               "float": lambda v: v * Exact.unit(Fraction(1, 8)).to_complex()}
+    for kind, t in tables.items():
+        yield kind, t
+        x = rng.choice([p for p in t.points() if p != -p])
+        vals = dict(t.values)
+        vals[x] = changes[kind](vals[x])
+        yield f"{kind}-changed", FuncTable(group, domain, t.kind, vals)
+
+
+@pytest.mark.parametrize("group,domain", COSET_DOMAINS,
+                         ids=[f"{g}-{type(d).__name__}" for g, d in COSET_DOMAINS])
+def test_check_hermitian_matches_reference(group, domain):
+    rng = Random(str(group))
+    for name, t in _hermitian_tables(group, domain, rng):
+        got = check_hermitian(t)
+        assert got.to_json() == ref.check_hermitian(t, DEFAULT_TOL).to_json(), name
+        assert got.holds == ("changed" not in name), name
 
 
 def test_check_quadratic_and_cauchy():

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -203,6 +205,24 @@ def test_quotient_has_order2_vs_enumeration():
             direct = any(x not in closure and group.scale(2, x) in closure
                          for x in elements)
             assert sub.quotient_has_order2() == direct, (torsion, gens)
+    # with a free part the search runs in a box: such an x is l/2 mod S for
+    # some l = sum c_i g_i with every c_i in {0, 1} (changing c_i by 2
+    # changes x by g_i), so the box of radius sum |g_i| holds one
+    seen = set()
+    for torsion in [(), (2,), (3,), (4,)]:
+        group = GroupSpec(2, torsion)
+        rng = Random(f"order2-{torsion}")
+        for _ in range(24):
+            gens = tuple(group.element([rng.randint(-3, 3), rng.randint(-3, 3),
+                                        *(rng.randrange(n) for n in torsion)])
+                         for _ in range(rng.randint(0, 3)))
+            sub = SubgroupSpec(group, gens)
+            radius = max(1, *(sum(abs(g.coords[j]) for g in gens) for j in (0, 1)))
+            direct = any(not sub.contains(x) and sub.contains(group.scale(2, x))
+                         for x in Box((radius, radius)).points(group))
+            assert sub.quotient_has_order2() == direct, (torsion, gens)
+            seen.add(direct)
+    assert seen == {True, False}
 
 
 def test_doubling_is_onto():

@@ -21,10 +21,8 @@ import pytest
 import reference_checks as ref
 import reference_decompose as ref_dec
 from kbeq import _vec, checks
-from kbeq._split import _split_T
 from kbeq.checks import check_eq5, check_kb, check_sign_eq26
 from kbeq.decompose import (
-    _phase_checks,
     decompose_T,
     decompose_hermitian,
     decompose_positive,
@@ -296,32 +294,6 @@ def test_linear_kernel_matches_reference(case):
         assert rep.holds
 
 
-@pytest.mark.parametrize("exact", [True, False])
-@pytest.mark.parametrize("corrupt", [None, "double", "pair"])
-def test_phase_checks_match_reference(exact, corrupt):
-    f, _ = synth_table(random_hermitian_form(ZB, Random(8)), BOX)
-    p = f.unimodular_part()
-    if corrupt == "double":    # p(2x) off p(x)^2 at x = (1, 1)
-        p = replaced(p, (2, 2),
-                     p.values[ZB.element((2, 2))] * Exact.unit(Fraction(1, 3)))
-    elif corrupt == "pair":    # (3, 1) is no double and 2(3, 1) is outside
-        p = replaced(p, (3, 1),
-                     p.values[ZB.element((3, 1))] * Exact.unit(Fraction(1, 4)))
-    if not exact:
-        p = _float_complex(p)
-    want = ref.phase_failure(p, checks.DEFAULT_TOL)
-    assert (want is None) == (corrupt is None)
-    if want is None:
-        _phase_checks(p, checks.DEFAULT_TOL, "f")
-        return
-    with pytest.raises(DecompositionError) as info:
-        _phase_checks(p, checks.DEFAULT_TOL, "f")
-    assert want[0] == corrupt
-    assert info.value.witness["x"] == list(want[1].coords)
-    if corrupt == "pair":
-        assert info.value.witness["y"] == list(want[2].coords)
-
-
 # ---------------------------------------------------------------------------
 # positive synthesis and the log-domain split against the point loops
 
@@ -419,7 +391,7 @@ def _outcome(decompose, table):
 @pytest.mark.parametrize("case", DEC_CASES, ids=[c[0] for c in DEC_CASES])
 def test_decompose_T_matches_reference(case):
     name, table, is_float = case
-    split = lambda t: _split_T(t, checks.DEFAULT_TOL)
+    split = lambda t: ref_dec.split_T(t, checks.DEFAULT_TOL)
     got = _outcome(split, table)
     assert got == _outcome(lambda t: ref_dec.decompose_T(t, checks.DEFAULT_TOL),
                            table)
@@ -431,7 +403,7 @@ def test_decompose_T_matches_reference(case):
 
 
 def test_decompose_T_cases_cover_both_checks_on_floats():
-    messages = {_outcome(lambda t: _split_T(t, checks.DEFAULT_TOL), t)[1]
+    messages = {_outcome(lambda t: ref_dec.split_T(t, checks.DEFAULT_TOL), t)[1]
                 for _, t, is_float in DEC_CASES if is_float}
     assert set(EXPECTED_ERROR.values()) - {None} <= messages
 
@@ -455,7 +427,7 @@ def test_mixed_table_decomposes_as_float(name, group, domain):
         mixed = FuncTable(group, domain, "real", {
             p: float(table.values[p]) if i % 2 else table.values[p]
             for i, p in enumerate(table.points())})
-        decompose = lambda t: _split_T(t, checks.DEFAULT_TOL)
+        decompose = lambda t: ref_dec.split_T(t, checks.DEFAULT_TOL)
         assert _outcome(decompose, mixed) == _outcome(
             decompose, retyped(table, "real", float))
 
