@@ -20,27 +20,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
-    BudgetExceededError,
     DecompositionError,
-    DomainSizeError,
     EquationFailsError,
-    GroupHypothesisError,
-    GroupParseError,
     GroupMismatchError,
-    IncompatibleTablesError,
+    GroupParseError,
+    KbeqError,
     SynthesisError,
 )
 from .functions import FuncTable, form_from_json, synth_table
 from .groups import Box, FullGroup, parse_group
 
-USAGE_ERRORS = (
-    GroupParseError,
-    GroupMismatchError,
-    DomainSizeError,
-    GroupHypothesisError,
-    IncompatibleTablesError,
-    BudgetExceededError,
-)
 MATH_ERRORS = (EquationFailsError, DecompositionError, SynthesisError)
 
 
@@ -168,7 +157,11 @@ def _cmd_enum_signs(args):
 def _cmd_enum_kb(args):
     from . import oracle
     group = parse_group(args.group)
-    grid = [Fraction(part) for part in args.grid.split(",")]
+    try:
+        grid = [Fraction(part) for part in args.grid.split(",")]
+    except ZeroDivisionError:
+        raise GroupParseError(
+            f"grid value with a zero denominator in {args.grid!r}") from None
     pairs = oracle.enum_restricted_kb(group, grid, budget=args.budget,
                                       max_pairs=args.max_pairs)
     _summary(f"{len(pairs)} grid solutions on {group}")
@@ -348,7 +341,7 @@ def main(argv=None) -> int:
             payload["witness"] = exc.witness
         _summary(f"error: {exc}")
         code = 1
-    except USAGE_ERRORS as exc:
+    except KbeqError as exc:  # input, sizing, hypothesis and budget errors
         payload = {"command": args.command, "error": str(exc)}
         _summary(f"usage error: {exc}")
         code = 2

@@ -19,7 +19,10 @@ doubled, in the one-function case) cosets.  The phase identities
 two on exact tables (both sides are powers of ``alpha``), so they are not
 swept.  Every step reads the tables' stored arrays (``FuncTable.encoding``),
 the character as one exact turn table; values are decoded only for a
-witness.
+witness.  So does the vanishing route: its support is the zero mask, its
+characters are fitted on turn arrays, and its form is rendered as arrays
+and compared with the input; on an odd-order group the support subgroup
+needs no doubling or order-2 test (see :func:`decompose_vanishing`).
 
 Every decomposition certifies itself, then explains failures.  On exact
 tables a form that passes the exact residual and structure checks solves
@@ -86,12 +89,12 @@ from .functions import (
     PositiveSolutionForm,
     QuadraticForm,
     SignMap,
+    _character_table,
+    _hermitian_tables,
     _zero_mask,
     cval,
-    value_is_zero,
-    values_equal,
 )
-from .groups import GroupElement, GroupSpec, SubgroupSpec
+from .groups import GroupSpec, SubgroupSpec
 
 __all__ = [
     "recover_deg2",
@@ -306,14 +309,6 @@ def extend_character(group: GroupSpec,
     return alpha
 
 
-def _all_characters(group: GroupSpec):
-    """Every character of a finite group, lexicographic in exponent tuples."""
-    if not group.is_finite:
-        raise GroupHypothesisError("character enumeration needs a finite group")
-    for exps in product(*(range(n) for n in group.torsion)):
-        yield CharacterSpec(group, (), exps)
-
-
 # ---------------------------------------------------------------------------
 # hermitian pairs
 
@@ -438,32 +433,21 @@ def _unit_turn(v, order: Optional[int], tol: float) -> Fraction:
     return ang.limit_denominator(10**6)
 
 
-def _character_table(alpha: CharacterSpec, p: FuncTable) -> FuncTable:
-    """``alpha`` on the domain of ``p`` as one exact turn table: the turns
-    ``coords @ t mod 1``, with ``t`` the turns of the generators over one
-    denominator."""
-    group = alpha.group
-    info = _vec.domain_info(group, p.domain)
-    t, den = _vec._over(
-        [q.numerator for q in alpha.free_turns] + list(alpha.torsion_exponents),
-        [q.denominator for q in alpha.free_turns] + list(group.torsion))
-    coords = info.coords.astype(np.int64)
-    bound = sum(map(abs, t.tolist())) * int(np.abs(coords).max(initial=0))
-    if t.dtype == object or max(bound, den) > _vec._INT_LIMIT:
-        t, coords = t.astype(object), coords.astype(object)
-    zeros = np.zeros(info.n, dtype=np.int64)
-    return FuncTable._of(group, p.domain, KIND_COMPLEX,
-                         ("exact", (zeros, 1, coords @ t % den, den, zeros.astype(bool)), 1))
+def _first_difference(p: FuncTable, q: FuncTable, at: np.ndarray,
+                      tol: float) -> Optional[int]:
+    """The first of the domain indices ``at`` where tables ``p`` and ``q``
+    differ (exactly, or beyond ``tol`` on float tables), or None."""
+    w = _vec.first_failure(_vec.numeric_mode([p, q]), [at],
+                           ((0, 0, 1), (1, 0, -1)), tol, False)
+    return None if w is None else int(at[w])
 
 
 def _restriction_matches(p: FuncTable, alpha: FuncTable, tol: float):
     """``p`` equals the character table ``alpha`` on ``X^(2)``."""
-    info = _vec.domain_info(p.group, p.domain)
-    doubled = np.flatnonzero(_vec.coset_codes(info, 2)[0] == 0)
-    w = _vec.first_failure(_vec.numeric_mode([p, alpha]), [doubled],
-                           ((0, 0, 1), (1, 0, -1)), tol, False)
-    if w is not None:
-        x = p.points()[doubled[w]]
+    codes, _ = _vec.coset_codes(_vec.domain_info(p.group, p.domain), 2)
+    i = _first_difference(p, alpha, np.flatnonzero(codes == 0), tol)
+    if i is not None:
+        x = p.points()[i]
         raise DecompositionError(
             "phase part is not multiplicative on the doubled subgroup",
             _point_witness(x, p.values[x], alpha.values[x]),
@@ -529,7 +513,7 @@ def _hermitian_phase_part(ftab: FuncTable, tol: float, name: str):
     """
     p = ftab.unimodular_part()
     alpha = extend_character(ftab.group, _fit_doubled_turns(p, tol))
-    alpha_table = _character_table(alpha, p)
+    alpha_table = _character_table(alpha, p.domain)
     _restriction_matches(p, alpha_table, tol)
     s = _sign_table_from_ratio(p, alpha_table, tol)
     _require_even(s, f"{name}-sign part")
@@ -625,10 +609,13 @@ def decompose_vanishing(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
                         character_budget: int = 4096) -> HermitianSolutionForm:
     """Support-restricted decomposition on a group with ``X^(2) = X``.
 
-    Requires a finite group with onto doubling.  Verifies ``f(0) g(0) = 1``,
-    equal moduli, that the common support is a subgroup whose quotient has
-    no element of order 2, that the modulus is 1 on the support, and fits
-    characters on the support by deterministic enumeration.
+    Requires a finite group with onto doubling, that is of odd order.  On
+    the stored arrays, verifies ``f(0) g(0) = 1``, equal moduli (exact logs,
+    or ``|f|`` against ``|g|`` within ``tol``), that the common support
+    ``S`` is a subgroup and the modulus 1 on it, fits characters on ``S`` by
+    deterministic enumeration and compares the rendered form with both
+    tables.  ``S`` has odd order, so doubling, injective on ``S``, is onto
+    ``S``, and ``X/S`` has odd order, so no element of order 2.
     """
     f = _complexified(f)
     g = _complexified(g)
@@ -642,9 +629,8 @@ def decompose_vanishing(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
         )
     if group.order() > character_budget:
         raise BudgetExceededError("group too large for character enumeration")
-    pts = f.points()
-    fvals, gvals = f.values.values(), g.values.values()
-    if all(map(value_is_zero, fvals)) or all(map(value_is_zero, gvals)):
+    zero = _zero_mask(f.encoding)
+    if zero.all() or _zero_mask(g.encoding).all():
         raise DecompositionError("tables must not be identically zero")
     for name, tab in (("f", f), ("g", g)):
         _require(check_hermitian(tab, tol), f"{name} is not Hermitian")
@@ -652,67 +638,75 @@ def decompose_vanishing(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
                     "the functional equation fails"):
         _require_unit_product_at_zero(f, g, tol)
         _check_positive_real_at_zero(f, tol, "f")
-        # equal moduli everywhere (includes matching supports)
-        for x, fa, ga in zip(pts, fvals, gvals):
-            if value_is_zero(fa) != value_is_zero(ga):
-                raise DecompositionError("|f| != |g| (supports differ)",
-                                         _point_witness(x, fa, ga))
-            if value_is_zero(fa):
-                continue
-            la = fa.log_abs if isinstance(fa, Exact) else abs(cval(fa))
-            lb = ga.log_abs if isinstance(ga, Exact) else abs(cval(ga))
-            if not values_equal(la, lb, tol):
-                raise DecompositionError("|f| != |g|", _point_witness(x, fa, ga))
-        # supports match, so both restrictions share the keys in domain order
-        f_on = {x: v for x, v in zip(pts, fvals) if not value_is_zero(v)}
-        g_on = {x: v for x, v in zip(pts, gvals) if not value_is_zero(v)}
-        for a in f_on:
-            for b in f_on:
-                if (a - b) not in f_on:
-                    raise DecompositionError(
-                        "support is not a subgroup",
-                        {"x": list(a.coords), "y": list(b.coords)},
-                    )
-        if {group.scale(2, x) for x in f_on} != f_on.keys():
-            raise DecompositionError("doubling is not onto the support")
-        gens: list[GroupElement] = []
-        known = {group.zero()}
-        for x in f_on:
-            if x not in known:
-                gens.append(x)
-                known = set(SubgroupSpec(group, tuple(gens)).elements())
-        sub = SubgroupSpec(group, tuple(gens))
-        if sub.quotient_has_order2():
+        kind, (a, b), _ = _vec.numeric_mode([f, g])  # |f| = |g|, zeros included
+        if kind == "exact":
+            (la, _, za), (lb, _, zb) = a, b
+            apart = la != lb
+        else:
+            za, zb = a == 0, b == 0
+            apart = ~(np.abs(np.abs(a) - np.abs(b)) <= tol)
+        bad = (za != zb) | (~za & apart)
+        if bad.any():
+            i = int(np.argmax(bad))
+            x = f.points()[i]
             raise DecompositionError(
-                "quotient by the support subgroup has an element of order 2"
-            )
-        for x, v in f_on.items():
-            la = v.log_abs if isinstance(v, Exact) else abs(cval(v))
-            if not values_equal(la, Fraction(0) if isinstance(v, Exact) else 1.0,
-                                tol):
-                raise DecompositionError(
-                    "modulus is not 1 on the support", _point_witness(x, v, 1)
-                )
-        alpha = _fit_character_on(group, f_on.items(), tol)
-        beta = _fit_character_on(group, g_on.items(), tol)
+                "|f| != |g| (supports differ)" if za[i] != zb[i] else "|f| != |g|",
+                _point_witness(x, f.values[x], g.values[x]))
+        on = np.flatnonzero(~zero)  # the support of both tables
+        sub = _support_subgroup(f, on)
+        mode, arrays, _ = f.encoding
+        off = (arrays[0][on] != 0 if mode == "exact"
+               else ~(np.abs(np.abs(arrays[on]) - 1.0) <= tol))
+        if off.any():
+            x = f.points()[on[np.argmax(off)]]
+            raise DecompositionError(
+                "modulus is not 1 on the support", _point_witness(x, f.values[x], 1))
+        trivial = SignMap.trivial(group, 4)
         form = HermitianSolutionForm(
-            alpha, beta, SignMap.trivial(group, 4), SignMap.trivial(group, 4),
-            QuadraticForm.zero(group), CosetConstantMap.zero(group), sub,
-        )
-        for x, fa, ga in zip(pts, fvals, gvals):
-            fv, gv = form.exact_pair(x)
-            if not (values_equal(fv, fa, tol) and values_equal(gv, ga, tol)):
-                raise DecompositionError(
-                    "reconstructed form does not reproduce the input",
-                    _point_witness(x, fa, fv),
-                )
+            _fit_character_on(f, on, tol), _fit_character_on(g, on, tol), trivial,
+            trivial, QuadraticForm.zero(group), CosetConstantMap.zero(group), sub)
+        rendered = _hermitian_tables(form, f.domain)
+        every = np.arange(len(zero))
+        misses = [i for t, u in zip((f, g), rendered)
+                  if (i := _first_difference(t, u, every, tol)) is not None]
+        if misses:
+            x = f.points()[min(misses)]
+            raise DecompositionError(
+                "reconstructed form does not reproduce the input",
+                _point_witness(x, f.values[x], rendered[0].values[x]))
         return form
 
 
-def _fit_character_on(group: GroupSpec, on_support, tol: float) -> CharacterSpec:
-    """A character of the group agreeing with the ``(point, value)`` pairs."""
-    for chi in _all_characters(group):
-        if all(values_equal(v, chi.value(x), tol) for x, v in on_support):
+def _support_subgroup(f: FuncTable, on: np.ndarray) -> SubgroupSpec:
+    """The subgroup spanned by the support of ``f`` (domain indices ``on``),
+    each point outside the span of those before it a generator.  The support
+    is the span iff subtracting any generator keeps it in the support (in a
+    finite group, adding does too); otherwise a pair sweep of ``s(x) s(y) =
+    s(x) s(y) s(x-y)`` on the 0/1 support indicator ``s`` names the witness.
+    """
+    group, pts = f.group, f.points()
+    sub = SubgroupSpec(group, ())
+    for i in on:
+        if not sub.contains(pts[i]):
+            sub = SubgroupSpec(group, sub.generators + (pts[i],))
+    info = _vec.domain_info(group, f.domain)
+    s = np.zeros(info.n, dtype=np.int64)
+    s[on] = 1
+    if all(s[_vec.point_codes(info, info.coords[on] - e.coords)[0]].all()
+           for e in sub.generators):
+        return sub
+    _, w = _vec.pair_sweep(info, ((1, -1),), ("int", [s], 1), (
+        (0, 0, 1), (0, 1, 1), (0, 0, -1), (0, 1, -1), (0, 2, -1)), 0, True)
+    raise DecompositionError("support is not a subgroup",
+                             {"x": list(pts[w[0]].coords), "y": list(pts[w[1]].coords)})
+
+
+def _fit_character_on(p: FuncTable, on: np.ndarray, tol: float) -> CharacterSpec:
+    """The first character, lexicographic in exponent tuples, whose turn
+    table equals ``p`` at the domain indices ``on``."""
+    for exps in product(*map(range, p.group.torsion)):
+        chi = CharacterSpec(p.group, (), exps)
+        if _first_difference(p, _character_table(chi, p.domain), on, tol) is None:
             return chi
     raise DecompositionError(
         "restricted phase does not agree with any character of the group"

@@ -17,7 +17,7 @@ class GroupMismatchError(KbeqError):
 
 
 class GroupParseError(KbeqError, ValueError):
-    """A group or element literal could not be parsed."""
+    """A group, element or grid literal could not be parsed."""
 
 
 class DomainSizeError(KbeqError):

@@ -156,21 +156,6 @@ def cmul(u: ComplexValue, v: ComplexValue) -> ComplexValue:
     return cval(u) * cval(v)
 
 
-def value_is_zero(v) -> bool:
-    if isinstance(v, Exact):
-        return v.zero
-    return v == 0
-
-
-def values_equal(u, v, tol: float) -> bool:
-    """Exact equality for exact values, absolute tolerance otherwise."""
-    if isinstance(u, Exact) and isinstance(v, Exact):
-        return u == v
-    if isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction)):
-        return u == v
-    return abs(cval(u) - cval(v)) <= tol
-
-
 # ---------------------------------------------------------------------------
 # tables
 
@@ -997,11 +982,12 @@ def synth_table(form, domain: Domain) -> tuple[FuncTable, FuncTable]:
     coefficients are scaled to integers over one denominator
     (:func:`kbeq._vec.form_log_arrays`) and evaluated by
     :func:`kbeq._vec.form_values`, the integer evaluator the log-domain split
-    (:mod:`kbeq._split`) shares.  Hermitian forms
-    are synthesized only when they satisfy the sufficient condition (sign
-    maps constant on cosets of ``X^(2)`` with pointwise product 1, or the
-    support-restricted shape on a group with onto doubling); arbitrary
-    quadrupled-coset sign data does not guarantee a solution and is refused.
+    (:mod:`kbeq._split`) shares.  Hermitian forms are rendered from the same
+    arrays (:func:`_hermitian_tables`), and are synthesized only when they
+    satisfy the sufficient condition (sign maps constant on cosets of
+    ``X^(2)`` with pointwise product 1, or the support-restricted shape on a
+    group with onto doubling); arbitrary quadrupled-coset sign data does not
+    guarantee a solution and is refused.
     """
     if isinstance(form, PositiveSolutionForm):
         group = form.group
@@ -1012,25 +998,63 @@ def synth_table(form, domain: Domain) -> tuple[FuncTable, FuncTable]:
             for l, r in ((form.l, form.r), (form.m, form.r.negated())))
     if isinstance(form, HermitianSolutionForm):
         _require_sufficient(form)
-        group = form.group
-        pts = domain.points(group)
-        pairs = [form.exact_pair(p) for p in pts]
-        return tuple(FuncTable._of(group, domain, KIND_COMPLEX,
-                                   _encode(KIND_COMPLEX, [pair[i] for pair in pairs], pts))
-                     for i in (0, 1))
+        return _hermitian_tables(form, domain)
     raise SynthesisError(f"cannot synthesize from {type(form).__name__}")
+
+
+def _character_table(alpha: CharacterSpec, domain: Domain) -> FuncTable:
+    """``alpha`` over a domain as one exact turn table: the turns
+    ``coords @ t mod den``, with ``t`` the turns of the generators over one
+    denominator ``den``."""
+    group = alpha.group
+    info = _vec.domain_info(group, domain)
+    t, den = _vec._over(
+        [q.numerator for q in alpha.free_turns] + list(alpha.torsion_exponents),
+        [q.denominator for q in alpha.free_turns] + list(group.torsion))
+    coords = info.coords.astype(np.int64)
+    bound = sum(map(abs, t.tolist())) * int(np.abs(coords).max(initial=0))
+    if t.dtype == object or max(bound, den) > _vec._INT_LIMIT:
+        t, coords = t.astype(object), coords.astype(object)
+    zeros = np.zeros(info.n, dtype=np.int64)
+    return FuncTable._of(group, domain, KIND_COMPLEX,
+                         ("exact", (zeros, 1, coords @ t % den, den, zeros.astype(bool)), 1))
+
+
+def _hermitian_tables(form: HermitianSolutionForm,
+                      domain: Domain) -> tuple[FuncTable, FuncTable]:
+    """:meth:`HermitianSolutionForm.exact_pair` over a domain as two exact
+    tables built from arrays: logs ``P +- r`` (:func:`kbeq._vec.form_log_arrays`),
+    the character's turns plus a half turn where the sign map is -1, and
+    exact zeros off the support."""
+    group = form.group
+    info = _vec.domain_info(group, domain)
+    zero = np.zeros(info.n, dtype=bool)
+    if form.support is not None:
+        zero = ~np.array([form.support.contains(p) for p in domain.points(group)])
+    codes, encode = _vec.coset_codes(info, 4)
+    tables = []
+    for chi, signs, r in ((form.alpha, form.a, form.r),
+                          (form.beta, form.b, form.r.negated())):
+        logs, lden = _vec.form_log_arrays(form.P, AdditiveMap.zero(group),
+                                          r.entries, info)
+        turns, tden = _character_table(chi, domain).encoding[1][2:4]
+        minus = np.zeros(group.coset_count(4), dtype=np.int64)
+        for idx, v in signs.entries:
+            minus[encode(idx)] = v < 0
+        minus = minus[codes].astype(turns.dtype)
+        if minus.any():  # t + 1/2 is (2t + den) / (2 den)
+            turns, tden = (2 * turns + tden * minus) % (2 * tden), 2 * tden
+        enc = (np.where(zero, 0, logs), lden, np.where(zero, 0, turns), tden, zero)
+        tables.append(FuncTable._of(group, domain, KIND_COMPLEX, ("exact", enc, 1)))
+    return tuple(tables)
 
 
 def _require_sufficient(form: HermitianSolutionForm):
     if form.support is not None:
-        group = form.group
-        if not group.doubling_is_onto():
+        # with X^(2) = X the group has odd order, and so has every quotient
+        if not form.group.doubling_is_onto():
             raise SynthesisError(
                 "support-restricted synthesis needs a group with X^(2) = X"
-            )
-        if form.support.quotient_has_order2():
-            raise SynthesisError(
-                "quotient by the support subgroup has an element of order 2"
             )
         if not (form.a.is_trivial() and form.b.is_trivial()):
             raise SynthesisError(

@@ -5,8 +5,7 @@ are integer coordinate vectors with torsion coordinates reduced canonically
 into ``[0, n_i)``.  On top of the plain arithmetic this module provides the
 doubling/quadrupling subgroup machinery (coset indices modulo ``X^(2)`` and
 ``X^(4)``), exact subgroup membership through integer row reduction, and the
-order-2 test for quotient groups that the vanishing-support decomposition
-needs.
+order-2 test for quotient groups.
 
 Everything here is immutable after construction and safe to share between
 threads; all arithmetic returns new values.
@@ -364,23 +363,6 @@ class SubgroupSpec:
         """
         rows = self._get_lattice().rows
         return len(rows) > _rank_mod2(rows)
-
-    def elements(self) -> list[GroupElement]:
-        """Closure enumeration; finite groups only (cross-check oracle)."""
-        if not self.group.is_finite:
-            raise GroupMismatchError("closure enumeration needs a finite group")
-        seen = {self.group.zero()}
-        frontier = [self.group.zero()]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    for y in (x + g, x - g):
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-            frontier = nxt
-        return sorted(seen, key=lambda e: e.coords)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,13 @@ point by point from plain values; it is the oracle for the encoding that
 into ``Fraction``, ``float``, :class:`~kbeq.functions.Exact` and ``complex``
 values and builds the table from the resulting mapping; it is the oracle for
 ``FuncTable.from_json``, which reads the values straight into integer arrays.
+``value_is_zero`` and ``values_equal`` compare single values in that native
+arithmetic, ``all_characters`` lists the characters of a finite group and
+``subgroup_closure`` the elements of a subgroup, by closure under its
+generators.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from math import comb, lcm
@@ -23,8 +28,46 @@ import numpy as np
 from kbeq._vec import _INT_LIMIT
 from kbeq.checks import CheckReport, Witness
 from kbeq.errors import GroupMismatchError, GroupParseError, IncompatibleTablesError
-from kbeq.functions import Exact, FuncTable, cmul, cval, values_equal
+from kbeq.functions import CharacterSpec, Exact, FuncTable, cmul, cval
 from kbeq.groups import domain_from_json, parse_group
+
+
+def value_is_zero(v) -> bool:
+    if isinstance(v, Exact):
+        return v.zero
+    return v == 0
+
+
+def values_equal(u, v, tol: float) -> bool:
+    """Exact equality for exact values, absolute tolerance otherwise."""
+    if isinstance(u, Exact) and isinstance(v, Exact):
+        return u == v
+    if isinstance(u, (int, Fraction)) and isinstance(v, (int, Fraction)):
+        return u == v
+    return abs(cval(u) - cval(v)) <= tol
+
+
+def all_characters(group):
+    """Every character of a finite group, lexicographic in exponent tuples."""
+    for exps in itertools.product(*(range(n) for n in group.torsion)):
+        yield CharacterSpec(group, (), exps)
+
+
+def subgroup_closure(sub):
+    """The elements of a subgroup of a finite group, by closure under its
+    generators and their negatives, in lexicographic order."""
+    zero = sub.group.zero()
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in sub.generators:
+                for y in (x + g, x - g):
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+        frontier = nxt
+    return sorted(seen, key=lambda e: e.coords)
 
 
 def _over(values):

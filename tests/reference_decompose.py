@@ -14,10 +14,14 @@ certified themselves; otherwise they repeat the library's steps.  The
 Hermitian and one-function references also keep the library's earlier
 point-by-point phase part, including the phase-identity sweeps it no
 longer runs, and the point loops of ``reference_checks`` for its side
-conditions.  They are the oracle for the certify-then-explain rule and the
-array phase part in ``kbeq.decompose``: every public decomposition must
-return what they return, or raise the same error with the same message,
-witness and report.
+conditions.  The vanishing reference keeps the library's earlier point
+loops: value by value moduli, the pair loop over the support, generators
+by closure enumeration, both checks that cannot fail on an odd-order group,
+character fits over every character, and the residual of ``exact_pair``.
+They are the oracle for the certify-then-explain rule and the array phase
+part and vanishing route in ``kbeq.decompose``: every public decomposition
+must return what they return, or raise the same error with the same
+message, witness and report.
 """
 
 import cmath
@@ -64,10 +68,9 @@ from kbeq.functions import (
     SignMap,
     cmul,
     cval,
-    value_is_zero,
-    values_equal,
 )
 from kbeq.groups import GroupElement, GroupSpec, SubgroupSpec
+from reference_checks import value_is_zero, values_equal
 
 
 def synth_positive(form, domain):
@@ -516,8 +519,11 @@ def sweep_first_decompose_vanishing(f, g, tol, character_budget=4096):
                                      _point_witness(x, fa, ga))
         if value_is_zero(fa):
             continue
-        la = fa.log_abs if isinstance(fa, Exact) else abs(cval(fa))
-        lb = ga.log_abs if isinstance(ga, Exact) else abs(cval(ga))
+        # exact logs when both are exact, else the moduli within tol
+        if isinstance(fa, Exact) and isinstance(ga, Exact):
+            la, lb = fa.log_abs, ga.log_abs
+        else:
+            la, lb = abs(cval(fa)), abs(cval(ga))
         if not values_equal(la, lb, tol):
             raise DecompositionError("|f| != |g|", _point_witness(x, fa, ga))
     # supports match, so both restrictions share the keys in domain order
@@ -537,7 +543,7 @@ def sweep_first_decompose_vanishing(f, g, tol, character_budget=4096):
     for x in f_on:
         if x not in known:
             gens.append(x)
-            known = set(SubgroupSpec(group, tuple(gens)).elements())
+            known = set(ref_checks.subgroup_closure(SubgroupSpec(group, tuple(gens))))
     sub = SubgroupSpec(group, tuple(gens))
     if sub.quotient_has_order2():
         raise DecompositionError(
@@ -550,8 +556,8 @@ def sweep_first_decompose_vanishing(f, g, tol, character_budget=4096):
             raise DecompositionError(
                 "modulus is not 1 on the support", _point_witness(x, v, 1)
             )
-    alpha = dec._fit_character_on(group, f_on.items(), tol)
-    beta = dec._fit_character_on(group, g_on.items(), tol)
+    alpha = _fit_character_on(group, f_on.items(), tol)
+    beta = _fit_character_on(group, g_on.items(), tol)
     form = HermitianSolutionForm(
         alpha, beta, SignMap.trivial(group, 4), SignMap.trivial(group, 4),
         QuadraticForm.zero(group), CosetConstantMap.zero(group), sub,
@@ -564,3 +570,13 @@ def sweep_first_decompose_vanishing(f, g, tol, character_budget=4096):
                 _point_witness(x, fa, fv),
             )
     return form
+
+
+def _fit_character_on(group, on_support, tol):
+    """A character of the group agreeing with the ``(point, value)`` pairs."""
+    for chi in ref_checks.all_characters(group):
+        if all(values_equal(v, chi.value(x), tol) for x, v in on_support):
+            return chi
+    raise DecompositionError(
+        "restricted phase does not agree with any character of the group"
+    )

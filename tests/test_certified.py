@@ -15,6 +15,7 @@ sweep's, witness included, on clean and corrupted pairs.
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,8 +61,12 @@ from kbeq.functions import (
 from kbeq.groups import Box, FullGroup, GroupSpec, SubgroupSpec
 from kbeq.oracle import (
     builtin_odd_quadratic,
+    enum_sign_solutions,
+    predicted_restricted_count,
     random_hermitian_form,
     random_positive_form,
+    scan_restricted_kb,
+    verify_theorem_suite,
 )
 
 # (name, library function, sweep-first reference, the sweep it certifies)
@@ -175,17 +180,50 @@ def _self_cases():
         yield "self", f"{name}-global-neg", (_map(f, lambda v: v * minus),)
 
 
-def _vanishing_form(support):
+def _vanishing_form(support, group=Z9, alpha=(2,), beta=(7,)):
     return HermitianSolutionForm(
-        CharacterSpec(Z9, (), (2,)), CharacterSpec(Z9, (), (7,)),
-        SignMap.trivial(Z9, 4), SignMap.trivial(Z9, 4),
-        QuadraticForm.zero(Z9), CosetConstantMap.zero(Z9),
-        SubgroupSpec(Z9, support))
+        CharacterSpec(group, (), alpha), CharacterSpec(group, (), beta),
+        SignMap.trivial(group, 4), SignMap.trivial(group, 4),
+        QuadraticForm.zero(group), CosetConstantMap.zero(group),
+        SubgroupSpec(group, tuple(map(group.element, support))))
+
+
+# (name, group, support generators, exponents of alpha and beta)
+VANISHING_SUPPORTS = (
+    ("z27x27", GroupSpec(0, (27, 27)), ((3, 0), (0, 9)), (5, 11), (22, 16)),
+    ("z5x5x5", GroupSpec(0, (5, 5, 5)), ((1, 0, 0), (0, 1, 0)), (1, 2, 3), (4, 3, 2)),
+    ("z15", GroupSpec(0, (15,)), ((5,),), (4,), (13,)),
+    ("z3x3-trivial", GroupSpec(0, (3, 3)), (), (1, 2), (2, 2)),
+)
+
+
+def _vanishing_faults(f, g):
+    """(name, f, g): the pair, and copies with one fault at the first nonzero
+    support point ``x`` (and at ``-x``, so that both stay Hermitian) or at
+    the first point ``y`` off the support."""
+    group = f.group
+    support = [p for p, v in f.values.items() if not v.zero]
+    yield "clean", f, g
+    yield "moduli", *(_map(t, lambda v: v * Exact(log_abs=c))
+                      for t, c in ((f, Fraction(1, 2)), (g, Fraction(-1, 2))))
+    y = next(p for p in f.points() if p not in support)
+    off = {c: (lambda v: Exact.one()) for c in {y.coords, (-y).coords}}
+    yield "grown-support", _replaced(f, off), _replaced(g, off)
+    x = next((p for p in support if not p.is_zero()), None)
+    if x is None:
+        return
+    at = {x.coords, (-x).coords}
+    yield "supports-differ", f, _replaced(g, {c: lambda v: Exact.zero_value() for c in at})
+    scaled = {c: lambda v: v * Exact(log_abs=Fraction(1, 3)) for c in at}
+    yield "modulus-at-x", _replaced(f, scaled), _replaced(g, scaled)
+    turn = Fraction(1, math.lcm(*group.torsion))
+    yield "phase-at-x", _replaced(f, {x.coords: lambda v: v * Exact.unit(turn),
+                                      (-x).coords: lambda v: v * Exact.unit(-turn)}), g
 
 
 def _vanishing_cases():
-    f, g = synth_table(_vanishing_form((Z9.element((3,)),)), FullGroup())
-    whole, _ = synth_table(_vanishing_form((Z9.element((1,)),)), FullGroup())
+    f, g = synth_table(_vanishing_form(((3,),)), FullGroup())
+    whole, _ = synth_table(_vanishing_form(((1,),)), FullGroup())
     double = Exact(log_abs=Fraction(1))
     yield "vanishing", "z9", (f, g)
     yield "vanishing", "z9-neg-at-x", (_negated_at(f, (3,)), g)
@@ -196,6 +234,10 @@ def _vanishing_cases():
     one = FuncTable.from_function(GroupSpec(0, (4,)), FullGroup(), "complex",
                                   lambda p: Exact.one())
     yield "vanishing", "even-order", (one, one)
+    for name, group, support, alpha, beta in VANISHING_SUPPORTS:
+        pair = synth_table(_vanishing_form(support, group, alpha, beta), FullGroup())
+        for fault, *args in _vanishing_faults(*pair):
+            yield "vanishing", f"{name}-{fault}", tuple(args)
 
 
 def _floated(func, args):
@@ -209,6 +251,8 @@ def _corpus():
                              *_self_cases(), *_vanishing_cases()):
         yield f"{func}-{name}", func, args, True
         yield f"{func}-{name}-float", func, _floated(func, args), False
+        if func == "vanishing":  # f exact, g float
+            yield f"{func}-{name}-mixed", func, (args[0], _floated(func, args)[1]), False
 
 
 CORPUS = list(_corpus())
@@ -232,6 +276,38 @@ def test_decomposition_matches_sweep_first_reference(case):
     assert got == _outcome(reference, args)
     if exact and got[0] == "ok":  # soundness: a certified form solves the equation
         assert sweep(*args, DEFAULT_TOL).holds
+
+
+VANISHING_CASES = [case for case in CORPUS if case[1] == "vanishing"]
+
+
+def _equation_holds(f, g, tol):
+    return checks.CheckReport(True, 0, None, 1.0)
+
+
+@pytest.mark.parametrize("case", VANISHING_CASES, ids=[c[0] for c in VANISHING_CASES])
+def test_vanishing_body_matches_point_loops(case, monkeypatch):
+    # the recovery alone: with the equation taken to hold, a fault reaches
+    # the check that names it, in the library and in the point loops alike
+    monkeypatch.setattr(dec, "check_kb", _equation_holds)
+    monkeypatch.setattr(ref, "check_kb", _equation_holds)
+    _, _, args, _ = case
+    assert (_outcome(decompose_vanishing, args)
+            == _outcome(ref.sweep_first_decompose_vanishing, args))
+
+
+def test_vanishing_cases_reach_every_check(monkeypatch):
+    monkeypatch.setattr(dec, "check_kb", _equation_holds)
+    outcomes = {name: _outcome(decompose_vanishing, args)
+                for name, _, args, _ in VANISHING_CASES}
+    assert {"|f| != |g| (supports differ)", "|f| != |g|", "support is not a subgroup",
+            "modulus is not 1 on the support",
+            "restricted phase does not agree with any character of the group"} <= {
+        o[1] for o in outcomes.values() if o[0] != "ok"}
+    # every clean pair decomposes: exact, float and mixed
+    for name, *_ in VANISHING_SUPPORTS:
+        for suffix in ("", "-float", "-mixed"):
+            assert outcomes[f"vanishing-{name}-clean{suffix}"][0] == "ok"
 
 
 SWEEP_MESSAGES = {
@@ -393,17 +469,8 @@ def test_phase_cases_reach_every_outcome():
             "f-sign part is not even"} <= {o[1] for o in alone if o[0] != "ok"}
 
 
-def _exact_counter(monkeypatch) -> list:
-    """A one-item list counting the :class:`Exact` values built from now on."""
-    count = [0]
-    post_init = Exact.__post_init__
-
-    def counting(self):
-        count[0] += 1
-        post_init(self)
-
-    monkeypatch.setattr(Exact, "__post_init__", counting)
-    return count
+def _refuse_exact(self):
+    raise AssertionError("an Exact value was built")
 
 
 def _pair_block_counter(monkeypatch) -> list:
@@ -421,22 +488,39 @@ def _pair_block_counter(monkeypatch) -> list:
 
 
 def test_hermitian_route_builds_no_exact_and_sweeps_once(monkeypatch):
+    # Exact serves JSON, witnesses and the tests only: synthesis, the checks,
+    # every decomposition, both censuses and the suite succeed on exact
+    # input with Exact construction made to fail
     group = GroupSpec(2, (4, 3))
     form = random_hermitian_form(group, Random(1))
+    self_form = dataclasses.replace(form, beta=form.alpha, r=CosetConstantMap.zero(group))
+    vform = _vanishing_form(((1, 3),), GroupSpec(0, (3, 9)), (1, 2), (2, 7))
+    pos = synth_table(random_positive_form(group, Random(2)), Box((4, 4)))
+    monkeypatch.setattr(Exact, "__post_init__", _refuse_exact)
+    with pytest.raises(AssertionError):
+        Exact.one()
     f, g = synth_table(form, Box((5, 5)))
-    one, _ = synth_table(dataclasses.replace(form, beta=form.alpha,
-                                             r=CosetConstantMap.zero(group)), Box((5, 5)))
-    count = _exact_counter(monkeypatch)
-    assert Exact.one() and count[0] == 1  # the counter sees construction
+    one, _ = synth_table(self_form, Box((5, 5)))
+    vf, vg = synth_table(vform, FullGroup())
+    assert all(check_kb(*pair).holds for pair in ((f, g), (vf, vg), pos))
     sweeps = _pair_block_counter(monkeypatch)
     back = decompose_hermitian(f, g)
-    assert count[0] == 1 and sweeps[0] == 1  # the sign equation alone
+    assert sweeps[0] == 1  # the sign equation alone
     sweeps = _pair_block_counter(monkeypatch)
     alpha, a, P = decompose_self(one)
-    assert count[0] == 1 and sweeps[0] == 1
+    assert sweeps[0] == 1
+    assert decompose_positive(*pos) == random_positive_form(group, Random(2))
+    vback = decompose_vanishing(vf, vg)
+    assert enum_sign_solutions(GroupSpec(0, (4, 4))).count == 64
+    assert scan_restricted_kb(GroupSpec(0, (2, 2))) == predicted_restricted_count(
+        GroupSpec(0, (2, 2)), (-1, 0, 1))
+    assert verify_theorem_suite(("Z/3", "Z/2 x Z/2", "Z/9", "Z x Z/4"),
+                                trials=2, seed=1, strict=True).ok
+    monkeypatch.undo()
     assert all(back.exact_pair(x) == (f.values[x], g.values[x]) for x in f.points())
     assert all(one.values[x] == Exact(P.value(x), alpha.turn(x)) * Exact.from_sign(a.value(x))
                for x in one.points())
+    assert synth_table(vback, FullGroup()) == (vf, vg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,8 +7,17 @@ from fractions import Fraction
 import pytest
 
 from kbeq.cli import main
-from kbeq.functions import FuncTable, PositiveSolutionForm, synth_table
-from kbeq.groups import Box, FullGroup, GroupSpec
+from kbeq.functions import (
+    CharacterSpec,
+    CosetConstantMap,
+    FuncTable,
+    HermitianSolutionForm,
+    PositiveSolutionForm,
+    QuadraticForm,
+    SignMap,
+    synth_table,
+)
+from kbeq.groups import Box, FullGroup, GroupSpec, SubgroupSpec
 from kbeq.oracle import random_hermitian_form, random_positive_form
 from random import Random
 
@@ -241,6 +251,18 @@ def test_enum_kb_custom_grid(capsys):
     assert payload["count"] == 9
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["enum-kb", "--group", "Z/2", "--grid=1,1"], "grid values must be distinct"),
+    (["enum-kb", "--group", "Z/2", "--grid=1/0"], "zero denominator"),
+    (["enum-signs", "--group", "Z"], "census needs a finite group"),
+], ids=["repeated-grid-value", "zero-denominator", "infinite-group"])
+def test_census_input_errors_exit_two(capsys, argv, message):
+    code, payload, err = run(capsys, *argv)
+    assert code == 2
+    assert message in payload["error"]
+    assert err.startswith("usage error:")
+
+
 def test_suite_command(capsys):
     code, payload, _ = run(capsys, "suite", "--groups", "Z/2,Z/9",
                            "--trials", "2", "--seed", "3")
@@ -299,6 +321,15 @@ def _pinned_inputs(tmp_path):
     hneg = dict(hf.values)  # still Hermitian, but the equation fails
     for y in (x, -x):
         hneg[y] = hneg[y] * hneg[y].from_sign(-1)
+    # support-restricted forms on Z/3 x Z/9, on the subgroup generated by (1, 3)
+    odd = GroupSpec(0, (3, 9))
+    vform = HermitianSolutionForm(
+        CharacterSpec(odd, (), (1, 2)), CharacterSpec(odd, (), (2, 7)),
+        SignMap.trivial(odd, 4), SignMap.trivial(odd, 4), QuadraticForm.zero(odd),
+        CosetConstantMap.zero(odd), SubgroupSpec(odd, (odd.element((1, 3)),)))
+    vf, vg = synth_table(vform, FullGroup())
+    vlog = dataclasses.replace(vform, r=CosetConstantMap(
+        odd, ((odd.coset_indices(2)[0], Fraction(1, 2)),)))
     files = {
         "form": form.to_json(),
         "f": ft.to_json(),
@@ -310,6 +341,10 @@ def _pinned_inputs(tmp_path):
         "wf": wf.to_json(),
         "wg": wg.to_json(),
         "hg": hg.to_json(),
+        "hform": hform.to_json(),
+        "vlog": vlog.to_json(),
+        "vf": vf.to_json(),
+        "vg": vg.to_json(),
     }
     paths = {}
     for name, obj in files.items():
@@ -346,6 +381,12 @@ PINNED = [
      "dc842324144ef35027c0aad061437e6eac14de1b2de267e53c4bb833e27130c4"),
     (lambda p: ["enum-signs", "--group", "Z/4 x Z/4"],
      "f9c8d6e435f91bbf7ee89025e41725aa3d9b4581e7e943ee296d637063e36cb7"),
+    (lambda p: ["synth", "--form", p["hform"], "--radius", "3"],
+     "463f51f1db75e9e454a539865774a57d1cd0fc2a702373c76f807a9fcb6d68a2"),
+    (lambda p: ["synth", "--form", p["vlog"]],
+     "75d1838011f07f933e4b0c3763c3a829aee19b6cfb172b52a8a83681f16de0a3"),
+    (lambda p: ["decompose-vanishing", "-f", p["vf"], "-g", p["vg"]],
+     "6394990fc3d456eea7d6c1ca9d7ec31c9260976b23a2200aeea30975f6c8037e"),
 ]
 
 
@@ -356,7 +397,9 @@ PINNED = [
                               "decompose", "decompose-fails",
                               "decompose-hermitian-radius3",
                               "decompose-hermitian-fails",
-                              "decompose-hermitian", "enum-signs"])
+                              "decompose-hermitian", "enum-signs",
+                              "synth-hermitian", "synth-support",
+                              "decompose-vanishing"])
 def test_cli_output_pinned(tmp_path, capsys, argv, digest):
     main(argv(_pinned_inputs(tmp_path)))
     out = capsys.readouterr().out

@@ -16,6 +16,7 @@ from kbeq.functions import (
     PositiveSolutionForm,
     QuadraticForm,
     SignMap,
+    _hermitian_tables,
     eval_hermitian,
     eval_positive,
     form_from_json,
@@ -325,6 +326,69 @@ def test_synth_refuses_product_not_one():
         amap, bmap, QuadraticForm.zero(Z44), CosetConstantMap.zero(Z44))
     with pytest.raises(SynthesisError):
         synth_table(form, FullGroup())
+
+
+RENDER_GROUPS = (GroupSpec(1), GroupSpec(2), GroupSpec(1, (4,)), GroupSpec(1, (2, 3)),
+                 GroupSpec(2, (4, 3)), GroupSpec(0, (4, 4)), GroupSpec(0, (2, 6)),
+                 GroupSpec(0, (9,)), GroupSpec(0, (3, 3)), GroupSpec(0, (15,)),
+                 GroupSpec(0, (5, 5)))
+
+
+@st.composite
+def _hermitian_forms(draw):
+    """A Hermitian form with random parts, sufficient for synthesis or not,
+    support-restricted on a group with onto doubling at times, and a domain:
+    the whole group when finite, else a box of radius 1 to 5."""
+    group = draw(st.sampled_from(RENDER_GROUPS))
+    rank = group.rank
+    rat = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+
+    def character():
+        return CharacterSpec(group, tuple(draw(rat) for _ in range(rank)),
+                             tuple(draw(st.integers(0, n - 1)) for n in group.torsion))
+
+    def signs():
+        vals = {}
+        for idx in group.coset_indices(4):
+            if idx not in vals:
+                inside = not any(group.coset_project(idx).residues)
+                vals[idx] = vals[group.coset_negate(idx)] = (
+                    1 if inside else draw(st.sampled_from((1, -1))))
+        return SignMap.from_mapping(group, 4, vals)
+
+    mat = [[Fraction(0)] * group.dim for _ in range(group.dim)]
+    for i in range(rank):
+        for j in range(i, rank):
+            mat[i][j] = mat[j][i] = draw(rat)
+    r = CosetConstantMap(group, tuple((idx, draw(rat)) for idx in group.coset_indices(2)))
+    support = None
+    if group.doubling_is_onto() and draw(st.booleans()):
+        support = SubgroupSpec(group, tuple(
+            group.element([draw(st.integers(0, n - 1)) for n in group.torsion])
+            for _ in range(draw(st.integers(0, 2)))))
+    form = HermitianSolutionForm(character(), character(), signs(), signs(),
+                                 QuadraticForm(group, tuple(map(tuple, mat))), r, support)
+    domain = FullGroup() if group.is_finite else Box(
+        tuple(draw(st.integers(1, 5)) for _ in range(rank)))
+    return form, domain
+
+
+@settings(max_examples=60, deadline=None)
+@given(_hermitian_forms())
+def test_hermitian_tables_match_exact_pair(case):
+    # the array renderer against the point-by-point oracle, exact_pair
+    form, domain = case
+    tables = _hermitian_tables(form, domain)
+    for i, table in enumerate(tables):
+        oracle = FuncTable.from_function(form.group, domain, "complex",
+                                         lambda p: form.exact_pair(p)[i])
+        assert table.encoding[0] == "exact"
+        assert table == oracle and table.to_json() == oracle.to_json()
+    try:
+        synthesized = synth_table(form, domain)
+    except SynthesisError:
+        return
+    assert synthesized == tables
 
 
 def test_form_json_roundtrip():

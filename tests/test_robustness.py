@@ -26,6 +26,7 @@ from kbeq.decompose import (
     decompose_T,
     decompose_hermitian,
     decompose_positive,
+    decompose_vanishing,
 )
 from kbeq.errors import (
     DecompositionError,
@@ -882,6 +883,17 @@ def test_support_restricted_synthesis():
     assert check_kb(f, g).holds
     zero_count = sum(1 for v in f.values.values() if v.zero)
     assert zero_count == 6  # everything off the support vanishes
+
+
+def test_mixed_vanishing_pair_decomposes():
+    # f exact and g float: the moduli compare as |f| against |g| within tol,
+    # not log|f| against |g|, which rejected this genuine pair at x = 0
+    f, g = _vanishing_pair()
+    mixed = (f, _float_complex(g))
+    assert check_kb(*mixed).holds
+    form = decompose_vanishing(*mixed)
+    assert form == decompose_vanishing(f, g)
+    assert ref_dec.sweep_first_decompose_vanishing(*mixed, 1e-9) == form
 
 
 def test_points_domain_not_accepted_from_json():
