@@ -232,7 +232,7 @@ def _certify(table: FuncTable, kind: str, nums: np.ndarray, denom: int, model,
     if at is not None:
         mnums, mdenom = model
         raise DecompositionError(message, _point_witness(
-            table.points()[at], _value(kind, nums[at], denom),
+            table._point(at), _value(kind, nums[at], denom),
             Fraction(int(mnums[at]), mdenom)))
 
 

@@ -38,6 +38,8 @@ from .groups import Box, Domain, GroupSpec
 _PAIR_GUARD = 30_000_000  # refuse pair sweeps with more in-range pairs
 _BLOCK_PAIRS = 1 << 16    # pairs per block of a pair sweep
 _CACHE_BYTES = 96 << 20   # bytes of arrays the index-map cache may hold
+EQ5_FULL_BUDGET = 300_000   # triple sweeps up to this many triples are exhaustive
+EQ5_SAMPLE_BUDGET = 20_000  # triples a sampled sweep takes
 
 
 @dataclass
@@ -256,24 +258,24 @@ def pair_sweep(info: VecDomain, combos, enc, terms, tol: float,
     return count, None
 
 
-def triple_maps(info: VecDomain, combos: tuple[tuple[int, int, int], ...],
-                full_budget: int, sample_budget: int):
-    """Triple sweep, exhaustive when small, deterministically sampled otherwise.
+def triple_maps(info: VecDomain, combos: tuple[tuple[int, int, int], ...]):
+    """Triple sweep, exhaustive up to ``EQ5_FULL_BUDGET`` triples and
+    deterministically sampled (``EQ5_SAMPLE_BUDGET`` triples) beyond.
 
     Returns (X, H, K, [K_combo...], total, exhaustive).
     """
-    return memo((info.group, info.domain, combos, full_budget, sample_budget),
-                lambda: _triple_maps_build(info, combos, full_budget, sample_budget))
+    return memo((info.group, info.domain, "triple", combos),
+                lambda: _triple_maps_build(info, combos))
 
 
-def _triple_maps_build(info, combos, full_budget, sample_budget):
+def _triple_maps_build(info, combos):
     n = info.n
     total = n * n * n
-    if total <= full_budget:
+    if total <= EQ5_FULL_BUDGET:
         idx = np.arange(total, dtype=np.int64)
         exhaustive = True
     else:
-        m = min(sample_budget, total)
+        m = min(EQ5_SAMPLE_BUDGET, total)
         # fixed multiplicative-hash stride: deterministic, RNG-free
         idx = (np.arange(m, dtype=np.uint64) * np.uint64(2654435761)
                + np.uint64(40507)) % np.uint64(total)

@@ -64,8 +64,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-EQ5_FULL_BUDGET = 300_000
-EQ5_SAMPLE_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -144,8 +142,7 @@ def _sweep(tables, axes, terms, tol: float, product: bool = False):
     w = _vec.first_failure(_vec.numeric_mode(tables), axes, terms, tol, product)
     if w is None:
         return None
-    pts = tables[0].points()
-    return [pts[int(a[w])] for a in axes]
+    return [tables[0]._point(int(a[w])) for a in axes]
 
 
 def _pair_sweep(tables, combos, terms, tol: float, product: bool = False):
@@ -156,8 +153,7 @@ def _pair_sweep(tables, combos, terms, tol: float, product: bool = False):
                                _vec.numeric_mode(tables), terms, tol, product)
     if w is None:
         return count, None
-    pts = t.points()
-    return count, [pts[i] for i in w]
+    return count, [t._point(i) for i in w]
 
 
 def _sides(tables, at, terms, product: bool = False):
@@ -213,7 +209,7 @@ def _pair_check(tables, combos, terms, tol: float, product: bool = False,
         def witness(at):
             return Witness(("x", "y"), (at[0], at[1]),
                            *_sides(tables, at, terms, product))
-    return _report(checked, len(tables[0].points()) ** 2, at, witness)
+    return _report(checked, len(tables[0].values) ** 2, at, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -241,21 +237,17 @@ _EQ5_COMBOS = ((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 0, 2), (1, 1, 2), (1, 2, 2))
 _EQ5_TERMS = tuple((0, 3 + j, c) for j, c in enumerate((-1, 2, -1, 1, -2, 1)))
 
 
-def check_eq5(table: FuncTable, tol: float = DEFAULT_TOL,
-              full_budget: int = EQ5_FULL_BUDGET,
-              sample_budget: int = EQ5_SAMPLE_BUDGET) -> CheckReport:
+def check_eq5(table: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     """Does the triple difference ``Delta_{2k} Delta_h^2 T`` vanish?
 
-    Exhaustive when the domain has at most ``full_budget`` triples;
-    otherwise a fixed deterministic sample of ``sample_budget`` triples is
-    swept and the report says so.
+    Exhaustive when the domain has at most ``kbeq._vec.EQ5_FULL_BUDGET``
+    triples; otherwise a fixed deterministic sample of
+    ``kbeq._vec.EQ5_SAMPLE_BUDGET`` triples is swept and the report says so.
     """
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("triple-difference check needs a real table")
     info = _vec.domain_info(table.group, table.domain)
-    X, H, K, Ks, considered, exhaustive = _vec.triple_maps(
-        info, _EQ5_COMBOS, full_budget, sample_budget
-    )
+    X, H, K, Ks, considered, exhaustive = _vec.triple_maps(info, _EQ5_COMBOS)
     note = None if exhaustive else (
         f"sampled {considered} of {info.n ** 3} triples deterministically"
     )
@@ -340,7 +332,7 @@ def check_hermitian(f: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     conj = _conjugate(f)
     ng = _vec.neg_codes(_vec.domain_info(f.group, f.domain))
     return _entrywise((f, conj), [ng, np.arange(len(ng))], tol,
-                      lambda i, j: Witness(("x",), (f.points()[j],),
+                      lambda i, j: Witness(("x",), (f._point(j),),
                                            _at(f, i), _at(conj, j)))
 
 
@@ -380,8 +372,8 @@ def check_coset_constant(table: FuncTable, modulus: int,
     others = np.flatnonzero(rep != np.arange(len(rep)))
 
     def witness(i, j):
-        pts = table.points()
-        return Witness(("x", "y"), (pts[i], pts[j]), _at(table, i), _at(table, j))
+        return Witness(("x", "y"), (table._point(i), table._point(j)),
+                       _at(table, i), _at(table, j))
 
     return _entrywise((table,), [rep[others], others], tol, witness)
 
@@ -415,6 +407,6 @@ def check_character(table: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
         bad = ~(np.abs(np.abs(arrays) - 1.0) <= tol)
     if bad.any():
         i = int(np.argmax(bad))
-        return _failed(i + 1, 1.0, Witness(("x",), (table.points()[i],), _at(table, i), 1))
+        return _failed(i + 1, 1.0, Witness(("x",), (table._point(i),), _at(table, i), 1))
     rep = _pair_check((table,), ((1, 1),), _ADDITIVE_TERMS, tol, product=True)
     return CheckReport(rep.holds, len(bad) + rep.pairs_checked, rep.witness, 1.0)

@@ -20,9 +20,10 @@ two on exact tables (both sides are powers of ``alpha``), so they are not
 swept.  Every step reads the tables' stored arrays (``FuncTable.encoding``),
 the character as one exact turn table; values are decoded only for a
 witness.  So does the vanishing route: its support is the zero mask, its
-characters are fitted on turn arrays, and its form is rendered as arrays
-and compared with the input; on an odd-order group the support subgroup
-needs no doubling or order-2 test (see :func:`decompose_vanishing`).
+support subgroup a mask grown generator by generator, and its characters
+are fitted at the support generators; on an odd-order group the support
+subgroup needs no doubling or order-2 test, and the fitted form needs no
+comparison with the input (see :func:`decompose_vanishing`).
 
 Every decomposition certifies itself, then explains failures.  On exact
 tables a form that passes the exact residual and structure checks solves
@@ -38,7 +39,6 @@ from __future__ import annotations
 import cmath
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,7 +67,6 @@ from .checks import (
     check_sign_eq26,
 )
 from .errors import (
-    BudgetExceededError,
     DecompositionError,
     DomainSizeError,
     EquationFailsError,
@@ -90,7 +89,6 @@ from .functions import (
     QuadraticForm,
     SignMap,
     _character_table,
-    _hermitian_tables,
     _zero_mask,
     cval,
 )
@@ -274,7 +272,10 @@ def extend_character(group: GroupSpec,
     Free and even-torsion generators take the principal square root (turn in
     ``[0, 1/2)``); odd-order generators are already determined because
     doubling is onto there.  The restriction back to doubled generators
-    reproduces the input exactly.
+    reproduces each input turn ``t`` by construction, so it is not checked:
+    a free coordinate takes ``t/2``; an even order ``n`` takes ``k = t n/2``,
+    and ``2k/n = t``; an odd order ``n`` takes ``k = t n (n+1)/2 mod n``,
+    and ``2k/n = t (n+1) = t`` modulo 1, since ``t n`` is an integer.
     """
     turns = [Fraction(t) % 1 for t in doubled_turns]
     if len(turns) != group.dim:
@@ -283,30 +284,16 @@ def extend_character(group: GroupSpec,
     exps = []
     for i, n in enumerate(group.torsion):
         t = turns[group.rank + i]
-        if n % 2 == 0:
-            m = n // 2  # order of 2e_i
-            scaled = t * m
-            if scaled.denominator != 1:
-                raise DecompositionError(
-                    "turn at a doubled generator is not a character value "
-                    f"(order {m} requires a multiple of 1/{m})",
-                    {"coordinate": group.rank + i},
-                )
-            exps.append(int(scaled))  # alpha(e_i) = k/n with k = t*n/2, in [0, n/2)
-        else:
-            scaled = t * n
-            if scaled.denominator != 1:
-                raise DecompositionError(
-                    "turn at a doubled generator is not a character value "
-                    f"(order {n} requires a multiple of 1/{n})",
-                    {"coordinate": group.rank + i},
-                )
-            exps.append((int(scaled) * ((n + 1) // 2)) % n)
-    alpha = CharacterSpec(group, free, tuple(exps))
-    for i, e in enumerate(group.generators()):
-        if alpha.turn(group.scale(2, e)) != turns[i]:
-            raise DecompositionError("extension failed to restrict correctly")
-    return alpha
+        m = n // 2 if n % 2 == 0 else n  # order of 2e_i
+        if (t * m).denominator != 1:
+            raise DecompositionError(
+                "turn at a doubled generator is not a character value "
+                f"(order {m} requires a multiple of 1/{m})",
+                {"coordinate": group.rank + i},
+            )
+        # alpha(e_i) = k/n: k = t*n/2 in [0, n/2) for even n, else determined
+        exps.append(int(t * m) if n % 2 == 0 else int(t * n) * ((n + 1) // 2) % n)
+    return CharacterSpec(group, free, tuple(exps))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +362,7 @@ def _require_nonvanishing(table: FuncTable, name: str):
     if len(zeros):
         raise DecompositionError(
             f"{name} vanishes; this route needs non-vanishing tables",
-            _point_witness(table.points()[zeros[0]], 0, "nonzero"),
+            _point_witness(table._point(zeros[0]), 0, "nonzero"),
         )
 
 
@@ -447,7 +434,7 @@ def _restriction_matches(p: FuncTable, alpha: FuncTable, tol: float):
     codes, _ = _vec.coset_codes(_vec.domain_info(p.group, p.domain), 2)
     i = _first_difference(p, alpha, np.flatnonzero(codes == 0), tol)
     if i is not None:
-        x = p.points()[i]
+        x = p._point(i)
         raise DecompositionError(
             "phase part is not multiplicative on the doubled subgroup",
             _point_witness(x, p.values[x], alpha.values[x]),
@@ -470,7 +457,7 @@ def _sign_table_from_ratio(p: FuncTable, alpha: FuncTable, tol: float) -> FuncTa
         minus = ~plus & (np.abs(ratio + 1) <= tol)
         bad = ~(plus | minus)
     if bad.any():
-        x = p.points()[int(np.argmax(bad))]
+        x = p._point(int(np.argmax(bad)))
         raise DecompositionError(
             "ratio to the extended character is not +-1",
             _point_witness(x, p.values[x], alpha.values[x]),
@@ -575,7 +562,10 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
 
     Compared with the two-function case the coset part must vanish and the
     leftover sign is constant on doubled (not just quadrupled) cosets; it
-    still need not be multiplicative.
+    still need not be multiplicative.  The coset part is not checked on its
+    own: decomposing the pair ``(|f|, |f|)`` already demanded ``r = -r``,
+    exactly on exact tables and as ``|2r| <= tol`` on float ones.  The pair
+    is one table, so an exact table is split once.
     """
     f = _complexified(f)
     _require_nonvanishing(f, "f")
@@ -585,14 +575,10 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
         _check_positive_real_at_zero(f, tol, "f")
         if not _is_one(_at_zero((f,)), tol):
             raise DecompositionError("f(0) must equal 1 in the one-function case")
-        exact = _is_exact_table(f)
-        pform = decompose_positive(f.abs_log_table(), f.abs_log_table(), tol)
-        if not _all_close(pform.l.coeffs, tol, exact):
+        logs = f.abs_log_table()
+        pform = decompose_positive(logs, logs, tol)
+        if not _all_close(pform.l.coeffs, tol, _is_exact_table(f)):
             raise DecompositionError("modulus has a nonzero additive part")
-        if not all(_close(v, 0, tol, exact) for _, v in pform.r.entries):
-            raise DecompositionError(
-                "coset part must vanish when the two functions coincide"
-            )
         alpha, sa = _hermitian_phase_part(f, tol, "f")
         _require(check_sign_eq26(sa, sa, tol),
                  "leftover sign violates a(x+y) a(x-y) = 1")
@@ -605,17 +591,22 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
 # vanishing solutions on groups with onto doubling
 
 
-def decompose_vanishing(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
-                        character_budget: int = 4096) -> HermitianSolutionForm:
+def decompose_vanishing(f: FuncTable, g: FuncTable,
+                        tol: float = DEFAULT_TOL) -> HermitianSolutionForm:
     """Support-restricted decomposition on a group with ``X^(2) = X``.
 
     Requires a finite group with onto doubling, that is of odd order.  On
     the stored arrays, verifies ``f(0) g(0) = 1``, equal moduli (exact logs,
     or ``|f|`` against ``|g|`` within ``tol``), that the common support
-    ``S`` is a subgroup and the modulus 1 on it, fits characters on ``S`` by
-    deterministic enumeration and compares the rendered form with both
-    tables.  ``S`` has odd order, so doubling, injective on ``S``, is onto
-    ``S``, and ``X/S`` has odd order, so no element of order 2.
+    ``S`` is a subgroup and the modulus 1 on it, and fits characters on
+    ``S`` at its generators.  ``S`` has odd order, so doubling, injective on
+    ``S``, is onto ``S``, and ``X/S`` has odd order, so no element of order
+    2.  The form is not rendered and compared with the tables: on ``S`` its
+    tables are the fitted characters' turn tables, which the fit compared
+    with ``f`` and ``g`` in the same arithmetic, and off ``S`` both are
+    zero, ``S`` being the span of the form's generators.  The fit's
+    candidate array, one row per group element as the tables have, needs
+    no budget.
     """
     f = _complexified(f)
     g = _complexified(g)
@@ -627,8 +618,6 @@ def decompose_vanishing(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
             "the vanishing-support decomposition needs X^(2) = X "
             "(finite group with odd torsion orders only)"
         )
-    if group.order() > character_budget:
-        raise BudgetExceededError("group too large for character enumeration")
     zero = _zero_mask(f.encoding)
     if zero.all() or _zero_mask(g.encoding).all():
         raise DecompositionError("tables must not be identically zero")
@@ -648,7 +637,7 @@ def decompose_vanishing(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
         bad = (za != zb) | (~za & apart)
         if bad.any():
             i = int(np.argmax(bad))
-            x = f.points()[i]
+            x = f._point(i)
             raise DecompositionError(
                 "|f| != |g| (supports differ)" if za[i] != zb[i] else "|f| != |g|",
                 _point_witness(x, f.values[x], g.values[x]))
@@ -658,54 +647,74 @@ def decompose_vanishing(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL,
         off = (arrays[0][on] != 0 if mode == "exact"
                else ~(np.abs(np.abs(arrays[on]) - 1.0) <= tol))
         if off.any():
-            x = f.points()[on[np.argmax(off)]]
+            x = f._point(on[np.argmax(off)])
             raise DecompositionError(
                 "modulus is not 1 on the support", _point_witness(x, f.values[x], 1))
         trivial = SignMap.trivial(group, 4)
-        form = HermitianSolutionForm(
-            _fit_character_on(f, on, tol), _fit_character_on(g, on, tol), trivial,
-            trivial, QuadraticForm.zero(group), CosetConstantMap.zero(group), sub)
-        rendered = _hermitian_tables(form, f.domain)
-        every = np.arange(len(zero))
-        misses = [i for t, u in zip((f, g), rendered)
-                  if (i := _first_difference(t, u, every, tol)) is not None]
-        if misses:
-            x = f.points()[min(misses)]
-            raise DecompositionError(
-                "reconstructed form does not reproduce the input",
-                _point_witness(x, f.values[x], rendered[0].values[x]))
-        return form
+        return HermitianSolutionForm(
+            _fit_character_on(f, on, sub, tol), _fit_character_on(g, on, sub, tol),
+            trivial, trivial, QuadraticForm.zero(group), CosetConstantMap.zero(group),
+            sub)
 
 
 def _support_subgroup(f: FuncTable, on: np.ndarray) -> SubgroupSpec:
-    """The subgroup spanned by the support of ``f`` (domain indices ``on``),
-    each point outside the span of those before it a generator.  The support
-    is the span iff subtracting any generator keeps it in the support (in a
-    finite group, adding does too); otherwise a pair sweep of ``s(x) s(y) =
-    s(x) s(y) s(x-y)`` on the 0/1 support indicator ``s`` names the witness.
+    """The subgroup spanned by the support of ``f`` (domain indices ``on`` on
+    a finite group, whose origin has index 0), each support point outside
+    the span of those before it a generator.  The span is kept as a mask; a
+    generator ``e`` adds the cosets ``span + j e`` below its first multiple
+    in the span.  The support is a subgroup iff it is the span; otherwise a
+    pair sweep of ``s(x) s(y) = s(x) s(y) s(x-y)`` on the 0/1 support
+    indicator ``s`` names the witness.
     """
-    group, pts = f.group, f.points()
-    sub = SubgroupSpec(group, ())
-    for i in on:
-        if not sub.contains(pts[i]):
-            sub = SubgroupSpec(group, sub.generators + (pts[i],))
-    info = _vec.domain_info(group, f.domain)
-    s = np.zeros(info.n, dtype=np.int64)
-    s[on] = 1
-    if all(s[_vec.point_codes(info, info.coords[on] - e.coords)[0]].all()
-           for e in sub.generators):
-        return sub
+    info = _vec.domain_info(f.group, f.domain)
+    span, gens = np.arange(info.n) == 0, []
+    while not span[on].all():
+        i = on[np.argmin(span[on])]
+        steps = np.arange(info.n + 1)[:, None] * info.coords[i].astype(np.int64)
+        m = 1 + int(np.argmax(span[_vec.point_codes(info, steps[1:])[0]]))
+        cosets = (steps[:m, None] + info.coords[span]).reshape(-1, f.group.dim)
+        span[_vec.point_codes(info, cosets)[0]] = True
+        gens.append(f._point(i))
+    if span.sum() == len(on):
+        return SubgroupSpec(f.group, tuple(gens))
+    s = np.bincount(on, minlength=info.n)  # the 0/1 support indicator
     _, w = _vec.pair_sweep(info, ((1, -1),), ("int", [s], 1), (
         (0, 0, 1), (0, 1, 1), (0, 0, -1), (0, 1, -1), (0, 2, -1)), 0, True)
-    raise DecompositionError("support is not a subgroup",
-                             {"x": list(pts[w[0]].coords), "y": list(pts[w[1]].coords)})
+    raise DecompositionError("support is not a subgroup", {
+        "x": list(f._point(w[0]).coords), "y": list(f._point(w[1]).coords)})
 
 
-def _fit_character_on(p: FuncTable, on: np.ndarray, tol: float) -> CharacterSpec:
+def _fit_character_on(p: FuncTable, on: np.ndarray, sub: SubgroupSpec,
+                      tol: float) -> CharacterSpec:
     """The first character, lexicographic in exponent tuples, whose turn
-    table equals ``p`` at the domain indices ``on``."""
-    for exps in product(*map(range, p.group.torsion)):
-        chi = CharacterSpec(p.group, (), exps)
+    table equals ``p`` at the domain indices ``on``, the span of
+    ``sub.generators`` on a finite group.
+
+    Every candidate's turns at the generators are one integer array, over
+    the group's exponent ``L``, compared with ``p`` there as
+    :func:`_first_difference` compares: exact turns, or the complex values
+    of :func:`kbeq._vec._complex` within ``tol``.  A character agreeing with
+    ``p`` on the span agrees with it at the generators, and characters equal
+    at the generators are equal on the span, so only the first candidate of
+    each matching row is compared on ``on`` (exact tables have one row).
+    """
+    group, k = p.group, len(sub.generators)
+    n = np.array(group.torsion, dtype=np.int64)
+    L = int(np.lcm.reduce(n, initial=1))
+    exps = np.indices(group.torsion).reshape(len(n), group.order()).T
+    gens = np.array([e.coords for e in sub.generators], dtype=np.int64).reshape(k, len(n))
+    at = _vec.point_codes(_vec.domain_info(group, p.domain), gens)[0]
+    turns = exps @ (gens * (L // n)).T % L
+    mode, arrays, _ = p.encoding
+    if mode == "exact":  # p's turns over L, or -1 where no character's turn is
+        q = [divmod(int(t) * L, arrays[3]) for t in arrays[2][at].tolist()]
+        close = turns == np.array([t % L if r == 0 else -1 for t, r in q], dtype=np.int64)
+    else:
+        close = np.abs(arrays[at] - _vec._complex(0, 1, turns, L, False)) <= tol
+    match = np.flatnonzero(close.all(axis=1))
+    _, first = np.unique(turns[match], axis=0, return_index=True)
+    for i in match[np.sort(first)]:
+        chi = CharacterSpec(group, (), tuple(exps[i].tolist()))
         if _first_difference(p, _character_table(chi, p.domain), on, tol) is None:
             return chi
     raise DecompositionError(

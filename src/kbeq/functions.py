@@ -220,6 +220,11 @@ class FuncTable:
     def points(self) -> list[GroupElement]:
         return self.domain.points(self.group)
 
+    def _point(self, i: int) -> GroupElement:
+        """The domain point of index ``i``, built from its coordinates."""
+        coords = _vec.domain_info(self.group, self.domain).coords[i]
+        return GroupElement(self.group, tuple(coords.tolist()))
+
     @property
     def values(self) -> "TableValues":
         """Read-only mapping view: point -> stored value (the log for positive tables)."""
@@ -246,7 +251,7 @@ class FuncTable:
         if self.kind == KIND_POSITIVE:
             enc = self.encoding
         elif self.kind == KIND_SIGN:
-            enc = ("int", np.zeros(len(self.points()), dtype=np.int64), 1)
+            enc = ("int", np.zeros_like(arrays), 1)
         elif self.kind != KIND_COMPLEX:
             raise IncompatibleTablesError("abs_log_table needs a multiplicative kind")
         elif _zero_mask(self.encoding).any():
@@ -267,7 +272,7 @@ class FuncTable:
         if mode == "complex":
             return FuncTable._of(self.group, self.domain, KIND_COMPLEX,
                                  ("complex", arrays / np.abs(arrays), 1))
-        zeros = np.zeros(len(self.points()), dtype=np.int64)
+        zeros = np.zeros(len(self.values), dtype=np.int64)
         turns = {"parity": (arrays, 2), "exact": arrays[2:4]}.get(mode, (zeros, 1))
         return FuncTable._of(self.group, self.domain, KIND_COMPLEX,
                              ("exact", (zeros, 1, *turns, zeros.astype(bool)), 1))
@@ -321,7 +326,7 @@ class FuncTable:
 
     def __repr__(self) -> str:
         return (f"FuncTable({self.group}, kind={self.kind}, "
-                f"{len(self.points())} points)")
+                f"{len(self.values)} points)")
 
 
 class TableValues(Mapping):
@@ -340,7 +345,7 @@ class TableValues(Mapping):
         return iter(self._table.points())
 
     def __len__(self) -> int:
-        return len(self._table.points())
+        return _vec.domain_info(self._table.group, self._table.domain).n
 
     def values(self) -> list:
         return _decode(self._table.encoding)
@@ -527,10 +532,11 @@ def _json_encoding(kind: str, raws: list):
     """JSON table values, in the order given, as the ``(mode, arrays,
     denom)`` of :func:`_encode`.
 
-    Exact entries stay integer pairs: :func:`kbeq._vec._over` brings each
-    column to lowest terms over one denominator, and turns are then taken
-    modulo 1, as :class:`Exact` takes them.  No per-value ``Fraction`` or
-    :class:`Exact` is built.
+    Exact entries stay integer pairs: each turn is taken modulo 1 on its pair
+    (``num % den`` over ``den``, right for either sign of ``den``), as
+    :class:`Exact` takes it, and :func:`kbeq._vec._over` then brings each
+    column to lowest terms over one denominator.  No per-value ``Fraction``
+    or :class:`Exact` is built.
     """
     if kind == KIND_SIGN:
         for raw in raws:
@@ -552,9 +558,9 @@ def _json_encoding(kind: str, raws: list):
             for v in vals], dtype=np.complex128), 1
     zero = np.array([v is None for v in vals], dtype=bool)
     ints = [(0, 1, 0, 1) if v is None else v for v in vals]
-    turns, tden = _vec._over([v[2] for v in ints], [v[3] for v in ints])
     return "exact", (*_vec._over([v[0] for v in ints], [v[1] for v in ints]),
-                     turns % tden, tden, zero), 1
+                     *_vec._over([v[2] % v[3] for v in ints], [v[3] for v in ints]),
+                     zero), 1
 
 
 # ---------------------------------------------------------------------------

@@ -366,21 +366,9 @@ class SubgroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# evaluation domains
-
-
-_points_cache: dict = {}
-
-
-def _cached_points(group: GroupSpec, domain) -> list[GroupElement]:
-    key = (group, domain)
-    pts = _points_cache.get(key)
-    if pts is None:
-        pts = [GroupElement(group, c) for c in product(*domain.ranges(group))]
-        if len(_points_cache) > 32:
-            _points_cache.clear()
-        _points_cache[key] = pts
-    return pts
+# evaluation domains: each builds its point list on every call and keeps none,
+# since library code reads coordinates from ``kbeq._vec.domain_info`` and
+# builds an element only for a witness
 
 
 @dataclass(frozen=True)
@@ -394,7 +382,7 @@ class FullGroup:
         return [range(n) for n in group.torsion]
 
     def points(self, group: GroupSpec) -> list[GroupElement]:
-        return _cached_points(group, self)
+        return [GroupElement(group, c) for c in product(*self.ranges(group))]
 
     def contains(self, x: GroupElement) -> bool:
         return True
@@ -428,7 +416,7 @@ class Box:
                 + [range(n) for n in group.torsion])
 
     def points(self, group: GroupSpec) -> list[GroupElement]:
-        return _cached_points(group, self)
+        return [GroupElement(group, c) for c in product(*self.ranges(group))]
 
     def contains(self, x: GroupElement) -> bool:
         return all(abs(x.coords[j]) <= r for j, r in enumerate(self.radius))

@@ -125,6 +125,9 @@ def builtin_odd_quadratic(radius: int) -> FuncTable:
 # sign-pair census
 
 
+_SIGN_CANDIDATE_BUDGET = 1 << 22  # candidate (a, b) pairs a census may try
+
+
 @dataclass
 class SignSolutionCensus:
     """All even sign pairs, trivial on X^(2), satisfying the sign equation.
@@ -157,8 +160,7 @@ class SignSolutionCensus:
         }
 
 
-def enum_sign_solutions(group: GroupSpec, order_budget: int = 256,
-                        candidate_budget: int = 1 << 22) -> SignSolutionCensus:
+def enum_sign_solutions(group: GroupSpec, order_budget: int = 256) -> SignSolutionCensus:
     """Exhaustive census of sign pairs (a, b) with the required structure.
 
     Free choices are the values on negation orbits outside ``X^(2)`` (sign
@@ -179,7 +181,7 @@ def enum_sign_solutions(group: GroupSpec, order_budget: int = 256,
     least = np.minimum(outside, _vec.neg_codes(info)[outside])
     firsts, orbit_of = np.unique(least, return_inverse=True)
     k = len(firsts)
-    if 4**k > candidate_budget:
+    if 4**k > _SIGN_CANDIDATE_BUDGET:
         raise BudgetExceededError(
             f"{4**k} candidate pairs exceed the candidate budget"
         )
@@ -848,7 +850,7 @@ def _suite_builtin_checks(record):
     record("builtin-counterexample-decomposition", ok)
     # mutation: a single flipped sign must break the equation
     flipped = f.encoding[1].copy()
-    flipped[f.points().index(group.element((1, 1)))] ^= 1
+    flipped[f._index(group.element((1, 1)))] ^= 1
     bad = FuncTable._of(group, FullGroup(), KIND_SIGN, ("parity", flipped, 1))
     rep = check_kb(bad, g)
     record("builtin-counterexample-mutation",
@@ -900,7 +902,7 @@ def _suite_hermitian_soundness(record, gname, group, domain, trials, rng):
             break
         back = decompose_hermitian(f, g)
         # extensions are non-unique (principal choice), so compare as functions
-        every = np.arange(len(f.points()))
+        every = np.arange(len(f.values))
         if any(_first_difference(table, rendered, every, 0.0) is not None
                for table, rendered in zip((f, g), _hermitian_tables(back, domain))):
             ok, detail = False, f"trial {t}: recovered form evaluates differently"

@@ -10,6 +10,7 @@ from kbeq.cli import main
 from kbeq.functions import (
     CharacterSpec,
     CosetConstantMap,
+    Exact,
     FuncTable,
     HermitianSolutionForm,
     PositiveSolutionForm,
@@ -421,3 +422,19 @@ def test_check_turn_denominators_beyond_int64(tmp_path, capsys):
     code, payload, _ = run(capsys, "check", "-f", str(f), "-g", str(g))
     assert code == 0
     assert payload["report"]["holds"] is True
+
+
+def test_check_reduces_a_turn_whose_denominator_exceeds_int64(tmp_path, capsys):
+    # one turn of 1/2^70 at every point: f(x+y) g(x-y) carries two of them,
+    # f(x) f(y) g(x) g(-y) four, so the equation fails with a witness
+    table = {"group": "Z", "domain": {"type": "box", "radius": [1]}, "kind": "complex",
+             "values": [[[k], {"log": [0, 1], "turn": [1, 2**70]}] for k in (-1, 0, 1)]}
+    f = tmp_path / "f.json"
+    write_json(f, table)
+    code, payload, _ = run(capsys, "check", "-f", str(f), "-g", str(f))
+    assert code == 1
+    assert payload["report"]["holds"] is False
+    assert payload["report"]["witness"] is not None
+    want = FuncTable.from_function(GroupSpec(1), Box((1,)), "complex",
+                                   lambda p: Exact.unit(Fraction(1, 2**70)))
+    assert FuncTable.from_json(table) == want

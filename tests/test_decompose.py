@@ -2,12 +2,14 @@ import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_decompose
 from reference_checks import subgroup_closure
 from reference_decompose import split_T
-from kbeq import _vec
+from kbeq import _vec, decompose, functions
 from kbeq.checks import DEFAULT_TOL, check_kb, check_kb_self
 from kbeq.decompose import (
     decompose_T,
@@ -32,11 +34,14 @@ from kbeq.functions import (
     CosetConstantMap,
     Exact,
     FuncTable,
+    HermitianSolutionForm,
     PositiveSolutionForm,
     QuadraticForm,
+    SignMap,
+    cval,
     synth_table,
 )
-from kbeq.groups import Box, FullGroup, GroupSpec
+from kbeq.groups import Box, FullGroup, GroupSpec, SubgroupSpec
 from kbeq.oracle import (
     builtin_counterexample,
     builtin_odd_quadratic,
@@ -525,6 +530,105 @@ def test_vanishing_rejects_unequal_moduli():
     g2 = FuncTable(Z9, FullGroup(), "complex", vals)
     with pytest.raises((DecompositionError, EquationFailsError)):
         decompose_vanishing(f, g2)
+
+
+def _odd_torsions(limit=225):
+    """Torsion tuples of odd orders >= 3, at most three factors, whose
+    product is at most ``limit``."""
+    out, frontier = [], [()]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for n in range(3, limit + 1, 2):
+                if math.prod(t) * n <= limit and len(t) < 3:
+                    nxt.append(t + (n,))
+        out += nxt
+        frontier = nxt
+    return out
+
+
+ODD_TORSIONS = _odd_torsions()
+
+
+def _restricted_character(group, exps, sub, value=Exact.unit):
+    """The table of the character ``exps`` on the span of ``sub``, zero
+    elsewhere, with ``value`` turning each turn into a table value."""
+    chi = CharacterSpec(group, (), exps)
+    support = set(subgroup_closure(sub))
+    return FuncTable.from_function(
+        group, FullGroup(), "complex",
+        lambda x: value(chi.turn(x)) if x in support else Exact.zero_value())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ODD_TORSIONS), st.integers(0, 10**9),
+       st.sampled_from(("exact", "float", "corrupted")))
+def test_fit_character_on_matches_the_reference(torsion, seed, style):
+    rng = Random(seed)
+    group = GroupSpec(0, torsion)
+    sub = SubgroupSpec(group, tuple(
+        group.element([rng.randrange(n) for n in torsion])
+        for _ in range(rng.randrange(3))))
+    exps = tuple(rng.randrange(n) for n in torsion)
+    p = _restricted_character(group, exps, sub, (lambda t: cval(Exact.unit(t)))
+                              if style == "float" else Exact.unit)
+    if style == "corrupted":
+        support = subgroup_closure(sub)
+        x = support[rng.randrange(len(support))]
+        shift = Exact.unit(Fraction(rng.randrange(1, 7), rng.choice((2, 7, 9, 11))))
+        p = FuncTable.from_function(
+            group, FullGroup(), "complex",
+            lambda y: p.values[y] * shift if y == x else p.values[y])
+    on = np.flatnonzero(~functions._zero_mask(p.encoding))
+    want = _fit_outcome(lambda: reference_decompose._fit_character_on(
+        group, [(x, p.values[x]) for x in subgroup_closure(sub)], DEFAULT_TOL))
+    got = _fit_outcome(lambda: decompose._fit_character_on(p, on, sub, DEFAULT_TOL))
+    assert got == want
+
+
+def _fit_outcome(fit):
+    try:
+        return fit()
+    except DecompositionError as exc:
+        return str(exc)
+
+
+def test_vanishing_beyond_the_old_character_budget():
+    # 19 683 characters; the fit returns the first agreeing on the support,
+    # which need not be the synthesized one off it
+    group = GroupSpec(0, (243, 81))
+    one = SignMap.trivial(group, 4)
+    form = HermitianSolutionForm(
+        CharacterSpec(group, (), (100, 7)), CharacterSpec(group, (), (143, 74)), one, one,
+        QuadraticForm.zero(group), CosetConstantMap.zero(group),
+        SubgroupSpec(group, (group.element((3, 9)), group.element((0, 27)))))
+    f, g = synth_table(form, FullGroup())
+    assert synth_table(decompose_vanishing(f, g), FullGroup()) == (f, g)
+
+
+def test_vanishing_renders_no_form_and_one_character_table_per_table(monkeypatch):
+    group = GroupSpec(0, (63, 63))
+    one = SignMap.trivial(group, 4)
+    form = HermitianSolutionForm(
+        CharacterSpec(group, (), (40, 50)), CharacterSpec(group, (), (23, 13)), one, one,
+        QuadraticForm.zero(group), CosetConstantMap.zero(group),
+        SubgroupSpec(group, (group.element((1, 0)), group.element((0, 1)))))
+    f, g = synth_table(form, FullGroup())
+    calls = {"render": 0, "character": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(functions, "_hermitian_tables",
+                        counted("render", functions._hermitian_tables))
+    monkeypatch.setattr(decompose, "_character_table",
+                        counted("character", decompose._character_table))
+    back = decompose_vanishing(f, g)
+    assert (back.alpha, back.beta) == (form.alpha, form.beta)
+    assert calls == {"render": 0, "character": 2}
 
 
 def test_two_coset_group_signs_are_multiplicative():
