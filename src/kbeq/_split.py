@@ -44,7 +44,6 @@ then decomposed is split once per table.  This module imports neither of them.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -173,7 +172,7 @@ def _split_parts(table: FuncTable, tol: float) -> _Parts:
     r = _vec._rescale(r_even, 8) - _vec._rescale(P, 8 * h // P_den)
     parts = _Parts(B, _vec._rescale(l, 8), r, 8 * h)
     model = _vec.form_values(*parts, info)
-    if _first_miss(kind, T, denom, model, tol) is not None:
+    if _vec.first_difference(table, ("int", *model), tol) is not None:
         # P and r are even, so on an exact table a zero residual makes the
         # odd part additive; a failure is explained by the odd part first
         _certify(table, kind, odd2, 2 * denom,
@@ -210,25 +209,11 @@ def _halves(kind: str, part2: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
     return part2, 2 * denom
 
 
-def _first_miss(kind: str, nums: np.ndarray, denom: int, model, tol: float):
-    """The first index where ``nums / denom`` differs from the model's values
-    (at all on exact tables, by more than ``tol`` on float ones), or None."""
-    mnums, mdenom = model
-    if kind == "float":
-        bad = ~(np.abs(nums / denom - np.asarray(mnums / mdenom, dtype=np.float64))
-                <= tol)
-    else:
-        common = math.lcm(denom, mdenom)
-        bad = (_vec._rescale(nums, common // denom)
-               != _vec._rescale(mnums, common // mdenom))
-    hit = np.flatnonzero(bad)
-    return int(hit[0]) if len(hit) else None
-
-
 def _certify(table: FuncTable, kind: str, nums: np.ndarray, denom: int, model,
              tol: float, message: str):
-    """Raise ``message`` at the :func:`_first_miss` of ``nums / denom``."""
-    at = _first_miss(kind, nums, denom, model, tol)
+    """Raise ``message`` at the first index where ``nums / denom``, of
+    arithmetic ``kind``, differs from the model's values."""
+    at = _vec.first_difference((kind, nums, denom), ("int", *model), tol)
     if at is not None:
         mnums, mdenom = model
         raise DecompositionError(message, _point_witness(
@@ -260,26 +245,16 @@ def _doubled_probes(group: GroupSpec) -> list[tuple[int, ...]]:
 # positive pairs
 
 
-def _differ(a: np.ndarray, da: int, b: np.ndarray, db: int, tol: float,
-            exact: bool) -> np.ndarray:
-    """Where ``a / da`` and ``b / db`` differ: at all when ``exact``, else
-    by more than ``tol``."""
-    if exact:
-        return _vec._rescale(a, db) != _vec._rescale(b, da)
-    floats = [np.array([v / den for v in nums.ravel().tolist()], dtype=np.float64)
-              for nums, den in ((a, da), (b, db))]
-    return ~(np.abs(floats[0] - floats[1]) <= tol).reshape(a.shape)
-
-
 def _pair_check(group: GroupSpec, f_parts: _Parts, g_parts: _Parts, tol: float,
                 exact: bool):
     """Raise unless two log splits form a positive pair: the theory forces
     equal quadratic parts and opposite coset parts, and both are verified
     (exactly when ``exact``)."""
     (Bf, _, rf, df), (Bg, _, rg, dg) = f_parts, g_parts
-    bad = np.argwhere(_differ(Bf, df, Bg, dg, tol, exact))
-    if len(bad):
-        i, j = bad[0].tolist()
+    mode = "int" if exact else "float"
+    at = _vec.first_difference((mode, Bf.ravel(), df), (mode, Bg.ravel(), dg), tol)
+    if at is not None:
+        i, j = divmod(at, len(Bf))
         lhs, rhs = Fraction(int(Bf[i, j]), df), Fraction(int(Bg[i, j]), dg)
         raise DecompositionError(
             "quadratic parts of the two tables differ",
@@ -287,11 +262,11 @@ def _pair_check(group: GroupSpec, f_parts: _Parts, g_parts: _Parts, tol: float,
              "lhs": [lhs.numerator, lhs.denominator],
              "rhs": [rhs.numerator, rhs.denominator]},
         )
-    bad = np.flatnonzero(_differ(rg, dg, -rf, df, tol, exact))
-    if len(bad):
+    at = _vec.first_difference((mode, rg, dg), (mode, -rf, df), tol)
+    if at is not None:
         raise DecompositionError(
             "coset parts are not opposite",
-            {"coset": list(group.coset_indices(2)[bad[0]].residues)},
+            {"coset": list(group.coset_indices(2)[at].residues)},
         )
 
 

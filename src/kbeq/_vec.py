@@ -11,7 +11,10 @@ numpy.  Pair sweeps alone build their indices from per-coordinate factors,
 and coset codes use the coset radix instead.  Tables store their values as
 arrays in domain order (``FuncTable.encoding``); :func:`numeric_mode` brings
 several tables to one arithmetic and :func:`failures` evaluates any signed
-sum or product identity over aligned index arrays.  Exactness is kept by
+sum or product identity over aligned index arrays.  :func:`apart` is the
+one tolerant comparison of floats, which the kernel and every other module
+call, and :func:`first_difference` compares two tables entry by entry,
+exactly or by :func:`apart`.  Exactness is kept by
 scaling rationals to a common denominator, in int64 only where a bound
 proves the sums fit and in Python ints otherwise.
 
@@ -361,6 +364,16 @@ def coset_codes(info: VecDomain, modulus: int) -> tuple[np.ndarray, "callable"]:
     return memo((group, info.domain, "coset", modulus), build), encode
 
 
+def join_span(info: VecDomain, span: np.ndarray, coords) -> None:
+    """Grow ``span``, the mask of a subgroup on a finite group's domain, in
+    place to the span of it and the element of coordinates ``coords``: the
+    cosets ``span + j e`` below the first multiple of ``e`` in ``span``."""
+    steps = np.arange(info.n + 1)[:, None] * np.asarray(coords, dtype=np.int64)
+    m = 1 + int(np.argmax(span[point_codes(info, steps[1:])[0]]))
+    cosets = (steps[:m, None] + info.coords[span]).reshape(-1, info.group.dim)
+    span[point_codes(info, cosets)[0]] = True
+
+
 # ---------------------------------------------------------------------------
 # table encodings and the sweep kernel
 
@@ -420,13 +433,15 @@ def lowest(nums: np.ndarray, denom: int) -> tuple[np.ndarray, int]:
 
 
 def numeric_mode(tables: Sequence) -> tuple[str, list, int]:
-    """Encode tables jointly for :func:`first_failure`: (kind, arrays, denom).
+    """Encode tables jointly for :func:`failures`: (kind, arrays, denom).
 
-    The arithmetic follows from the tables' stored encodings:
+    ``tables`` are tables or their ``(mode, arrays, denom)`` encodings, and
+    the arithmetic follows from the modes:
 
     * ``"int"``: rationals as integer numerators over one common ``denom``;
     * ``"parity"``: sign tables as 0/1 exponents of -1;
-    * ``"float"``: real or positive tables holding any float;
+    * ``"float"``: real or positive values, any of them in a ``"float"``
+      encoding (whose arrays may be numerators over ``denom``);
     * ``"exact"``: complex tables of :class:`~kbeq.functions.Exact` values,
       one (log numerators, turn numerators, zero mask) triple per table
       over common denominators, ``denom`` being the turn denominator;
@@ -435,7 +450,7 @@ def numeric_mode(tables: Sequence) -> tuple[str, list, int]:
     Integer arrays are int64 when every value is within ``_INT_LIMIT`` and
     hold Python ints otherwise.
     """
-    encs = [t.encoding for t in tables]
+    encs = [t if isinstance(t, tuple) else t.encoding for t in tables]
     kinds = {e[0] for e in encs}
     if kinds == {"parity"}:
         return "parity", [e[1] for e in encs], 1
@@ -443,8 +458,7 @@ def numeric_mode(tables: Sequence) -> tuple[str, list, int]:
         denom = math.lcm(*(e[2] for e in encs))
         return "int", [_rescale(e[1], denom // e[2]) for e in encs], denom
     if kinds <= {"int", "float"}:
-        return "float", [e[1] if e[0] == "float" else
-                         np.asarray(e[1] / e[2], dtype=np.float64) for e in encs], 1
+        return "float", [np.asarray(e[1] / e[2], dtype=np.float64) for e in encs], 1
     if kinds == {"exact"}:
         ld = math.lcm(*(e[1][1] for e in encs))
         td = math.lcm(*(e[1][3] for e in encs))
@@ -463,11 +477,32 @@ def _complex(lg, lgd, tn, tnd, zero) -> np.ndarray:
     return np.where(zero, 0j, np.exp(logs) * np.exp(2j * np.pi * turns))
 
 
-def first_failure(enc, axes: Sequence[np.ndarray], terms, tol: float,
-                  product: bool) -> Optional[int]:
-    """Index of the first tuple where a signed identity fails, or None."""
-    hit = failures(enc, axes, terms, tol, product)
-    return int(hit[0]) if len(hit) else None
+def apart(a, b, tol: float, out=None):
+    """The one tolerant comparison: where ``~(|a - b| <= tol)``, so a NaN is
+    apart from every value; the difference goes to ``out`` when given."""
+    return ~(np.abs(np.subtract(a, b, out=out)) <= tol)
+
+
+def first_difference(a, b, tol: float, at=None) -> Optional[int]:
+    """The first index (of ``at``, in order, when given) where two tables
+    or ``(mode, arrays, denom)`` encodings differ, or None: one ``!=`` in
+    the arithmetic :func:`numeric_mode` picks (turns modulo their
+    denominator, exact zeros by their masks), or :func:`apart` on floats."""
+    kind, (u, v), denom = numeric_mode([a, b])
+    if at is not None:
+        u, v = ((tuple(c[at] for c in w) if kind == "exact" else w[at]) for w in (u, v))
+    if kind == "exact":
+        (lu, tu, zu), (lv, tv, zv) = u, v
+        tu, tv = _fitted([tu, tv], lambda m: 2 * max(m, denom))
+        bad = (zu != zv) | (~zu & ((lu != lv) | ((tu - tv) % denom != 0)))
+    elif kind in ("float", "complex"):
+        bad = apart(u, v, tol)
+    else:
+        bad = u != v
+    hit = np.flatnonzero(bad)
+    if not len(hit):
+        return None
+    return int(hit[0] if at is None else at[hit[0]])
 
 
 def failures(enc, axes: Sequence[np.ndarray], terms, tol: float,
@@ -480,7 +515,7 @@ def failures(enc, axes: Sequence[np.ndarray], terms, tol: float,
     ``product`` and ``sum c T(p) == 0`` otherwise; each side collects the
     terms of one coefficient sign.  Exact kinds compare exactly (parity and
     turns modulo their denominator, exact-complex zeros by their masks);
-    float kinds fail where ``|lhs - rhs| <= tol`` does not hold.  Side values
+    float kinds fail where the sides are :func:`apart`.  Side values
     are accumulated in scratch arrays kept in ``work``, so a sweep passing the
     same dict for every block reuses them instead of faulting in fresh pages.
     """
@@ -510,8 +545,7 @@ def failures(enc, axes: Sequence[np.ndarray], terms, tol: float,
                != np.multiply(rhs, denom ** a, out=rhs))
     else:
         lhs = _side(arrays, pos, product, work, "lhs")
-        diff = np.subtract(lhs, _side(arrays, neg, product, work, "rhs"), out=lhs)
-        bad = ~(np.abs(diff) <= tol)
+        bad = apart(lhs, _side(arrays, neg, product, work, "rhs"), tol, out=lhs)
     return np.flatnonzero(bad)
 
 

@@ -16,10 +16,11 @@ Every pair and triple identity, and the point-wise comparisons of
 sweep kernel (:func:`kbeq._vec.failures`), whose arithmetic
 :func:`kbeq._vec.numeric_mode` picks from the values alone: comparisons are
 exact for rational, sign and exact-complex values and use an absolute
-tolerance (default 1e-9) for floating data.  Pair sweeps
-(:func:`kbeq._vec.pair_sweep`) count their in-range pairs in closed form,
-refuse more than ``kbeq._vec._PAIR_GUARD`` of them before allocating, and
-run in bounded memory; triple sweeps use :func:`kbeq._vec.triple_maps`.
+tolerance (default 1e-9, by :func:`kbeq._vec.apart`) for floating data.
+Pair sweeps (:func:`kbeq._vec.pair_sweep`) count their in-range pairs in
+closed form, refuse more than ``kbeq._vec._PAIR_GUARD`` of them before
+allocating, and run in bounded memory; triple sweeps use
+:func:`kbeq._vec.triple_maps`.
 """
 
 from __future__ import annotations
@@ -139,10 +140,10 @@ def _require_same(f: FuncTable, g: FuncTable):
 
 def _sweep(tables, axes, terms, tol: float, product: bool = False):
     """Points (one per axis) of the first tuple failing the identity, or None."""
-    w = _vec.first_failure(_vec.numeric_mode(tables), axes, terms, tol, product)
-    if w is None:
+    hit = _vec.failures(_vec.numeric_mode(tables), axes, terms, tol, product)
+    if not len(hit):
         return None
-    return [tables[0]._point(int(a[w])) for a in axes]
+    return [tables[0]._point(int(a[hit[0]])) for a in axes]
 
 
 def _pair_sweep(tables, combos, terms, tol: float, product: bool = False):
@@ -186,10 +187,11 @@ def _entrywise(tables, axes, tol: float, witness) -> CheckReport:
     """Does the first table at ``axes[0]`` equal the last at ``axes[1]``,
     entry by entry?  One kernel call; the count runs up to the first failing
     entry, whose two point indices ``witness`` turns into the witness."""
-    w = _vec.first_failure(_vec.numeric_mode(tables), axes,
-                           ((0, 0, 1), (len(tables) - 1, 1, -1)), tol, False)
-    if w is None:
+    hit = _vec.failures(_vec.numeric_mode(tables), axes,
+                        ((0, 0, 1), (len(tables) - 1, 1, -1)), tol, False)
+    if not len(hit):
         return _passed(len(axes[0]), 1.0)
+    w = int(hit[0])
     return _failed(w + 1, 1.0, witness(*(int(a[w]) for a in axes)))
 
 
@@ -404,7 +406,7 @@ def check_character(table: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     if mode == "exact":  # exactly zero, or of modulus other than 1
         bad = arrays[4] | (arrays[0] != 0)
     else:
-        bad = ~(np.abs(np.abs(arrays) - 1.0) <= tol)
+        bad = _vec.apart(np.abs(arrays), 1.0, tol)
     if bad.any():
         i = int(np.argmax(bad))
         return _failed(i + 1, 1.0, Witness(("x",), (table._point(i),), _at(table, i), 1))

@@ -45,6 +45,7 @@ import numpy as np
 
 from . import _vec
 from ._split import (
+    _Parts,
     _forms,
     _is_exact_table,
     _pair_check,
@@ -130,59 +131,52 @@ def _certified(tables, check, message: str):
 # degree-2 recovery and the halving extensions
 
 
-def _close(a, b, tol: float, exact: bool) -> bool:
-    if exact:
-        return a == b
-    return abs(float(a) - float(b)) <= tol
-
-
 def recover_deg2(table: FuncTable, tol: float = DEFAULT_TOL):
     """Recover (P, l, c) with ``T = P + l + c`` from a degree-<=2 table.
 
-    The biadditive part is half the mixed second difference at generator
-    pairs, the additive part is what remains at generators, and the whole
-    window is re-checked exactly afterwards.
+    The table is read as one array (:func:`kbeq._vec.numeric_mode`) at 0,
+    the generators and their pairwise sums: the biadditive part is half the
+    mixed second difference (a float one rounded to a rational first), the
+    additive part is what remains at the generators, and ``c`` is the value
+    at 0 (unrounded on a float table).  The model over the whole window,
+    from :func:`kbeq._vec.form_values`, is compared with the table once.
     """
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("degree-2 recovery needs a real table")
     with _certified((table,), lambda: check_polynomial(table, 2, tol=tol),
                     "table is not a polynomial of degree <= 2"):
-        group = table.group
-        vals = table.values
-        zero = group.zero()
-        gens = group.generators()
-        try:
-            c0 = vals[zero]
-            free = gens[: group.rank]
-            pair_vals = {
-                (j, k): vals[free[j] + free[k]]
-                for j in range(group.rank)
-                for k in range(j, group.rank)
-            }
-            gen_vals = [vals[e] for e in free]
-        except KeyError as exc:
+        group, d, rank = table.group, table.group.dim, table.group.rank
+        info = _vec.domain_info(group, table.domain)
+        J, K = np.triu_indices(rank)
+        eye = np.eye(d, dtype=np.int64)[:rank]
+        probes = np.concatenate([np.zeros((1, d), dtype=np.int64), eye, eye[J] + eye[K]])
+        at, inside = _vec.point_codes(info, probes)
+        if not inside.all():
             raise DomainSizeError(
-                "window must contain 0, the generators and their pairwise sums"
-            ) from exc
-        exact = _is_exact_table(table)
-        d = group.dim
-        mat = [[Fraction(0)] * d for _ in range(d)]
-        for j in range(group.rank):
-            for k in range(j, group.rank):
-                a = _to_fraction(pair_vals[(j, k)] - gen_vals[j] - gen_vals[k] + c0) / 2
-                mat[j][k] = mat[k][j] = a
-        P = QuadraticForm(group, tuple(tuple(row) for row in mat))
-        l = AdditiveMap(group, tuple(
-            _to_fraction(gen_vals[j] - c0) - mat[j][j] for j in range(group.rank)
-        ))
-        c = _to_fraction(c0) if exact else c0
-        for x, v in vals.items():
-            model = P.value(x) + l.value(x) + c
-            if not _close(v, model, tol, exact):
-                raise DecompositionError(
-                    "recovered degree-2 model does not reproduce the table",
-                    _point_witness(x, v, model),
-                )
+                "window must contain 0, the generators and their pairwise sums")
+        kind, (T,), denom = _vec.numeric_mode([table])
+        c0, gen, pair = T[at[0]], T[at[1:1 + rank]], T[at[1 + rank:]]
+        exact = kind != "float"
+        # the mixed second differences, then the generators' values less c0
+        read = np.concatenate([pair - gen[J] - gen[K] + c0, gen - c0])
+        nums, den = (read, denom) if exact else _vec._fractions_over(
+            [_to_fraction(v) for v in read.tolist()])
+        B = np.zeros((d, d), dtype=nums.dtype)
+        B[J, K] = B[K, J] = nums[:len(J)]
+        # over 2 den; an exact c is the model's coset part, a float one is added
+        r = np.full(group.coset_count(2), 2 * c0 if exact else 0, dtype=B.dtype)
+        parts = _Parts(B, 2 * nums[len(J):] - B.diagonal()[:rank], r, 2 * den)
+        mn, md = _vec.form_values(*parts, info)
+        c = Fraction(int(c0), denom) if exact else float(c0)
+        i = _vec.first_difference(
+            table, ("int", mn, md) if exact else ("float", mn / md + c, 1), tol)
+        if i is not None:
+            x = table._point(i)
+            rhs = Fraction(int(mn[i]), md) + (0 if exact else c)
+            raise DecompositionError(
+                "recovered degree-2 model does not reproduce the table",
+                _point_witness(x, table.values[x], rhs))
+        P, l, _ = _forms(group, parts)
         return P, l, c
 
 
@@ -335,19 +329,12 @@ def _at_zero(tables):
             sum(Fraction(int(tn[z]), tnd) for _, _, tn, tnd, _ in encs) % 1)
 
 
-def _is_one(v, tol: float) -> bool:
-    """Is an :func:`_at_zero` product one (exactly, or within ``tol``)?"""
-    if isinstance(v, tuple):
-        return v == (0, 0)
-    return v is not None and abs(v - 1) <= tol
-
-
 def _check_positive_real_at_zero(table: FuncTable, tol: float, name: str):
     v = _at_zero((table,))
     if isinstance(v, tuple):
         bad = v[1] != 0
     else:
-        bad = v is None or abs(v.imag) > tol or v.real <= 0
+        bad = v is None or _vec.apart(v.imag, 0.0, tol) or v.real <= 0
     if bad:
         zero = table.group.zero()
         raise DecompositionError(
@@ -370,7 +357,7 @@ def _require_unit_product_at_zero(f: FuncTable, g: FuncTable, tol: float):
     prod = _at_zero((f, g))
     if prod is None:
         raise DecompositionError("f(0) g(0) must equal 1, got 0")
-    if not _is_one(prod, tol):
+    if prod != (0, 0) if isinstance(prod, tuple) else _vec.apart(prod, 1, tol):
         raise DecompositionError(
             "f(0) g(0) must equal 1",
             _point_witness(f.group.zero(),
@@ -406,13 +393,13 @@ def _unit_turn(v, order: Optional[int], tol: float) -> Fraction:
                 f"phase at a doubled generator has no order dividing {order}"
             )
         return v
-    if abs(abs(v) - 1.0) > tol:
+    if _vec.apart(abs(v), 1.0, tol):
         raise DecompositionError("phase value is not unimodular")
     ang = Fraction(cmath.phase(v) / (2 * cmath.pi)) % 1
     if order is not None:
         k = round(ang * order) % order
         t = Fraction(k, order)
-        if abs(cval(Exact.unit(t)) - v) > max(tol, 1e-6):
+        if _vec.apart(cval(Exact.unit(t)), v, max(tol, 1e-6)):
             raise DecompositionError(
                 f"phase at a doubled generator has no order dividing {order}"
             )
@@ -420,19 +407,10 @@ def _unit_turn(v, order: Optional[int], tol: float) -> Fraction:
     return ang.limit_denominator(10**6)
 
 
-def _first_difference(p: FuncTable, q: FuncTable, at: np.ndarray,
-                      tol: float) -> Optional[int]:
-    """The first of the domain indices ``at`` where tables ``p`` and ``q``
-    differ (exactly, or beyond ``tol`` on float tables), or None."""
-    w = _vec.first_failure(_vec.numeric_mode([p, q]), [at],
-                           ((0, 0, 1), (1, 0, -1)), tol, False)
-    return None if w is None else int(at[w])
-
-
 def _restriction_matches(p: FuncTable, alpha: FuncTable, tol: float):
     """``p`` equals the character table ``alpha`` on ``X^(2)``."""
     codes, _ = _vec.coset_codes(_vec.domain_info(p.group, p.domain), 2)
-    i = _first_difference(p, alpha, np.flatnonzero(codes == 0), tol)
+    i = _vec.first_difference(p, alpha, tol, np.flatnonzero(codes == 0))
     if i is not None:
         x = p._point(i)
         raise DecompositionError(
@@ -453,8 +431,8 @@ def _sign_table_from_ratio(p: FuncTable, alpha: FuncTable, tol: float) -> FuncTa
         bad = (dt != 0) & ~minus
     else:
         ratio = pv / av
-        plus = np.abs(ratio - 1) <= tol
-        minus = ~plus & (np.abs(ratio + 1) <= tol)
+        plus = ~_vec.apart(ratio, 1, tol)
+        minus = ~plus & ~_vec.apart(ratio, -1, tol)
         bad = ~(plus | minus)
     if bad.any():
         x = p._point(int(np.argmax(bad)))
@@ -533,9 +511,9 @@ def decompose_hermitian(f: FuncTable, g: FuncTable,
         _check_positive_real_at_zero(g, tol, "g")
         _require_unit_product_at_zero(f, g, tol)
         pform = decompose_positive(f.abs_log_table(), g.abs_log_table(), tol)
-        exact = _is_exact_table(f) and _is_exact_table(g)
-        if not (_all_close(pform.l.coeffs, tol, exact)
-                and _all_close(pform.m.coeffs, tol, exact)):
+        lm = pform.l.coeffs + pform.m.coeffs
+        if (any(lm) if _is_exact_table(f) and _is_exact_table(g)
+                else _vec.apart(np.array(lm, dtype=np.float64), 0.0, tol).any()):
             raise DecompositionError(
                 "moduli have a nonzero additive part; they cannot be even solutions"
             )
@@ -553,10 +531,6 @@ def decompose_hermitian(f: FuncTable, g: FuncTable,
         )
 
 
-def _all_close(values, tol: float, exact: bool) -> bool:
-    return all(_close(v, 0, tol, exact) for v in values)
-
-
 def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
     """One-function case: returns (character, sign map mod 2, quadratic form).
 
@@ -564,8 +538,8 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
     leftover sign is constant on doubled (not just quadrupled) cosets; it
     still need not be multiplicative.  The coset part is not checked on its
     own: decomposing the pair ``(|f|, |f|)`` already demanded ``r = -r``,
-    exactly on exact tables and as ``|2r| <= tol`` on float ones.  The pair
-    is one table, so an exact table is split once.
+    exactly on exact tables and as ``2r`` within the tolerance on float
+    ones.  The pair is one table, so an exact table is split once.
     """
     f = _complexified(f)
     _require_nonvanishing(f, "f")
@@ -573,11 +547,14 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
     with _certified((f,), lambda: check_kb_self(f, tol),
                     "the one-function equation fails"):
         _check_positive_real_at_zero(f, tol, "f")
-        if not _is_one(_at_zero((f,)), tol):
+        v = _at_zero((f,))
+        if v != (0, 0) if isinstance(v, tuple) else _vec.apart(v, 1, tol):
             raise DecompositionError("f(0) must equal 1 in the one-function case")
         logs = f.abs_log_table()
         pform = decompose_positive(logs, logs, tol)
-        if not _all_close(pform.l.coeffs, tol, _is_exact_table(f)):
+        coeffs = pform.l.coeffs
+        if (any(coeffs) if _is_exact_table(f)
+                else _vec.apart(np.array(coeffs, dtype=np.float64), 0.0, tol).any()):
             raise DecompositionError("modulus has a nonzero additive part")
         alpha, sa = _hermitian_phase_part(f, tol, "f")
         _require(check_sign_eq26(sa, sa, tol),
@@ -630,11 +607,11 @@ def decompose_vanishing(f: FuncTable, g: FuncTable,
         kind, (a, b), _ = _vec.numeric_mode([f, g])  # |f| = |g|, zeros included
         if kind == "exact":
             (la, _, za), (lb, _, zb) = a, b
-            apart = la != lb
+            differ = la != lb
         else:
             za, zb = a == 0, b == 0
-            apart = ~(np.abs(np.abs(a) - np.abs(b)) <= tol)
-        bad = (za != zb) | (~za & apart)
+            differ = _vec.apart(np.abs(a), np.abs(b), tol)
+        bad = (za != zb) | (~za & differ)
         if bad.any():
             i = int(np.argmax(bad))
             x = f._point(i)
@@ -645,7 +622,7 @@ def decompose_vanishing(f: FuncTable, g: FuncTable,
         sub = _support_subgroup(f, on)
         mode, arrays, _ = f.encoding
         off = (arrays[0][on] != 0 if mode == "exact"
-               else ~(np.abs(np.abs(arrays[on]) - 1.0) <= tol))
+               else _vec.apart(np.abs(arrays[on]), 1.0, tol))
         if off.any():
             x = f._point(on[np.argmax(off)])
             raise DecompositionError(
@@ -660,20 +637,17 @@ def decompose_vanishing(f: FuncTable, g: FuncTable,
 def _support_subgroup(f: FuncTable, on: np.ndarray) -> SubgroupSpec:
     """The subgroup spanned by the support of ``f`` (domain indices ``on`` on
     a finite group, whose origin has index 0), each support point outside
-    the span of those before it a generator.  The span is kept as a mask; a
-    generator ``e`` adds the cosets ``span + j e`` below its first multiple
-    in the span.  The support is a subgroup iff it is the span; otherwise a
-    pair sweep of ``s(x) s(y) = s(x) s(y) s(x-y)`` on the 0/1 support
-    indicator ``s`` names the witness.
+    the span of those before it a generator.  The span is kept as a mask
+    that :func:`kbeq._vec.join_span` grows generator by generator.  The
+    support is a subgroup iff it is the span; otherwise a pair sweep of
+    ``s(x) s(y) = s(x) s(y) s(x-y)`` on the 0/1 support indicator ``s``
+    names the witness.
     """
     info = _vec.domain_info(f.group, f.domain)
     span, gens = np.arange(info.n) == 0, []
     while not span[on].all():
         i = on[np.argmin(span[on])]
-        steps = np.arange(info.n + 1)[:, None] * info.coords[i].astype(np.int64)
-        m = 1 + int(np.argmax(span[_vec.point_codes(info, steps[1:])[0]]))
-        cosets = (steps[:m, None] + info.coords[span]).reshape(-1, f.group.dim)
-        span[_vec.point_codes(info, cosets)[0]] = True
+        _vec.join_span(info, span, info.coords[i])
         gens.append(f._point(i))
     if span.sum() == len(on):
         return SubgroupSpec(f.group, tuple(gens))
@@ -692,11 +666,12 @@ def _fit_character_on(p: FuncTable, on: np.ndarray, sub: SubgroupSpec,
 
     Every candidate's turns at the generators are one integer array, over
     the group's exponent ``L``, compared with ``p`` there as
-    :func:`_first_difference` compares: exact turns, or the complex values
-    of :func:`kbeq._vec._complex` within ``tol``.  A character agreeing with
-    ``p`` on the span agrees with it at the generators, and characters equal
-    at the generators are equal on the span, so only the first candidate of
-    each matching row is compared on ``on`` (exact tables have one row).
+    :func:`kbeq._vec.first_difference` compares: exact turns, or the complex
+    values of :func:`kbeq._vec._complex` by :func:`kbeq._vec.apart`.  A
+    character agreeing with ``p`` on the span agrees with it at the
+    generators, and characters equal at the generators are equal on the
+    span, so only the first candidate of each matching row is compared on
+    ``on`` (exact tables have one row).
     """
     group, k = p.group, len(sub.generators)
     n = np.array(group.torsion, dtype=np.int64)
@@ -710,12 +685,12 @@ def _fit_character_on(p: FuncTable, on: np.ndarray, sub: SubgroupSpec,
         q = [divmod(int(t) * L, arrays[3]) for t in arrays[2][at].tolist()]
         close = turns == np.array([t % L if r == 0 else -1 for t, r in q], dtype=np.int64)
     else:
-        close = np.abs(arrays[at] - _vec._complex(0, 1, turns, L, False)) <= tol
+        close = ~_vec.apart(arrays[at], _vec._complex(0, 1, turns, L, False), tol)
     match = np.flatnonzero(close.all(axis=1))
     _, first = np.unique(turns[match], axis=0, return_index=True)
     for i in match[np.sort(first)]:
         chi = CharacterSpec(group, (), tuple(exps[i].tolist()))
-        if _first_difference(p, _character_table(chi, p.domain), on, tol) is None:
+        if _vec.first_difference(p, _character_table(chi, p.domain), tol, on) is None:
             return chi
     raise DecompositionError(
         "restricted phase does not agree with any character of the group"

@@ -310,12 +310,11 @@ class FuncTable:
             arrays = (lg[order], lgd, tn[order], tnd, zero[order])
         else:
             arrays = arrays[order]
-        nan = np.flatnonzero(np.isnan(arrays)) if mode == "float" else ()
-        if len(nan):
+        bad = np.flatnonzero(~np.isfinite(arrays)) if mode in ("float", "complex") else ()
+        if len(bad):
+            x = group.element(info.coords[bad[0]].tolist())
             raise IncompatibleTablesError(
-                f"value nan at {group.element(info.coords[nan[0]].tolist())} "
-                f"is invalid for kind {kind!r}"
-            )
+                f"value {arrays[bad[0]].item()!r} at {x} is invalid for kind {kind!r}")
         return cls._of(group, domain, kind, (mode, arrays, denom))
 
     def __eq__(self, other) -> bool:
@@ -410,18 +409,18 @@ def _zero_mask(encoding) -> np.ndarray:
     return np.zeros(len(arrays), dtype=bool)
 
 
-def _is_real(v) -> bool:
-    return (isinstance(v, (int, Fraction, float)) and not isinstance(v, bool)
-            and not (isinstance(v, float) and math.isnan(v)))
+def _finite_of(v, types) -> bool:
+    """Is ``v`` of one of ``types``, not a bool, and finite if a float?"""
+    return (isinstance(v, types) and not isinstance(v, bool)
+            and (not isinstance(v, (float, complex)) or cmath.isfinite(v)))
 
 
 _VALUE_CHECKS = {
-    KIND_REAL: _is_real,
-    KIND_POSITIVE: _is_real,
+    KIND_REAL: lambda v: _finite_of(v, (int, Fraction, float)),
+    KIND_POSITIVE: lambda v: _finite_of(v, (int, Fraction, float)),
     KIND_SIGN: lambda v: isinstance(v, int) and not isinstance(v, bool)
     and v in (1, -1),
-    KIND_COMPLEX: lambda v: isinstance(v, (Exact, complex, int, float, Fraction))
-    and not isinstance(v, bool),
+    KIND_COMPLEX: lambda v: _finite_of(v, (Exact, complex, int, float, Fraction)),
 }
 
 
@@ -1031,12 +1030,16 @@ def _hermitian_tables(form: HermitianSolutionForm,
     """:meth:`HermitianSolutionForm.exact_pair` over a domain as two exact
     tables built from arrays: logs ``P +- r`` (:func:`kbeq._vec.form_log_arrays`),
     the character's turns plus a half turn where the sign map is -1, and
-    exact zeros off the support."""
+    exact zeros off the support, the span of its generators grown as a mask
+    (:func:`kbeq._vec.join_span`)."""
     group = form.group
     info = _vec.domain_info(group, domain)
-    zero = np.zeros(info.n, dtype=bool)
-    if form.support is not None:
-        zero = ~np.array([form.support.contains(p) for p in domain.points(group)])
+    span = np.ones(info.n, dtype=bool)
+    if form.support is not None:  # a finite group: the origin has index 0
+        span = np.arange(info.n) == 0
+        for e in form.support.generators:
+            _vec.join_span(info, span, e.coords)
+    zero = ~span
     codes, encode = _vec.coset_codes(info, 4)
     tables = []
     for chi, signs, r in ((form.alpha, form.a, form.r),

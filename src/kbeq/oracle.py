@@ -37,7 +37,6 @@ from .checks import (
     check_kb_self,
 )
 from .decompose import (
-    _first_difference,
     decompose_hermitian,
     decompose_positive,
     decompose_self,
@@ -902,8 +901,7 @@ def _suite_hermitian_soundness(record, gname, group, domain, trials, rng):
             break
         back = decompose_hermitian(f, g)
         # extensions are non-unique (principal choice), so compare as functions
-        every = np.arange(len(f.values))
-        if any(_first_difference(table, rendered, every, 0.0) is not None
+        if any(_vec.first_difference(table, rendered, 0.0) is not None
                for table, rendered in zip((f, g), _hermitian_tables(back, domain))):
             ok, detail = False, f"trial {t}: recovered form evaluates differently"
             break

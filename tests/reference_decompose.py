@@ -414,8 +414,7 @@ def sweep_first_decompose_hermitian(f, g, tol):
                                  _point_witness(z, prod, 1))
     pform = sweep_first_decompose_positive(f.abs_log_table(), g.abs_log_table(), tol)
     exact = _is_exact_table(f) and _is_exact_table(g)
-    if not (dec._all_close(pform.l.coeffs, tol, exact)
-            and dec._all_close(pform.m.coeffs, tol, exact)):
+    if not all(_close(v, 0, tol, exact) for v in pform.l.coeffs + pform.m.coeffs):
         raise DecompositionError(
             "moduli have a nonzero additive part; they cannot be even solutions"
         )
@@ -457,7 +456,7 @@ def sweep_first_decompose_self(f, tol):
                         Exact.one() if exact else 1.0, tol):
         raise DecompositionError("f(0) must equal 1 in the one-function case")
     pform = sweep_first_decompose_positive(f.abs_log_table(), f.abs_log_table(), tol)
-    if not dec._all_close(pform.l.coeffs, tol, exact):
+    if not all(_close(v, 0, tol, exact) for v in pform.l.coeffs):
         raise DecompositionError("modulus has a nonzero additive part")
     if not all(_close(v, 0, tol, exact) for _, v in pform.r.entries):
         raise DecompositionError(

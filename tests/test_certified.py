@@ -31,7 +31,10 @@ from kbeq import _split, _vec, checks, cli
 from kbeq import decompose as dec
 from kbeq.checks import (
     DEFAULT_TOL,
+    check_character,
+    check_coset_constant,
     check_eq5,
+    check_hermitian,
     check_kb,
     check_kb_self,
     check_polynomial,
@@ -338,6 +341,72 @@ def test_corpus_reaches_every_outcome():
     # every function has an exact success
     assert {func for name, func, _, exact in CORPUS
             if exact and outcomes[name][0] == "ok"} == set(FUNCS)
+
+
+# ---------------------------------------------------------------------------
+# one tolerant comparison: every float decision is kbeq._vec.apart
+
+
+def _apart_routes():
+    """Route name -> (route, genuine float arguments): every route that
+    decides anything on float values, each on an input it accepts."""
+    float_case = {name.removesuffix("-float"): args for name, _, args, _ in CORPUS
+                  if name.endswith("-float")}
+    # the real sign character (-1)^x solves the equation as its own pair
+    sign = FuncTable.from_function(ZZ4, Box((4,)), "real",
+                                   lambda p: float((-1) ** p.coords[0]))
+    # constant on the cosets of X^(2) in Z/4, two points each
+    parity = FuncTable.from_function(GroupSpec(0, (4,)), FullGroup(), "real",
+                                     lambda p: 1.0 + p.coords[0] % 2)
+    positive, hermitian = float_case["positive-box"], float_case["hermitian-box"]
+    return {
+        "check_kb-real": (check_kb, (sign, sign)),
+        "check_kb-positive": (check_kb, positive),
+        "check_kb-complex": (check_kb, hermitian),
+        "check_character": (check_character, float_case["self-character"]),
+        "check_hermitian": (check_hermitian, hermitian[:1]),
+        "check_coset_constant": (lambda t, tol: check_coset_constant(t, 2, tol), (parity,)),
+        "recover_deg2": (recover_deg2, float_case["deg2-poly"]),
+        "decompose_T": (decompose_T, float_case["T-log"]),
+        "decompose_positive": (decompose_positive, positive),
+        "decompose_hermitian": (decompose_hermitian, hermitian),
+        "decompose_self": (decompose_self, float_case["self-odd-quadratic"]),
+        "decompose_vanishing": (decompose_vanishing, float_case["vanishing-z9"]),
+    }
+
+
+APART_ROUTES = _apart_routes()
+
+
+def _passes(route, args) -> bool:
+    try:
+        result = route(*args, DEFAULT_TOL)
+    except KbeqError:
+        return False
+    return getattr(result, "holds", True)
+
+
+def _bumped(table):
+    """``table`` with 1e-3 added at its first nonzero value off the origin."""
+    x = next(p for p, v in table.values.items() if v != 0 and not p.is_zero())
+    return _replaced(table, {x.coords: lambda v: v + 1e-3})
+
+
+@pytest.mark.parametrize("name", sorted(APART_ROUTES))
+def test_every_float_decision_goes_through_apart(name, monkeypatch):
+    route, args = APART_ROUTES[name]
+    bumped = (_bumped(args[0]), *args[1:])
+    assert _passes(route, args) and not _passes(route, bumped)
+
+    def apart(value):
+        return lambda a, b, tol, out=None: np.full(np.broadcast(a, b).shape, value)
+
+    # nothing apart: no route keeps a tolerance test of its own
+    monkeypatch.setattr(_vec, "apart", apart(False))
+    assert _passes(route, bumped)
+    # everything apart: each route compares something
+    monkeypatch.setattr(_vec, "apart", apart(True))
+    assert not _passes(route, args)
 
 
 def test_positive_beyond_the_pair_guard_returns_the_seed_form():

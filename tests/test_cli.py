@@ -83,15 +83,24 @@ def test_malformed_input_exits_two(tmp_path, capsys):
 
 
 def test_check_nan_value_exits_two(tmp_path, capsys):
-    t = FuncTable.from_function(GroupSpec(1), Box((3,)), "real", lambda p: 0.0)
-    obj = t.to_json()
-    obj["values"][1][1] = math.nan  # written as a JSON NaN
-    f = tmp_path / "f.json"
-    write_json(f, obj)
-    assert "NaN" in f.read_text(encoding="utf-8")
-    code, payload, err = run(capsys, "check", "-f", str(f), "-g", str(f))
-    assert code == 2
-    assert "invalid for kind 'real'" in payload["error"]
+    # NaN and infinite values of every float kind, written as JSON NaN and
+    # Infinity; a failing report would print them as invalid JSON
+    for kind, zero, bad, literal in (
+            ("real", 0.0, math.nan, "NaN"),
+            ("real", 0.0, math.inf, "Infinity"),
+            ("real", 0.0, -math.inf, "-Infinity"),
+            ("positive", 0.0, {"log": math.inf}, "Infinity"),
+            ("complex", 1.0, [math.nan, 0.0], "NaN"),
+            ("complex", 1.0, [0.0, -math.inf], "-Infinity")):
+        t = FuncTable.from_function(GroupSpec(1), Box((3,)), kind, lambda p: zero)
+        obj = t.to_json()
+        obj["values"][1][1] = bad
+        f = tmp_path / "f.json"
+        write_json(f, obj)
+        assert literal in f.read_text(encoding="utf-8")
+        code, payload, err = run(capsys, "check", "-f", str(f), "-g", str(f))
+        assert code == 2, (kind, bad)
+        assert f"invalid for kind '{kind}'" in payload["error"]
 
 
 @pytest.mark.parametrize("values,message", [

@@ -631,6 +631,42 @@ def test_vanishing_renders_no_form_and_one_character_table_per_table(monkeypatch
     assert calls == {"render": 0, "character": 2}
 
 
+def _support_forms(rng):
+    """Support-restricted forms on the supports of the vanishing tests: the
+    two fixed pairs above and random subgroups of odd-order groups."""
+    fixed = (((243, 81), ((3, 9), (0, 27))), ((63, 63), ((1, 0), (0, 1))), ((9,), ((3,),)))
+    cases = [(GroupSpec(0, t), [GroupSpec(0, t).element(c) for c in gens])
+             for t, gens in fixed]
+    for torsion in ODD_TORSIONS[::15]:
+        group = GroupSpec(0, torsion)
+        cases.append((group, [group.element([rng.randrange(n) for n in torsion])
+                              for _ in range(rng.randrange(3))]))
+    for group, gens in cases:
+        one = SignMap.trivial(group, 4)
+        exps = [tuple(rng.randrange(n) for n in group.torsion) for _ in range(2)]
+        yield HermitianSolutionForm(
+            CharacterSpec(group, (), exps[0]), CharacterSpec(group, (), exps[1]), one, one,
+            QuadraticForm.zero(group), CosetConstantMap.zero(group),
+            SubgroupSpec(group, tuple(gens)))
+
+
+def test_support_synthesis_matches_exact_pair_without_membership_tests(monkeypatch):
+    # the support mask is grown from the generators, never by SubgroupSpec.contains
+    forms = list(_support_forms(Random(7)))
+    calls = []
+    contains = SubgroupSpec.contains
+    monkeypatch.setattr(SubgroupSpec, "contains",
+                        lambda self, x: calls.append(x) or contains(self, x))
+    tables = [synth_table(form, FullGroup()) for form in forms]
+    assert calls == []
+    monkeypatch.undo()
+    for form, pair in zip(forms, tables):
+        for i, table in enumerate(pair):
+            oracle = FuncTable.from_function(form.group, FullGroup(), "complex",
+                                             lambda x: form.exact_pair(x)[i])
+            assert table == oracle, (form.group, form.support)
+
+
 def test_two_coset_group_signs_are_multiplicative():
     # when X / X^(2) has just two cosets the recovered signs multiply:
     # on the nontrivial coset x + y lands back in X^(2) where the sign is 1

@@ -73,10 +73,13 @@ def test_table_kind_validation():
 
 
 def test_real_and_positive_tables_reject_nan():
-    for kind in ("real", "positive"):
-        with pytest.raises(IncompatibleTablesError):
+    cases = [(kind, bad) for kind in ("real", "positive", "complex")
+             for bad in (math.nan, math.inf, -math.inf)]
+    cases += [("complex", v) for v in (complex(math.nan, 0), complex(0, math.inf))]
+    for kind, bad in cases:
+        with pytest.raises(IncompatibleTablesError, match="is invalid for kind"):
             FuncTable.from_function(GroupSpec(1), Box((3,)), kind,
-                                    lambda p: math.nan if p.coords == (1,) else 0.0)
+                                    lambda p: bad if p.coords == (1,) else 1.0)
 
 
 def test_positive_table_func_values():
