@@ -35,11 +35,12 @@ the equation on the whole group, hence on every window: the parallelogram
 law settles the ``P`` terms, and ``x+y``, ``x-y`` share an ``X^(2)``-coset,
 as do ``y`` and ``-y``, so the ``r`` terms cancel.  On exact tables
 :func:`_split_positive` is therefore a certificate of the equation that
-sweeps no pair; it compares the two splits' parts as integer arrays.
-:mod:`kbeq.checks` tries it before sweeping ``check_kb``, and
-:mod:`kbeq.decompose` builds the positive decompositions from the parts
-:func:`_split_parts` kept on the same tables, so an exact pair checked and
-then decomposed is split once per table.  This module imports neither of them.
+sweeps no pair; it compares the two splits' parts as integer arrays.  It
+is the one routine for positive pairs: ``check_kb`` tries it before
+sweeping, ``decompose_positive`` returns it as a form, and the Hermitian
+and one-function decompositions split their moduli with it.  An exact pair
+checked and then decomposed is split once per table (the kept parts).
+This module imports neither :mod:`kbeq.checks` nor :mod:`kbeq.decompose`.
 """
 
 from __future__ import annotations
@@ -286,6 +287,7 @@ def _split_positive(f: FuncTable, g: FuncTable, tol: float) -> tuple[_Parts, _Pa
     that the pair solves the equation on the whole group.
     """
     _require_decomposable_domain(f)
-    parts = _split_parts(f, tol), _split_parts(g, tol)
+    fp = _split_parts(f, tol)
+    parts = fp, fp if g is f else _split_parts(g, tol)  # one table, one split
     _pair_check(f.group, *parts, tol, _is_exact_table(f) and _is_exact_table(g))
     return parts

@@ -5,11 +5,13 @@ triple-difference equation splits into an even part (quadratic form plus a
 coset-constant map) and an odd part (an additive map), and the two log
 tables of a pair must share the quadratic form and have opposite coset
 maps.  The split itself, certified by a residual sweep over the whole
-window, lives in :mod:`kbeq._split`, where :func:`kbeq.checks.check_kb`
-uses it too; this module runs it under the equation sweeps below.
+window, lives in :mod:`kbeq._split`; its pair routine ``_split_positive``
+is the one split of positive pairs, shared by the certificate of
+:func:`kbeq.checks.check_kb`, :func:`decompose_positive` and the moduli of
+the Hermitian and one-function routes.
 
-The Hermitian route first decomposes the moduli via the positive route,
-then factors the unimodular part ``p`` into a character ``alpha`` (fitted
+The Hermitian route first splits the moduli as a positive pair, then
+factors the unimodular part ``p`` into a character ``alpha`` (fitted
 on the doubled subgroup and extended to the whole group with deterministic
 principal square roots) times a +/-1-valued map, and validates every
 structural claim: ``p = alpha`` on the doubled subgroup, ``p = +-alpha``
@@ -25,12 +27,13 @@ are fitted at the support generators; on an odd-order group the support
 subgroup needs no doubling or order-2 test, and the fitted form needs no
 comparison with the input (see :func:`decompose_vanishing`).
 
-Every decomposition certifies itself, then explains failures.  On exact
+Every decomposition certifies itself once, then explains failures: each
+public function is one certified block, and none calls another.  On exact
 tables a form that passes the exact residual and structure checks solves
 the equation on the whole group, so no equation sweep runs unless the
-recovery raises; the sweeps then run in sweep-first order, and a failing
-one is raised as :class:`~kbeq.errors.EquationFailsError` in place of the
-recovery's own error.  Float tables are swept first: a residual within
+recovery raises; the sweep then runs, and if it fails it is raised as
+:class:`~kbeq.errors.EquationFailsError` in place of the recovery's own
+error.  Float tables are swept first: a residual within
 ``tol`` does not bound the equation's error by ``tol``.
 """
 
@@ -48,11 +51,11 @@ from ._split import (
     _Parts,
     _forms,
     _is_exact_table,
-    _pair_check,
     _point_witness,
     _positive_form,
     _require_decomposable_domain,
     _split_parts,
+    _split_positive,
     _to_fraction,
     extend_biadditive,
 )
@@ -215,20 +218,10 @@ def decompose_T(table: FuncTable, tol: float = DEFAULT_TOL):
     """
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("log-domain decomposition needs a real table")
-    return _forms(table.group, _decompose_parts(table, tol))
-
-
-def _decompose_parts(table: FuncTable, tol: float):
-    """:func:`decompose_T` as the split's integer parts; a positive table
-    splits as the real table of its logs."""
     _require_decomposable_domain(table)
-
-    def eq5():
-        real = table.as_real_log() if table.kind == KIND_POSITIVE else table
-        return check_eq5(real, tol)
-
-    with _certified((table,), eq5, "triple-difference equation fails"):
-        return _split_parts(table, tol)
+    with _certified((table,), lambda: check_eq5(table, tol),
+                    "triple-difference equation fails"):
+        return _forms(table.group, _split_parts(table, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +232,19 @@ def decompose_positive(f: FuncTable, g: FuncTable,
                        tol: float = DEFAULT_TOL) -> PositiveSolutionForm:
     """Recover the structured form of a positive solution pair.
 
-    Both log tables are decomposed independently, into the integer parts of
-    :mod:`kbeq._split`; the theory forces equal quadratic parts and opposite
-    coset parts, and both facts are verified on those arrays (exactly for
-    rational tables) before the form is built from them.  An exact table
-    reuses the split a :func:`~kbeq.checks.check_kb` certificate kept on it.
+    The pair is split by :func:`kbeq._split._split_positive`, the
+    certificate of :func:`~kbeq.checks.check_kb`: both log tables into
+    integer parts, whose equal quadratic and opposite coset parts are
+    verified on those arrays (exactly for rational tables) before the form
+    is built.  An exact table reuses the split a ``check_kb`` certificate
+    kept on it.
     """
     if f.kind != KIND_POSITIVE or g.kind != KIND_POSITIVE:
         raise IncompatibleTablesError("positive decomposition needs positive tables")
     _require_same(f, g)
     with _certified((f, g), lambda: check_kb(f, g, tol),
                     "the functional equation fails"):
-        parts = _decompose_parts(f, tol), _decompose_parts(g, tol)
-        _pair_check(f.group, *parts, tol, _is_exact_table(f) and _is_exact_table(g))
-        return _positive_form(f.group, *parts)
+        return _positive_form(f.group, *_split_positive(f, g, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +357,14 @@ def _require_unit_product_at_zero(f: FuncTable, g: FuncTable, tol: float):
 
 
 def _fit_doubled_turns(p: FuncTable, tol: float) -> list[Fraction]:
-    """Turns of the character candidate at doubled generators."""
+    """Turns of the character candidate at doubled generators; the window
+    holds every ``2e_j``, since the moduli's split, run first, needs Box
+    radius >= 4 and a Box takes every torsion residue."""
     group = p.group
     mode, arrays, _ = p.encoding
     turns = []
     for i, e in enumerate(group.generators()):
-        try:
-            k = p._index(group.scale(2, e))
-        except KeyError:
-            raise DomainSizeError("window must contain the doubled generators") from None
+        k = p._index(group.scale(2, e))
         if i < group.rank:
             order = None
         else:
@@ -453,14 +444,12 @@ def _require_even(tab: FuncTable, name: str):
 
 
 def _sign_map_from_table(tab: FuncTable, modulus: int) -> SignMap:
-    """The sign map of a sign table, read at each coset's first point."""
+    """The sign map of a sign table, read at each coset's first point; the
+    window meets every coset of ``X^(4)``, since the moduli's split, run
+    first, needs Box radius >= 4 and a Box takes every torsion residue."""
     group = tab.group
     codes, _ = _vec.coset_codes(_vec.domain_info(group, tab.domain), modulus)
     _, first = np.unique(codes, return_index=True)
-    if len(first) != group.coset_count(modulus):
-        raise DomainSizeError(
-            f"window does not meet every coset of X^({modulus})"
-        )
     # codes ascend with the cosets' residues, as coset_indices does
     signs = (1 - 2 * tab.encoding[1][first]).tolist()
     return SignMap(group, modulus, tuple(zip(group.coset_indices(modulus), signs)))
@@ -510,7 +499,8 @@ def decompose_hermitian(f: FuncTable, g: FuncTable,
         _check_positive_real_at_zero(f, tol, "f")
         _check_positive_real_at_zero(g, tol, "g")
         _require_unit_product_at_zero(f, g, tol)
-        pform = decompose_positive(f.abs_log_table(), g.abs_log_table(), tol)
+        pform = _positive_form(
+            f.group, *_split_positive(f.abs_log_table(), g.abs_log_table(), tol))
         lm = pform.l.coeffs + pform.m.coeffs
         if (any(lm) if _is_exact_table(f) and _is_exact_table(g)
                 else _vec.apart(np.array(lm, dtype=np.float64), 0.0, tol).any()):
@@ -537,9 +527,9 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
     Compared with the two-function case the coset part must vanish and the
     leftover sign is constant on doubled (not just quadrupled) cosets; it
     still need not be multiplicative.  The coset part is not checked on its
-    own: decomposing the pair ``(|f|, |f|)`` already demanded ``r = -r``,
+    own: splitting the pair ``(|f|, |f|)`` already demanded ``r = -r``,
     exactly on exact tables and as ``2r`` within the tolerance on float
-    ones.  The pair is one table, so an exact table is split once.
+    ones.  The pair is one table, so it is split once, exact or float.
     """
     f = _complexified(f)
     _require_nonvanishing(f, "f")
@@ -551,7 +541,7 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
         if v != (0, 0) if isinstance(v, tuple) else _vec.apart(v, 1, tol):
             raise DecompositionError("f(0) must equal 1 in the one-function case")
         logs = f.abs_log_table()
-        pform = decompose_positive(logs, logs, tol)
+        pform = _positive_form(f.group, *_split_positive(logs, logs, tol))
         coeffs = pform.l.coeffs
         if (any(coeffs) if _is_exact_table(f)
                 else _vec.apart(np.array(coeffs, dtype=np.float64), 0.0, tol).any()):

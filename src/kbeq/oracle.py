@@ -124,7 +124,7 @@ def builtin_odd_quadratic(radius: int) -> FuncTable:
 # sign-pair census
 
 
-_SIGN_CANDIDATE_BUDGET = 1 << 22  # candidate (a, b) pairs a census may try
+_SIGN_SIDE_BUDGET = 1 << 22  # entries 2^k n^2 of one side parity matrix
 
 
 @dataclass
@@ -162,11 +162,14 @@ class SignSolutionCensus:
 def enum_sign_solutions(group: GroupSpec, order_budget: int = 256) -> SignSolutionCensus:
     """Exhaustive census of sign pairs (a, b) with the required structure.
 
-    Free choices are the values on negation orbits outside ``X^(2)`` (sign
-    maps are even and 1 on the doubled image); all remaining structure is
-    checked against the sign functional equation over every pair of points.
-    Deterministic: candidates enumerate lexicographically (+1 before -1)
-    over the flattened (a, b) sign vectors.
+    Free choices are the values on the ``k`` negation orbits outside
+    ``X^(2)`` (sign maps are even and 1 on the doubled image), enumerated
+    lexicographically (+1 before -1).  In parity bits the sign equation is
+    ``a(x+y) + a(x) + a(y) = b(x-y) + b(x) + b(y)`` at every point pair, so
+    each candidate's side is one row of XORed parity columns and a pair
+    solves it iff its rows are equal; matches come out in ``(a, b)`` order.
+    More than ``_SIGN_SIDE_BUDGET`` side entries, ``2^k n^2``, are refused
+    before any pair is built.
     """
     if not group.is_finite:
         raise GroupHypothesisError("census needs a finite group")
@@ -180,37 +183,26 @@ def enum_sign_solutions(group: GroupSpec, order_budget: int = 256) -> SignSoluti
     least = np.minimum(outside, _vec.neg_codes(info)[outside])
     firsts, orbit_of = np.unique(least, return_inverse=True)
     k = len(firsts)
-    if 4**k > _SIGN_CANDIDATE_BUDGET:
+    if 2**k * n * n > _SIGN_SIDE_BUDGET:
         raise BudgetExceededError(
-            f"{4**k} candidate pairs exceed the candidate budget"
+            f"{2**k} candidate maps on {n} elements exceed the census budget"
         )
     # every pair (x, y) with the indices of x+y and x-y, in any order
     ii, jj, kxy, kxmy = map(np.concatenate, zip(
         *_vec.pair_blocks(info, ((1, 1), (1, -1)), n * n)))
-    # candidate value matrices, chunked over a-choices
-    choice_bits = np.array(
-        [[(c >> (k - 1 - o)) & 1 for o in range(k)] for c in range(2**k)],
-        dtype=np.int8,
-    ) if k else np.zeros((1, 0), dtype=np.int8)
-    vecs = np.ones((2**k, n), dtype=np.int8)
-    vecs[:, outside] = 1 - 2 * choice_bits[:, orbit_of]
-    pairs = []
-    annotations = []
-    for ca in range(2**k):
-        av = vecs[ca].astype(np.int64)
-        lhs_a = av[kxy]
-        rest = av[ii] * av[jj]
-        bmat = vecs.astype(np.int64)
-        lhs = lhs_a * bmat[:, kxmy]
-        rhs = rest * (bmat[:, ii] * bmat[:, jj])
-        good = np.flatnonzero((lhs == rhs).all(axis=1))
-        for cb in good:
-            a_tab, b_tab = (FuncTable._of(group, FullGroup(), KIND_SIGN,
-                                          ("parity", (1 - v.astype(np.int64)) >> 1, 1))
-                            for v in (av, vecs[int(cb)]))
-            pairs.append((a_tab, b_tab))
-            annotations.append(_annotate_pair(group, a_tab, b_tab))
-    return SignSolutionCensus(group, pairs, annotations)
+    # candidate parity vectors: orbit o of candidate c is bit k-1-o of c
+    bits = np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1) & 1
+    par = np.zeros((2**k, n), dtype=np.uint8)
+    par[:, outside] = bits[:, orbit_of]
+    side_a, side_b = (np.packbits(par[:, s] ^ par[:, ii] ^ par[:, jj], axis=1)
+                      for s in (kxy, kxmy))
+    by_side: dict[bytes, list[int]] = {}
+    for cb, row in enumerate(side_b):
+        by_side.setdefault(row.tobytes(), []).append(cb)
+    pairs = [tuple(FuncTable._of(group, FullGroup(), KIND_SIGN,
+                                 ("parity", par[c].astype(np.int64), 1)) for c in (ca, cb))
+             for ca, row in enumerate(side_a) for cb in by_side.get(row.tobytes(), ())]
+    return SignSolutionCensus(group, pairs, [_annotate_pair(group, a, b) for a, b in pairs])
 
 
 def _annotate_pair(group: GroupSpec, a: FuncTable, b: FuncTable) -> dict:

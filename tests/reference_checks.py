@@ -15,7 +15,9 @@ values and builds the table from the resulting mapping; it is the oracle for
 ``value_is_zero`` and ``values_equal`` compare single values in that native
 arithmetic, ``all_characters`` lists the characters of a finite group and
 ``subgroup_closure`` the elements of a subgroup, by closure under its
-generators.
+generators.  ``sign_census_pairs`` is the sign census's earlier candidate
+loop, every ``(a, b)`` pair tested against every pair of points; it is the
+oracle for ``kbeq.oracle.enum_sign_solutions``, which matches side vectors.
 """
 
 import itertools
@@ -25,11 +27,17 @@ from math import comb, lcm
 
 import numpy as np
 
+from kbeq import _vec
 from kbeq._vec import _INT_LIMIT
 from kbeq.checks import CheckReport, Witness
-from kbeq.errors import GroupMismatchError, GroupParseError, IncompatibleTablesError
+from kbeq.errors import (
+    BudgetExceededError,
+    GroupMismatchError,
+    GroupParseError,
+    IncompatibleTablesError,
+)
 from kbeq.functions import CharacterSpec, Exact, FuncTable, cmul, cval
-from kbeq.groups import domain_from_json, parse_group
+from kbeq.groups import FullGroup, domain_from_json, parse_group
 
 
 def value_is_zero(v) -> bool:
@@ -388,3 +396,35 @@ def coset_relation(a, b) -> dict:
         key = ",".join(map(str, idx.residues))
         relation[key] = seen.pop() if len(seen) == 1 else (0 if seen else None)
     return relation
+
+
+def sign_census_pairs(group, candidate_budget=1 << 22):
+    """The sign census as ``(a, b)`` lists of +-1 values in domain order:
+    for each candidate ``a`` in turn, every candidate ``b`` tested at every
+    pair of points in +-1 products, lexicographically with +1 before -1
+    over the negation orbits outside ``X^(2)``.  More than
+    ``candidate_budget`` candidate pairs raise ``BudgetExceededError``."""
+    info = _vec.domain_info(group, FullGroup())
+    n = info.n
+    cosets, _ = _vec.coset_codes(info, 2)
+    outside = np.flatnonzero(cosets != 0)
+    least = np.minimum(outside, _vec.neg_codes(info)[outside])
+    _, orbit_of = np.unique(least, return_inverse=True)
+    k = int(orbit_of.max()) + 1 if len(outside) else 0
+    if 4**k > candidate_budget:
+        raise BudgetExceededError(f"{4**k} candidate pairs exceed the candidate budget")
+    ii, jj, kxy, kxmy = map(np.concatenate, zip(
+        *_vec.pair_blocks(info, ((1, 1), (1, -1)), n * n)))
+    choice_bits = np.array(
+        [[(c >> (k - 1 - o)) & 1 for o in range(k)] for c in range(2**k)],
+        dtype=np.int8,
+    ) if k else np.zeros((1, 0), dtype=np.int8)
+    vecs = np.ones((2**k, n), dtype=np.int8)
+    vecs[:, outside] = 1 - 2 * choice_bits[:, orbit_of]
+    # b's factors of a(x+y) b(x-y) = a(x) a(y) b(x) b(y), for every b at once
+    b_lhs, b_rhs = vecs[:, kxmy], vecs[:, ii] * vecs[:, jj]
+    pairs = []
+    for av in vecs:
+        good = (av[kxy] * b_lhs == av[ii] * av[jj] * b_rhs).all(axis=1)
+        pairs += [(av.tolist(), vecs[cb].tolist()) for cb in np.flatnonzero(good)]
+    return pairs

@@ -48,7 +48,7 @@ from kbeq.decompose import (
     decompose_vanishing,
     recover_deg2,
 )
-from kbeq.errors import BudgetExceededError, KbeqError
+from kbeq.errors import BudgetExceededError, EquationFailsError, KbeqError
 from kbeq.functions import (
     AdditiveMap,
     CharacterSpec,
@@ -592,6 +592,40 @@ def test_hermitian_route_builds_no_exact_and_sweeps_once(monkeypatch):
     assert synth_table(vback, FullGroup()) == (vf, vg)
 
 
+def test_pair_decompositions_sample_no_triples(monkeypatch):
+    # one split per positive pair: only decompose_T still reaches check_eq5
+    # and its triple sample, so every pair route answers without them, on
+    # exact and float corpus pairs, failing or not
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair decomposition sampled triples")
+
+    monkeypatch.setattr(_vec, "triple_maps", refuse)
+    cases = [case for case in CORPUS + PHASE_CASES
+             if case[1] in ("positive", "hermitian", "self")]
+    outcomes = [_outcome(FUNCS[func][0], args) for _, func, args, _ in cases]
+    assert {"ok", "EquationFailsError", "DecompositionError"} <= {o[0] for o in outcomes}
+    # a radius-10 window with one log altered: the split fails, the sweep explains
+    group = GroupSpec(2, (4, 3))
+    f, g = synth_table(random_positive_form(group, Random(1)), Box((10, 10)))
+    bad = _replaced(f, {(3, -2, 1, 0): lambda v: v + 1})
+    with pytest.raises(EquationFailsError, match="the functional equation fails"):
+        decompose_positive(bad, g)
+
+
+def test_float_hermitian_certifies_once(monkeypatch):
+    # the moduli are split inside decompose_hermitian's own certification,
+    # not by a nested decompose_positive with a second check_kb
+    calls = []
+    real = dec.check_kb
+    monkeypatch.setattr(dec, "check_kb", lambda *args: calls.append(args) or real(*args))
+    sweeps = _pair_block_counter(monkeypatch)
+    f, g = _floated("hermitian", synth_table(random_hermitian_form(ZZ4, Random(5)),
+                                             Box((4,))))
+    decompose_hermitian(f, g)
+    assert len(calls) == 1
+    assert sweeps[0] == 2  # check_kb and the sign equation
+
+
 # ---------------------------------------------------------------------------
 # check_kb: certified against swept reports
 
@@ -886,6 +920,14 @@ def test_check_kb_self_splits_once(monkeypatch):
     count = _form_values_counter(monkeypatch)
     assert check_kb_self(f).holds
     assert count[0] == 1 and f._parts is not None
+
+
+def test_float_self_decomposition_splits_once(monkeypatch):
+    # a float split is not kept, so the pair (|f|, |f|) is split once, not twice
+    (f,) = next(args for name, _, args, _ in CORPUS if name == "self-quadratic-float")
+    count = _form_values_counter(monkeypatch)
+    decompose_self(f)
+    assert count[0] == 1
 
 
 def test_new_tables_keep_no_split():

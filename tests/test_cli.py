@@ -19,7 +19,7 @@ from kbeq.functions import (
     synth_table,
 )
 from kbeq.groups import Box, FullGroup, GroupSpec, SubgroupSpec
-from kbeq.oracle import random_hermitian_form, random_positive_form
+from kbeq.oracle import builtin_odd_quadratic, random_hermitian_form, random_positive_form
 from random import Random
 
 
@@ -239,6 +239,37 @@ def test_demo_deterministic_output(tmp_path, capsys):
     assert main(["demo", "counterexample", "--output", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_check_self_command(tmp_path, capsys):
+    table = builtin_odd_quadratic(6)
+    flipped = dict(table.values)
+    x = table.group.element((1, 2))
+    flipped[x] = -flipped[x]
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    write_json(good, table.to_json())
+    write_json(bad, FuncTable(table.group, table.domain, "sign", flipped).to_json())
+    code, payload, _ = run(capsys, "check-self", "-f", str(good))
+    assert code == 0 and payload["report"]["holds"] is True
+    code, payload, _ = run(capsys, "check-self", "-f", str(bad))
+    assert code == 1 and payload["report"]["holds"] is False
+    assert payload["report"]["witness"] is not None
+
+
+def test_decompose_hermitian_negated_pair_reports_the_witness(tmp_path, capsys):
+    # -f, -g still solve the equation, but f(0) = -1 has no form
+    group = GroupSpec(2, (4,))
+    minus = Exact.from_sign(-1)
+    paths = []
+    for name, t in zip("fg", synth_table(random_hermitian_form(group, Random(1)),
+                                         Box((4, 4)))):
+        paths += [f"-{name}", str(tmp_path / f"{name}.json")]
+        write_json(tmp_path / f"{name}.json", FuncTable(
+            group, t.domain, "complex", {p: v * minus for p, v in t.values.items()}).to_json())
+    code, payload, _ = run(capsys, "decompose-hermitian", *paths)
+    assert code == 1
+    assert payload["error"].startswith("f(0) must be a positive real; ")
+    assert payload["witness"]["x"] == [0, 0, 0]
 
 
 def test_enum_signs_command(capsys):

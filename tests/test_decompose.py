@@ -10,7 +10,7 @@ import reference_decompose
 from reference_checks import subgroup_closure
 from reference_decompose import split_T
 from kbeq import _vec, decompose, functions
-from kbeq.checks import DEFAULT_TOL, check_kb, check_kb_self
+from kbeq.checks import DEFAULT_TOL, check_hermitian, check_kb, check_kb_self
 from kbeq.decompose import (
     decompose_T,
     decompose_hermitian,
@@ -391,6 +391,50 @@ def test_hermitian_rejects_vanishing_input():
         lambda p: Exact.one() if p.coords[0] == 0 else Exact.zero_value())
     with pytest.raises(DecompositionError):
         decompose_hermitian(f, f)
+
+
+def _float_complex(table):
+    return FuncTable(table.group, table.domain, "complex",
+                     {p: v.to_complex() for p, v in table.values.items()})
+
+
+def test_hermitian_float_sign_part_must_be_even():
+    # evenness of the sign part is not implied on float tables: f negated at
+    # x = 5 alone, where |f| is about 3e-33, stays Hermitian and solves the
+    # equation within the tolerance, and only the sign part's evenness
+    # rejects it
+    chi, one = CharacterSpec(Z, (Fraction(1, 12),), ()), SignMap.trivial(Z, 4)
+    form = HermitianSolutionForm(chi, chi, one, one, QuadraticForm(Z, ((Fraction(-3),),)),
+                                 CosetConstantMap.zero(Z))
+    f, g = map(_float_complex, synth_table(form, Box((6,))))
+    x = Z.element((5,))
+    bad = FuncTable(Z, f.domain, "complex",
+                    {p: -v if p == x else v for p, v in f.values.items()})
+    assert abs(bad.values[x]) < 1e-32
+    assert check_hermitian(bad).holds and check_kb(bad, g).holds
+    with pytest.raises(DecompositionError, match="f-sign part is not even") as info:
+        decompose_hermitian(bad, g)
+    assert info.value.witness["x"] == [-5]
+
+
+def test_hermitian_accepts_positive_tables_exact_and_float():
+    # a positive pair with zero additive maps is a Hermitian pair with
+    # trivial characters and sign maps, read from exact and from float logs
+    group = GroupSpec(2, (4,))
+    P = QuadraticForm(group, ((Fraction(1, 16), Fraction(1, 32), 0),
+                              (Fraction(1, 32), Fraction(-1, 16), 0), (0, 0, 0)))
+    r = CosetConstantMap(group, tuple(zip(group.coset_indices(2), map(Fraction, (
+        "0", "1/8", "-1/4", "1/2", "-1/8", "3/8", "0", "1/4")))))
+    zero = AdditiveMap.zero(group)
+    f, g = synth_table(PositiveSolutionForm(P, zero, zero, r), Box((4, 4)))
+    floats = tuple(FuncTable(group, t.domain, "positive",
+                             {p: float(v) for p, v in t.values.items()}) for t in (f, g))
+    assert floats[0].encoding[0] == "float"
+    for pair in ((f, g), floats):
+        form = decompose_hermitian(*pair)
+        assert form.alpha.is_trivial() and form.beta.is_trivial()
+        assert form.a.is_trivial() and form.b.is_trivial()
+        assert form.P == P and form.r == r
 
 
 # ---------------------------------------------------------------------------

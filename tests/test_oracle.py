@@ -14,7 +14,7 @@ from kbeq.checks import DEFAULT_TOL, check_coset_constant, check_kb, check_kb_se
 from kbeq.errors import BudgetExceededError
 from kbeq.functions import FuncTable
 from kbeq.groups import Box, FullGroup, GroupSpec, parse_group
-from kbeq import oracle
+from kbeq import _vec, oracle
 from kbeq.oracle import (
     _CHECK_ROWS,
     _LINE_ROWS,
@@ -153,6 +153,49 @@ def test_census_matches_unpruned_bruteforce(group):
             tuple(b.values[x] for x in elements))
            for a, b in census.pairs]
     assert got == unpruned_sign_census(group)
+
+
+@pytest.mark.parametrize("group", [g for g in ABELIAN_LE_32 if g.order() <= 16],
+                         ids=str)
+def test_census_matches_the_candidate_loop(group):
+    # the side-vector match against the loop over every candidate pair,
+    # wherever that loop answers ((Z/2)^4 is refused by both)
+    try:
+        want = ref.sign_census_pairs(group)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            enum_sign_solutions(group)
+        assert group == GroupSpec(0, (2, 2, 2, 2))
+        return
+    got = [(list(a.values.values()), list(b.values.values()))
+           for a, b in enum_sign_solutions(group).pairs]
+    assert got == want
+
+
+def test_census_z4_z8_claims_b_and_c():
+    # beyond the old candidate budget (4^12 pairs): every pair is constant
+    # mod 4 and each doubled coset relates the two maps by +-1, yet half of
+    # the pairs are not constant mod 2
+    census = enum_sign_solutions(GroupSpec(0, (4, 8)))
+    assert census.count == 64
+    anns = census.annotations
+    assert all(a["a_constant_mod4"] and a["b_constant_mod4"] for a in anns)
+    assert all(v in (1, -1) for a in anns for v in a["coset_relation"].values())
+    assert sum(not a["a_constant_mod2"] for a in anns) == 32
+    assert sum(not a["b_constant_mod2"] for a in anns) == 32
+
+
+@pytest.mark.parametrize("torsion,budget", [
+    ((2, 2, 2, 2), 256), ((2, 4, 4), 256), ((2049,), 4096),
+], ids=["Z2^4", "Z2xZ4xZ4", "Z2049"])
+def test_census_refuses_beyond_its_side_budget(torsion, budget, monkeypatch):
+    # 2^k n^2 side entries over 2^22: refused before any pair is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused census must not build pairs")
+
+    monkeypatch.setattr(_vec, "pair_blocks", refuse)
+    with pytest.raises(BudgetExceededError, match="census budget"):
+        enum_sign_solutions(GroupSpec(0, torsion), order_budget=budget)
 
 
 def test_census_odd_group_is_trivial():
