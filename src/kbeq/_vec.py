@@ -148,8 +148,10 @@ def _factors(info: VecDomain, combos) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def pair_count(info: VecDomain, combos) -> int:
     """Number of in-range pairs (x, y), the product of the per-coordinate
-    counts; builds no index, so any window can be counted."""
-    return math.prod(int(cnt.sum()) for _, cnt in _factors(info, combos))
+    counts; builds no index, so any window can be counted.  Cached per
+    domain and combinations."""
+    return memo((info.group, info.domain, "count", combos), lambda: math.prod(
+        int(cnt.sum()) for _, cnt in _factors(info, combos)))
 
 
 def _rows(info: VecDomain, c: int, combos, factor, a0: int, a1: int) -> list:

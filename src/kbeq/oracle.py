@@ -167,9 +167,10 @@ def enum_sign_solutions(group: GroupSpec, order_budget: int = 256) -> SignSoluti
     lexicographically (+1 before -1).  In parity bits the sign equation is
     ``a(x+y) + a(x) + a(y) = b(x-y) + b(x) + b(y)`` at every point pair, so
     each candidate's side is one row of XORed parity columns and a pair
-    solves it iff its rows are equal; matches come out in ``(a, b)`` order.
-    More than ``_SIGN_SIDE_BUDGET`` side entries, ``2^k n^2``, are refused
-    before any pair is built.
+    solves it iff its rows are equal; matches come out in ``(a, b)`` order,
+    and their annotations are read from the same parity matrix.  More than
+    ``_SIGN_SIDE_BUDGET`` side entries, ``2^k n^2``, are refused before any
+    pair is built.
     """
     if not group.is_finite:
         raise GroupHypothesisError("census needs a finite group")
@@ -199,31 +200,51 @@ def enum_sign_solutions(group: GroupSpec, order_budget: int = 256) -> SignSoluti
     by_side: dict[bytes, list[int]] = {}
     for cb, row in enumerate(side_b):
         by_side.setdefault(row.tobytes(), []).append(cb)
+    matches = [(ca, cb) for ca, row in enumerate(side_a)
+               for cb in by_side.get(row.tobytes(), ())]
     pairs = [tuple(FuncTable._of(group, FullGroup(), KIND_SIGN,
                                  ("parity", par[c].astype(np.int64), 1)) for c in (ca, cb))
-             for ca, row in enumerate(side_a) for cb in by_side.get(row.tobytes(), ())]
-    return SignSolutionCensus(group, pairs, [_annotate_pair(group, a, b) for a, b in pairs])
+             for ca, cb in matches]
+    return SignSolutionCensus(group, pairs, _annotations(info, par, matches))
 
 
-def _annotate_pair(group: GroupSpec, a: FuncTable, b: FuncTable) -> dict:
-    codes, encode = _vec.coset_codes(_vec.domain_info(group, a.domain), 2)
+def _annotations(info: _vec.VecDomain, par: np.ndarray,
+                 matches: list[tuple[int, int]]) -> list[dict]:
+    """Annotations of the pairs ``matches`` of rows of the parity matrix
+    ``par`` (one row of 0/1 parities per map, in domain order).
+
+    A map is constant on the cosets of ``X^(m)`` meeting the domain when
+    every point's parity equals that of its coset's first point: one
+    comparison of the whole matrix per modulus, read per pair by row index.
+    The per-coset relation counts, per coset of ``X^(2)``, the points where
+    the pair's parities agree.
+    """
+    constant = {}
+    for m in (2, 4):
+        codes, _ = _vec.coset_codes(info, m)
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        constant[m] = (par == par[:, first[inverse]]).all(axis=1).tolist()
+    codes, encode = _vec.coset_codes(info, 2)
     cosets = [(",".join(map(str, idx.residues)), encode(idx))
-              for idx in group.coset_indices(2)]
-    # per coset code: its points, and those where a = b (equal parity arrays)
+              for idx in info.group.coset_indices(2)]
+    # per coset code: its points, and those where a = b
     size = 1 + max(c for _, c in cosets)
     points = np.bincount(codes, minlength=size)
-    equal = np.bincount(codes[a.encoding[1] == b.encoding[1]], minlength=size)
-    # 1 or -1 where a = b or a = -b throughout a coset, else 0; None off the domain
-    relation = {key: None if not points[c] else
-                1 if equal[c] == points[c] else -1 if not equal[c] else 0
-                for key, c in cosets}
-    return {
-        "a_constant_mod4": check_coset_constant(a, 4).holds,
-        "b_constant_mod4": check_coset_constant(b, 4).holds,
-        "a_constant_mod2": check_coset_constant(a, 2).holds,
-        "b_constant_mod2": check_coset_constant(b, 2).holds,
-        "coset_relation": relation,
-    }
+    out = []
+    for ca, cb in matches:
+        equal = np.bincount(codes[par[ca] == par[cb]], minlength=size)
+        # 1 or -1 where a = b or a = -b throughout a coset, else 0; None off the domain
+        relation = {key: None if not points[c] else
+                    1 if equal[c] == points[c] else -1 if not equal[c] else 0
+                    for key, c in cosets}
+        out.append({
+            "a_constant_mod4": constant[4][ca],
+            "b_constant_mod4": constant[4][cb],
+            "a_constant_mod2": constant[2][ca],
+            "b_constant_mod2": constant[2][cb],
+            "coset_relation": relation,
+        })
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +265,16 @@ class _GridSolver:
     and on the grid.  Two solutions first differ at a free variable (a
     determined one is fixed by the free ones before it), so rows come out in
     the lexicographic order of whole rows.
+
+    The template is sized in bytes, not rows: it takes the most trailing
+    free variables whose ``g^k`` rows of ``nvars`` dtype entries fit
+    ``block_bytes`` (at least one row, and never more rows than the row
+    budget).  The template and every emitted chunk therefore stay within
+    ``block_bytes`` on any group and grid, and so does each template sum
+    (at most 8 bytes a row) on groups of order 4 or more.
     """
 
-    chunk_rows = 1 << 19  # most rows in one template block
+    block_bytes = 2 << 20  # most bytes in one template block
     # bound on |entry products| under which elimination stays in int64
     int64_limit = (1 << 63) - 1
 
@@ -369,7 +397,8 @@ class _GridSolver:
         """
         free = [v for v in range(self.nvars) if v not in pivots]
         g = len(self.gvals)
-        limit = min(self.chunk_rows, self.budget)
+        row_bytes = self.nvars * np.dtype(self.dtype).itemsize
+        limit = min(self.block_bytes // row_bytes, self.budget)
         k = 0
         while k < len(free) and g ** (k + 1) <= limit:
             k += 1
@@ -567,7 +596,9 @@ def scan_restricted_kb(group: GroupSpec, log_grid: Sequence = (-1, 0, 1),
     values) and their order is deterministic.  Chunks arrive in stream
     order, and each is a fresh C-contiguous array that no later chunk
     reuses, so the caller may keep it (or views into it) without copying.
-    Returns the exact count.
+    A chunk holds at most one template block, ``_GridSolver.block_bytes``
+    (2 MiB) of rows, so a caller's per-chunk work stays bounded whatever
+    the group and grid.  Returns the exact count.
     """
     solver = _GridSolver(group, [Fraction(v) for v in log_grid], budget)
     if on_chunk is None:

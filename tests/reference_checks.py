@@ -18,6 +18,9 @@ arithmetic, ``all_characters`` lists the characters of a finite group and
 generators.  ``sign_census_pairs`` is the sign census's earlier candidate
 loop, every ``(a, b)`` pair tested against every pair of points; it is the
 oracle for ``kbeq.oracle.enum_sign_solutions``, which matches side vectors.
+``annotate_pair`` is the census's earlier per-pair annotation, four
+``check_coset_constant`` calls and one relation count per pair; it is the
+oracle for the annotations the census reads from its parity matrix.
 """
 
 import itertools
@@ -27,7 +30,7 @@ from math import comb, lcm
 
 import numpy as np
 
-from kbeq import _vec
+from kbeq import _vec, checks
 from kbeq._vec import _INT_LIMIT
 from kbeq.checks import CheckReport, Witness
 from kbeq.errors import (
@@ -428,3 +431,26 @@ def sign_census_pairs(group, candidate_budget=1 << 22):
         good = (av[kxy] * b_lhs == av[ii] * av[jj] * b_rhs).all(axis=1)
         pairs += [(av.tolist(), vecs[cb].tolist()) for cb in np.flatnonzero(good)]
     return pairs
+
+
+def annotate_pair(group, a, b) -> dict:
+    """One census pair's annotations: four ``check_coset_constant`` verdicts
+    and the per-coset relation of ``a`` and ``b`` on doubled cosets."""
+    codes, encode = _vec.coset_codes(_vec.domain_info(group, a.domain), 2)
+    cosets = [(",".join(map(str, idx.residues)), encode(idx))
+              for idx in group.coset_indices(2)]
+    # per coset code: its points, and those where a = b (equal parity arrays)
+    size = 1 + max(c for _, c in cosets)
+    points = np.bincount(codes, minlength=size)
+    equal = np.bincount(codes[a.encoding[1] == b.encoding[1]], minlength=size)
+    # 1 or -1 where a = b or a = -b throughout a coset, else 0; None off the domain
+    relation = {key: None if not points[c] else
+                1 if equal[c] == points[c] else -1 if not equal[c] else 0
+                for key, c in cosets}
+    return {
+        "a_constant_mod4": checks.check_coset_constant(a, 4).holds,
+        "b_constant_mod4": checks.check_coset_constant(b, 4).holds,
+        "a_constant_mod2": checks.check_coset_constant(a, 2).holds,
+        "b_constant_mod2": checks.check_coset_constant(b, 2).holds,
+        "coset_relation": relation,
+    }

@@ -14,13 +14,13 @@ from kbeq.checks import DEFAULT_TOL, check_coset_constant, check_kb, check_kb_se
 from kbeq.errors import BudgetExceededError
 from kbeq.functions import FuncTable
 from kbeq.groups import Box, FullGroup, GroupSpec, parse_group
-from kbeq import _vec, oracle
+from kbeq import _vec, checks, oracle
 from kbeq.oracle import (
     _CHECK_ROWS,
     _LINE_ROWS,
     _GridSolver,
     _add_row,
-    _annotate_pair,
+    _annotations,
     builtin_counterexample,
     builtin_odd_quadratic,
     enum_restricted_kb,
@@ -172,6 +172,27 @@ def test_census_matches_the_candidate_loop(group):
     assert got == want
 
 
+@pytest.mark.parametrize(
+    "group", [g for g in ABELIAN_LE_32 if g.order() <= 16] + [GroupSpec(0, (4, 8))],
+    ids=str)
+def test_census_annotations_match_the_per_pair_reference(group, monkeypatch):
+    # read from the parity matrix, the annotations equal the per-pair
+    # coset checks they replace, and the census runs no coset check
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census must not run a coset check")
+
+    monkeypatch.setattr(oracle, "check_coset_constant", refuse)
+    monkeypatch.setattr(checks, "check_coset_constant", refuse)
+    try:
+        census = enum_sign_solutions(group)
+    except BudgetExceededError:
+        assert group == GroupSpec(0, (2, 2, 2, 2))
+        return
+    monkeypatch.undo()
+    assert census.annotations == [ref.annotate_pair(group, a, b)
+                                  for a, b in census.pairs]
+
+
 def test_census_z4_z8_claims_b_and_c():
     # beyond the old candidate budget (4^12 pairs): every pair is constant
     # mod 4 and each doubled coset relates the two maps by +-1, yet half of
@@ -239,7 +260,8 @@ def test_annotations_match_reference_on_arbitrary_sign_pairs(group, domain):
         a, b = (FuncTable.from_function(group, domain, "sign",
                                         lambda p: rng.choice((1, 1, -1)))
                 for _ in "ab")
-        ann = _annotate_pair(group, a, b)
+        par = np.stack([a.encoding[1], b.encoding[1]])
+        ann = _annotations(_vec.domain_info(group, domain), par, [(0, 1)])[0]
         assert ann["coset_relation"] == ref.coset_relation(a, b)
         for m in (2, 4):
             for name, t in (("a", a), ("b", b)):
@@ -407,6 +429,42 @@ def test_structural_check_memory_is_bounded(length):
     assert peak < 1 << 20, peak
 
 
+@pytest.mark.parametrize("grid", [(-1, 0, 1), (-200, 0, 200)])
+@pytest.mark.parametrize("group", ABELIAN_LE_32, ids=str)
+def test_template_block_fits_the_byte_budget(group, grid):
+    solver = _GridSolver(group, [Fraction(v) for v in grid], 10**9)
+    itemsize = np.dtype(solver.dtype).itemsize
+    assert itemsize == (1 if grid[-1] <= 127 else 8)
+    if solver.block_rows > 1:
+        assert solver.block_rows * solver.nvars * itemsize <= solver.block_bytes
+    # the largest such template: one more free variable would not fit
+    if solver.prefix:
+        assert (solver.block_rows * len(grid) * solver.nvars * itemsize
+                > solver.block_bytes)
+
+
+def test_warm_scan_memory_is_bounded():
+    # (Z/2)^4: 3^16 rows in blocks of 3^10, each streamed through the
+    # structural check; the peak holds about one template and one chunk
+    group = GroupSpec(0, (2, 2, 2, 2))
+    ok = []
+
+    def check(rows, denom):
+        ok.append(restricted_rows_match_prediction(group, rows, denom))
+
+    scan_restricted_kb(group, (-1, 0, 1), check)  # warms the cached index maps
+    ok.clear()
+    tracemalloc.start()
+    try:
+        count = scan_restricted_kb(group, (-1, 0, 1), check)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 3 ** 16 == predicted_restricted_count(group)
+    assert all(ok) and len(ok) == 3 ** 16 // 3 ** 10  # 729 chunks
+    assert peak <= 3 * _GridSolver.block_bytes, peak
+
+
 def test_scan_budget_enforced():
     group = GroupSpec(0, (2, 2, 2))
     with pytest.raises(BudgetExceededError):
@@ -493,15 +551,17 @@ def test_scan_budget_matches_reference():
     assert streamed.tobytes() == full[:len(streamed)].tobytes()
 
 
-@pytest.mark.parametrize("chunk_rows", [3 ** 7, 3 ** 8])
+@pytest.mark.parametrize("block_rows", [3 ** 7, 3 ** 8])
 @pytest.mark.parametrize("grid, in_place", [
     ((-1, 0, 1), False),   # every block is the whole template
     ((-200, 0, 200), True),  # blocks keep the rows that pass a test
 ])
-def test_multi_block_stream_matches_reference(monkeypatch, chunk_rows, grid,
+def test_multi_block_stream_matches_reference(monkeypatch, block_rows, grid,
                                               in_place):
     group = GroupSpec(0, (2, 2, 2))
-    monkeypatch.setattr(_GridSolver, "chunk_rows", chunk_rows)
+    # the byte cap of exactly block_rows rows of 16 int8 or int64 entries
+    itemsize = 1 if max(map(abs, grid)) <= 127 else 8
+    monkeypatch.setattr(_GridSolver, "block_bytes", block_rows * 16 * itemsize)
     paths = set()
 
     def spy(block, row, out):
@@ -513,7 +573,7 @@ def test_multi_block_stream_matches_reference(monkeypatch, chunk_rows, grid,
     count = scan_restricted_kb(group, grid, lambda rows, d: chunks.append(rows))
     ref_count, ref_rows, _ = reference_rows(group, grid)
     assert paths == {in_place}
-    assert len(chunks) == 3 ** 8 // chunk_rows
+    assert len(chunks) == 3 ** 8 // block_rows
     assert all(c.flags.c_contiguous for c in chunks)
     assert count == ref_count == len(ref_rows)
     assert np.concatenate(chunks).tobytes() == ref_rows.tobytes()
@@ -558,10 +618,15 @@ def test_raw_instances_match_reference(group):
 class _SystemSolver(_GridSolver):
     """The grid search on a given linear system in place of the equation's."""
 
-    def __init__(self, instances, elements, grid, chunk_rows):
+    def __init__(self, instances, elements, grid, block_rows):
         self.instances = instances
-        self.chunk_rows = chunk_rows
+        self.rows_cap = block_rows
         super().__init__(GroupSpec(0, (elements,)), grid, 10**9)
+
+    def _plan(self, pivots):
+        # the byte cap of exactly rows_cap rows in this system's dtype
+        self.block_bytes = self.rows_cap * self.nvars * np.dtype(self.dtype).itemsize
+        super()._plan(pivots)
 
     def _raw_instances(self):
         m = np.zeros((len(self.instances), self.nvars), dtype=np.int64)
@@ -594,12 +659,12 @@ def _system_solutions(grid):
 
 @pytest.mark.parametrize("python_ints", [False, True])
 @pytest.mark.parametrize("grid", [(-1, 0, 1, 2), (0, 1, 2), (-100, 0, 100)])
-@pytest.mark.parametrize("chunk_rows", [1, 5, 9, 1 << 19])
+@pytest.mark.parametrize("block_rows", [1, 5, 9, 1 << 19])
 def test_search_on_rational_echelon_matches_bruteforce(monkeypatch, grid,
-                                                       chunk_rows, python_ints):
+                                                       block_rows, python_ints):
     if python_ints:  # eliminate in Python integers from the first step
         monkeypatch.setattr(_GridSolver, "int64_limit", 0)
-    solver = _SystemSolver(SYSTEM, 4, grid, chunk_rows)
+    solver = _SystemSolver(SYSTEM, 4, grid, block_rows)
     assert sorted(solver.det_den) == [1, 1, 2, 6]
     count, rows, _ = _streamed(_solver_scan(solver))
     # lexicographic by grid position, variables in the search's order

@@ -157,6 +157,26 @@ def test_counts_come_from_the_per_coordinate_factors():
     assert _vec.pair_count(small, combos) == per_axis * 4
 
 
+def test_certified_checks_count_the_pairs_once_per_domain(monkeypatch):
+    group = GroupSpec(1, (4,))
+    f, g = synth_table(random_positive_form(group, Random(3)), Box((4,)))
+    assert checks._certified_positive(f, g, TOL)  # no sweep builds blocks
+    calls = []
+    factors = _vec._factors
+
+    def spy(info, combos):
+        calls.append(combos)
+        return factors(info, combos)
+
+    monkeypatch.setattr(_vec, "_pair_cache", {})
+    monkeypatch.setattr(_vec, "_factors", spy)
+    reports = [checks.check_kb(f, g) for _ in range(3)]
+    assert all(r.holds and r.pairs_checked == reports[0].pairs_checked
+               for r in reports)
+    assert reports[0].pairs_checked == ref.check_kb(f, g, TOL).pairs_checked
+    assert len(calls) == 1
+
+
 def test_blocks_cover_the_pairs_once_in_ascending_x_ranges():
     group, domain = GroupSpec(2, (3,)), Box((3, 2))
     info = _vec.domain_info(group, domain)
