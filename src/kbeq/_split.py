@@ -195,7 +195,7 @@ def _read_points(info: _vec.VecDomain):
         group = info.group
         gens = [e.coords for e in group.generators()[: group.rank]]
         at = _vec.point_codes(info, gens + _doubled_probes(group))[0]
-        _, first = np.unique(_vec.coset_codes(info, 2)[0], return_index=True)
+        _, first = np.unique(_vec.coset_codes(info, 2), return_index=True)
         return at[: group.rank], at[group.rank:], first, np.triu_indices(group.rank)
 
     return _vec.memo((info.group, info.domain, "split"), build)

@@ -338,32 +338,31 @@ def neg_codes(info: VecDomain) -> np.ndarray:
                 lambda: point_codes(info, -info.coords.astype(np.int64))[0])
 
 
-def coset_codes(info: VecDomain, modulus: int) -> tuple[np.ndarray, "callable"]:
-    """Per-point coset code modulo ``X^(modulus)`` plus an index encoder.
-
-    The encoder maps a :class:`~kbeq.groups.CosetIndex` to the same code
-    space, so arrays indexed by coset code can be filled from coset maps.
-    Codes ascend with the cosets' residues, lexicographically.  The per-point
-    array is cached and read-only.
-    """
-    group = info.group
-    radix = [modulus] * group.rank + [math.gcd(modulus, n) for n in group.torsion]
-    strides = [1] * group.dim
-    for c in range(group.dim - 2, -1, -1):
-        strides[c] = strides[c + 1] * radix[c + 1]
+def coset_codes(info: VecDomain, modulus: int) -> np.ndarray:
+    """Per-point coset code modulo ``X^(modulus)`` (:func:`coset_codes_at`),
+    cached and read-only."""
 
     def build() -> np.ndarray:
-        code = np.zeros(info.n, dtype=np.int64)
-        for c in range(group.dim):
-            col = info.coords[:, c].astype(np.int64)
-            code += (col % radix[c]) * strides[c]
+        code = coset_codes_at(info.group, modulus, info.coords.astype(np.int64))
         code.setflags(write=False)
         return code
 
-    def encode(idx) -> int:
-        return sum(r * s for r, s in zip(idx.residues, strides))
+    return memo((info.group, info.domain, "coset", modulus), build)
 
-    return memo((group, info.domain, "coset", modulus), build), encode
+
+def coset_codes_at(group: GroupSpec, modulus: int, coords: np.ndarray) -> np.ndarray:
+    """The coset codes modulo ``X^(modulus)`` of the rows of an integer
+    coordinate array (of Python ints at any magnitude, or int64).
+
+    A code has the mixed-radix digits ``x_c mod m`` on free coordinates and
+    ``x_c mod gcd(m, n_c)`` on torsion ones, so codes ascend with the
+    cosets' residues, lexicographically: the code of a coset is its place
+    in ``GroupSpec.coset_indices`` and in the entries of a coset or sign map.
+    """
+    radix = [modulus] * group.rank + [math.gcd(modulus, n) for n in group.torsion]
+    strides = [math.prod(radix[c + 1:]) for c in range(group.dim)]
+    codes = coords % np.array(radix, dtype=np.int64) @ np.array(strides, dtype=np.int64)
+    return codes.astype(np.int64, copy=False)
 
 
 def join_span(info: VecDomain, span: np.ndarray, coords) -> None:
@@ -372,7 +371,7 @@ def join_span(info: VecDomain, span: np.ndarray, coords) -> None:
     cosets ``span + j e`` below the first multiple of ``e`` in ``span``."""
     steps = np.arange(info.n + 1)[:, None] * np.asarray(coords, dtype=np.int64)
     m = 1 + int(np.argmax(span[point_codes(info, steps[1:])[0]]))
-    cosets = (steps[:m, None] + info.coords[span]).reshape(-1, info.group.dim)
+    cosets = np.concatenate(steps[:m, None] + info.coords[span])
     span[point_codes(info, cosets)[0]] = True
 
 
@@ -623,10 +622,29 @@ def _form_at(B: np.ndarray, l: np.ndarray, r: np.ndarray, den: int,
              info: VecDomain, at) -> tuple[np.ndarray, int]:
     """:func:`form_values` at the domain indices ``at`` only, read from a
     column selection of :func:`_form_basis`'s products."""
-    d, rank = info.group.dim, info.group.rank
+    S, pairs, maxc = _form_basis(info)
+    return _form_sum(B, l, r, den, info.group, (S[:, at], pairs, maxc),
+                     coset_codes(info, 2)[at])
+
+
+def form_value_at(B: np.ndarray, l: np.ndarray, r: np.ndarray, den: int,
+                  group: GroupSpec, coords: Sequence[int]) -> tuple[int, int]:
+    """:func:`form_values` at the one point of coordinates ``coords``, which
+    may exceed int32: (numerator, denom), from products in Python ints."""
+    row = np.array([coords], dtype=object)
+    basis = (*_products(row[:, :group.rank].T), max(map(abs, coords), default=0))
+    nums, den = _form_sum(B, l, r, den, group, basis, coset_codes_at(group, 2, row))
+    return int(nums[0]), den
+
+
+def _form_sum(B: np.ndarray, l: np.ndarray, r: np.ndarray, den: int,
+              group: GroupSpec, basis, codes) -> tuple[np.ndarray, int]:
+    """The form's values at the points whose products, index pairs and
+    largest coordinate magnitude are ``basis`` (see :func:`_form_basis`) and
+    whose coset codes modulo ``X^(2)`` are ``codes``."""
+    d, rank = group.dim, group.rank
     flat, den = lowest(np.concatenate([np.ravel(B), l, r]), den)
-    S, (J, K), maxc = _form_basis(info)
-    S, codes = S[:, at], coset_codes(info, 2)[0][at]
+    S, (J, K), maxc = basis
     bound = int(np.abs(flat).max(initial=0)) + 1
     if flat.dtype != np.int64 or bound * (d * max(maxc, 1)) ** 2 * 4 > _INT_LIMIT:
         flat, S = flat.astype(object), S.astype(object)
@@ -636,35 +654,31 @@ def _form_at(B: np.ndarray, l: np.ndarray, r: np.ndarray, den: int,
     return coeffs @ S + r[codes], den
 
 
+def _products(X: np.ndarray):
+    """The products ``x_j x_k`` (``j <= k``) of the rows of ``X`` and then
+    the rows themselves, with those index pairs."""
+    J, K = np.triu_indices(len(X))
+    return np.concatenate([X[J] * X[K], X]), (J, K)
+
+
 def _form_basis(info: VecDomain):
-    """What :func:`form_values` reads of a domain: the products ``x_j x_k``
-    (``j <= k``) of free coordinates and then the free coordinates, one row
-    each; those index pairs; and the largest coordinate magnitude."""
+    """What :func:`form_values` reads of a domain: the :func:`_products` of
+    its free coordinates, one column per point, with their index pairs, and
+    the largest coordinate magnitude."""
 
     def build():
-        rank = info.group.rank
-        X = np.ascontiguousarray(info.coords[:, :rank].T, dtype=np.int64)
-        J, K = np.triu_indices(rank)
-        return (np.concatenate([X[J] * X[K], X]), (J, K),
-                int(np.abs(info.coords).max(initial=0)))
+        X = np.ascontiguousarray(info.coords[:, :info.group.rank].T, dtype=np.int64)
+        return (*_products(X), int(np.abs(info.coords).max(initial=0)))
 
     return memo((info.group, info.domain, "form"), build)
 
 
-def form_log_arrays(P, l, r_entries, info: VecDomain) -> tuple[np.ndarray, int]:
-    """Values of ``P(x) + l(x) + r(x)`` over the domain: (numerators, denom).
-
-    ``r_entries`` is an iterable of (CosetIndex, Fraction) covering X^(2).
-    The rational parts are scaled to integers over their least common
-    denominator and evaluated by :func:`form_values`.
-    """
-    group = info.group
-    _, encode = coset_codes(info, 2)
-    r = [0] * group.coset_count(2)
-    for idx, v in r_entries:
-        r[encode(idx)] = v
-    d, rank = group.dim, group.rank
+def form_coefficients(P, l, r) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The arguments ``(B, l, r, den)`` of :func:`form_values` for the form
+    ``P(x) + l(x) + r(x)``: its rational parts as integers over their least
+    common denominator.  ``r`` is a coset map on ``X^(2)``, whose entries
+    run in coset code order (:func:`coset_codes`)."""
+    d, rank = P.group.dim, P.group.rank
     nums, den = _fractions_over([v for row in P.matrix for v in row]
-                                + list(l.coeffs) + r)
-    return form_values(nums[: d * d], nums[d * d: d * d + rank], nums[d * d + rank:],
-                       den, info)
+                                + list(l.coeffs) + [v for _, v in r.entries])
+    return nums[: d * d], nums[d * d: d * d + rank], nums[d * d + rank:], den

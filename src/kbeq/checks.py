@@ -368,7 +368,7 @@ def check_coset_constant(table: FuncTable, modulus: int,
     """Is the table constant on each coset of ``X^(modulus)`` meeting the
     domain?  Every point but its coset's first, which represents the coset,
     is compared with that first point, in one kernel call."""
-    codes, _ = _vec.coset_codes(_vec.domain_info(table.group, table.domain), modulus)
+    codes = _vec.coset_codes(_vec.domain_info(table.group, table.domain), modulus)
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     rep = first[inverse]
     others = np.flatnonzero(rep != np.arange(len(rep)))

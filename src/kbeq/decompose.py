@@ -400,7 +400,7 @@ def _unit_turn(v, order: Optional[int], tol: float) -> Fraction:
 
 def _restriction_matches(p: FuncTable, alpha: FuncTable, tol: float):
     """``p`` equals the character table ``alpha`` on ``X^(2)``."""
-    codes, _ = _vec.coset_codes(_vec.domain_info(p.group, p.domain), 2)
+    codes = _vec.coset_codes(_vec.domain_info(p.group, p.domain), 2)
     i = _vec.first_difference(p, alpha, tol, np.flatnonzero(codes == 0))
     if i is not None:
         x = p._point(i)
@@ -448,7 +448,7 @@ def _sign_map_from_table(tab: FuncTable, modulus: int) -> SignMap:
     window meets every coset of ``X^(4)``, since the moduli's split, run
     first, needs Box radius >= 4 and a Box takes every torsion residue."""
     group = tab.group
-    codes, _ = _vec.coset_codes(_vec.domain_info(group, tab.domain), modulus)
+    codes = _vec.coset_codes(_vec.domain_info(group, tab.domain), modulus)
     _, first = np.unique(codes, return_index=True)
     # codes ascend with the cosets' residues, as coset_indices does
     signs = (1 - 2 * tab.encoding[1][first]).tolist()

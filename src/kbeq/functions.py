@@ -42,6 +42,7 @@ from .errors import (
 from .groups import (
     CosetIndex,
     Domain,
+    FullGroup,
     GroupElement,
     GroupSpec,
     SubgroupSpec,
@@ -600,20 +601,6 @@ class QuadraticForm:
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.matrix for v in row)
 
-    def bilinear(self, x: GroupElement, y: GroupElement) -> Fraction:
-        total = Fraction(0)
-        r = self.group.rank
-        for i in range(r):
-            if x.coords[i]:
-                row = self.matrix[i]
-                for j in range(r):
-                    if y.coords[j]:
-                        total += row[j] * x.coords[i] * y.coords[j]
-        return total
-
-    def value(self, x: GroupElement) -> Fraction:
-        return self.bilinear(x, x)
-
 
 @dataclass(frozen=True)
 class AdditiveMap:
@@ -634,10 +621,6 @@ class AdditiveMap:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def value(self, x: GroupElement) -> Fraction:
-        return sum((c * x.coords[j] for j, c in enumerate(self.coeffs)),
-                   Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -672,9 +655,6 @@ class CosetConstantMap:
 
     def at(self, idx: CosetIndex) -> Fraction:
         return self._table[idx]
-
-    def value(self, x: GroupElement) -> Fraction:
-        return self._table[self.group.coset_index(x, 2)]
 
     def negated(self) -> "CosetConstantMap":
         return CosetConstantMap(self.group,
@@ -712,17 +692,6 @@ class CharacterSpec:
     def is_trivial(self) -> bool:
         return (all(t == 0 for t in self.free_turns)
                 and all(k == 0 for k in self.torsion_exponents))
-
-    def turn(self, x: GroupElement) -> Fraction:
-        total = Fraction(0)
-        for j, t in enumerate(self.free_turns):
-            total += t * x.coords[j]
-        for i, (k, n) in enumerate(zip(self.torsion_exponents, self.group.torsion)):
-            total += Fraction(k * x.coords[self.group.rank + i], n)
-        return total % 1
-
-    def value(self, x: GroupElement) -> Exact:
-        return Exact.unit(self.turn(x))
 
 
 @dataclass(frozen=True)
@@ -781,9 +750,6 @@ class SignMap:
     def at(self, idx: CosetIndex) -> int:
         return self._table[idx]
 
-    def value(self, x: GroupElement) -> int:
-        return self._table[self.group.coset_index(x, self.modulus)]
-
     def constant_on_doubled_cosets(self) -> bool:
         """True iff the map factors through cosets of ``X^(2)``."""
         if self.modulus == 2:
@@ -823,11 +789,6 @@ class PositiveSolutionForm:
         return cls(QuadraticForm.zero(group), AdditiveMap.zero(group),
                    AdditiveMap.zero(group), CosetConstantMap.zero(group))
 
-    def log_pair(self, x: GroupElement) -> tuple[Fraction, Fraction]:
-        p = self.P.value(x)
-        r = self.r.value(x)
-        return p + self.l.value(x) + r, p + self.m.value(x) - r
-
     def to_json(self) -> dict:
         return {
             "type": "positive",
@@ -863,18 +824,6 @@ class HermitianSolutionForm:
     @property
     def group(self) -> GroupSpec:
         return self.alpha.group
-
-    def in_support(self, x: GroupElement) -> bool:
-        return self.support is None or self.support.contains(x)
-
-    def exact_pair(self, x: GroupElement) -> tuple[Exact, Exact]:
-        if not self.in_support(x):
-            return Exact.zero_value(), Exact.zero_value()
-        p = self.P.value(x)
-        r = self.r.value(x)
-        fa = Exact(p + r, self.alpha.turn(x)) * Exact.from_sign(self.a.value(x))
-        gb = Exact(p - r, self.beta.turn(x)) * Exact.from_sign(self.b.value(x))
-        return fa, gb
 
     def to_json(self) -> dict:
         return {
@@ -967,16 +916,39 @@ def form_from_json(obj: dict):
 
 def eval_positive(form: PositiveSolutionForm,
                   x: GroupElement) -> tuple[float, float]:
-    """Evaluate a positive form; returns the pair ``(f(x), g(x))`` as floats."""
-    tf, tg = form.log_pair(x)
-    return math.exp(float(tf)), math.exp(float(tg))
+    """Evaluate a positive form; returns the pair ``(f(x), g(x))`` as floats,
+    the exponentials of the exact logs :func:`synth_table` renders, computed
+    at the one point ``x``."""
+    group = form.group
+    group._own(x)
+    logs = (_vec.form_value_at(*_vec.form_coefficients(form.P, l, r), group, x.coords)
+            for l, r in ((form.l, form.r), (form.m, form.r.negated())))
+    return tuple(math.exp(float(Fraction(*log))) for log in logs)
 
 
 def eval_hermitian(form: HermitianSolutionForm,
                    x: GroupElement) -> tuple[complex, complex]:
-    """Evaluate a Hermitian form; zero outside the support subgroup."""
-    fa, gb = form.exact_pair(x)
-    return fa.to_complex(), gb.to_complex()
+    """Evaluate a Hermitian form; zero outside the support subgroup.
+
+    The exact values are :func:`_hermitian_sides` at the one point ``x``,
+    as :func:`_hermitian_tables` renders them, and support membership is
+    read from the subgroup's mask over the whole group, which must be
+    finite.
+    """
+    group = form.group
+    group._own(x)
+    if form.support is not None:
+        if not group.is_finite:
+            raise SynthesisError("support membership needs a finite group")
+        info = _vec.domain_info(group, FullGroup())
+        if not _support_span(form.support, info)[_vec.index_of_coords(info, x.coords)]:
+            return 0j, 0j
+    row = np.array([x.coords], dtype=object)
+    sides = _hermitian_sides(
+        form, row, _vec.coset_codes_at(group, 4, row),
+        lambda *parts: _vec.form_value_at(*_vec.form_coefficients(*parts), group, x.coords))
+    return tuple(Exact(Fraction(log, lden), Fraction(int(turns[0]), tden)).to_complex()
+                 for log, lden, turns, tden in sides)
 
 
 def synth_table(form, domain: Domain) -> tuple[FuncTable, FuncTable]:
@@ -985,7 +957,7 @@ def synth_table(form, domain: Domain) -> tuple[FuncTable, FuncTable]:
     Positive forms always produce genuine solution pairs, with exact
     rational logs evaluated over the whole domain at once: the form's
     coefficients are scaled to integers over one denominator
-    (:func:`kbeq._vec.form_log_arrays`) and evaluated by
+    (:func:`kbeq._vec.form_coefficients`) and evaluated by
     :func:`kbeq._vec.form_values`, the integer evaluator the log-domain split
     (:mod:`kbeq._split`) shares.  Hermitian forms are rendered from the same
     arrays (:func:`_hermitian_tables`), and are synthesized only when they
@@ -999,7 +971,8 @@ def synth_table(form, domain: Domain) -> tuple[FuncTable, FuncTable]:
         info = _vec.domain_info(group, domain)
         return tuple(
             FuncTable._of(group, domain, KIND_POSITIVE,
-                          ("int", *_vec.form_log_arrays(form.P, l, r.entries, info)))
+                          ("int", *_vec.form_values(*_vec.form_coefficients(form.P, l, r),
+                                                    info)))
             for l, r in ((form.l, form.r), (form.m, form.r.negated())))
     if isinstance(form, HermitianSolutionForm):
         _require_sufficient(form)
@@ -1007,55 +980,70 @@ def synth_table(form, domain: Domain) -> tuple[FuncTable, FuncTable]:
     raise SynthesisError(f"cannot synthesize from {type(form).__name__}")
 
 
-def _character_table(alpha: CharacterSpec, domain: Domain) -> FuncTable:
-    """``alpha`` over a domain as one exact turn table: the turns
-    ``coords @ t mod den``, with ``t`` the turns of the generators over one
-    denominator ``den``."""
-    group = alpha.group
-    info = _vec.domain_info(group, domain)
+def _turns(alpha: CharacterSpec, coords: np.ndarray) -> tuple[np.ndarray, int]:
+    """The turns of ``alpha`` at the rows of an integer coordinate array,
+    ``coords @ t mod den`` with ``t`` the turns of the generators over one
+    denominator ``den``; in Python ints when int64 might overflow."""
     t, den = _vec._over(
         [q.numerator for q in alpha.free_turns] + list(alpha.torsion_exponents),
-        [q.denominator for q in alpha.free_turns] + list(group.torsion))
-    coords = info.coords.astype(np.int64)
+        [q.denominator for q in alpha.free_turns] + list(alpha.group.torsion))
     bound = sum(map(abs, t.tolist())) * int(np.abs(coords).max(initial=0))
     if t.dtype == object or max(bound, den) > _vec._INT_LIMIT:
         t, coords = t.astype(object), coords.astype(object)
+    return coords @ t % den, den
+
+
+def _character_table(alpha: CharacterSpec, domain: Domain) -> FuncTable:
+    """``alpha`` over a domain as one exact turn table (:func:`_turns`)."""
+    info = _vec.domain_info(alpha.group, domain)
     zeros = np.zeros(info.n, dtype=np.int64)
-    return FuncTable._of(group, domain, KIND_COMPLEX,
-                         ("exact", (zeros, 1, coords @ t % den, den, zeros.astype(bool)), 1))
+    turns, den = _turns(alpha, info.coords.astype(np.int64))
+    return FuncTable._of(alpha.group, domain, KIND_COMPLEX,
+                         ("exact", (zeros, 1, turns, den, zeros.astype(bool)), 1))
+
+
+def _support_span(support: SubgroupSpec, info: _vec.VecDomain) -> np.ndarray:
+    """The mask of ``support`` on a finite group's domain, whose origin has
+    index 0, grown generator by generator (:func:`kbeq._vec.join_span`)."""
+    span = np.arange(info.n) == 0
+    for e in support.generators:
+        _vec.join_span(info, span, e.coords)
+    return span
+
+
+def _hermitian_sides(form: HermitianSolutionForm, coords: np.ndarray, codes,
+                     logs: Callable):
+    """Each side of a Hermitian form at the rows of ``coords``, whose coset
+    codes modulo ``X^(4)`` are ``codes``: the log numerators and denominator
+    of ``P +- r`` by ``logs(P, l, r)``, and the turn numerators and
+    denominator of the character's turns (:func:`_turns`) plus a half turn
+    where the sign map is -1, its entries running in coset code order."""
+    for chi, signs, r in ((form.alpha, form.a, form.r),
+                          (form.beta, form.b, form.r.negated())):
+        turns, tden = _turns(chi, coords)
+        minus = (np.array([v for _, v in signs.entries])[codes] < 0).astype(turns.dtype)
+        if minus.any():  # t + 1/2 is (2t + den) / (2 den)
+            turns, tden = (2 * turns + tden * minus) % (2 * tden), 2 * tden
+        yield (*logs(form.P, AdditiveMap.zero(form.group), r), turns, tden)
 
 
 def _hermitian_tables(form: HermitianSolutionForm,
                       domain: Domain) -> tuple[FuncTable, FuncTable]:
-    """:meth:`HermitianSolutionForm.exact_pair` over a domain as two exact
-    tables built from arrays: logs ``P +- r`` (:func:`kbeq._vec.form_log_arrays`),
-    the character's turns plus a half turn where the sign map is -1, and
-    exact zeros off the support, the span of its generators grown as a mask
-    (:func:`kbeq._vec.join_span`)."""
+    """A Hermitian form over a domain as two exact tables built from arrays
+    (:func:`_hermitian_sides`, the logs by :func:`kbeq._vec.form_values`),
+    with exact zeros off the support (:func:`_support_span`)."""
     group = form.group
     info = _vec.domain_info(group, domain)
-    span = np.ones(info.n, dtype=bool)
-    if form.support is not None:  # a finite group: the origin has index 0
-        span = np.arange(info.n) == 0
-        for e in form.support.generators:
-            _vec.join_span(info, span, e.coords)
-    zero = ~span
-    codes, encode = _vec.coset_codes(info, 4)
-    tables = []
-    for chi, signs, r in ((form.alpha, form.a, form.r),
-                          (form.beta, form.b, form.r.negated())):
-        logs, lden = _vec.form_log_arrays(form.P, AdditiveMap.zero(group),
-                                          r.entries, info)
-        turns, tden = _character_table(chi, domain).encoding[1][2:4]
-        minus = np.zeros(group.coset_count(4), dtype=np.int64)
-        for idx, v in signs.entries:
-            minus[encode(idx)] = v < 0
-        minus = minus[codes].astype(turns.dtype)
-        if minus.any():  # t + 1/2 is (2t + den) / (2 den)
-            turns, tden = (2 * turns + tden * minus) % (2 * tden), 2 * tden
-        enc = (np.where(zero, 0, logs), lden, np.where(zero, 0, turns), tden, zero)
-        tables.append(FuncTable._of(group, domain, KIND_COMPLEX, ("exact", enc, 1)))
-    return tuple(tables)
+    zero = np.zeros(info.n, dtype=bool)
+    if form.support is not None:
+        zero = ~_support_span(form.support, info)
+    sides = _hermitian_sides(
+        form, info.coords.astype(np.int64), _vec.coset_codes(info, 4),
+        lambda *parts: _vec.form_values(*_vec.form_coefficients(*parts), info))
+    return tuple(
+        FuncTable._of(group, domain, KIND_COMPLEX, ("exact", (
+            np.where(zero, 0, logs), lden, np.where(zero, 0, turns), tden, zero), 1))
+        for logs, lden, turns, tden in sides)
 
 
 def _require_sufficient(form: HermitianSolutionForm):

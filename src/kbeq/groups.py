@@ -4,8 +4,7 @@ A group is fixed in the presentation ``Z^rank x Z/n1 x ... x Z/nt``; elements
 are integer coordinate vectors with torsion coordinates reduced canonically
 into ``[0, n_i)``.  On top of the plain arithmetic this module provides the
 doubling/quadrupling subgroup machinery (coset indices modulo ``X^(2)`` and
-``X^(4)``), exact subgroup membership through integer row reduction, and the
-order-2 test for quotient groups.
+``X^(4)``), subgroups given by generators, and the evaluation domains.
 
 Everything here is immutable after construction and safe to share between
 threads; all arithmetic returns new values.
@@ -222,101 +221,12 @@ def _check_modulus(modulus: int):
 
 
 # ---------------------------------------------------------------------------
-# integer lattices and subgroups
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (x, y, g) with x*a + y*b == g == gcd(a, b)."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
-
-
-class _ZLattice:
-    """Row-echelon basis of an integer lattice with exact membership tests."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[list[int]] = []  # echelon, pivot columns increasing
-
-    def _pivot_col(self, row: list[int]) -> int:
-        for j, v in enumerate(row):
-            if v:
-                return j
-        return self.dim
-
-    def add(self, vec: Sequence[int]):
-        row = [int(v) for v in vec]
-        i = 0
-        while True:
-            j = self._pivot_col(row)
-            if j == self.dim:
-                return
-            while i < len(self.rows) and self._pivot_col(self.rows[i]) < j:
-                i += 1
-            if i == len(self.rows) or self._pivot_col(self.rows[i]) > j:
-                if row[j] < 0:
-                    row = [-v for v in row]
-                self.rows.insert(i, row)
-                return
-            # same pivot column: combine via xgcd and keep reducing
-            cur = self.rows[i]
-            a, b = cur[j], row[j]
-            if b % a == 0:
-                q = b // a
-                row = [v - q * w for v, w in zip(row, cur)]
-            else:
-                x, y, g = _xgcd(a, b)
-                new_cur = [x * v + y * w for v, w in zip(cur, row)]
-                row = [(-(b // g)) * v + (a // g) * w for v, w in zip(cur, row)]
-                self.rows[i] = new_cur
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        row = [int(v) for v in vec]
-        i = 0
-        while True:
-            j = self._pivot_col(row)
-            if j == self.dim:
-                return True
-            while i < len(self.rows) and self._pivot_col(self.rows[i]) < j:
-                i += 1
-            if i == len(self.rows) or self._pivot_col(self.rows[i]) > j:
-                return False
-            cur = self.rows[i]
-            if row[j] % cur[j]:
-                return False
-            q = row[j] // cur[j]
-            row = [v - q * w for v, w in zip(row, cur)]
-
-
-def _rank_mod2(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over ``Z/2`` of integer rows, by elimination on bitmask ints.
-
-    ``basis`` holds reduced rows with distinct leading bits in descending
-    order, so ``min(v, v ^ b)`` clears the leading bit of ``b`` from ``v``
-    when ``v`` has it and leaves ``v`` alone otherwise.
-    """
-    basis: list[int] = []
-    for row in rows:
-        v = sum(1 << j for j, a in enumerate(row) if a % 2)
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis = sorted(basis + [v], reverse=True)
-    return len(basis)
+# subgroups
 
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """A subgroup given by generators, with exact membership testing."""
+    """A subgroup given by generators."""
 
     group: GroupSpec
     generators: tuple[GroupElement, ...]
@@ -325,44 +235,6 @@ class SubgroupSpec:
         for g in self.generators:
             if g.group != self.group:
                 raise GroupMismatchError("generator from a different group")
-        object.__setattr__(self, "_lattice", None)
-
-    def _relation_rows(self) -> list[list[int]]:
-        d = self.group.dim
-        rows = []
-        for i, n in enumerate(self.group.torsion):
-            row = [0] * d
-            row[self.group.rank + i] = n
-            rows.append(row)
-        return rows
-
-    def _get_lattice(self) -> _ZLattice:
-        lat = getattr(self, "_lattice")
-        if lat is None:
-            lat = _ZLattice(self.group.dim)
-            for g in self.generators:
-                lat.add(list(g.coords))
-            for row in self._relation_rows():
-                lat.add(row)
-            object.__setattr__(self, "_lattice", lat)
-        return lat
-
-    def contains(self, x: GroupElement) -> bool:
-        self.group._own(x)
-        return self._get_lattice().contains(list(x.coords))
-
-    def quotient_has_order2(self) -> bool:
-        """True iff some x outside the subgroup satisfies ``2x`` inside it.
-
-        With ``L`` the lattice of the subgroup and the torsion relations,
-        the quotient is ``Z^d / L = Z^f + (+) Z/d_i``, and it has an element
-        of order 2 iff some ``d_i`` is even.  Since ``Z^d / (L + 2Z^d)`` is
-        ``(Z/2)^(f + e)`` with ``e`` the number of even ``d_i``, and ``f`` is
-        ``d`` minus the rank of ``L``, ``e`` is the rank of ``L`` over Q (its
-        echelon rows) minus their rank modulo 2.
-        """
-        rows = self._get_lattice().rows
-        return len(rows) > _rank_mod2(rows)
 
 
 # ---------------------------------------------------------------------------

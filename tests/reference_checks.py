@@ -409,7 +409,7 @@ def sign_census_pairs(group, candidate_budget=1 << 22):
     ``candidate_budget`` candidate pairs raise ``BudgetExceededError``."""
     info = _vec.domain_info(group, FullGroup())
     n = info.n
-    cosets, _ = _vec.coset_codes(info, 2)
+    cosets = _vec.coset_codes(info, 2)
     outside = np.flatnonzero(cosets != 0)
     least = np.minimum(outside, _vec.neg_codes(info)[outside])
     _, orbit_of = np.unique(least, return_inverse=True)
@@ -436,9 +436,9 @@ def sign_census_pairs(group, candidate_budget=1 << 22):
 def annotate_pair(group, a, b) -> dict:
     """One census pair's annotations: four ``check_coset_constant`` verdicts
     and the per-coset relation of ``a`` and ``b`` on doubled cosets."""
-    codes, encode = _vec.coset_codes(_vec.domain_info(group, a.domain), 2)
-    cosets = [(",".join(map(str, idx.residues)), encode(idx))
-              for idx in group.coset_indices(2)]
+    codes = _vec.coset_codes(_vec.domain_info(group, a.domain), 2)
+    cosets = [(",".join(map(str, idx.residues)), c)
+              for c, idx in enumerate(group.coset_indices(2))]
     # per coset code: its points, and those where a = b (equal parity arrays)
     size = 1 + max(c for _, c in cosets)
     points = np.bincount(codes, minlength=size)

@@ -1,9 +1,19 @@
-"""Brute-force reference for positive synthesis and the log-domain split,
-and sweep-first references for the six decompositions.
+"""Point-wise form evaluation, brute-force reference for positive synthesis
+and the log-domain split, and sweep-first references for the six
+decompositions.
 
-The first two work one point at a time in the tables' native arithmetic
-(Fractions and Python floats, mixed freely), with no encoding and no index
-arrays.  They are the oracle for the array routines in
+The point-wise evaluators compute a form's parts one point at a time in
+Fractions: :func:`quadratic_value`, :func:`additive_value`,
+:func:`coset_value` (coset and sign maps), :func:`character_turn` and
+:func:`character_value`, and for whole forms :func:`log_pair` and
+:func:`exact_pair`.  Subgroups of finite groups are enumerated by
+:func:`reference_checks.subgroup_closure` (:func:`subgroup_members`),
+which also decides :func:`quotient_has_order2`.  They are the oracle for the array renderer in ``kbeq.functions``
+(``synth_table``, ``eval_positive`` and ``eval_hermitian``).
+
+The synthesis and split references work one point at a time in the tables'
+native arithmetic (Fractions and Python floats, mixed freely), with no
+encoding and no index arrays.  They are the oracle for the array routines in
 ``kbeq.functions.synth_table`` and ``kbeq._split._split_parts`` (read as
 forms by :func:`split_T`): on the same input both must return the same
 forms, or raise the same error with the same witness.
@@ -17,7 +27,8 @@ longer runs, and the point loops of ``reference_checks`` for its side
 conditions.  The vanishing reference keeps the library's earlier point
 loops: value by value moduli, the pair loop over the support, generators
 by closure enumeration, both checks that cannot fail on an odd-order group,
-character fits over every character, and the residual of ``exact_pair``.
+character fits over every character, the quotient test by closure
+enumeration, and the residual of :func:`exact_pair`.
 They are the oracle for the certify-then-explain rule and the array phase
 part and vanishing route in ``kbeq.decompose``: every public decomposition
 must return what they return, or raise the same error with the same
@@ -26,6 +37,7 @@ message, witness and report.
 
 import cmath
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import reference_checks as ref_checks
@@ -73,12 +85,79 @@ from kbeq.groups import GroupElement, GroupSpec, SubgroupSpec
 from reference_checks import value_is_zero, values_equal
 
 
+# ---------------------------------------------------------------------------
+# point-wise form evaluation
+
+
+def quadratic_value(P, x) -> Fraction:
+    """``P(x) = x^T B x``; the torsion rows of ``B`` are zero."""
+    free = range(P.group.rank)
+    return sum((P.matrix[i][j] * x.coords[i] * x.coords[j] for i in free for j in free),
+               Fraction(0))
+
+
+def additive_value(l, x) -> Fraction:
+    return sum((c * x.coords[j] for j, c in enumerate(l.coeffs)), Fraction(0))
+
+
+def coset_value(m, x):
+    """The value at ``x`` of a coset map or a sign map, read at its coset."""
+    return m.at(m.group.coset_index(x, m.modulus))
+
+
+def character_turn(chi, x) -> Fraction:
+    group = chi.group
+    total = sum((t * c for t, c in zip(chi.free_turns, x.coords)), Fraction(0))
+    for k, n, c in zip(chi.torsion_exponents, group.torsion, x.coords[group.rank:]):
+        total += Fraction(k * c, n)
+    return total % 1
+
+
+def character_value(chi, x) -> Exact:
+    return Exact.unit(character_turn(chi, x))
+
+
+def log_pair(form, x) -> tuple[Fraction, Fraction]:
+    """``(log f(x), log g(x))`` of a positive form."""
+    p, r = quadratic_value(form.P, x), coset_value(form.r, x)
+    return p + additive_value(form.l, x) + r, p + additive_value(form.m, x) - r
+
+
+@lru_cache(maxsize=64)
+def subgroup_members(sub: SubgroupSpec) -> frozenset:
+    """The elements of a subgroup of a finite group, by closure enumeration."""
+    return frozenset(ref_checks.subgroup_closure(sub))
+
+
+def quotient_has_order2(sub: SubgroupSpec) -> bool:
+    """Whether some ``x`` outside a subgroup of a finite group has ``2x``
+    inside it, by enumeration."""
+    members = subgroup_members(sub)
+    return any(x not in members and sub.group.scale(2, x) in members
+               for x in sub.group.elements())
+
+
+def exact_pair(form, x) -> tuple[Exact, Exact]:
+    """``(f(x), g(x))`` of a Hermitian form, exactly; a support must be a
+    subgroup of a finite group."""
+    if form.support is not None and x not in subgroup_members(form.support):
+        return Exact.zero_value(), Exact.zero_value()
+    p, r = quadratic_value(form.P, x), coset_value(form.r, x)
+    fa = Exact(p + r, character_turn(form.alpha, x)) * Exact.from_sign(coset_value(form.a, x))
+    gb = Exact(p - r, character_turn(form.beta, x)) * Exact.from_sign(coset_value(form.b, x))
+    return fa, gb
+
+
+# ---------------------------------------------------------------------------
+# positive synthesis and the log-domain split
+
+
 def synth_positive(form, domain):
-    """The tables of ``form.log_pair`` at every domain point."""
+    """The tables of :func:`log_pair` at every domain point."""
     group = form.group
     fvals, gvals = {}, {}
     for p in domain.points(group):
-        fvals[p], gvals[p] = form.log_pair(p)
+        fvals[p], gvals[p] = log_pair(form, p)
     return (FuncTable(group, domain, "positive", fvals),
             FuncTable(group, domain, "positive", gvals))
 
@@ -130,19 +209,19 @@ def decompose_T(table, tol):
     gens = group.generators()[:group.rank]
     l = AdditiveMap(group, tuple(_to_fraction(odd[e]) for e in gens))
     for x in pts:
-        if not _close(odd[x], l.value(x), tol, exact):
+        if not _close(odd[x], additive_value(l, x), tol, exact):
             raise DecompositionError("odd part is not additive",
-                                     _point_witness(x, odd[x], l.value(x)))
+                                     _point_witness(x, odd[x], additive_value(l, x)))
     P = _quadratic_from_even(group, [_to_fraction(even[group.element(coords)])
                                      for coords in _doubled_probes(group)])
     reps: dict = {}
     for x in pts:
         reps.setdefault(group.coset_index(x, 2), x)
-    entries = [(idx, _to_fraction(even[x]) - P.value(x))
+    entries = [(idx, _to_fraction(even[x]) - quadratic_value(P, x))
                for idx, x in reps.items()]
     r = CosetConstantMap(group, tuple(entries))
     for x in pts:
-        model = P.value(x) + l.value(x) + r.value(x)
+        model = quadratic_value(P, x) + additive_value(l, x) + coset_value(r, x)
         if not _close(vals[x], model, tol, exact):
             raise DecompositionError("decomposition residual is nonzero",
                                      _point_witness(x, vals[x], model))
@@ -191,7 +270,7 @@ def sweep_first_recover_deg2(table, tol):
     ))
     c = _to_fraction(c0) if exact else c0
     for x, v in vals.items():
-        model = P.value(x) + l.value(x) + c
+        model = quadratic_value(P, x) + additive_value(l, x) + c
         if not _close(v, model, tol, exact):
             raise DecompositionError(
                 "recovered degree-2 model does not reproduce the table",
@@ -320,10 +399,10 @@ def _restriction_matches(p, alpha, tol):
     for x, v in p.values.items():
         if any(r != 0 for r in group.coset_index(x, 2).residues):
             continue
-        if not values_equal(v, alpha.value(x), tol):
+        if not values_equal(v, character_value(alpha, x), tol):
             raise DecompositionError(
                 "phase part is not multiplicative on the doubled subgroup",
-                _point_witness(x, v, alpha.value(x)),
+                _point_witness(x, v, character_value(alpha, x)),
             )
 
 
@@ -331,15 +410,15 @@ def _sign_table_from_ratio(p, alpha, tol):
     out = {}
     for x, v in p.values.items():
         if isinstance(v, Exact):
-            dt = (v.turn - alpha.turn(x)) % 1
+            dt = (v.turn - character_turn(alpha, x)) % 1
             if v.log_abs != 0 or dt not in (Fraction(0), Fraction(1, 2)):
                 raise DecompositionError(
                     "ratio to the extended character is not +-1",
-                    _point_witness(x, v, alpha.value(x)),
+                    _point_witness(x, v, character_value(alpha, x)),
                 )
             out[x] = 1 if dt == 0 else -1
         else:
-            ratio = cval(v) / cval(alpha.value(x))
+            ratio = cval(v) / cval(character_value(alpha, x))
             if abs(ratio - 1) <= tol:
                 out[x] = 1
             elif abs(ratio + 1) <= tol:
@@ -347,7 +426,7 @@ def _sign_table_from_ratio(p, alpha, tol):
             else:
                 raise DecompositionError(
                     "ratio to the extended character is not +-1",
-                    _point_witness(x, v, alpha.value(x)),
+                    _point_witness(x, v, character_value(alpha, x)),
                 )
     return FuncTable(p.group, p.domain, KIND_SIGN, out)
 
@@ -544,7 +623,7 @@ def sweep_first_decompose_vanishing(f, g, tol, character_budget=4096):
             gens.append(x)
             known = set(ref_checks.subgroup_closure(SubgroupSpec(group, tuple(gens))))
     sub = SubgroupSpec(group, tuple(gens))
-    if sub.quotient_has_order2():
+    if quotient_has_order2(sub):
         raise DecompositionError(
             "quotient by the support subgroup has an element of order 2"
         )
@@ -562,7 +641,7 @@ def sweep_first_decompose_vanishing(f, g, tol, character_budget=4096):
         QuadraticForm.zero(group), CosetConstantMap.zero(group), sub,
     )
     for x, fa, ga in zip(pts, fvals, gvals):
-        fv, gv = form.exact_pair(x)
+        fv, gv = exact_pair(form, x)
         if not (values_equal(fv, fa, tol) and values_equal(gv, ga, tol)):
             raise DecompositionError(
                 "reconstructed form does not reproduce the input",
@@ -574,7 +653,7 @@ def sweep_first_decompose_vanishing(f, g, tol, character_budget=4096):
 def _fit_character_on(group, on_support, tol):
     """A character of the group agreeing with the ``(point, value)`` pairs."""
     for chi in ref_checks.all_characters(group):
-        if all(values_equal(v, chi.value(x), tol) for x, v in on_support):
+        if all(values_equal(v, character_value(chi, x), tol) for x, v in on_support):
             return chi
     raise DecompositionError(
         "restricted phase does not agree with any character of the group"

@@ -173,8 +173,9 @@ def _hermitian_cases():
 def _self_cases():
     minus = Exact.from_sign(-1)
     odd = _complexified(builtin_odd_quadratic(4))
-    chi = FuncTable.from_function(GroupSpec(0, (5,)), FullGroup(), "complex",
-                                  lambda p: CharacterSpec(p.group, (), (3,)).value(p))
+    chi = FuncTable.from_function(
+        GroupSpec(0, (5,)), FullGroup(), "complex",
+        lambda p: ref.character_value(CharacterSpec(p.group, (), (3,)), p))
     quad = _complexified(FuncTable.from_function(
         GroupSpec(1), Box((4,)), "positive", lambda p: Fraction(p.coords[0] ** 2, 3)))
     for name, f in (("odd-quadratic", odd), ("character", chi), ("quadratic", quad)):
@@ -586,9 +587,9 @@ def test_hermitian_route_builds_no_exact_and_sweeps_once(monkeypatch):
     assert verify_theorem_suite(("Z/3", "Z/2 x Z/2", "Z/9", "Z x Z/4"),
                                 trials=2, seed=1, strict=True).ok
     monkeypatch.undo()
-    assert all(back.exact_pair(x) == (f.values[x], g.values[x]) for x in f.points())
-    assert all(one.values[x] == Exact(P.value(x), alpha.turn(x)) * Exact.from_sign(a.value(x))
-               for x in one.points())
+    assert all(ref.exact_pair(back, x) == (f.values[x], g.values[x]) for x in f.points())
+    assert all(one.values[x] == Exact(ref.quadratic_value(P, x), ref.character_turn(alpha, x))
+               * Exact.from_sign(ref.coset_value(a, x)) for x in one.points())
     assert synth_table(vback, FullGroup()) == (vf, vg)
 
 

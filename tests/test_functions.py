@@ -1,10 +1,22 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_decompose import (
+    additive_value,
+    character_turn,
+    character_value,
+    coset_value,
+    exact_pair,
+    log_pair,
+    quadratic_value,
+)
+from kbeq import _vec, functions
 from kbeq.errors import GroupMismatchError, IncompatibleTablesError, SynthesisError
 from kbeq.functions import (
     AdditiveMap,
@@ -92,7 +104,7 @@ def test_positive_table_func_values():
 def test_split_of_hermitian_modulus_is_even():
     # |f| of a character table is identically 1, so log|f| has zero odd part
     chi = CharacterSpec(Z, (Fraction(1, 8),), ())
-    t = FuncTable.from_function(Z, Box((3,)), "complex", lambda p: chi.value(p))
+    t = FuncTable.from_function(Z, Box((3,)), "complex", lambda p: character_value(chi, p))
     logs = t.abs_log_table().as_real_log()
     assert all(logs.values[p] - logs.values[-p] == 0 for p in logs.points())
 
@@ -158,8 +170,8 @@ def test_quadratic_form_satisfies_parallelogram():
         for b in range(-3, 4):
             x = g.element((a, b))
             y = g.element((b, 1 - a))
-            assert P.value(x + y) + P.value(x - y) == \
-                2 * P.value(x) + 2 * P.value(y)
+            assert quadratic_value(P, x + y) + quadratic_value(P, x - y) == \
+                2 * quadratic_value(P, x) + 2 * quadratic_value(P, y)
 
 
 def test_additive_map_is_additive_and_kills_torsion():
@@ -168,15 +180,15 @@ def test_additive_map_is_additive_and_kills_torsion():
     for a in range(-4, 5):
         for t in range(5):
             x = g.element((a, t))
-            assert l.value(x) == Fraction(3, 2) * a
+            assert additive_value(l, x) == Fraction(3, 2) * a
     x, y = g.element((2, 3)), g.element((-1, 4))
-    assert l.value(x + y) == l.value(x) + l.value(y)
+    assert additive_value(l, x + y) == additive_value(l, x) + additive_value(l, y)
 
 
 def test_coset_constant_map_completeness():
     full = {idx: Fraction(1) for idx in Z44.coset_indices(2)}
     m = CosetConstantMap.from_mapping(Z44, full)
-    assert m.value(Z44.element((1, 2))) == 1
+    assert coset_value(m, Z44.element((1, 2))) == 1
     partial = dict(list(full.items())[:-1])
     with pytest.raises(GroupMismatchError):
         CosetConstantMap.from_mapping(Z44, partial)
@@ -189,9 +201,9 @@ def test_character_multiplicative_unimodular(k, e, a, b):
     g = GroupSpec(1, (4,))
     chi = CharacterSpec(g, (Fraction(k, 12),), (e,))
     x, y = g.element((a, b)), g.element((b, a))
-    assert chi.value(x) * chi.value(y) == chi.value(x + y)
-    assert chi.value(x).log_abs == 0
-    assert chi.value(g.zero()) == Exact.one()
+    assert character_value(chi, x) * character_value(chi, y) == character_value(chi, x + y)
+    assert character_value(chi, x).log_abs == 0
+    assert character_value(chi, g.zero()) == Exact.one()
 
 
 def test_sign_map_invariants():
@@ -235,6 +247,15 @@ def zero_positive_form(group):
     return PositiveSolutionForm.zero(group)
 
 
+def trivial_hermitian_form(group, support=None):
+    """The Hermitian form that is 1 on ``support`` (everywhere by default)
+    and 0 elsewhere."""
+    one = SignMap.trivial(group, 4)
+    return HermitianSolutionForm(
+        CharacterSpec.trivial(group), CharacterSpec.trivial(group), one, one,
+        QuadraticForm.zero(group), CosetConstantMap.zero(group), support)
+
+
 def test_eval_positive_examples():
     z2t = GroupSpec(0, (2,))
     f0 = zero_positive_form(z2t)
@@ -257,25 +278,16 @@ def test_eval_positive_examples():
 
 
 def test_eval_hermitian_examples():
-    triv = HermitianSolutionForm(
-        CharacterSpec.trivial(Z44), CharacterSpec.trivial(Z44),
-        SignMap.trivial(Z44, 4), SignMap.trivial(Z44, 4),
-        QuadraticForm.zero(Z44), CosetConstantMap.zero(Z44))
+    triv = trivial_hermitian_form(Z44)
     assert eval_hermitian(triv, Z44.element((1, 2))) == (1 + 0j, 1 + 0j)
 
-    form = HermitianSolutionForm(
-        CharacterSpec(Z, (Fraction(1, 8),), ()), CharacterSpec.trivial(Z),
-        SignMap.trivial(Z, 4), SignMap.trivial(Z, 4),
-        QuadraticForm.zero(Z), CosetConstantMap.zero(Z))
-    fv, _ = form.exact_pair(Z.element((2,)))
+    form = dataclasses.replace(trivial_hermitian_form(Z),
+                               alpha=CharacterSpec(Z, (Fraction(1, 8),), ()))
+    fv, _ = exact_pair(form, Z.element((2,)))
     assert fv == Exact.unit(Fraction(1, 4))  # exactly i
 
     z9 = GroupSpec(0, (9,))
-    sup = SubgroupSpec(z9, (z9.element((3,)),))
-    vform = HermitianSolutionForm(
-        CharacterSpec.trivial(z9), CharacterSpec.trivial(z9),
-        SignMap.trivial(z9, 4), SignMap.trivial(z9, 4),
-        QuadraticForm.zero(z9), CosetConstantMap.zero(z9), sup)
+    vform = trivial_hermitian_form(z9, SubgroupSpec(z9, (z9.element((3,)),)))
     assert eval_hermitian(vform, z9.element((1,))) == (0j, 0j)
     assert eval_hermitian(vform, z9.element((3,))) == (1 + 0j, 1 + 0j)
 
@@ -300,7 +312,7 @@ def test_synth_positive_matches_eval():
     f, g = synth_table(form, Box((3,)))
     assert len(f.values) == 7
     for p in f.points():
-        ef, eg = form.log_pair(p)
+        ef, eg = log_pair(form, p)
         assert f.values[p] == ef
         assert g.values[p] == eg
 
@@ -331,6 +343,51 @@ def test_synth_refuses_product_not_one():
         synth_table(form, FullGroup())
 
 
+# random form parts, drawn by hypothesis
+
+
+def _rational(draw, dens):
+    return Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(dens)))
+
+
+def _character(draw, group, dens):
+    return CharacterSpec(group, tuple(_rational(draw, dens) for _ in range(group.rank)),
+                         tuple(draw(st.integers(0, n - 1)) for n in group.torsion))
+
+
+def _signs(draw, group):
+    """An even sign map on the cosets of X^(4), 1 on those inside X^(2)."""
+    vals = {}
+    for idx in group.coset_indices(4):
+        if idx not in vals:
+            inside = not any(group.coset_project(idx).residues)
+            vals[idx] = vals[group.coset_negate(idx)] = (
+                1 if inside else draw(st.sampled_from((1, -1))))
+    return SignMap.from_mapping(group, 4, vals)
+
+
+def _quadratic(draw, group, dens):
+    mat = [[Fraction(0)] * group.dim for _ in range(group.dim)]
+    for i in range(group.rank):
+        for j in range(i, group.rank):
+            mat[i][j] = mat[j][i] = _rational(draw, dens)
+    return QuadraticForm(group, tuple(map(tuple, mat)))
+
+
+def _coset_map(draw, group, dens):
+    return CosetConstantMap(group, tuple((idx, _rational(draw, dens))
+                                         for idx in group.coset_indices(2)))
+
+
+def _support(draw, group):
+    """A subgroup of up to two random generators."""
+    return SubgroupSpec(group, tuple(
+        group.element([draw(st.integers(0, n - 1)) for n in group.torsion])
+        for _ in range(draw(st.integers(0, 2)))))
+
+
+SMALL_DENS = tuple(range(1, 13))
+LINEAR_DENS = (1, 12, 10**6, 2**23 + 1)
 RENDER_GROUPS = (GroupSpec(1), GroupSpec(2), GroupSpec(1, (4,)), GroupSpec(1, (2, 3)),
                  GroupSpec(2, (4, 3)), GroupSpec(0, (4, 4)), GroupSpec(0, (2, 6)),
                  GroupSpec(0, (9,)), GroupSpec(0, (3, 3)), GroupSpec(0, (15,)),
@@ -343,36 +400,15 @@ def _hermitian_forms(draw):
     support-restricted on a group with onto doubling at times, and a domain:
     the whole group when finite, else a box of radius 1 to 5."""
     group = draw(st.sampled_from(RENDER_GROUPS))
-    rank = group.rank
-    rat = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
-
-    def character():
-        return CharacterSpec(group, tuple(draw(rat) for _ in range(rank)),
-                             tuple(draw(st.integers(0, n - 1)) for n in group.torsion))
-
-    def signs():
-        vals = {}
-        for idx in group.coset_indices(4):
-            if idx not in vals:
-                inside = not any(group.coset_project(idx).residues)
-                vals[idx] = vals[group.coset_negate(idx)] = (
-                    1 if inside else draw(st.sampled_from((1, -1))))
-        return SignMap.from_mapping(group, 4, vals)
-
-    mat = [[Fraction(0)] * group.dim for _ in range(group.dim)]
-    for i in range(rank):
-        for j in range(i, rank):
-            mat[i][j] = mat[j][i] = draw(rat)
-    r = CosetConstantMap(group, tuple((idx, draw(rat)) for idx in group.coset_indices(2)))
     support = None
     if group.doubling_is_onto() and draw(st.booleans()):
-        support = SubgroupSpec(group, tuple(
-            group.element([draw(st.integers(0, n - 1)) for n in group.torsion])
-            for _ in range(draw(st.integers(0, 2)))))
-    form = HermitianSolutionForm(character(), character(), signs(), signs(),
-                                 QuadraticForm(group, tuple(map(tuple, mat))), r, support)
+        support = _support(draw, group)
+    form = HermitianSolutionForm(
+        _character(draw, group, SMALL_DENS), _character(draw, group, SMALL_DENS),
+        _signs(draw, group), _signs(draw, group), _quadratic(draw, group, SMALL_DENS),
+        _coset_map(draw, group, SMALL_DENS), support)
     domain = FullGroup() if group.is_finite else Box(
-        tuple(draw(st.integers(1, 5)) for _ in range(rank)))
+        tuple(draw(st.integers(1, 5)) for _ in range(group.rank)))
     return form, domain
 
 
@@ -384,7 +420,7 @@ def test_hermitian_tables_match_exact_pair(case):
     tables = _hermitian_tables(form, domain)
     for i, table in enumerate(tables):
         oracle = FuncTable.from_function(form.group, domain, "complex",
-                                         lambda p: form.exact_pair(p)[i])
+                                         lambda p: exact_pair(form, p)[i])
         assert table.encoding[0] == "exact"
         assert table == oracle and table.to_json() == oracle.to_json()
     try:
@@ -392,6 +428,99 @@ def test_hermitian_tables_match_exact_pair(case):
     except SynthesisError:
         return
     assert synthesized == tables
+
+
+def _outcome(evaluate):
+    """What an evaluation returns, by its repr, which tells every float
+    apart (-0.0 from 0.0 too), or the error it raises."""
+    try:
+        return repr(tuple(evaluate()))
+    except ArithmeticError as exc:  # exp of a log beyond the float range
+        return type(exc)
+
+
+@st.composite
+def _forms_at_a_point(draw):
+    """A group of rank <= 2 with torsion orders <= 4, a positive and a
+    Hermitian form with random parts on it (on a support at times when
+    the group has onto doubling), and a point with |coordinates| <= 10^6.
+    Small and large denominators take the evaluators through int64 and
+    Python-int arithmetic.  Unimodular forms, drawn half the time, have
+    ``P = r = 0`` and free coordinates up to 2^40, beyond int32."""
+    unimodular = draw(st.booleans())
+    rank = draw(st.integers(1 if unimodular else 0, 2))
+    group = GroupSpec(rank, tuple(draw(st.lists(st.integers(2, 4), max_size=2))))
+    P, r = QuadraticForm.zero(group), CosetConstantMap.zero(group)
+    if not unimodular:
+        P = _quadratic(draw, group, (1, 12, 10**12, 2**41 + 1))
+        r = _coset_map(draw, group, (1, 2, 12))
+    l, m = (AdditiveMap(group, tuple(_rational(draw, LINEAR_DENS) for _ in range(rank)))
+            for _ in range(2))
+    support = None
+    if group.doubling_is_onto() and draw(st.booleans()):
+        support = _support(draw, group)
+    hform = HermitianSolutionForm(_character(draw, group, LINEAR_DENS),
+                                  _character(draw, group, LINEAR_DENS),
+                                  _signs(draw, group), _signs(draw, group), P, r, support)
+    bound = 2**40 if unimodular else 10**6
+    free = st.one_of(st.sampled_from((bound, -bound)), st.integers(-bound, bound))
+    x = group.element([draw(free) for _ in range(rank)]
+                      + [draw(st.integers(0, n - 1)) for n in group.torsion])
+    return PositiveSolutionForm(P, l, m, r), hform, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forms_at_a_point())
+def test_eval_matches_the_point_wise_oracle(case):
+    # the floats after the oracle's conversion, then the exact logs and turns
+    pform, hform, x = case
+    assert _outcome(lambda: eval_positive(pform, x)) == _outcome(
+        lambda: [math.exp(float(v)) for v in log_pair(pform, x)])
+    assert _outcome(lambda: eval_hermitian(hform, x)) == _outcome(
+        lambda: [v.to_complex() for v in exact_pair(hform, x)])
+    for (l, r), want in zip(((pform.l, pform.r), (pform.m, pform.r.negated())),
+                            log_pair(pform, x)):
+        assert Fraction(*_vec.form_value_at(*_vec.form_coefficients(pform.P, l, r),
+                                            x.group, x.coords)) == want
+    turns, den = functions._turns(hform.alpha, np.array([x.coords], dtype=object))
+    assert Fraction(int(turns[0]), den) == character_turn(hform.alpha, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((GroupSpec(0, (9,)), GroupSpec(0, (3, 3)), GroupSpec(0, (15,)))),
+       st.data())
+def test_eval_hermitian_on_a_support_matches_the_oracle(group, data):
+    draw = data.draw
+    form = HermitianSolutionForm(
+        _character(draw, group, ()), _character(draw, group, ()), _signs(draw, group),
+        _signs(draw, group), QuadraticForm.zero(group), _coset_map(draw, group, (1, 4)),
+        _support(draw, group))
+    for x in group.elements():
+        assert _outcome(lambda: eval_hermitian(form, x)) == _outcome(
+            lambda: [v.to_complex() for v in exact_pair(form, x)])
+
+
+def test_support_on_the_trivial_group():
+    # Z^0 has one point and a zero generator; the span holds it
+    group = GroupSpec(0, ())
+    form = trivial_hermitian_form(group, SubgroupSpec(group, (group.zero(),)))
+    assert eval_hermitian(form, group.zero()) == (1 + 0j, 1 + 0j)
+    f, g = synth_table(form, FullGroup())
+    assert list(f.values.values()) == list(g.values.values()) == [Exact.one()]
+
+
+def test_eval_rejects_a_foreign_element_and_an_infinite_support():
+    z9, z3 = GroupSpec(0, (9,)), GroupSpec(0, (3,))
+    form = dataclasses.replace(trivial_hermitian_form(z9), alpha=CharacterSpec(z9, (), (1,)))
+    on3 = dataclasses.replace(form, support=SubgroupSpec(z9, (z9.element((3,)),)))
+    for evaluate, f in ((eval_positive, PositiveSolutionForm.zero(z9)),
+                        (eval_hermitian, form), (eval_hermitian, on3)):
+        with pytest.raises(GroupMismatchError):
+            evaluate(f, z3.element((1,)))
+    # a support on an infinite group has no finite mask to read
+    with pytest.raises(SynthesisError, match="finite group"):
+        eval_hermitian(trivial_hermitian_form(Z, SubgroupSpec(Z, (Z.element((2,)),))),
+                       Z.element((4,)))
 
 
 def test_form_json_roundtrip():
@@ -425,5 +554,6 @@ def test_mod2_sign_map_satisfies_paired_equation():
             trivial = all(r == 0 for r in idx.residues)
             vals[idx] = 1 if trivial else (-1 if i % 2 else 1)
         amap = SignMap.from_mapping(group, 2, vals)
-        table = FuncTable.from_function(group, FullGroup(), "sign", amap.value)
+        table = FuncTable.from_function(group, FullGroup(), "sign",
+                                        lambda x: coset_value(amap, x))
         assert check_sign_eq26(table, table).holds

@@ -1,15 +1,11 @@
-from random import Random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_checks import subgroup_closure
 from kbeq.errors import DomainSizeError, GroupMismatchError, GroupParseError
 from kbeq.groups import (
     Box,
     FullGroup,
     GroupSpec,
-    SubgroupSpec,
     parse_element,
     parse_group,
 )
@@ -154,76 +150,7 @@ def test_coset_index_equivalence_exhaustive():
 
 
 # ---------------------------------------------------------------------------
-# subgroups
-
-
-def test_subgroup_contains_examples():
-    s = SubgroupSpec(Z9, (Z9.element((3,)),))
-    assert s.contains(Z9.element((6,)))
-    assert not s.contains(Z9.element((1,)))
-    s2 = SubgroupSpec(Z2, (Z2.element((2, 0)), Z2.element((0, 2))))
-    assert not s2.contains(Z2.element((1, 1)))
-    assert s2.contains(Z2.element((4, -6)))
-    assert s2.contains(Z2.zero())
-
-
-def test_subgroup_contains_vs_closure_enumeration():
-    # cross-check against exhaustive closure on every group of order <= 64
-    groups = [GroupSpec(0, t) for t in
-              [(2,), (3,), (4,), (2, 2), (9,), (4, 4), (2, 4), (8,),
-               (2, 2, 2), (3, 3), (12,), (2, 3), (16, 4)]]
-    for group in groups:
-        if group.order() > 64:
-            continue
-        elements = group.elements()
-        gens = (elements[len(elements) // 3], elements[-1])
-        sub = SubgroupSpec(group, gens)
-        closure = set(subgroup_closure(sub))
-        for x in elements:
-            assert sub.contains(x) == (x in closure), (group, gens, x)
-
-
-def test_quotient_has_order2_examples():
-    assert not SubgroupSpec(Z9, (Z9.element((3,)),)).quotient_has_order2()
-    z4 = GroupSpec(0, (4,))
-    assert SubgroupSpec(z4, ()).quotient_has_order2()
-    assert SubgroupSpec(
-        Z2, (Z2.element((2, 0)), Z2.element((0, 1)))).quotient_has_order2()
-    assert not SubgroupSpec(
-        Z2, (Z2.element((1, 0)), Z2.element((0, 1)))).quotient_has_order2()
-
-
-def test_quotient_has_order2_vs_enumeration():
-    # oracle: exists x not in S with 2x in S
-    for torsion in [(4,), (9,), (2, 2), (4, 4), (6,), (8, 2), (12,)]:
-        group = GroupSpec(0, torsion)
-        elements = group.elements()
-        for gen_count in (0, 1, 2):
-            gens = tuple(elements[1 + 2 * i] for i in range(gen_count)
-                         if 1 + 2 * i < len(elements))
-            sub = SubgroupSpec(group, gens)
-            closure = set(subgroup_closure(sub))
-            direct = any(x not in closure and group.scale(2, x) in closure
-                         for x in elements)
-            assert sub.quotient_has_order2() == direct, (torsion, gens)
-    # with a free part the search runs in a box: such an x is l/2 mod S for
-    # some l = sum c_i g_i with every c_i in {0, 1} (changing c_i by 2
-    # changes x by g_i), so the box of radius sum |g_i| holds one
-    seen = set()
-    for torsion in [(), (2,), (3,), (4,)]:
-        group = GroupSpec(2, torsion)
-        rng = Random(f"order2-{torsion}")
-        for _ in range(24):
-            gens = tuple(group.element([rng.randint(-3, 3), rng.randint(-3, 3),
-                                        *(rng.randrange(n) for n in torsion)])
-                         for _ in range(rng.randint(0, 3)))
-            sub = SubgroupSpec(group, gens)
-            radius = max(1, *(sum(abs(g.coords[j]) for g in gens) for j in (0, 1)))
-            direct = any(not sub.contains(x) and sub.contains(group.scale(2, x))
-                         for x in Box((radius, radius)).points(group))
-            assert sub.quotient_has_order2() == direct, (torsion, gens)
-            seen.add(direct)
-    assert seen == {True, False}
+# doubling
 
 
 def test_doubling_is_onto():

@@ -24,6 +24,7 @@ from random import Random
 import pytest
 
 import reference_checks as ref
+from reference_decompose import character_value
 from kbeq import _vec, checks
 from kbeq.cli import main
 from kbeq.errors import BudgetExceededError
@@ -85,8 +86,9 @@ def _cases(group, domain, rng):
         group, domain, "sign", lambda p: 1 - 2 * (sum(p.coords[c] for c in even) % 2))
     yield ("sign-eq26", checks.check_sign_eq26, ref.check_sign_eq26,
            (corrupted(sign, rng, lambda v: -v), sign))
+    spec = random_character(group, rng)
     chi = FuncTable.from_function(group, domain, "complex",
-                                  random_character(group, rng).value)
+                                  lambda p: character_value(spec, p))
     yield ("character", checks.check_character, ref.check_character,
            (corrupted(chi, rng, lambda v: v * Exact.unit(Fraction(1, 5))),))
 
@@ -271,11 +273,12 @@ def test_coset_codes_are_cached_and_read_only(monkeypatch):
     group, domain = GroupSpec(2, (4, 3)), Box((3, 3))
     info = _vec.domain_info(group, domain)
     for modulus in (2, 4):
-        codes, encode = _vec.coset_codes(info, modulus)
+        codes = _vec.coset_codes(info, modulus)
         assert (group, domain, "coset", modulus) in _vec._pair_cache
-        assert _vec.coset_codes(info, modulus)[0] is codes
+        assert _vec.coset_codes(info, modulus) is codes
         with pytest.raises(ValueError):
             codes[0] = 1
-        # the encoder maps each point's coset index to the point's code
-        assert codes.tolist() == [encode(group.coset_index(p, modulus))
+        # each code is its coset's place among the coset indices
+        indices = group.coset_indices(modulus)
+        assert codes.tolist() == [indices.index(group.coset_index(p, modulus))
                                   for p in domain.points(group)]
