@@ -33,14 +33,13 @@ split is kept.
 A positive pair whose logs split as ``P + l + r`` and ``P + m - r`` solves
 the equation on the whole group, hence on every window: the parallelogram
 law settles the ``P`` terms, and ``x+y``, ``x-y`` share an ``X^(2)``-coset,
-as do ``y`` and ``-y``, so the ``r`` terms cancel.  On exact tables
-:func:`_split_positive` is therefore a certificate of the equation that
-sweeps no pair; it compares the two splits' parts as integer arrays.  It
-is the one routine for positive pairs: ``check_kb`` tries it before
-sweeping, ``decompose_positive`` returns it as a form, and the Hermitian
-and one-function decompositions split their moduli with it.  An exact pair
-checked and then decomposed is split once per table (the kept parts).
-This module imports neither :mod:`kbeq.checks` nor :mod:`kbeq.decompose`.
+as do ``y`` and ``-y``, so the ``r`` terms cancel.  So
+:func:`_split_positive`, comparing the two splits' parts as integer arrays,
+is the certificate that ``check_kb`` and ``decompose_positive`` pass to
+:func:`kbeq.checks._certified`, and the split of the moduli in the
+Hermitian and one-function decompositions.  An exact pair checked and then
+decomposed is split once per table (the kept parts).  This module imports
+neither :mod:`kbeq.checks` nor :mod:`kbeq.decompose`.
 """
 
 from __future__ import annotations

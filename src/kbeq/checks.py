@@ -5,11 +5,9 @@ table domain: a tuple is checked iff every point the equation touches lies
 in the domain, and the report carries the fraction of conceivable tuples
 that were checkable (so truncation by a box window stays visible).  Failures
 report the lexicographically first witness, making them reproducible.
-Checkers sweep their tuples, except that :func:`check_kb` first certifies an
-exact positive pair by its sweep-free decomposition
-(:func:`kbeq._split._split_positive`); a certified report counts the
-in-range pairs in closed form without sweeping them, and the sweep runs only
-when the certificate fails, to find the witness.
+Checkers sweep their tuples, except that :func:`check_kb` and every
+decomposition in :mod:`kbeq.decompose` certify, then explain, by the one
+rule of :func:`_certified`.
 
 Every pair and triple identity, and the point-wise comparisons of
 :func:`check_hermitian` and :func:`check_coset_constant`, run through one
@@ -29,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -273,23 +271,23 @@ _KB_TERMS = ((0, 2, 1), (1, 3, 1), (0, 0, -1), (0, 1, -1), (1, 0, -1), (1, 4, -1
 def check_kb(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     """Exhaustive check of ``f(x+y) g(x-y) = f(x) f(y) g(x) g(-y)``.
 
-    An exact positive pair whose logs split sweep-free as ``P + l + r`` and
-    ``P + m - r`` (exact residuals, equal quadratic parts, opposite coset
-    parts) solves the equation on the whole group, so it holds without a
-    sweep: ``pairs_checked`` is the closed-form count of in-range pairs,
-    answered even beyond the pair guard.  Every other pair is swept:
-    positive tables in the log domain (exactly for rational logs), sign
-    tables exactly, real tables as plain products (exactly for rationals),
-    complex tables by modulus-``tol`` closeness unless all values are exact,
-    and a failure reports the lexicographically first witness.  Tables
-    containing zeros are allowed.
+    Decided by :func:`_certified`; positive pairs have the sweep-free split
+    (:func:`kbeq._split._split_positive`) as certificate, and a certified
+    report counts the in-range pairs in closed form, even beyond the pair
+    guard.  The sweep compares positive tables in the log domain, real
+    and complex tables as plain products, exactly when every value is
+    exact and otherwise within ``tol`` (complex ones by modulus), sign
+    tables exactly, and reports the lexicographically first witness.
+    Tables containing zeros are allowed.
     """
     _require_same(f, g)
-    if _certified_positive(f, g, tol):
+    split = (lambda: _split_positive(f, g, tol)) if f.kind == KIND_POSITIVE else None
+    report = _certified((f, g), split, lambda: _kb_sweep(f, g, tol)).report
+    if report is None:
         info = _vec.domain_info(f.group, f.domain)
         count = _vec.pair_count(info, _KB_COMBOS)
         return _passed(count, count / info.n ** 2)
-    return _kb_sweep(f, g, tol)
+    return report
 
 
 def check_kb_self(f: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -297,16 +295,32 @@ def check_kb_self(f: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     return check_kb(f, f, tol)
 
 
-def _certified_positive(f: FuncTable, g: FuncTable, tol: float) -> bool:
-    """Does the sweep-free split certify an exact positive pair?  Only the
-    split's integer parts are compared; no form is built."""
-    if f.kind != KIND_POSITIVE or not (_is_exact_table(f) and _is_exact_table(g)):
-        return False
+class _Outcome(NamedTuple):
+    value: object  # the certificate's value, when it returned one
+    report: Optional[CheckReport]  # the sweep's report, None when no sweep ran
+    error: Optional[KbeqError]  # the certificate's error, None unless it raised
+
+
+def _certified(tables, certificate, sweep) -> _Outcome:
+    """The one rule of :func:`check_kb` and every decomposition: certify,
+    then explain.  ``certificate()`` returns a value implying the equation
+    on the tables or raises :class:`~kbeq.errors.KbeqError`; ``sweep()`` is
+    the equation's exhaustive check.  On exact tables the certificate runs
+    first and its value answers; the sweep runs only when it raises, to
+    explain.  A float residual within ``tol`` does not bound the equation's
+    error, so on tables holding floats the sweep runs first, and the
+    certificate only after a holding sweep.  Without a certificate the
+    sweep answers.  A failing report outranks the certificate's error.
+    """
+    report = None
+    if certificate is None or not all(map(_is_exact_table, tables)):
+        report = sweep()
+        if certificate is None or not report.holds:
+            return _Outcome(None, report, None)
     try:
-        _split_positive(f, g, tol)
-    except KbeqError:
-        return False
-    return True
+        return _Outcome(certificate(), report, None)
+    except KbeqError as error:
+        return _Outcome(None, sweep() if report is None else report, error)
 
 
 def _kb_sweep(f: FuncTable, g: FuncTable, tol: float) -> CheckReport:

@@ -4,11 +4,8 @@ The positive route goes through the log domain: a table satisfying the
 triple-difference equation splits into an even part (quadratic form plus a
 coset-constant map) and an odd part (an additive map), and the two log
 tables of a pair must share the quadratic form and have opposite coset
-maps.  The split itself, certified by a residual sweep over the whole
-window, lives in :mod:`kbeq._split`; its pair routine ``_split_positive``
-is the one split of positive pairs, shared by the certificate of
-:func:`kbeq.checks.check_kb`, :func:`decompose_positive` and the moduli of
-the Hermitian and one-function routes.
+maps.  The split itself lives in :mod:`kbeq._split`; its pair routine
+``_split_positive`` is the one split of positive pairs.
 
 The Hermitian route first splits the moduli as a positive pair, then
 factors the unimodular part ``p`` into a character ``alpha`` (fitted
@@ -27,20 +24,15 @@ are fitted at the support generators; on an odd-order group the support
 subgroup needs no doubling or order-2 test, and the fitted form needs no
 comparison with the input (see :func:`decompose_vanishing`).
 
-Every decomposition certifies itself once, then explains failures: each
-public function is one certified block, and none calls another.  On exact
-tables a form that passes the exact residual and structure checks solves
-the equation on the whole group, so no equation sweep runs unless the
-recovery raises; the sweep then runs, and if it fails it is raised as
-:class:`~kbeq.errors.EquationFailsError` in place of the recovery's own
-error.  Float tables are swept first: a residual within
-``tol`` does not bound the equation's error by ``tol``.
+Each decomposition certifies once, then explains, by the rule of
+:func:`kbeq.checks._certified`: it passes its recovery and its equation's
+sweep, a failing sweep raises :class:`~kbeq.errors.EquationFailsError`,
+and none calls another.
 """
 
 from __future__ import annotations
 
 import cmath
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -61,12 +53,12 @@ from ._split import (
 )
 from .checks import (
     DEFAULT_TOL,
+    _certified,
+    _kb_sweep,
     _require_same,
     check_coset_constant,
     check_eq5,
     check_hermitian,
-    check_kb,
-    check_kb_self,
     check_polynomial,
     check_sign_eq26,
 )
@@ -76,7 +68,6 @@ from .errors import (
     EquationFailsError,
     GroupHypothesisError,
     IncompatibleTablesError,
-    KbeqError,
 )
 from .functions import (
     AdditiveMap,
@@ -115,19 +106,16 @@ def _require(rep, message: str):
         raise EquationFailsError(message, rep)
 
 
-@contextmanager
-def _certified(tables, check, message: str):
-    """Run a decomposition body under its equation sweep ``check()``: first
-    on float tables, and on exact ones only once the body has raised."""
-    exact = all(map(_is_exact_table, tables))
-    if not exact:
-        _require(check(), message)
-    try:
-        yield
-    except KbeqError:
-        if exact:
-            _require(check(), message)
-        raise
+def _decomposed(tables, body, sweep, message: str):
+    """The value of ``body()`` certified by :func:`kbeq.checks._certified`
+    against the equation's ``sweep()``; raises the failing sweep as
+    ``message``, else the body's own error."""
+    value, report, error = _certified(tables, body, sweep)
+    if report is not None:
+        _require(report, message)
+    if error is not None:
+        raise error
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +134,8 @@ def recover_deg2(table: FuncTable, tol: float = DEFAULT_TOL):
     """
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("degree-2 recovery needs a real table")
-    with _certified((table,), lambda: check_polynomial(table, 2, tol=tol),
-                    "table is not a polynomial of degree <= 2"):
+
+    def body():
         group, d, rank = table.group, table.group.dim, table.group.rank
         info = _vec.domain_info(group, table.domain)
         J, K = np.triu_indices(rank)
@@ -182,6 +170,9 @@ def recover_deg2(table: FuncTable, tol: float = DEFAULT_TOL):
         P, l, _ = _forms(group, parts)
         return P, l, c
 
+    return _decomposed((table,), body, lambda: check_polynomial(table, 2, tol=tol),
+                       "table is not a polynomial of degree <= 2")
+
 
 def extend_additive(group: GroupSpec, doubled: Sequence) -> AdditiveMap:
     """Extend an additive map given on doubled generators (halving)."""
@@ -207,21 +198,16 @@ def decompose_T(table: FuncTable, tol: float = DEFAULT_TOL):
     Requires the triple-difference equation to hold on the window.  The
     table is read as one array (:func:`kbeq._vec.numeric_mode`: exact
     numerators over one denominator, or floats when it holds any float).
-    The odd part ``(T(x) - T(-x)) / 2`` gives the additive map at the
-    generators; the even part gives the quadratic form from doubled second
-    differences and the per-coset constants at each coset's first point.
-    One residual sweep of the whole window against the recovered form,
-    exact for exact tables and within ``tol`` for float tables, certifies
-    the output.  Only when the residual fails is the odd part compared with
-    the additive map everywhere, so that a non-additive odd part is the
-    error reported.
+    The split (:func:`kbeq._split._split_parts`) reads the additive map
+    from the odd part and the quadratic form and coset constants from the
+    even part, and one residual over the whole window certifies it.
     """
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("log-domain decomposition needs a real table")
     _require_decomposable_domain(table)
-    with _certified((table,), lambda: check_eq5(table, tol),
-                    "triple-difference equation fails"):
-        return _forms(table.group, _split_parts(table, tol))
+    return _decomposed(
+        (table,), lambda: _forms(table.group, _split_parts(table, tol)),
+        lambda: check_eq5(table, tol), "triple-difference equation fails")
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +218,16 @@ def decompose_positive(f: FuncTable, g: FuncTable,
                        tol: float = DEFAULT_TOL) -> PositiveSolutionForm:
     """Recover the structured form of a positive solution pair.
 
-    The pair is split by :func:`kbeq._split._split_positive`, the
-    certificate of :func:`~kbeq.checks.check_kb`: both log tables into
-    integer parts, whose equal quadratic and opposite coset parts are
-    verified on those arrays (exactly for rational tables) before the form
-    is built.  An exact table reuses the split a ``check_kb`` certificate
-    kept on it.
+    The form is read from :func:`kbeq._split._split_positive`, which is
+    also :func:`~kbeq.checks.check_kb`'s certificate; an exact table that
+    ``check_kb`` certified is not split again.
     """
     if f.kind != KIND_POSITIVE or g.kind != KIND_POSITIVE:
         raise IncompatibleTablesError("positive decomposition needs positive tables")
     _require_same(f, g)
-    with _certified((f, g), lambda: check_kb(f, g, tol),
-                    "the functional equation fails"):
-        return _positive_form(f.group, *_split_positive(f, g, tol))
+    return _decomposed(
+        (f, g), lambda: _positive_form(f.group, *_split_positive(f, g, tol)),
+        lambda: _kb_sweep(f, g, tol), "the functional equation fails")
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +477,8 @@ def decompose_hermitian(f: FuncTable, g: FuncTable,
     for name, tab in (("f", f), ("g", g)):
         _require_nonvanishing(tab, name)
         _require(check_hermitian(tab, tol), f"{name} is not Hermitian")
-    with _certified((f, g), lambda: check_kb(f, g, tol),
-                    "the functional equation fails"):
+
+    def body():
         _check_positive_real_at_zero(f, tol, "f")
         _check_positive_real_at_zero(g, tol, "g")
         _require_unit_product_at_zero(f, g, tol)
@@ -520,6 +503,9 @@ def decompose_hermitian(f: FuncTable, g: FuncTable,
             pform.P, pform.r, None,
         )
 
+    return _decomposed((f, g), body, lambda: _kb_sweep(f, g, tol),
+                       "the functional equation fails")
+
 
 def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
     """One-function case: returns (character, sign map mod 2, quadratic form).
@@ -534,8 +520,8 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
     f = _complexified(f)
     _require_nonvanishing(f, "f")
     _require(check_hermitian(f, tol), "f is not Hermitian")
-    with _certified((f,), lambda: check_kb_self(f, tol),
-                    "the one-function equation fails"):
+
+    def body():
         _check_positive_real_at_zero(f, tol, "f")
         v = _at_zero((f,))
         if v != (0, 0) if isinstance(v, tuple) else _vec.apart(v, 1, tol):
@@ -552,6 +538,9 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
         _require(check_coset_constant(sa, 2, tol),
                  "leftover sign is not constant on doubled cosets")
         return alpha, _sign_map_from_table(sa, 2), pform.P
+
+    return _decomposed((f,), body, lambda: _kb_sweep(f, f, tol),
+                       "the one-function equation fails")
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +579,8 @@ def decompose_vanishing(f: FuncTable, g: FuncTable,
         raise DecompositionError("tables must not be identically zero")
     for name, tab in (("f", f), ("g", g)):
         _require(check_hermitian(tab, tol), f"{name} is not Hermitian")
-    with _certified((f, g), lambda: check_kb(f, g, tol),
-                    "the functional equation fails"):
+
+    def body():
         _require_unit_product_at_zero(f, g, tol)
         _check_positive_real_at_zero(f, tol, "f")
         kind, (a, b), _ = _vec.numeric_mode([f, g])  # |f| = |g|, zeros included
@@ -622,6 +611,9 @@ def decompose_vanishing(f: FuncTable, g: FuncTable,
             _fit_character_on(f, on, sub, tol), _fit_character_on(g, on, sub, tol),
             trivial, trivial, QuadraticForm.zero(group), CosetConstantMap.zero(group),
             sub)
+
+    return _decomposed((f, g), body, lambda: _kb_sweep(f, g, tol),
+                       "the functional equation fails")
 
 
 def _support_subgroup(f: FuncTable, on: np.ndarray) -> SubgroupSpec:

@@ -1,16 +1,19 @@
 """Certify-then-explain decompositions and checks against sweep-first references.
 
-On exact tables the decompositions in ``kbeq.decompose`` run the equation
-sweeps only when the recovery fails; the references in
-``reference_decompose`` always sweep first.  On a corpus of clean and
-corrupted tables, exact and float, over windows and whole groups, both
-must agree on the result or on the error's type, message, witness and
-report.  The corpus must reach every outcome the rule distinguishes, and
-every exact success must satisfy the equation it certifies.
+``check_kb`` and the decompositions in ``kbeq.decompose`` certify, then
+explain, through one routine, ``kbeq.checks._certified``: on exact tables
+the equation sweeps run only when the certificate fails, and on float
+tables they run first; the references in ``reference_decompose`` always
+sweep first.  On a corpus of clean and corrupted tables, exact and float,
+over windows and whole groups, both must agree on the result or on the
+error's type, message, witness and report.  The corpus must reach every
+outcome the rule distinguishes, and every exact success must satisfy the
+equation it certifies.  Each entry point calls the routine once, a failing
+pair is split once, and a failing float sweep runs no decomposition body.
 
-``check_kb`` likewise certifies an exact positive pair by its sweep-free
-split and sweeps only when that fails; its reports must equal the forced
-sweep's, witness included, on clean and corrupted pairs.
+``check_kb``'s certificate is the sweep-free split of a positive pair; its
+reports must equal the forced sweep's, witness included, on clean and
+corrupted pairs.
 """
 
 import dataclasses
@@ -293,7 +296,7 @@ def _equation_holds(f, g, tol):
 def test_vanishing_body_matches_point_loops(case, monkeypatch):
     # the recovery alone: with the equation taken to hold, a fault reaches
     # the check that names it, in the library and in the point loops alike
-    monkeypatch.setattr(dec, "check_kb", _equation_holds)
+    monkeypatch.setattr(dec, "_kb_sweep", _equation_holds)
     monkeypatch.setattr(ref, "check_kb", _equation_holds)
     _, _, args, _ = case
     assert (_outcome(decompose_vanishing, args)
@@ -301,7 +304,7 @@ def test_vanishing_body_matches_point_loops(case, monkeypatch):
 
 
 def test_vanishing_cases_reach_every_check(monkeypatch):
-    monkeypatch.setattr(dec, "check_kb", _equation_holds)
+    monkeypatch.setattr(dec, "_kb_sweep", _equation_holds)
     outcomes = {name: _outcome(decompose_vanishing, args)
                 for name, _, args, _ in VANISHING_CASES}
     assert {"|f| != |g| (supports differ)", "|f| != |g|", "support is not a subgroup",
@@ -318,7 +321,9 @@ SWEEP_MESSAGES = {
     "deg2": "table is not a polynomial of degree <= 2",
     "T": "triple-difference equation fails",
     "positive": "the functional equation fails",
+    "hermitian": "the functional equation fails",
     "self": "the one-function equation fails",
+    "vanishing": "the functional equation fails",
 }
 
 
@@ -615,16 +620,107 @@ def test_pair_decompositions_sample_no_triples(monkeypatch):
 
 def test_float_hermitian_certifies_once(monkeypatch):
     # the moduli are split inside decompose_hermitian's own certification,
-    # not by a nested decompose_positive with a second check_kb
+    # not by a nested decompose_positive with a second equation sweep
     calls = []
-    real = dec.check_kb
-    monkeypatch.setattr(dec, "check_kb", lambda *args: calls.append(args) or real(*args))
+    real = dec._kb_sweep
+    monkeypatch.setattr(dec, "_kb_sweep", lambda *args: calls.append(args) or real(*args))
     sweeps = _pair_block_counter(monkeypatch)
     f, g = _floated("hermitian", synth_table(random_hermitian_form(ZZ4, Random(5)),
                                              Box((4,))))
     decompose_hermitian(f, g)
     assert len(calls) == 1
-    assert sweeps[0] == 2  # check_kb and the sign equation
+    assert sweeps[0] == 2  # the equation and the sign equation
+
+
+# ---------------------------------------------------------------------------
+# one certification routine for check_kb and every decomposition
+
+CORPUS_ARGS = {name: args for name, _, args, _ in CORPUS}
+# entry point -> (function, a clean and a failing corpus case)
+ROUTINE_ENTRIES = {
+    "check_kb": (check_kb, ("positive-box", "positive-box-fbad")),
+    "check_kb_self": (check_kb_self, ("self-quadratic", "self-quadratic-neg-at-x")),
+    "recover_deg2": (recover_deg2, ("deg2-poly", "deg2-poly-bad")),
+    "decompose_T": (decompose_T, ("T-log", "T-log-bad")),
+    "decompose_positive": (decompose_positive, ("positive-box", "positive-box-fbad")),
+    "decompose_hermitian": (decompose_hermitian,
+                            ("hermitian-box", "hermitian-box-neg-at-x")),
+    "decompose_self": (decompose_self, ("self-quadratic", "self-quadratic-neg-at-x")),
+    "decompose_vanishing": (decompose_vanishing, ("vanishing-z9", "vanishing-z9-neg-at-x")),
+}
+ROUTINE_CASES = [(entry, name + suffix, clean)
+                 for entry, (_, names) in ROUTINE_ENTRIES.items()
+                 for name, clean in zip(names, (True, False))
+                 for suffix in ("", "-float")]
+
+
+def _routine_outcomes(monkeypatch) -> list:
+    """The outcome of every call of ``checks._certified`` from now on, by
+    ``check_kb`` or by a decomposition."""
+    outcomes = []
+    real = checks._certified
+
+    def spy(*args):
+        outcomes.append(real(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(checks, "_certified", spy)
+    monkeypatch.setattr(dec, "_certified", spy)
+    return outcomes
+
+
+@pytest.mark.parametrize("entry,name,clean", ROUTINE_CASES,
+                         ids=[f"{entry}-{name}" for entry, name, _ in ROUTINE_CASES])
+def test_each_entry_point_calls_the_routine_once(entry, name, clean, monkeypatch):
+    fn, _ = ROUTINE_ENTRIES[entry]
+    outcomes = _routine_outcomes(monkeypatch)
+    got = _outcome(fn, CORPUS_ARGS[name])
+    assert len(outcomes) == 1
+    # not vacuous: the clean case holds or decomposes, the failing one not
+    holds = got[0] == "ok" and (not entry.startswith("check") or got[1]["holds"])
+    assert holds == clean
+
+
+def test_failing_positive_decomposition_splits_once(monkeypatch):
+    # Z^2 x Z/4 x Z/3 at radius 6 with one log altered: the split of the
+    # altered table fails once, and one sweep explains the failure
+    group = GroupSpec(2, (4, 3))
+    f, g = synth_table(random_positive_form(group, Random(1)), Box((6, 6)))
+    bad = _replaced(f, {(3, -2, 1, 0): lambda v: v + 1})
+    splits = []
+    split_parts = _split._split_parts
+    monkeypatch.setattr(_split, "_split_parts",
+                        lambda t, tol: splits.append(t) or split_parts(t, tol))
+    count = _form_values_counter(monkeypatch)
+    sweeps = _pair_block_counter(monkeypatch)
+    with pytest.raises(EquationFailsError, match="the functional equation fails"):
+        decompose_positive(bad, g)
+    assert len(splits) == 1 and splits[0] is bad
+    assert count[0] == 2  # the residual, then the odd part that explains it
+    assert sweeps[0] == 1
+
+
+def test_failing_float_sweep_runs_no_body(monkeypatch):
+    # float tables are swept first: a pair the sweep refuses reaches neither
+    # the split nor the phase part, nor any other decomposition body
+    failing = [(func, args, got) for _, func, args, exact in CORPUS if not exact
+               for got in [_outcome(FUNCS[func][0], args)]
+               if got[:2] == ("EquationFailsError", SWEEP_MESSAGES[func])]
+    assert {func for func, *_ in failing} == set(FUNCS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decomposition body ran after a failing float sweep")
+
+    for module in (_split, dec):
+        monkeypatch.setattr(module, "_split_parts", refuse)
+    monkeypatch.setattr(dec, "_hermitian_phase_part", refuse)
+    bodies = []
+    real = checks._certified
+    monkeypatch.setattr(dec, "_certified", lambda tables, body, sweep: real(
+        tables, lambda: bodies.append(body) or body(), sweep))
+    for func, args, got in failing:
+        assert _outcome(FUNCS[func][0], args) == got
+    assert bodies == []
 
 
 # ---------------------------------------------------------------------------
@@ -725,9 +821,16 @@ def test_certified_check_kb_matches_the_sweep(case):
         assert _kb_key(check_kb_self(f)) == _kb_key(want)
 
 
+def _kb_certified(f, g) -> bool:
+    """Does ``check_kb``'s certificate answer with no sweep?  Read from the
+    routine's outcome on the split and the pair sweep."""
+    out = checks._certified((f, g), lambda: _split._split_positive(f, g, DEFAULT_TOL),
+                            lambda: checks._kb_sweep(f, g, DEFAULT_TOL))
+    return out.report is None and out.error is None
+
+
 def test_check_kb_corpus_reaches_every_path():
-    certified = {name for name, f, g, _ in KB_CASES
-                 if checks._certified_positive(f, g, DEFAULT_TOL)}
+    certified = {name for name, f, g, _ in KB_CASES if _kb_certified(f, g)}
     # every solution certifies unless the window is below the split's radius
     assert certified == {name for name, f, g, solution in KB_CASES
                          if solution and not name.startswith("box3")}
@@ -793,7 +896,7 @@ def test_certified_check_builds_no_fraction(monkeypatch):
     assert check_kb(f, g).holds  # warms the index caches
     count = _fraction_counter(monkeypatch)
     assert Fraction(1, 3) and count[0] == 1  # the counter sees construction
-    assert checks._certified_positive(f, g, DEFAULT_TOL)
+    assert _kb_certified(f, g)
     rep = check_kb(f, g)
     assert rep.holds and count[0] == 1
 
@@ -869,7 +972,7 @@ def test_split_near_the_int64_limit_matches_the_sweep(seed):
         parts = _split._split_parts(t, DEFAULT_TOL)
         assert _vec.form_values(*parts, info)[0].dtype == object
     assert _kb_key(check_kb(f, g)) == _kb_key(checks._kb_sweep(f, g, DEFAULT_TOL))
-    assert checks._certified_positive(f, g, DEFAULT_TOL)
+    assert _kb_certified(f, g)
     assert decompose_positive(f, g).to_json() == form.to_json()
     bad = _replaced(f, {(1, 2, 1): lambda v: v + Fraction(1, 5)})
     want = checks._kb_sweep(bad, g, DEFAULT_TOL)

@@ -25,7 +25,7 @@ import pytest
 
 import reference_checks as ref
 from reference_decompose import character_value
-from kbeq import _vec, checks
+from kbeq import _split, _vec, checks
 from kbeq.cli import main
 from kbeq.errors import BudgetExceededError
 from kbeq.functions import Exact, FuncTable, synth_table
@@ -162,7 +162,10 @@ def test_counts_come_from_the_per_coordinate_factors():
 def test_certified_checks_count_the_pairs_once_per_domain(monkeypatch):
     group = GroupSpec(1, (4,))
     f, g = synth_table(random_positive_form(group, Random(3)), Box((4,)))
-    assert checks._certified_positive(f, g, TOL)  # no sweep builds blocks
+    # the routine's outcome: certified by the split, no sweep builds blocks
+    out = checks._certified((f, g), lambda: _split._split_positive(f, g, TOL),
+                            lambda: checks._kb_sweep(f, g, TOL))
+    assert out.report is None and out.error is None
     calls = []
     factors = _vec._factors
 
