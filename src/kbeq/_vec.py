@@ -21,10 +21,12 @@ proves the sums fit and in Python ints otherwise.
 Pair sweeps never build an n×n array.  A pair is in range iff it is in
 range in every coordinate, so :func:`pair_count` is a product of
 per-coordinate counts and :func:`pair_blocks` generates the pairs block by
-block from per-coordinate digit-pair lists.  Index maps are cached in one
-store holding at most ``_CACHE_BYTES`` of arrays; a pair sweep keeps its
-blocks there when all of them fit, and otherwise streams them through
-reused scratch arrays.
+block from per-coordinate digit-pair lists.  Every pair sweep streams its
+blocks through reused scratch arrays and stops at the first failing block,
+so no index array of a sweep outlives it.  Per-domain maps (coordinates,
+negation and coset codes, the form basis, the split's read points, pair
+counts, triple maps, the census's coset shifts) are cached by :func:`memo`
+in one store holding at most ``_CACHE_BYTES`` of arrays.
 """
 
 from __future__ import annotations
@@ -91,24 +93,19 @@ def _nbytes(value) -> int:
     return 0
 
 
-def _cached(key, value):
-    """Keep ``value`` in ``_pair_cache`` if it fits ``_CACHE_BYTES``, dropping
-    the oldest entries until the cache does."""
+def memo(key, build):
+    """The cached value under ``key``, built by ``build()`` on a miss and kept
+    if it fits ``_CACHE_BYTES``, the oldest entries dropped until it does."""
+    hit = _pair_cache.get(key)
+    if hit is not None:
+        return hit
+    value = build()
     size = _nbytes(value)
     if size <= _CACHE_BYTES:
         while size + sum(map(_nbytes, _pair_cache.values())) > _CACHE_BYTES:
             del _pair_cache[next(iter(_pair_cache))]
         _pair_cache[key] = value
     return value
-
-
-def memo(key, build):
-    """The cached value under ``key``, built by ``build()`` and kept (within
-    ``_CACHE_BYTES``) on a miss."""
-    hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
-    return _cached(key, build())
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +233,10 @@ def pair_sweep(info: VecDomain, combos, enc, terms, tol: float,
     [x, y, *combination points] of the lexicographically first failing
     pair, or None; ``enc``, ``terms``, ``tol`` and ``product`` are as for
     :func:`failures`.  More than ``_PAIR_GUARD`` pairs are refused before
-    any index is built.  The pairs run in blocks of ``_BLOCK_PAIRS``, which
-    keeps each block's temporaries small; the blocks are kept in the cache
-    when all of them fit ``_CACHE_BYTES``, and otherwise regenerated into
-    the same scratch arrays block after block.
+    any index is built.  The pairs are generated in blocks of
+    ``_BLOCK_PAIRS`` into the same scratch arrays block after block, and the
+    sweep stops at the first block holding a failure, so memory stays
+    bounded and no index array outlives the sweep.
     """
     count = pair_count(info, combos)
     if count > _PAIR_GUARD:
@@ -247,15 +244,8 @@ def pair_sweep(info: VecDomain, combos, enc, terms, tol: float,
             f"pair sweep over {count} in-range pairs exceeds the built-in "
             f"guard of {_PAIR_GUARD}"
         )
-    key = (info.group, info.domain, combos)
     work: dict = {}
-    blocks = _pair_cache.get(key)
-    if blocks is None:
-        if count * (2 + len(combos)) * 8 <= _CACHE_BYTES:
-            blocks = _cached(key, list(pair_blocks(info, combos, _BLOCK_PAIRS)))
-        else:
-            blocks = pair_blocks(info, combos, _BLOCK_PAIRS, work)
-    for axes in blocks:
+    for axes in pair_blocks(info, combos, _BLOCK_PAIRS, work):
         hit = failures(enc, axes, terms, tol, product, work)
         if len(hit):
             w = hit[np.argmin(axes[0][hit] * info.n + axes[1][hit])]

@@ -17,7 +17,8 @@ exact for rational, sign and exact-complex values and use an absolute
 tolerance (default 1e-9, by :func:`kbeq._vec.apart`) for floating data.
 Pair sweeps (:func:`kbeq._vec.pair_sweep`) count their in-range pairs in
 closed form, refuse more than ``kbeq._vec._PAIR_GUARD`` of them before
-allocating, and run in bounded memory; triple sweeps use
+allocating, and stream their pairs in bounded blocks up to the first
+failing one; triple sweeps use
 :func:`kbeq._vec.triple_maps`.
 """
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import _vec
 from ._split import _is_exact_table, _split_positive
-from .errors import DomainSizeError, IncompatibleTablesError, KbeqError
+from .errors import IncompatibleTablesError, KbeqError
 from .functions import (
     FuncTable,
     KIND_COMPLEX,
@@ -144,17 +145,6 @@ def _sweep(tables, axes, terms, tol: float, product: bool = False):
     return [tables[0]._point(int(a[hit[0]])) for a in axes]
 
 
-def _pair_sweep(tables, combos, terms, tol: float, product: bool = False):
-    """In-range pair count, and the points (x, y, then each combination
-    point) of the lexicographically first pair failing the identity or None."""
-    t = tables[0]
-    count, w = _vec.pair_sweep(_vec.domain_info(t.group, t.domain), combos,
-                               _vec.numeric_mode(tables), terms, tol, product)
-    if w is None:
-        return count, None
-    return count, [t._point(i) for i in w]
-
-
 def _sides(tables, at, terms, product: bool = False):
     """Both sides' values at the points ``at``, in the tables' native arithmetic."""
     mul = cmul if tables[0].kind == KIND_COMPLEX else operator.mul
@@ -203,13 +193,18 @@ def _report(checked: int, considered: int, at, witness,
 
 def _pair_check(tables, combos, terms, tol: float, product: bool = False,
                 witness=None) -> CheckReport:
-    """Sweep an identity over every in-range pair (x, y)."""
-    checked, at = _pair_sweep(tables, combos, terms, tol, product)
+    """Sweep an identity over every in-range pair (x, y); ``witness`` turns
+    the points (x, y, then each combination point) of the lexicographically
+    first failing pair into the report's witness."""
+    t = tables[0]
+    checked, w = _vec.pair_sweep(_vec.domain_info(t.group, t.domain), combos,
+                                 _vec.numeric_mode(tables), terms, tol, product)
     if witness is None:
         def witness(at):
             return Witness(("x", "y"), (at[0], at[1]),
                            *_sides(tables, at, terms, product))
-    return _report(checked, len(tables[0].values) ** 2, at, witness)
+    at = None if w is None else [t._point(i) for i in w]
+    return _report(checked, len(t.values) ** 2, at, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +338,6 @@ def _kb_witness(f, g, x, y) -> Witness:
 def check_hermitian(f: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
     """Conjugate symmetry ``f(-x) = conj(f(x))`` at every domain point: ``f``
     at ``-x`` against its conjugate table at ``x``, in one kernel call."""
-    if not f.domain.negation_closed(f.group):
-        raise DomainSizeError("hermitian check needs a negation-closed domain")
     conj = _conjugate(f)
     ng = _vec.neg_codes(_vec.domain_info(f.group, f.domain))
     return _entrywise((f, conj), [ng, np.arange(len(ng))], tol,

@@ -83,7 +83,7 @@ def _summary(line: str):
 def _cmd_check(args):
     from . import checks
     f = _load_table(args.f, args.group)
-    g = _load_table(args.g, args.group) if args.g else f
+    g = _load_table(args.g, args.group)
     rep = checks.check_kb(f, g, args.tol)
     _summary(f"equation holds: {rep.holds} ({rep.pairs_checked} pairs, "
              f"coverage {rep.coverage:.4f})")

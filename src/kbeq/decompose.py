@@ -12,8 +12,9 @@ factors the unimodular part ``p`` into a character ``alpha`` (fitted
 on the doubled subgroup and extended to the whole group with deterministic
 principal square roots) times a +/-1-valued map, and validates every
 structural claim: ``p = alpha`` on the doubled subgroup, ``p = +-alpha``
-everywhere, evenness, the sign equation, and constancy on quadrupled (or
-doubled, in the one-function case) cosets.  The phase identities
+everywhere, evenness, the sign equation, and constancy on quadrupled
+cosets (in the one-function case the sign equation implies constancy on
+doubled cosets, see :func:`decompose_self`).  The phase identities
 ``p(2x) = p(x)^2`` and ``p(x+y)^2 = p(x)^2 p(y)^2`` are implied by the first
 two on exact tables (both sides are powers of ``alpha``), so they are not
 swept.  Every step reads the tables' stored arrays (``FuncTable.encoding``),
@@ -472,8 +473,7 @@ def decompose_hermitian(f: FuncTable, g: FuncTable,
     """
     f = _complexified(f)
     g = _complexified(g)
-    if f.group != g.group or f.domain != g.domain:
-        raise IncompatibleTablesError("tables must share group and domain")
+    _require_same(f, g)
     for name, tab in (("f", f), ("g", g)):
         _require_nonvanishing(tab, name)
         _require(check_hermitian(tab, tol), f"{name} is not Hermitian")
@@ -516,6 +516,14 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
     own: splitting the pair ``(|f|, |f|)`` already demanded ``r = -r``,
     exactly on exact tables and as ``2r`` within the tolerance on float
     ones.  The pair is one table, so it is split once, exact or float.
+
+    Nor is the leftover sign's constancy on doubled cosets checked: its sign
+    equation already proves it.  Take ``u`` and ``v`` in one
+    ``X^(2)``-coset of a Box or FullGroup window.  Then ``v - u = 2y`` with
+    ``y`` in the window, and ``x = u + y`` is in the window too, since free
+    coordinates halve and torsion coordinates are always in range.  So
+    ``(x, y)`` is an in-range pair, and there
+    ``a(x+y) a(x-y) = a(x)^2 a(y)^2 = 1`` forces ``a(v) = a(u)``.
     """
     f = _complexified(f)
     _require_nonvanishing(f, "f")
@@ -535,8 +543,6 @@ def decompose_self(f: FuncTable, tol: float = DEFAULT_TOL):
         alpha, sa = _hermitian_phase_part(f, tol, "f")
         _require(check_sign_eq26(sa, sa, tol),
                  "leftover sign violates a(x+y) a(x-y) = 1")
-        _require(check_coset_constant(sa, 2, tol),
-                 "leftover sign is not constant on doubled cosets")
         return alpha, _sign_map_from_table(sa, 2), pform.P
 
     return _decomposed((f,), body, lambda: _kb_sweep(f, f, tol),
@@ -566,8 +572,7 @@ def decompose_vanishing(f: FuncTable, g: FuncTable,
     """
     f = _complexified(f)
     g = _complexified(g)
-    if f.group != g.group or f.domain != g.domain:
-        raise IncompatibleTablesError("tables must share group and domain")
+    _require_same(f, g)
     group = f.group
     if not group.doubling_is_onto():
         raise GroupHypothesisError(

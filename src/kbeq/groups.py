@@ -256,12 +256,6 @@ class FullGroup:
     def points(self, group: GroupSpec) -> list[GroupElement]:
         return [GroupElement(group, c) for c in product(*self.ranges(group))]
 
-    def contains(self, x: GroupElement) -> bool:
-        return True
-
-    def negation_closed(self, group: GroupSpec) -> bool:
-        return True
-
     def to_json(self) -> dict:
         return {"type": "full"}
 
@@ -289,12 +283,6 @@ class Box:
 
     def points(self, group: GroupSpec) -> list[GroupElement]:
         return [GroupElement(group, c) for c in product(*self.ranges(group))]
-
-    def contains(self, x: GroupElement) -> bool:
-        return all(abs(x.coords[j]) <= r for j, r in enumerate(self.radius))
-
-    def negation_closed(self, group: GroupSpec) -> bool:
-        return True
 
     def to_json(self) -> dict:
         return {"type": "box", "radius": list(self.radius)}

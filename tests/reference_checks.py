@@ -159,7 +159,7 @@ def table_from_json(obj) -> FuncTable:
         raise GroupParseError(f"unknown table kind {kind!r}")
     rows = obj["values"]
     vals = [value_from_json(kind, raw) for _, raw in rows]
-    domain.points(group)  # a domain that does not fit the group raises
+    ranges = domain.ranges(group)  # a domain that does not fit the group raises
     for c, _ in rows:
         if len(c) != group.dim:
             raise GroupMismatchError(f"expected {group.dim} coordinates, got {len(c)}")
@@ -169,7 +169,8 @@ def table_from_json(obj) -> FuncTable:
     if any(not -2**63 <= v < 2**63 for c, _ in rows for v in c):
         raise GroupParseError("table coordinates must fit in 64 bits")
     pts = [group.element(c) for c, _ in rows]
-    if not all(map(domain.contains, pts)) or len(set(pts)) != len(pts):
+    inside = all(v in r for p in pts for v, r in zip(p.coords, ranges))
+    if not inside or len(set(pts)) != len(pts):
         raise IncompatibleTablesError("table keys must equal the enumerated domain exactly")
     return FuncTable(group, domain, kind, dict(zip(pts, vals)))
 

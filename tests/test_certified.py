@@ -549,7 +549,8 @@ def _refuse_exact(self):
 
 
 def _pair_block_counter(monkeypatch) -> list:
-    """A one-item list counting pair sweeps from an empty index cache."""
+    """A one-item list counting pair sweeps: each streams one
+    ``pair_blocks`` generator."""
     count = [0]
     blocks = _vec.pair_blocks
 
@@ -557,7 +558,6 @@ def _pair_block_counter(monkeypatch) -> list:
         count[0] += 1
         return blocks(*args, **kwargs)
 
-    monkeypatch.setattr(_vec, "_pair_cache", {})
     monkeypatch.setattr(_vec, "pair_blocks", counting)
     return count
 

@@ -18,7 +18,13 @@ from reference_decompose import (
     split_T,
 )
 from kbeq import _vec, decompose, functions
-from kbeq.checks import DEFAULT_TOL, check_hermitian, check_kb, check_kb_self
+from kbeq.checks import (
+    DEFAULT_TOL,
+    check_hermitian,
+    check_kb,
+    check_kb_self,
+    check_sign_eq26,
+)
 from kbeq.decompose import (
     decompose_T,
     decompose_hermitian,
@@ -489,6 +495,47 @@ def test_self_rejects_unequal_moduli_shape():
         lambda p: Exact(log_abs=Fraction(p.coords[0])))
     with pytest.raises((DecompositionError, EquationFailsError)):
         decompose_self(f)
+
+
+# every sign table of each window is enumerated: at most 16 points
+SIGN_WINDOWS = (
+    *((Z, Box((r,))) for r in (1, 2, 3)),
+    (GroupSpec(2), Box((1, 1))),
+    *((GroupSpec(1, (2,)), Box((r,))) for r in (1, 2, 3)),
+    (GroupSpec(1, (4,)), Box((1,))),
+    *((GroupSpec(0, t), FullGroup())
+      for t in ((2,), (3,), (4,), (2, 2), (2, 4), (4, 4))),
+)
+
+
+def test_sign_equation_forces_constancy_on_doubled_cosets():
+    # decompose_self does not check its leftover sign on doubled cosets:
+    # a(x+y) a(x-y) = 1 on every in-range pair of the window implies it.
+    # Each row of ``bits`` is one sign table's parities, in domain order.
+    tables = solutions = 0
+    for group, domain in SIGN_WINDOWS:
+        pts = domain.points(group)
+        index = {p: i for i, p in enumerate(pts)}
+        n = len(pts)
+        bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        holds = np.ones(2 ** n, dtype=bool)
+        for x in pts:
+            for y in pts:
+                if x + y in index and x - y in index:
+                    holds &= bits[:, index[x + y]] == bits[:, index[x - y]]
+        first = {}
+        reps = [first.setdefault(group.coset_index(p, 2), i) for i, p in enumerate(pts)]
+        assert (bits[holds] == bits[holds][:, reps]).all(), (group, domain)
+        # the library's sign equation agrees on the solutions and on the
+        # first non-solution, if any
+        rows = [*bits[holds], *bits[~holds][:1]]
+        for row, want in zip(rows, [True] * int(holds.sum()) + [False]):
+            s = FuncTable(group, domain, "sign",
+                          {p: 1 - 2 * int(b) for p, b in zip(pts, row)})
+            assert check_sign_eq26(s, s).holds == want, (group, domain, row)
+        tables += 2 ** n
+        solutions += int(holds.sum())
+    assert (tables, solutions) == (88_084, 150)
 
 
 # ---------------------------------------------------------------------------

@@ -180,7 +180,5 @@ def test_box_domain():
     assert len(pts) == 5 * 3
     assert pts == sorted(pts, key=lambda p: p.coords)
     assert all(-p in set(pts) for p in pts)  # negation closed
-    assert box.contains(group.element((2, 1)))
-    assert not box.contains(group.element((3, 0)))
     with pytest.raises(DomainSizeError):
         Box((0,))

@@ -1,4 +1,5 @@
-"""The streamed pair sweep: closed-form counts, witness order, budget, cache.
+"""The streamed pair sweep: closed-form counts, witness order, budget,
+early stop, and no cached block.
 
 Pair sweeps build their in-range pairs from per-coordinate factors and sweep
 them block by block, each block holding every pair of a range of x, so the
@@ -17,7 +18,6 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 from random import Random
 
@@ -116,7 +116,7 @@ def test_streamed_witnesses_match_reference(monkeypatch):
         return hit
 
     monkeypatch.setattr(_vec, "failures", spy)
-    default_block, default_cache = _vec._BLOCK_PAIRS, _vec._CACHE_BYTES
+    default_block = _vec._BLOCK_PAIRS
     beyond_first_block = reordered = failing = 0
     for name, group, domain in DOMAINS:
         for seed in range(2):
@@ -125,15 +125,12 @@ def test_streamed_witnesses_match_reference(monkeypatch):
                 case = f"{name}-{check_name}-{seed}"
                 want = reference(*tables, TOL)
                 failing += not want.holds
-                # default blocks, then small and tiny ones; cached, then
-                # streamed through reused scratch arrays
-                for block, cache in product((default_block, 300, 16),
-                                            (default_cache, 0)):
+                # default blocks, then small and tiny ones, each streamed
+                # through reused scratch arrays
+                for block in (default_block, 300, 16):
                     monkeypatch.setattr(_vec, "_BLOCK_PAIRS", block)
-                    monkeypatch.setattr(_vec, "_CACHE_BYTES", cache)
-                    monkeypatch.setattr(_vec, "_pair_cache", {})
                     calls.clear()
-                    assert_agree(check(*tables), want, (case, block, cache))
+                    assert_agree(check(*tables), want, (case, block))
                     if want.holds:
                         continue
                     beyond_first_block += len(calls) > 1
@@ -256,19 +253,42 @@ def test_radius_14_window_check_answers_in_bounded_memory(tmp_path):
     assert peak_kb < 300 * 1024
 
 
-def test_pair_index_sets_are_cached_only_within_the_byte_budget(monkeypatch):
+def test_no_pair_block_outlives_its_sweep(monkeypatch):
     group = GroupSpec(1, (2,))
-    small, large = Box((3,)), Box((12,))
     combos = ((1, 1), (1, -1), (0, -1))
-    # 25 * 4 pairs fit, 313 * 4 do not; sign tables are always swept
-    monkeypatch.setattr(_vec, "_CACHE_BYTES", 5 * 8 * 200)
     monkeypatch.setattr(_vec, "_pair_cache", {})
-    for domain in (small, large):
+    # sign tables are always swept; both windows fit the per-domain budget
+    for domain in (Box((3,)), Box((12,))):
         t = FuncTable.from_function(group, domain, "sign", lambda p: 1)
         assert checks.check_kb(t, t).holds
-    assert (group, small, combos) in _vec._pair_cache
-    assert (group, large, combos) not in _vec._pair_cache
-    assert sum(map(_vec._nbytes, _vec._pair_cache.values())) <= 5 * 8 * 200
+        assert (group, domain, combos) not in _vec._pair_cache
+        assert (group, domain, "count", combos) in _vec._pair_cache
+    assert not any(isinstance(v, list) for v in _vec._pair_cache.values())
+
+
+def test_failing_sweep_stops_at_its_first_failing_block(monkeypatch):
+    # 2028 points and 1 040 400 in-range pairs in 21 blocks, whose index
+    # arrays would fit _CACHE_BYTES: the sweep still streams, and stops early
+    group, domain = GroupSpec(2, (4, 3)), Box((6, 6))
+    f, g = synth_table(random_positive_form(group, Random(1)), domain)
+    x = group.element((1, 2, 3, 0))
+    altered = FuncTable(group, domain, "positive",
+                        {p: v + (p == x) for p, v in f.values.items()})
+    info = _vec.domain_info(group, domain)
+    total = len(list(_vec.pair_blocks(info, checks._KB_COMBOS, _vec._BLOCK_PAIRS)))
+    consumed = [0]
+    blocks = _vec.pair_blocks
+
+    def counting(*args, **kwargs):
+        for block in blocks(*args, **kwargs):
+            consumed[0] += 1
+            yield block
+
+    monkeypatch.setattr(_vec, "pair_blocks", counting)
+    report = checks.check_kb(altered, g)
+    assert not report.holds and report.pairs_checked == 1_040_400
+    assert [p.coords for p in report.witness.points] == [(-5, -4, 0, 0), (1, 2, 3, 0)]
+    assert 0 < consumed[0] < total
 
 
 def test_coset_codes_are_cached_and_read_only(monkeypatch):
