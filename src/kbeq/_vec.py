@@ -7,26 +7,28 @@ itself.  :func:`point_codes` is the one encoder of that rule: it maps
 integer coordinate arrays, torsion coordinates unreduced, to domain indices
 and an in-domain mask, so the index of an affine combination such as
 ``cx*x + cy*y`` is array arithmetic and exhaustive quantifier sweeps run in
-numpy.  Pair sweeps alone build their indices from per-coordinate factors,
-and coset codes use the coset radix instead.  Tables store their values as
-arrays in domain order (``FuncTable.encoding``); :func:`numeric_mode` brings
-several tables to one arithmetic and :func:`failures` evaluates any signed
-sum or product identity over aligned index arrays.  :func:`apart` is the
+numpy.  Pair and triple sweeps alone build their indices from
+per-coordinate factors, and coset codes use the coset radix instead.
+Tables store their values as arrays in domain order
+(``FuncTable.encoding``); :func:`numeric_mode` brings several tables to one
+arithmetic and :func:`failures` evaluates any signed sum or product
+identity over aligned index arrays.  :func:`apart` is the
 one tolerant comparison of floats, which the kernel and every other module
 call, and :func:`first_difference` compares two tables entry by entry,
 exactly or by :func:`apart`.  Exactness is kept by
 scaling rationals to a common denominator, in int64 only where a bound
 proves the sums fit and in Python ints otherwise.
 
-Pair sweeps never build an n×n array.  A pair is in range iff it is in
-range in every coordinate, so :func:`pair_count` is a product of
-per-coordinate counts and :func:`pair_blocks` generates the pairs block by
-block from per-coordinate digit-pair lists.  Every pair sweep streams its
-blocks through reused scratch arrays and stops at the first failing block,
-so no index array of a sweep outlives it.  Per-domain maps (coordinates,
-negation and coset codes, the form basis, the split's read points, pair
-counts, triple maps, the census's coset shifts) are cached by :func:`memo`
-in one store holding at most ``_CACHE_BYTES`` of arrays.
+Tuple sweeps never build an array of all n^m tuples of m points.  A tuple
+is in range iff it is in range in every coordinate, so :func:`pair_count`
+is a product of per-coordinate counts and :func:`pair_blocks` generates the
+tuples block by block from per-coordinate digit-tuple lists.  Every sweep,
+of pairs or of triples, streams its blocks through reused scratch arrays
+and stops at the first failing block, so no index array of a sweep outlives
+it.  Per-domain maps (coordinates, negation and coset codes, the form
+basis, the split's read points, tuple counts, the census's coset shifts)
+are cached by :func:`memo` in one store holding at most ``_CACHE_BYTES`` of
+arrays.
 """
 
 from __future__ import annotations
@@ -40,11 +42,9 @@ import numpy as np
 from .errors import BudgetExceededError, IncompatibleTablesError
 from .groups import Box, Domain, GroupSpec
 
-_PAIR_GUARD = 30_000_000  # refuse pair sweeps with more in-range pairs
-_BLOCK_PAIRS = 1 << 16    # pairs per block of a pair sweep
+_PAIR_GUARD = 30_000_000  # refuse tuple sweeps with more in-range tuples
+_BLOCK_PAIRS = 1 << 16    # tuples per block of a tuple sweep
 _CACHE_BYTES = 96 << 20   # bytes of arrays the index-map cache may hold
-EQ5_FULL_BUDGET = 300_000   # triple sweeps up to this many triples are exhaustive
-EQ5_SAMPLE_BUDGET = 20_000  # triples a sampled sweep takes
 
 
 @dataclass
@@ -109,64 +109,77 @@ def memo(key, build):
 
 
 # ---------------------------------------------------------------------------
-# pair sweeps from per-coordinate factors
+# tuple sweeps from per-coordinate factors
 #
-# A pair (x, y) is in range iff it is in range in every coordinate, so the
-# in-range pairs are a product of per-coordinate digit-pair lists.  For each
-# x digit of a coordinate, the y digits keeping every combination in range
-# form one interval: all t residues on a torsion coordinate Z/t, and the
-# intersection of the intervals cut out by -r <= cx*a + cy*b <= r on a free
-# coordinate of radius r.
+# A tuple of m points is in range iff it is in range in every coordinate, so
+# the in-range tuples are a product of per-coordinate digit-tuple lists.  For
+# each digit tuple of the first m - 1 variables of a coordinate, the digits
+# of the last variable keeping every combination in range form one interval:
+# all t residues on a torsion coordinate Z/t, and the intersection of the
+# intervals cut out by -r <= sum c_i a_i <= r on a free coordinate of radius
+# r.  Pairs (x, y) are the tuples of arity 2, whose prefixes are the x digits.
 
 
-def _factors(info: VecDomain, combos) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per coordinate, the first in-range y digit and the count of in-range
-    y digits for each x digit."""
-    group = info.group
-    out = []
-    for c in range(group.dim):
-        if c >= group.rank:
-            t = group.torsion[c - group.rank]
-            out.append((np.zeros(t, dtype=np.int64), np.full(t, t, dtype=np.int64)))
+def _intervals(info: VecDomain, c: int, combos, a0: int, a1: int):
+    """Coordinate ``c``'s digit tuples of every variable but the last whose
+    first digit lies in [a0, a1), in lexicographic order, with the first
+    in-range digit of the last variable and its count for each."""
+    group, m = info.group, len(combos[0])
+    width = len(info.domain.ranges(group)[c])
+    prefix = np.indices((a1 - a0,) + (width,) * (m - 2)).reshape(m - 1, -1)
+    prefix[0] += a0
+    n = prefix.shape[1]
+    if c >= group.rank:
+        return prefix, np.zeros(n, dtype=np.int64), np.full(n, width)
+    r = info.radii[c]
+    lo, hi = np.full(n, -r), np.full(n, r)
+    for *cs, cl in combos:
+        shift = sum(ci * (a - r) for ci, a in zip(cs, prefix))
+        if cl == 0:
+            hi[np.abs(shift) > r] = -r - 1
             continue
-        r = info.radii[c]
-        a = np.arange(-r, r + 1, dtype=np.int64)
-        lo, hi = np.full_like(a, -r), np.full_like(a, r)
-        for cx, cy in combos:
-            if cy == 0:
-                hi[np.abs(cx * a) > r] = -r - 1
-                continue
-            q, shift = abs(cy), (cx if cy > 0 else -cx) * a
-            lo = np.maximum(lo, -((r + shift) // q))   # ceil((-r - shift) / q)
-            hi = np.minimum(hi, (r - shift) // q)
-        out.append((lo + r, np.maximum(hi - lo + 1, 0)))
+        q, shift = abs(cl), shift if cl > 0 else -shift
+        lo = np.maximum(lo, -((r + shift) // q))   # ceil((-r - shift) / q)
+        hi = np.minimum(hi, (r - shift) // q)
+    return prefix, lo + r, np.maximum(hi - lo + 1, 0)
+
+
+def _factors(info: VecDomain, combos) -> list[int]:
+    """Per coordinate, the count of in-range digit tuples, summed over chunks
+    of first digits so no coordinate's full grid of prefixes is ever held."""
+    out = []
+    for c, width in enumerate(map(len, info.domain.ranges(info.group))):
+        step = max(1, _BLOCK_PAIRS // width ** (len(combos[0]) - 2))
+        out.append(sum(
+            int(_intervals(info, c, combos, a, min(a + step, width))[2].sum())
+            for a in range(0, width, step)))
     return out
 
 
 def pair_count(info: VecDomain, combos) -> int:
-    """Number of in-range pairs (x, y), the product of the per-coordinate
-    counts; builds no index, so any window can be counted.  Cached per
-    domain and combinations."""
-    return memo((info.group, info.domain, "count", combos), lambda: math.prod(
-        int(cnt.sum()) for _, cnt in _factors(info, combos)))
+    """Number of in-range tuples (pairs (x, y) for combinations of two
+    coefficients), the product of the per-coordinate counts; builds no
+    index, so any window can be counted.  Cached per domain and
+    combinations."""
+    return memo((info.group, info.domain, "count", combos),
+                lambda: math.prod(_factors(info, combos)))
 
 
-def _rows(info: VecDomain, c: int, combos, factor, a0: int, a1: int) -> list:
-    """Index contributions [x, y, *combinations] of coordinate ``c``'s
-    in-range digit pairs whose x digit lies in [a0, a1)."""
-    lo, cnt = factor
-    counts = cnt[a0:a1]
-    x = np.repeat(np.arange(a0, a1, dtype=np.int64), counts)
-    y = np.arange(len(x), dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts - lo[a0:a1], counts)
+def _rows(info: VecDomain, c: int, combos, prefix, lo, counts) -> list:
+    """Index contributions [each variable, *combinations] of coordinate
+    ``c``'s in-range digit tuples of the given :func:`_intervals`."""
+    last = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts - lo, counts)
+    digits = [*np.repeat(prefix, counts, axis=1), last]
     group = info.group
     if c < group.rank:
-        r = info.radii[c]  # digit of cx*(x - r) + cy*(y - r)
-        ks = [cx * x + cy * y - (cx + cy - 1) * r for cx, cy in combos]
+        r = info.radii[c]  # digit of sum c_i (d_i - r)
+        ks = [sum(ci * d for ci, d in zip(cs, digits)) - (sum(cs) - 1) * r
+              for cs in combos]
     else:
         t = group.torsion[c - group.rank]
-        ks = [(cx * x + cy * y) % t for cx, cy in combos]
-    return [d * info.strides[c] for d in (x, y, *ks)]
+        ks = [sum(ci * d for ci, d in zip(cs, digits)) % t for cs in combos]
+    return [d * info.strides[c] for d in (*digits, *ks)]
 
 
 def _outer(a: list, b: list, work: Optional[dict] = None) -> list:
@@ -180,37 +193,42 @@ def _outer(a: list, b: list, work: Optional[dict] = None) -> list:
 
 
 def pair_blocks(info: VecDomain, combos, limit: int, work: Optional[dict] = None):
-    """Every in-range pair as aligned index arrays [I, J, *K_combo], in blocks.
+    """Every in-range tuple as aligned index arrays [each variable,
+    *K_combo], in blocks: [I, J, *K_combo] for pairs.
 
-    A block holds every in-range pair (x, y) of a contiguous range of x, and
-    the ranges ascend, so the first block holding a pair with some property
-    holds the lexicographically first such pair.  A block has at most
-    ``limit`` pairs unless the pairs of a single x outnumber it.  Within a
-    block the order is not lexicographic.  Given a ``work`` dict, blocks are
-    written into scratch arrays kept there, so each block is valid only
-    until the next one is generated.
+    A block holds every in-range tuple of a contiguous range of the first
+    variable x, and the ranges ascend, so the first block holding a tuple
+    with some property holds the lexicographically first such tuple.  A
+    block has at most ``limit`` tuples unless the tuples of a single x
+    outnumber it.  Within a block the order is not lexicographic.  Given a
+    ``work`` dict, blocks are written into scratch arrays kept there, so
+    each block is valid only until the next one is generated.
     """
-    factors = _factors(info, combos)
+    ranges = info.domain.ranges(info.group)
+    # every prefix of each coordinate at once: few for a sweep within the guard
+    grids = [_intervals(info, c, combos, 0, len(r)) for c, r in enumerate(ranges)]
+    factors = [g[2].reshape(len(r), -1).sum(axis=1) for g, r in zip(grids, ranges)]
     dim = info.group.dim
-    suffix = [1] * (dim + 1)  # pairs over coordinates c, c+1, ...
+    suffix = [1] * (dim + 1)  # tuples over coordinates c, c+1, ...
     for c in range(dim - 1, -1, -1):
-        suffix[c] = suffix[c + 1] * int(factors[c][1].sum())
-    tails = {dim: [np.zeros(1, dtype=np.int64)] * (2 + len(combos))}
+        suffix[c] = suffix[c + 1] * int(factors[c].sum())
+    tails = {dim: [np.zeros(1, dtype=np.int64)] * (len(combos[0]) + len(combos))}
 
-    def rows(c, a0, a1):
-        return _rows(info, c, combos, factors[c], a0, a1)
+    def rows(c, a0, a1):  # coordinate c's tuples whose first digit is in [a0, a1)
+        per = len(ranges[c]) ** (len(combos[0]) - 2)  # prefixes per first digit
+        return _rows(info, c, combos, *(g[..., a0 * per:a1 * per] for g in grids[c]))
 
     def tail(c):
         if c not in tails:
-            tails[c] = _outer(rows(c, 0, len(factors[c][1])), tail(c + 1))
+            tails[c] = _outer(rows(c, 0, len(factors[c])), tail(c + 1))
         return tails[c]
 
     def walk(c, prefix):
-        # prefix: the pairs of coordinates < c for one fixed x prefix
+        # prefix: the tuples of coordinates < c for one fixed x prefix
         if c == dim:
             yield prefix
             return
-        cum = np.concatenate(([0], np.cumsum(factors[c][1])))
+        cum = np.concatenate(([0], np.cumsum(factors[c])))
         per_row = len(prefix[0]) * suffix[c + 1]
         a = 0
         while a < len(cum) - 1:
@@ -218,7 +236,7 @@ def pair_blocks(info: VecDomain, combos, limit: int, work: Optional[dict] = None
             if b > a:
                 yield _outer(_outer(prefix, rows(c, a, b)), tail(c + 1), work)
                 a = b
-            else:  # one x digit is too many pairs: fix it and split further
+            else:  # one x digit is too many tuples: fix it and split further
                 yield from walk(c + 1, _outer(prefix, rows(c, a, a + 1)))
                 a += 1
 
@@ -227,68 +245,33 @@ def pair_blocks(info: VecDomain, combos, limit: int, work: Optional[dict] = None
 
 def pair_sweep(info: VecDomain, combos, enc, terms, tol: float,
                product: bool) -> tuple[int, Optional[list[int]]]:
-    """Sweep an identity over every in-range pair (x, y).
+    """Sweep an identity over every in-range tuple: pairs (x, y), or
+    triples for combinations of three coefficients.
 
-    Returns the number of in-range pairs and the point indices
-    [x, y, *combination points] of the lexicographically first failing
-    pair, or None; ``enc``, ``terms``, ``tol`` and ``product`` are as for
-    :func:`failures`.  More than ``_PAIR_GUARD`` pairs are refused before
-    any index is built.  The pairs are generated in blocks of
+    Returns the number of in-range tuples and the point indices [each
+    variable, *combination points] of the lexicographically first failing
+    tuple, or None; ``enc``, ``terms``, ``tol`` and ``product`` are as for
+    :func:`failures`.  More than ``_PAIR_GUARD`` tuples are refused before
+    any index is built.  The tuples are generated in blocks of
     ``_BLOCK_PAIRS`` into the same scratch arrays block after block, and the
     sweep stops at the first block holding a failure, so memory stays
     bounded and no index array outlives the sweep.
     """
     count = pair_count(info, combos)
     if count > _PAIR_GUARD:
+        name = "pair" if len(combos[0]) == 2 else "triple"
         raise BudgetExceededError(
-            f"pair sweep over {count} in-range pairs exceeds the built-in "
+            f"{name} sweep over {count} in-range {name}s exceeds the built-in "
             f"guard of {_PAIR_GUARD}"
         )
     work: dict = {}
     for axes in pair_blocks(info, combos, _BLOCK_PAIRS, work):
         hit = failures(enc, axes, terms, tol, product, work)
         if len(hit):
-            w = hit[np.argmin(axes[0][hit] * info.n + axes[1][hit])]
-            return count, [int(a[w]) for a in axes]
+            for a in axes[:len(combos[0])]:  # the lexicographically first
+                hit = hit[a[hit] == a[hit].min()]
+            return count, [int(a[hit[0]]) for a in axes]
     return count, None
-
-
-def triple_maps(info: VecDomain, combos: tuple[tuple[int, int, int], ...]):
-    """Triple sweep, exhaustive up to ``EQ5_FULL_BUDGET`` triples and
-    deterministically sampled (``EQ5_SAMPLE_BUDGET`` triples) beyond.
-
-    Returns (X, H, K, [K_combo...], total, exhaustive).
-    """
-    return memo((info.group, info.domain, "triple", combos),
-                lambda: _triple_maps_build(info, combos))
-
-
-def _triple_maps_build(info, combos):
-    n = info.n
-    total = n * n * n
-    if total <= EQ5_FULL_BUDGET:
-        idx = np.arange(total, dtype=np.int64)
-        exhaustive = True
-    else:
-        m = min(EQ5_SAMPLE_BUDGET, total)
-        # fixed multiplicative-hash stride: deterministic, RNG-free
-        idx = (np.arange(m, dtype=np.uint64) * np.uint64(2654435761)
-               + np.uint64(40507)) % np.uint64(total)
-        idx = idx.astype(np.int64)
-        exhaustive = False
-    X = idx // (n * n)
-    H = (idx // n) % n
-    K = idx % n
-    C = info.coords.astype(np.int64)
-    valid = np.ones(len(idx), dtype=bool)
-    codes = []
-    for cx, ch, ck in combos:
-        code, inside = point_codes(info, cx * C[X] + ch * C[H] + ck * C[K])
-        valid &= inside
-        codes.append(code)
-    keep = np.flatnonzero(valid)
-    return (X[keep], H[keep], K[keep], [c[keep] for c in codes],
-            len(idx), exhaustive)
 
 
 # ---------------------------------------------------------------------------

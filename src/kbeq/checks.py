@@ -5,9 +5,9 @@ table domain: a tuple is checked iff every point the equation touches lies
 in the domain, and the report carries the fraction of conceivable tuples
 that were checkable (so truncation by a box window stays visible).  Failures
 report the lexicographically first witness, making them reproducible.
-Checkers sweep their tuples, except that :func:`check_kb` and every
-decomposition in :mod:`kbeq.decompose` certify, then explain, by the one
-rule of :func:`_certified`.
+Checkers sweep their tuples, except that :func:`check_kb`,
+:func:`check_eq5` and every decomposition in :mod:`kbeq.decompose` certify,
+then explain, by the one rule of :func:`_certified`.
 
 Every pair and triple identity, and the point-wise comparisons of
 :func:`check_hermitian` and :func:`check_coset_constant`, run through one
@@ -15,11 +15,10 @@ sweep kernel (:func:`kbeq._vec.failures`), whose arithmetic
 :func:`kbeq._vec.numeric_mode` picks from the values alone: comparisons are
 exact for rational, sign and exact-complex values and use an absolute
 tolerance (default 1e-9, by :func:`kbeq._vec.apart`) for floating data.
-Pair sweeps (:func:`kbeq._vec.pair_sweep`) count their in-range pairs in
-closed form, refuse more than ``kbeq._vec._PAIR_GUARD`` of them before
-allocating, and stream their pairs in bounded blocks up to the first
-failing one; triple sweeps use
-:func:`kbeq._vec.triple_maps`.
+Pair and triple sweeps (:func:`kbeq._vec.pair_sweep`) count their in-range
+tuples in closed form, refuse more than ``kbeq._vec._PAIR_GUARD`` of them
+before allocating, and stream their tuples in bounded blocks up to the
+first failing one.
 """
 
 from __future__ import annotations
@@ -33,7 +32,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _vec
-from ._split import _is_exact_table, _split_positive
+from ._split import (
+    _is_exact_table,
+    _require_decomposable_domain,
+    _split_parts,
+    _split_positive,
+)
 from .errors import IncompatibleTablesError, KbeqError
 from .functions import (
     FuncTable,
@@ -89,7 +93,8 @@ class CheckReport:
     ``pairs_checked`` is the number of in-range argument tuples, all of
     which a pair or triple sweep evaluates, failing or not; a report
     certified without a sweep (:func:`check_kb` on an exact positive
-    solution pair) counts them in closed form without evaluating them.
+    solution pair, :func:`check_eq5` on an exact table that splits) counts
+    them in closed form without evaluating them.
     The point-wise side conditions count the points up to the first
     failure.  ``coverage`` is the fraction of conceivable tuples whose
     required points fit the domain.
@@ -111,13 +116,12 @@ class CheckReport:
         }
 
 
-def _passed(count: int, coverage: float, note: str = None) -> CheckReport:
-    return CheckReport(True, count, None, coverage, note)
+def _passed(count: int, coverage: float) -> CheckReport:
+    return CheckReport(True, count, None, coverage)
 
 
-def _failed(count: int, coverage: float, witness: Witness,
-            note: str = None) -> CheckReport:
-    return CheckReport(False, count, witness, coverage, note)
+def _failed(count: int, coverage: float, witness: Witness) -> CheckReport:
+    return CheckReport(False, count, witness, coverage)
 
 
 def _require_same(f: FuncTable, g: FuncTable):
@@ -135,14 +139,6 @@ def _require_same(f: FuncTable, g: FuncTable):
 # An identity is a list of terms (table, axis, coefficient): the axes of a
 # pair sweep are x, y and then each combination point, those of a triple
 # sweep x, h, k and then each combination point.
-
-
-def _sweep(tables, axes, terms, tol: float, product: bool = False):
-    """Points (one per axis) of the first tuple failing the identity, or None."""
-    hit = _vec.failures(_vec.numeric_mode(tables), axes, terms, tol, product)
-    if not len(hit):
-        return None
-    return [tables[0]._point(int(a[hit[0]])) for a in axes]
 
 
 def _sides(tables, at, terms, product: bool = False):
@@ -183,28 +179,39 @@ def _entrywise(tables, axes, tol: float, witness) -> CheckReport:
     return _failed(w + 1, 1.0, witness(*(int(a[w]) for a in axes)))
 
 
-def _report(checked: int, considered: int, at, witness,
-            note: str = None) -> CheckReport:
-    coverage = checked / considered if considered else 1.0
-    if at is None:
-        return _passed(checked, coverage, note)
-    return _failed(checked, coverage, witness(at), note)
+def _coverage(info: _vec.VecDomain, count: int, combos) -> float:
+    """The share of conceivable tuples, one point per variable, in range."""
+    return count / info.n ** len(combos[0])
 
 
 def _pair_check(tables, combos, terms, tol: float, product: bool = False,
                 witness=None) -> CheckReport:
-    """Sweep an identity over every in-range pair (x, y); ``witness`` turns
-    the points (x, y, then each combination point) of the lexicographically
-    first failing pair into the report's witness."""
+    """Sweep an identity over every in-range pair (x, y), or triple for
+    combinations of three coefficients; ``witness`` turns the points (each
+    variable, then each combination point) of the lexicographically first
+    failing tuple into the report's witness."""
     t = tables[0]
-    checked, w = _vec.pair_sweep(_vec.domain_info(t.group, t.domain), combos,
-                                 _vec.numeric_mode(tables), terms, tol, product)
+    info = _vec.domain_info(t.group, t.domain)
+    checked, w = _vec.pair_sweep(info, combos, _vec.numeric_mode(tables), terms,
+                                 tol, product)
+    if w is None:
+        return _passed(checked, _coverage(info, checked, combos))
     if witness is None:
         def witness(at):
             return Witness(("x", "y"), (at[0], at[1]),
                            *_sides(tables, at, terms, product))
-    at = None if w is None else [t._point(i) for i in w]
-    return _report(checked, len(t.values) ** 2, at, witness)
+    return _failed(checked, _coverage(info, checked, combos),
+                   witness([t._point(i) for i in w]))
+
+
+def _counted(report: Optional[CheckReport], table: FuncTable, combos) -> CheckReport:
+    """A swept report, or a certified one (None) as the closed-form count of
+    the in-range tuples."""
+    if report is not None:
+        return report
+    info = _vec.domain_info(table.group, table.domain)
+    count = _vec.pair_count(info, combos)
+    return _passed(count, _coverage(info, count, combos))
 
 
 # ---------------------------------------------------------------------------
@@ -228,29 +235,43 @@ def check_polynomial(table: FuncTable, n: int,
     )
 
 
-_EQ5_COMBOS = ((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 0, 2), (1, 1, 2), (1, 2, 2))
-_EQ5_TERMS = tuple((0, 3 + j, c) for j, c in enumerate((-1, 2, -1, 1, -2, 1)))
+_TRIPLE_COMBOS = ((1, 0, 0), (1, 1, 0), (1, 2, 0), (1, 0, 2), (1, 1, 2), (1, 2, 2))
+_TRIPLE_TERMS = tuple((0, 3 + j, c) for j, c in enumerate((-1, 2, -1, 1, -2, 1)))
 
 
 def check_eq5(table: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Does the triple difference ``Delta_{2k} Delta_h^2 T`` vanish?
+    """Does the triple difference ``Delta_{2k} Delta_h^2 T`` vanish on every
+    in-range triple (x, h, k)?
 
-    Exhaustive when the domain has at most ``kbeq._vec.EQ5_FULL_BUDGET``
-    triples; otherwise a fixed deterministic sample of
-    ``kbeq._vec.EQ5_SAMPLE_BUDGET`` triples is swept and the report says so.
+    Certified or exhaustive, by the rule of :func:`_certified`.  The
+    certificate is the split ``T = P + l + r``
+    (:func:`kbeq._split._split_parts`) on windows it can read: its model,
+    whose Gram matrix is zero on torsion, solves the equation on the whole
+    group, since ``Delta_h^2 (P + l)`` is constant in x and the shift by 2k
+    keeps every ``X^(2)``-coset.  A certified report counts the in-range
+    triples in closed form, even beyond the guard.  Otherwise, and first on
+    tables holding floats, every in-range triple is swept
+    (:func:`_eq5_sweep`), and a sweep over more than
+    ``kbeq._vec._PAIR_GUARD`` triples is refused with
+    :class:`~kbeq.errors.BudgetExceededError`.
     """
     if table.kind != KIND_REAL:
         raise IncompatibleTablesError("triple-difference check needs a real table")
-    info = _vec.domain_info(table.group, table.domain)
-    X, H, K, Ks, considered, exhaustive = _vec.triple_maps(info, _EQ5_COMBOS)
-    note = None if exhaustive else (
-        f"sampled {considered} of {info.n ** 3} triples deterministically"
-    )
-    return _report(
-        len(X), considered, _sweep((table,), [X, H, K, *Ks], _EQ5_TERMS, tol),
-        lambda at: Witness(("x", "h", "k"), tuple(at[:3]),
-                           _signed_sum(table, at, _EQ5_TERMS), 0),
-        note=note,
+
+    def split():
+        _require_decomposable_domain(table)
+        return _split_parts(table, tol)
+
+    outcome = _certified((table,), split, lambda: _eq5_sweep(table, tol))
+    return _counted(outcome.report, table, _TRIPLE_COMBOS)
+
+
+def _eq5_sweep(table: FuncTable, tol: float) -> CheckReport:
+    """:func:`check_eq5` by sweeping every in-range triple."""
+    return _pair_check(
+        (table,), _TRIPLE_COMBOS, _TRIPLE_TERMS, tol,
+        witness=lambda at: Witness(("x", "h", "k"), tuple(at[:3]),
+                                   _signed_sum(table, at, _TRIPLE_TERMS), 0),
     )
 
 
@@ -277,12 +298,8 @@ def check_kb(f: FuncTable, g: FuncTable, tol: float = DEFAULT_TOL) -> CheckRepor
     """
     _require_same(f, g)
     split = (lambda: _split_positive(f, g, tol)) if f.kind == KIND_POSITIVE else None
-    report = _certified((f, g), split, lambda: _kb_sweep(f, g, tol)).report
-    if report is None:
-        info = _vec.domain_info(f.group, f.domain)
-        count = _vec.pair_count(info, _KB_COMBOS)
-        return _passed(count, count / info.n ** 2)
-    return report
+    return _counted(_certified((f, g), split, lambda: _kb_sweep(f, g, tol)).report,
+                    f, _KB_COMBOS)
 
 
 def check_kb_self(f: FuncTable, tol: float = DEFAULT_TOL) -> CheckReport:

@@ -55,10 +55,10 @@ from ._split import (
 from .checks import (
     DEFAULT_TOL,
     _certified,
+    _eq5_sweep,
     _kb_sweep,
     _require_same,
     check_coset_constant,
-    check_eq5,
     check_hermitian,
     check_polynomial,
     check_sign_eq26,
@@ -208,7 +208,7 @@ def decompose_T(table: FuncTable, tol: float = DEFAULT_TOL):
     _require_decomposable_domain(table)
     return _decomposed(
         (table,), lambda: _forms(table.group, _split_parts(table, tol)),
-        lambda: check_eq5(table, tol), "triple-difference equation fails")
+        lambda: _eq5_sweep(table, tol), "triple-difference equation fails")
 
 
 # ---------------------------------------------------------------------------

@@ -517,13 +517,13 @@ def _real_from_json(kind: str, raw):
 def _complex_from_json(raw) -> tuple:
     """A complex table value as ``(log num, log den, turn num, turn den)``
     integers, exact zero as ``None``, or a float value as a ``complex``."""
-    if raw == 0:
+    if _is_number(raw) and raw == 0:
         return None
     if isinstance(raw, dict):
         where = f"complex value {raw!r}"
         return (*_int_pair_from_json(_json_field(raw, "log", where)),
                 *_int_pair_from_json(_json_field(raw, "turn", where)))
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+    if isinstance(raw, (list, tuple)) and len(raw) == 2 and all(map(_is_number, raw)):
         return complex(float(raw[0]), float(raw[1]))
     raise GroupParseError(f"cannot parse complex value {raw!r}")
 
@@ -540,7 +540,7 @@ def _json_encoding(kind: str, raws: list):
     """
     if kind == KIND_SIGN:
         for raw in raws:
-            if raw not in (1, -1):
+            if not (_is_number(raw) and raw in (1, -1)):
                 raise GroupParseError(f"sign value must be +-1, got {raw!r}")
         return "parity", (1 - np.array(raws, dtype=np.int64)) >> 1, 1
     if kind != KIND_COMPLEX:

@@ -120,7 +120,7 @@ def _is_number(raw) -> bool:
 def value_from_json(kind, raw):
     """One JSON table value as the Python value it denotes."""
     if kind == "sign":
-        if raw in (1, -1):
+        if _is_number(raw) and raw in (1, -1):
             return int(raw)
         raise GroupParseError(f"sign value must be +-1, got {raw!r}")
     if kind == "real":
@@ -136,14 +136,14 @@ def value_from_json(kind, raw):
                 raise GroupParseError(f"positive table value must be > 0, got {raw!r}")
             return math.log(float(raw))
         raise GroupParseError(f"cannot parse positive value {raw!r}")
-    if raw == 0:
+    if _is_number(raw) and raw == 0:
         return Exact.zero_value()
     if isinstance(raw, dict):
         for key in ("log", "turn"):
             if key not in raw:
                 raise GroupParseError(f"complex value {raw!r} has no key {key!r}")
         return Exact(_rat_from_json(raw["log"]), _rat_from_json(raw["turn"]))
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+    if isinstance(raw, (list, tuple)) and len(raw) == 2 and all(map(_is_number, raw)):
         return complex(float(raw[0]), float(raw[1]))
     raise GroupParseError(f"cannot parse complex value {raw!r}")
 

@@ -79,7 +79,7 @@ from kbeq.oracle import (
 FUNCS = {
     "deg2": (recover_deg2, ref.sweep_first_recover_deg2,
              lambda t, tol: check_polynomial(t, 2, tol)),
-    "T": (decompose_T, ref.sweep_first_decompose_T, check_eq5),
+    "T": (decompose_T, ref.sweep_first_decompose_T, checks._eq5_sweep),
     "positive": (decompose_positive, ref.sweep_first_decompose_positive, check_kb),
     "hermitian": (decompose_hermitian, ref.sweep_first_decompose_hermitian,
                   lambda f, g, tol: check_kb(_complexified(f), _complexified(g), tol)),
@@ -599,13 +599,14 @@ def test_hermitian_route_builds_no_exact_and_sweeps_once(monkeypatch):
 
 
 def test_pair_decompositions_sample_no_triples(monkeypatch):
-    # one split per positive pair: only decompose_T still reaches check_eq5
-    # and its triple sample, so every pair route answers without them, on
-    # exact and float corpus pairs, failing or not
+    # one split per positive pair: only check_eq5 and decompose_T sweep
+    # triples, so every pair route answers without a triple sweep, on exact
+    # and float corpus pairs, failing or not
     def refuse(*args, **kwargs):
-        raise AssertionError("a pair decomposition sampled triples")
+        raise AssertionError("a pair decomposition swept triples")
 
-    monkeypatch.setattr(_vec, "triple_maps", refuse)
+    for module in (checks, dec):
+        monkeypatch.setattr(module, "_eq5_sweep", refuse)
     cases = [case for case in CORPUS + PHASE_CASES
              if case[1] in ("positive", "hermitian", "self")]
     outcomes = [_outcome(FUNCS[func][0], args) for _, func, args, _ in cases]
@@ -640,6 +641,7 @@ CORPUS_ARGS = {name: args for name, _, args, _ in CORPUS}
 ROUTINE_ENTRIES = {
     "check_kb": (check_kb, ("positive-box", "positive-box-fbad")),
     "check_kb_self": (check_kb_self, ("self-quadratic", "self-quadratic-neg-at-x")),
+    "check_eq5": (check_eq5, ("T-log", "T-log-bad")),
     "recover_deg2": (recover_deg2, ("deg2-poly", "deg2-poly-bad")),
     "decompose_T": (decompose_T, ("T-log", "T-log-bad")),
     "decompose_positive": (decompose_positive, ("positive-box", "positive-box-fbad")),

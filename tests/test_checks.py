@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import reference_checks as ref
 from reference_decompose import character_value, coset_value, quadratic_value
 
+from kbeq import checks
 from kbeq.checks import (
     DEFAULT_TOL,
     check_cauchy,
@@ -22,7 +23,8 @@ from kbeq.checks import (
     check_quadratic,
     check_sign_eq26,
 )
-from kbeq.errors import IncompatibleTablesError
+from kbeq.decompose import decompose_T
+from kbeq.errors import BudgetExceededError, EquationFailsError, IncompatibleTablesError
 from kbeq.functions import (
     AdditiveMap,
     CharacterSpec,
@@ -38,6 +40,7 @@ from kbeq.oracle import (
     builtin_counterexample,
     builtin_odd_quadratic,
     random_hermitian_form,
+    random_positive_form,
 )
 
 Z = GroupSpec(1)
@@ -88,11 +91,44 @@ def test_check_eq5_examples():
     assert check_eq5(f.as_real_log()).holds
 
 
-def test_check_eq5_samples_large_domains():
+def test_check_eq5_certifies_large_domains():
+    # 693 889 in-range triples on 289 points: the split certifies the table,
+    # and the exhaustive sweep agrees
     g = GroupSpec(2)
     t = real_table(g, Box((8, 8)), lambda p: Fraction(p.coords[0] ** 2))
     rep = check_eq5(t)
-    assert rep.holds and rep.note is not None and "sampled" in rep.note
+    assert rep.holds and rep.note is None and rep.pairs_checked == 693_889
+    assert checks._eq5_sweep(t, DEFAULT_TOL) == rep
+
+
+def _log_table(radius: int, altered: bool):
+    """A positive form's log table on Z^2 x Z/4 x Z/3, with the log at
+    (3, -2, 1, 1) raised by 1 when ``altered``."""
+    group = GroupSpec(2, (4, 3))
+    f, _ = synth_table(random_positive_form(group, Random(3)), Box((radius, radius)))
+    x = group.element((3, -2, 1, 1))
+    return FuncTable(group, f.domain, "real",
+                     {p: v + (altered and p == x) for p, v in f.as_real_log().values.items()})
+
+
+def test_check_eq5_sweeps_every_triple_up_to_the_guard():
+    # a sample of 20 000 of its 918 330 048 triples once let this table hold
+    bad = _log_table(4, True)
+    rep = check_eq5(bad)
+    assert not rep.holds and rep.note is None and rep.pairs_checked == 28_755_648
+    w = rep.witness.to_json()
+    assert (w["x"], w["h"], w["k"]) == ([-4, -4, 0, 0], [1, 0, 1, 0], [3, 1, 0, 2])
+    with pytest.raises(EquationFailsError, match="triple-difference equation fails"):
+        decompose_T(bad)
+    # beyond the guard a failing table is refused, a genuine one certified
+    bad = _log_table(6, True)
+    for fn in (check_eq5, decompose_T):
+        with pytest.raises(BudgetExceededError, match="^triple sweep over 245598912 "
+                           "in-range triples exceeds the built-in guard of 30000000$"):
+            fn(bad)
+    for radius, count in ((6, 245_598_912), (20, 229_363_386_048)):
+        rep = check_eq5(_log_table(radius, False))
+        assert rep.holds and rep.note is None and rep.pairs_checked == count
 
 
 # ---------------------------------------------------------------------------

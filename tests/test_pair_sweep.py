@@ -18,6 +18,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from random import Random
 
@@ -180,26 +181,29 @@ def test_certified_checks_count_the_pairs_once_per_domain(monkeypatch):
 
 
 def test_blocks_cover_the_pairs_once_in_ascending_x_ranges():
-    group, domain = GroupSpec(2, (3,)), Box((3, 2))
-    info = _vec.domain_info(group, domain)
-    combos = ((1, 1), (1, -1), (0, -1))
-    pts = [p.coords for p in domain.points(group)]
-    want = {}
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            if all(abs(cx * a + cy * b) <= r for cx, cy in combos
-                   for a, b, r in zip(x, y, domain.radius)):
-                want[i, j] = [_vec.index_of_coords(info, group.reduce(
-                    [cx * a + cy * b for a, b in zip(x, y)])) for cx, cy in combos]
-    seen, last = {}, -1
-    for I, J, *Ks in _vec.pair_blocks(info, combos, 40):
-        assert len(I) <= max(40, info.n)
-        assert I.min() > last  # each block starts past the previous one's x
-        last = int(I.max())
-        for i, j, *ks in zip(I.tolist(), J.tolist(), *(k.tolist() for k in Ks)):
-            assert (i, j) not in seen
-            seen[i, j] = ks
-    assert seen == want
+    # the kb pairs, and the triples (x, h, k) of the triple difference, whose
+    # blocks of at most 40 tuples split inside every coordinate
+    for group, domain, combos in (
+            (GroupSpec(2, (3,)), Box((3, 2)), ((1, 1), (1, -1), (0, -1))),
+            (GroupSpec(2, (2,)), Box((2, 1)), checks._TRIPLE_COMBOS)):
+        info, m = _vec.domain_info(group, domain), len(combos[0])
+        pts = [p.coords for p in domain.points(group)]
+        want = {}
+        for ids in product(range(len(pts)), repeat=m):
+            sums = [[sum(c * pts[i][d] for c, i in zip(cs, ids)) for d in range(group.dim)]
+                    for cs in combos]
+            if all(abs(v) <= r for row in sums for v, r in zip(row, domain.radius)):
+                want[ids] = [_vec.index_of_coords(info, group.reduce(row)) for row in sums]
+        seen, last = {}, -1
+        for block in _vec.pair_blocks(info, combos, 40):
+            assert len(block[0]) <= max(40, info.n ** (m - 1))
+            assert block[0].min() > last  # each block starts past the previous one's x
+            last = int(block[0].max())
+            for ids, *ks in zip(zip(*(a.tolist() for a in block[:m])),
+                                *(k.tolist() for k in block[m:])):
+                assert ids not in seen
+                seen[ids] = ks
+        assert seen == want
 
 
 def test_pair_budget_refuses_before_allocating(tmp_path, capsys):

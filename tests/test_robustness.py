@@ -730,10 +730,10 @@ MALFORMED_VALUES = {
     "real": [float("nan"), [1.9, 2], [True, 2], ["3", 2], [1, 0], [1, 2, 3], "x", True],
     "positive": [{"log": [1, 0]}, {"log": [1.9, 2]}, {"log": float("nan")},
                  {"log": True}, -1.0, 0, "x", {"loge": 1}],
-    "sign": [0, 2, "x", 1.5],
+    "sign": [0, 2, "x", 1.5, True],
     "complex": [{"log": [0, 1], "turn": [1, 0]}, {"log": [0.5, 1], "turn": [0, 1]},
                 {"log": [0, 1], "turn": [False, 1]}, {"turn": [0, 1]},
-                {"log": [0, 1]}, "x", [1]],
+                {"log": [0, 1]}, "x", [1], False, [True, False], ["1", "0"], [None, 0]],
 }
 VALID_VALUES = {"real": [1, 1], "positive": {"log": [1, 1]}, "sign": 1,
                 "complex": {"log": [1, 1], "turn": [1, 3]}}
