@@ -22,8 +22,9 @@ tolerance for float ones, and that comparison certifies the result.  Only
 when it fails is the odd part compared with the additive map everywhere, to
 explain the failure: a non-additive odd part is the error reported before a
 nonzero residual.  On an exact table a zero residual already makes the odd
-part additive, since ``P`` and ``r`` are even.  ``Fraction`` forms are built
-only for a caller that returns them (:func:`_forms`) or for a witness.
+part additive, since ``P`` and ``r`` are even.  Forms are built only for a
+caller that returns them (:func:`_forms`), from slices of the parts' arrays,
+and a ``Fraction`` only for a witness.
 
 An exact table's split depends on its values alone, so the first one
 certified is kept on the table (``FuncTable._parts``) and freed with it; a
@@ -120,16 +121,13 @@ class _Parts(NamedTuple):
     den: int
 
 
-def _rats(nums: np.ndarray, den: int) -> list[Fraction]:
-    return [Fraction(v, den) for v in nums.tolist()]
-
-
 def _forms(group: GroupSpec, parts: _Parts):
-    """The parts as ``(QuadraticForm, AdditiveMap, CosetConstantMap)``."""
+    """The parts as ``(QuadraticForm, AdditiveMap, CosetConstantMap)``, each
+    holding its slice of the parts' numerators, not validated again: the
+    split certified them."""
     B, l, r, den = parts
-    return (QuadraticForm(group, tuple(tuple(_rats(row, den)) for row in B)),
-            AdditiveMap(group, tuple(_rats(l, den))),
-            CosetConstantMap(group, tuple(zip(group.coset_indices(2), _rats(r, den)))))
+    return (QuadraticForm._of(group, B.ravel(), den), AdditiveMap._of(group, l, den),
+            CosetConstantMap._of(group, r, den))
 
 
 def _require_decomposable_domain(table: FuncTable):
@@ -274,8 +272,7 @@ def _positive_form(group: GroupSpec, f_parts: _Parts,
                    g_parts: _Parts) -> PositiveSolutionForm:
     """The positive form ``(P, l, m, r)`` of a checked pair of splits."""
     P, l, r = _forms(group, f_parts)
-    m = AdditiveMap(group, tuple(_rats(g_parts.l, g_parts.den)))
-    return PositiveSolutionForm(P, l, m, r)
+    return PositiveSolutionForm(P, l, AdditiveMap._of(group, g_parts.l, g_parts.den), r)
 
 
 def _split_positive(f: FuncTable, g: FuncTable, tol: float) -> tuple[_Parts, _Parts]:

@@ -629,8 +629,11 @@ def _form_sum(B: np.ndarray, l: np.ndarray, r: np.ndarray, den: int,
 
 def _products(X: np.ndarray):
     """The products ``x_j x_k`` (``j <= k``) of the rows of ``X`` and then
-    the rows themselves, with those index pairs."""
-    J, K = np.triu_indices(len(X))
+    the rows themselves, with those index pairs in the order of
+    ``np.triu_indices``, listed directly: that call costs more than the
+    products of one point."""
+    J, K = np.array([(j, k) for j in range(len(X)) for k in range(j, len(X))],
+                    dtype=np.intp).reshape(-1, 2).T
     return np.concatenate([X[J] * X[K], X]), (J, K)
 
 
@@ -644,14 +647,3 @@ def _form_basis(info: VecDomain):
         return (*_products(X), int(np.abs(info.coords).max(initial=0)))
 
     return memo((info.group, info.domain, "form"), build)
-
-
-def form_coefficients(P, l, r) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The arguments ``(B, l, r, den)`` of :func:`form_values` for the form
-    ``P(x) + l(x) + r(x)``: its rational parts as integers over their least
-    common denominator.  ``r`` is a coset map on ``X^(2)``, whose entries
-    run in coset code order (:func:`coset_codes`)."""
-    d, rank = P.group.dim, P.group.rank
-    nums, den = _fractions_over([v for row in P.matrix for v in row]
-                                + list(l.coeffs) + [v for _, v in r.entries])
-    return nums[: d * d], nums[d * d: d * d + rank], nums[d * d + rank:], den

@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Optional, Union
@@ -494,6 +494,16 @@ def _is_number(raw) -> bool:
     return isinstance(raw, (int, float)) and not isinstance(raw, bool)
 
 
+def _float_of(raw, read: Callable[[], float]) -> float:
+    """``read()``, the float arithmetic reading the JSON value ``raw`` (an
+    int / int division is correctly rounded, as the float of a ``Fraction``
+    is); a value beyond the float range is refused."""
+    try:
+        return read()
+    except OverflowError:
+        raise GroupParseError(f"value {raw!r} is beyond the float range") from None
+
+
 def _real_from_json(kind: str, raw):
     """A real or positive table value as a ``[num, den]`` pair of integers,
     or as ``(float, None)``; positive tables read the log of a plain number."""
@@ -503,10 +513,10 @@ def _real_from_json(kind: str, raw):
                 raise GroupParseError(f"cannot parse positive value {raw!r}")
             if raw <= 0:
                 raise GroupParseError(f"positive table value must be > 0, got {raw!r}")
-            return math.log(float(raw)), None
+            return math.log(_float_of(raw, lambda: float(raw))), None
+        if _is_number(raw["log"]):
+            return _float_of(raw, lambda: float(raw["log"])), None
         raw = raw["log"]
-        if _is_number(raw):
-            return float(raw), None
     elif isinstance(raw, float):
         return raw, None
     elif _is_number(raw):
@@ -524,7 +534,7 @@ def _complex_from_json(raw) -> tuple:
         return (*_int_pair_from_json(_json_field(raw, "log", where)),
                 *_int_pair_from_json(_json_field(raw, "turn", where)))
     if isinstance(raw, (list, tuple)) and len(raw) == 2 and all(map(_is_number, raw)):
-        return complex(float(raw[0]), float(raw[1]))
+        return _float_of(raw, lambda: complex(float(raw[0]), float(raw[1])))
     raise GroupParseError(f"cannot parse complex value {raw!r}")
 
 
@@ -546,16 +556,17 @@ def _json_encoding(kind: str, raws: list):
     if kind != KIND_COMPLEX:
         vals = [_real_from_json(kind, raw) for raw in raws]
         if any(d is None for _, d in vals):  # any float: float arithmetic
-            return "float", np.array([a if d is None else a / d for a, d in vals],
+            return "float", np.array([a if d is None else _float_of(raw, lambda: a / d)
+                                      for raw, (a, d) in zip(raws, vals)],
                                      dtype=np.float64), 1
         return ("int", *_vec._over([a for a, _ in vals], [d for _, d in vals]))
     vals = [_complex_from_json(raw) for raw in raws]
     if any(isinstance(v, complex) for v in vals):
-        # int / int is correctly rounded, as the float of a Fraction is
         return "complex", np.array([
             v if isinstance(v, complex) else 0j if v is None
-            else math.exp(v[0] / v[1]) * cmath.exp(2j * math.pi * (v[2] % v[3] / v[3]))
-            for v in vals], dtype=np.complex128), 1
+            else _float_of(raw, lambda: math.exp(v[0] / v[1])
+                           * cmath.exp(2j * math.pi * (v[2] % v[3] / v[3])))
+            for raw, v in zip(raws, vals)], dtype=np.complex128), 1
     zero = np.array([v is None for v in vals], dtype=bool)
     ints = [(0, 1, 0, 1) if v is None else v for v in vals]
     return "exact", (*_vec._over([v[0] for v in ints], [v[1] for v in ints]),
@@ -567,79 +578,165 @@ def _json_encoding(kind: str, raws: list):
 # structured parts
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+def _rational(v) -> Rational:
+    """``v`` itself when an ``int`` or ``Fraction``, else ``Fraction(v)``."""
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+class _Rationals:
+    """Rational values stored once, as :class:`FuncTable` stores its
+    encoding: integer numerators over one positive denominator, in lowest
+    terms, int64 or Python ints by the :func:`kbeq._vec.lowest` rule.  The
+    ``Fraction`` fields of a subclass are read-only views decoding them;
+    instances are immutable."""
+
+    __slots__ = ("group", "_nums", "_den")
+    _field = ""  # the name of the subclass's Fraction view
+
+    def _fill(self, group: GroupSpec, nums: np.ndarray, den: int):
+        if den < 0:
+            nums, den = -nums, -den
+        nums, den = _vec.lowest(nums, den)
+        nums.setflags(write=False)
+        for name, value in (("group", group), ("_nums", nums), ("_den", den)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, group: GroupSpec, nums: np.ndarray, den: int):
+        """The values ``nums / den`` (a nonzero denominator of either sign,
+        in any terms), in the order of the subclass's view and not
+        validated: a certified split's parts."""
+        obj = object.__new__(cls)
+        obj._fill(group, nums, den)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self)._of, (self.group, self._nums, self._den)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.group == other.group and self._den == other._den
+                and np.array_equal(self._nums, other._nums))
+
+    def __hash__(self) -> int:
+        return hash((self.group, self._den, *self._nums.tolist()))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(group={self.group!r}, "
+                f"{self._field}={getattr(self, self._field)!r})")
+
+    def is_zero(self) -> bool:
+        return not self._nums.any()
+
+    def _fractions(self) -> list[Fraction]:
+        return [Fraction(n, self._den) for n in self._nums.tolist()]
+
+    def _pairs(self) -> list[list[int]]:
+        """The values as JSON ``[num, den]`` pairs in lowest terms."""
+        den = self._den
+        return [[n // g, den // g] for n in self._nums.tolist() for g in (math.gcd(n, den),)]
+
+    def _json(self):
+        return self._pairs()
+
+
+class QuadraticForm(_Rationals):
     """``P(x) = x^T B x`` with B symmetric rational; torsion rows are zero.
 
     A real-valued biadditive form kills torsion coordinates (any finite
     subgroup of the reals is trivial), so the zero rows are structural.
+    The entries are stored row by row; ``matrix`` is their ``Fraction``
+    view.
     """
 
-    group: GroupSpec
-    matrix: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
+    _field = "matrix"
 
-    def __post_init__(self):
-        d = self.group.dim
-        mat = tuple(tuple(Fraction(v) for v in row) for row in self.matrix)
-        if len(mat) != d or any(len(row) != d for row in mat):
+    def __init__(self, group: GroupSpec, matrix):
+        d = group.dim
+        rows = [[_rational(v) for v in row] for row in matrix]
+        if len(rows) != d or any(len(row) != d for row in rows):
             raise GroupMismatchError("quadratic form matrix must be dim x dim")
-        for i in range(d):
-            for j in range(d):
-                if mat[i][j] != mat[j][i]:
-                    raise GroupMismatchError("quadratic form matrix must be symmetric")
-                if (i >= self.group.rank or j >= self.group.rank) and mat[i][j]:
-                    raise GroupMismatchError(
-                        "quadratic form must vanish on torsion coordinates"
-                    )
-        object.__setattr__(self, "matrix", mat)
+        nums, den = _vec._fractions_over([v for row in rows for v in row])
+        B = nums.reshape(d, d)
+        torsion = np.arange(d) >= group.rank
+        bad = (B != B.T) | ((torsion[:, None] | torsion) & (B != 0))
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), d)
+            raise GroupMismatchError(
+                "quadratic form matrix must be symmetric" if B[i, j] != B[j, i]
+                else "quadratic form must vanish on torsion coordinates")
+        self._fill(group, nums, den)
+
+    def _rows(self, vals: list) -> list:
+        d = self.group.dim
+        return [vals[i * d:(i + 1) * d] for i in range(d)]
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(map(tuple, self._rows(self._fractions())))
 
     @classmethod
     def zero(cls, group: GroupSpec) -> "QuadraticForm":
-        d = group.dim
-        return cls(group, tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d)))
+        return cls._of(group, np.zeros(group.dim ** 2, dtype=np.int64), 1)
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.matrix for v in row)
+    def _json(self) -> list:
+        return self._rows(self._pairs())
 
 
-@dataclass(frozen=True)
-class AdditiveMap:
-    """Rational homomorphism into the reals; zero on the torsion part."""
+class AdditiveMap(_Rationals):
+    """Rational homomorphism into the reals; zero on the torsion part.
+    ``coeffs`` is the ``Fraction`` view of its free coordinates'
+    coefficients."""
 
-    group: GroupSpec
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
+    _field = "coeffs"
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(v) for v in self.coeffs)
-        if len(coeffs) != self.group.rank:
+    def __init__(self, group: GroupSpec, coeffs):
+        qs = [_rational(v) for v in coeffs]
+        if len(qs) != group.rank:
             raise GroupMismatchError("additive map needs one coefficient per free coordinate")
-        object.__setattr__(self, "coeffs", coeffs)
+        self._fill(group, *_vec._fractions_over(qs))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(self._fractions())
 
     @classmethod
     def zero(cls, group: GroupSpec) -> "AdditiveMap":
-        return cls(group, tuple(Fraction(0) for _ in range(group.rank)))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return cls._of(group, np.zeros(group.rank, dtype=np.int64), 1)
 
 
-@dataclass(frozen=True)
-class CosetConstantMap:
-    """Real map depending on x only through its coset modulo ``X^(2)``."""
+class CosetConstantMap(_Rationals):
+    """Real map depending on x only through its coset modulo ``X^(2)``.
 
-    group: GroupSpec
-    entries: tuple[tuple[CosetIndex, Fraction], ...]
+    The values are stored in coset code order (:func:`kbeq._vec.coset_codes`),
+    which is the order of ``group.coset_indices(2)``; ``entries`` is their
+    ``(CosetIndex, Fraction)`` view.
+    """
 
-    def __post_init__(self):
-        ent = tuple(sorted(((idx, Fraction(v)) for idx, v in self.entries),
-                           key=lambda t: t[0].residues))
-        expected = self.group.coset_indices(2)
-        if [idx for idx, _ in ent] != expected:
+    __slots__ = ()
+    _field = "entries"
+
+    def __init__(self, group: GroupSpec, entries):
+        ent = sorted(((idx, _rational(v)) for idx, v in entries),
+                     key=lambda t: t[0].residues)
+        if [idx for idx, _ in ent] != group.coset_indices(2):
             raise GroupMismatchError(
                 "coset map must assign exactly one value per coset of X^(2)"
             )
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "_table", dict(ent))
+        self._fill(group, *_vec._fractions_over([v for _, v in ent]))
+
+    @property
+    def entries(self) -> tuple[tuple[CosetIndex, Fraction], ...]:
+        return tuple(zip(self.group.coset_indices(2), self._fractions()))
 
     @classmethod
     def from_mapping(cls, group: GroupSpec,
@@ -648,21 +745,26 @@ class CosetConstantMap:
 
     @classmethod
     def zero(cls, group: GroupSpec) -> "CosetConstantMap":
-        return cls(group, tuple((idx, Fraction(0)) for idx in group.coset_indices(2)))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for _, v in self.entries)
+        return cls._of(group, np.zeros(group.coset_count(2), dtype=np.int64), 1)
 
     def at(self, idx: CosetIndex) -> Fraction:
-        return self._table[idx]
+        try:
+            i = self.group.coset_indices(2).index(idx)
+        except ValueError:
+            raise KeyError(idx) from None
+        return Fraction(int(self._nums[i]), self._den)
 
     def negated(self) -> "CosetConstantMap":
-        return CosetConstantMap(self.group,
-                                tuple((idx, -v) for idx, v in self.entries))
+        return CosetConstantMap._of(self.group, -self._nums, self._den)
 
     @property
     def modulus(self) -> int:
         return 2
+
+    def _json(self) -> dict:
+        return {"modulus": 2,
+                "table": [[list(idx.residues), pair] for idx, pair
+                          in zip(self.group.coset_indices(2), self._pairs())]}
 
 
 @dataclass(frozen=True)
@@ -793,10 +895,10 @@ class PositiveSolutionForm:
         return {
             "type": "positive",
             "group": str(self.group),
-            "P": [[_rat_to_json(v) for v in row] for row in self.P.matrix],
-            "l": [_rat_to_json(v) for v in self.l.coeffs],
-            "m": [_rat_to_json(v) for v in self.m.coeffs],
-            "r": _coset_map_to_json(self.r),
+            "P": self.P._json(),
+            "l": self.l._json(),
+            "m": self.m._json(),
+            "r": self.r._json(),
         }
 
 
@@ -833,18 +935,11 @@ class HermitianSolutionForm:
             "beta": _character_to_json(self.beta),
             "a": _sign_map_to_json(self.a),
             "b": _sign_map_to_json(self.b),
-            "P": [[_rat_to_json(v) for v in row] for row in self.P.matrix],
-            "r": _coset_map_to_json(self.r),
+            "P": self.P._json(),
+            "r": self.r._json(),
             "support": None if self.support is None else
             [list(g.coords) for g in self.support.generators],
         }
-
-
-def _coset_map_to_json(m: CosetConstantMap) -> dict:
-    return {
-        "modulus": 2,
-        "table": [[list(idx.residues), _rat_to_json(v)] for idx, v in m.entries],
-    }
 
 
 def _character_to_json(c: CharacterSpec) -> dict:
@@ -914,6 +1009,21 @@ def form_from_json(obj: dict):
 # evaluation and synthesis
 
 
+def _form_args(P: QuadraticForm, l: AdditiveMap, r: CosetConstantMap,
+               sign: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The arguments ``(B, l, r, den)`` of :func:`kbeq._vec.form_values` for
+    ``P(x) + l(x) + sign * r(x)``: the parts' stored numerators over their
+    least common denominator, ``r``'s negated for ``sign`` -1."""
+    den = math.lcm(P._den, l._den, r._den)
+    B, ln, rn = (_vec._rescale(part._nums, den // part._den) for part in (P, l, r))
+    return B, ln, rn if sign > 0 else -rn, den
+
+
+def _positive_sides(form: PositiveSolutionForm):
+    """The :func:`_form_args` of ``log f = P + l + r`` and ``log g = P + m - r``."""
+    return (_form_args(form.P, form.l, form.r), _form_args(form.P, form.m, form.r, -1))
+
+
 def eval_positive(form: PositiveSolutionForm,
                   x: GroupElement) -> tuple[float, float]:
     """Evaluate a positive form; returns the pair ``(f(x), g(x))`` as floats,
@@ -921,9 +1031,9 @@ def eval_positive(form: PositiveSolutionForm,
     at the one point ``x``."""
     group = form.group
     group._own(x)
-    logs = (_vec.form_value_at(*_vec.form_coefficients(form.P, l, r), group, x.coords)
-            for l, r in ((form.l, form.r), (form.m, form.r.negated())))
-    return tuple(math.exp(float(Fraction(*log))) for log in logs)
+    # int / int is correctly rounded, as the float of a Fraction is
+    return tuple(math.exp(num / den) for num, den in (
+        _vec.form_value_at(*args, group, x.coords) for args in _positive_sides(form)))
 
 
 def eval_hermitian(form: HermitianSolutionForm,
@@ -944,10 +1054,10 @@ def eval_hermitian(form: HermitianSolutionForm,
         if not _support_span(form.support, info)[_vec.index_of_coords(info, x.coords)]:
             return 0j, 0j
     row = np.array([x.coords], dtype=object)
-    sides = _hermitian_sides(
-        form, row, _vec.coset_codes_at(group, 4, row),
-        lambda *parts: _vec.form_value_at(*_vec.form_coefficients(*parts), group, x.coords))
-    return tuple(Exact(Fraction(log, lden), Fraction(int(turns[0]), tden)).to_complex()
+    sides = _hermitian_sides(form, row, _vec.coset_codes_at(group, 4, row),
+                             lambda *args: _vec.form_value_at(*args, group, x.coords))
+    # the values of Exact(log / lden, turn / tden).to_complex()
+    return tuple(math.exp(log / lden) * cmath.exp(2j * math.pi * (int(turns[0]) / tden))
                  for log, lden, turns, tden in sides)
 
 
@@ -956,24 +1066,21 @@ def synth_table(form, domain: Domain) -> tuple[FuncTable, FuncTable]:
 
     Positive forms always produce genuine solution pairs, with exact
     rational logs evaluated over the whole domain at once: the form's
-    coefficients are scaled to integers over one denominator
-    (:func:`kbeq._vec.form_coefficients`) and evaluated by
-    :func:`kbeq._vec.form_values`, the integer evaluator the log-domain split
-    (:mod:`kbeq._split`) shares.  Hermitian forms are rendered from the same
-    arrays (:func:`_hermitian_tables`), and are synthesized only when they
-    satisfy the sufficient condition (sign maps constant on cosets of
-    ``X^(2)`` with pointwise product 1, or the support-restricted shape on a
-    group with onto doubling); arbitrary quadrupled-coset sign data does not
-    guarantee a solution and is refused.
+    stored numerators are brought over one denominator (:func:`_form_args`)
+    and evaluated by :func:`kbeq._vec.form_values`, the integer evaluator
+    the log-domain split (:mod:`kbeq._split`) shares.  Hermitian forms are
+    rendered from the same arrays (:func:`_hermitian_tables`), and are
+    synthesized only when they satisfy the sufficient condition (sign maps
+    constant on cosets of ``X^(2)`` with pointwise product 1, or the
+    support-restricted shape on a group with onto doubling); arbitrary
+    quadrupled-coset sign data does not guarantee a solution and is refused.
     """
     if isinstance(form, PositiveSolutionForm):
         group = form.group
         info = _vec.domain_info(group, domain)
-        return tuple(
-            FuncTable._of(group, domain, KIND_POSITIVE,
-                          ("int", *_vec.form_values(*_vec.form_coefficients(form.P, l, r),
-                                                    info)))
-            for l, r in ((form.l, form.r), (form.m, form.r.negated())))
+        return tuple(FuncTable._of(group, domain, KIND_POSITIVE,
+                                   ("int", *_vec.form_values(*args, info)))
+                     for args in _positive_sides(form))
     if isinstance(form, HermitianSolutionForm):
         _require_sufficient(form)
         return _hermitian_tables(form, domain)
@@ -1003,28 +1110,35 @@ def _character_table(alpha: CharacterSpec, domain: Domain) -> FuncTable:
 
 
 def _support_span(support: SubgroupSpec, info: _vec.VecDomain) -> np.ndarray:
-    """The mask of ``support`` on a finite group's domain, whose origin has
-    index 0, grown generator by generator (:func:`kbeq._vec.join_span`)."""
-    span = np.arange(info.n) == 0
-    for e in support.generators:
-        _vec.join_span(info, span, e.coords)
-    return span
+    """The read-only mask of ``support`` on a finite group's domain, whose
+    origin has index 0, grown generator by generator
+    (:func:`kbeq._vec.join_span`) and cached by :func:`kbeq._vec.memo`."""
+
+    def build() -> np.ndarray:
+        span = np.arange(info.n) == 0
+        for e in support.generators:
+            _vec.join_span(info, span, e.coords)
+        span.setflags(write=False)
+        return span
+
+    return _vec.memo((info.group, info.domain, support), build)
 
 
 def _hermitian_sides(form: HermitianSolutionForm, coords: np.ndarray, codes,
                      logs: Callable):
     """Each side of a Hermitian form at the rows of ``coords``, whose coset
     codes modulo ``X^(4)`` are ``codes``: the log numerators and denominator
-    of ``P +- r`` by ``logs(P, l, r)``, and the turn numerators and
-    denominator of the character's turns (:func:`_turns`) plus a half turn
-    where the sign map is -1, its entries running in coset code order."""
-    for chi, signs, r in ((form.alpha, form.a, form.r),
-                          (form.beta, form.b, form.r.negated())):
+    of ``P +- r`` by ``logs`` of their :func:`_form_args`, and the turn
+    numerators and denominator of the character's turns (:func:`_turns`)
+    plus a half turn where the sign map is -1, its entries running in coset
+    code order."""
+    no_l = AdditiveMap.zero(form.group)
+    for chi, signs, sign in ((form.alpha, form.a, 1), (form.beta, form.b, -1)):
         turns, tden = _turns(chi, coords)
         minus = (np.array([v for _, v in signs.entries])[codes] < 0).astype(turns.dtype)
         if minus.any():  # t + 1/2 is (2t + den) / (2 den)
             turns, tden = (2 * turns + tden * minus) % (2 * tden), 2 * tden
-        yield (*logs(form.P, AdditiveMap.zero(form.group), r), turns, tden)
+        yield (*logs(*_form_args(form.P, no_l, form.r, sign)), turns, tden)
 
 
 def _hermitian_tables(form: HermitianSolutionForm,
@@ -1037,9 +1151,8 @@ def _hermitian_tables(form: HermitianSolutionForm,
     zero = np.zeros(info.n, dtype=bool)
     if form.support is not None:
         zero = ~_support_span(form.support, info)
-    sides = _hermitian_sides(
-        form, info.coords.astype(np.int64), _vec.coset_codes(info, 4),
-        lambda *parts: _vec.form_values(*_vec.form_coefficients(*parts), info))
+    sides = _hermitian_sides(form, info.coords.astype(np.int64), _vec.coset_codes(info, 4),
+                             lambda *args: _vec.form_values(*args, info))
     return tuple(
         FuncTable._of(group, domain, KIND_COMPLEX, ("exact", (
             np.where(zero, 0, logs), lden, np.where(zero, 0, turns), tden, zero), 1))

@@ -103,6 +103,34 @@ def test_check_nan_value_exits_two(tmp_path, capsys):
         assert f"invalid for kind '{kind}'" in payload["error"]
 
 
+BIG = 10**400  # an integer beyond the float range
+
+
+@pytest.mark.parametrize("kind,value,other", [
+    ("positive", {"log": BIG}, {"log": 0}),
+    ("positive", BIG, 1),
+    ("complex", [BIG, 0], 0),
+    ("real", BIG, 1.5),
+    ("complex", {"log": [1000, 1], "turn": [0, 1]}, [1.0, 0.0]),
+], ids=["positive-log", "positive-plain", "complex-pair", "real-beside-a-float",
+        "exact-complex-beside-a-float"])
+def test_value_beyond_the_float_range_exits_two(tmp_path, capsys, kind, value, other):
+    # each ended in an OverflowError traceback (exit 1); the last two are
+    # read as floats because the table holds a float
+    f = tmp_path / "f.json"
+    write_json(f, {"group": "Z/2", "domain": {"type": "full"}, "kind": kind,
+                   "values": [[[0], other], [[1], value]]})
+    code, payload, _ = run(capsys, "check", "-f", str(f), "-g", str(f))
+    assert code == 2
+    assert payload["error"] == f"value {value!r} is beyond the float range"
+
+
+def test_real_integer_beyond_the_float_range_is_read_exactly():
+    t = FuncTable.from_json({"group": "Z/2", "domain": {"type": "full"}, "kind": "real",
+                             "values": [[[0], 0], [[1], BIG]]})
+    assert t.encoding[0] == "int" and t.values[t.group.element((1,))] == BIG
+
+
 @pytest.mark.parametrize("values,message", [
     ([[[0], 2.0], [[1], 2.0], [[2], 2.0], [[1], 99.0]],
      "table keys must equal the enumerated domain exactly"),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +193,119 @@ def test_coset_constant_map_completeness():
     partial = dict(list(full.items())[:-1])
     with pytest.raises(GroupMismatchError):
         CosetConstantMap.from_mapping(Z44, partial)
+
+
+FORM_GROUPS = (GroupSpec(0), Z, GroupSpec(0, (6,)), GroupSpec(2, (4, 3)))
+# numerators around int64 and _vec._INT_LIMIT = 2^58, and small ones
+_NUMS = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70),
+                  st.sampled_from((2**58, -2**58, 2**58 + 1, 2**63, -2**63)))
+_DENS = st.one_of(st.integers(1, 12), st.integers(2**57, 2**60)).flatmap(
+    lambda d: st.sampled_from((d, -d)))
+
+
+def _pairs_json(values) -> list:
+    return [[q.numerator, q.denominator] for q in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FORM_GROUPS), st.data())
+def test_forms_hold_numerators_over_one_denominator(group, data):
+    # each part built from numerators over one denominator of either sign,
+    # in any terms, equals the part built from the same values as Fractions:
+    # views, ==, hash and JSON alike, with int64 numerators exactly when
+    # every one in lowest terms is within 2^58
+    d, rank = group.dim, group.rank
+    free = [(j, k) for j in range(rank) for k in range(j, rank)]
+    upper = dict(zip(free, data.draw(st.lists(_NUMS, min_size=len(free),
+                                              max_size=len(free)))))
+    B = [[upper.get((min(j, k), max(j, k)), 0) for k in range(d)] for j in range(d)]
+    sizes = {"P": d * d, "l": rank, "r": group.coset_count(2)}
+    nums = {"P": [v for row in B for v in row],
+            **{key: data.draw(st.lists(_NUMS, min_size=n, max_size=n))
+               for key, n in sizes.items() if key != "P"}}
+    den = data.draw(_DENS)
+    want = {key: [Fraction(v, den) for v in vals] for key, vals in nums.items()}
+    cosets = group.coset_indices(2)
+    built = {
+        "P": QuadraticForm(group, [want["P"][i * d:(i + 1) * d] for i in range(d)]),
+        "l": AdditiveMap(group, want["l"]),
+        "r": CosetConstantMap(group, list(zip(cosets, want["r"]))[::-1]),
+    }
+    for key, cls in (("P", QuadraticForm), ("l", AdditiveMap), ("r", CosetConstantMap)):
+        part = cls._of(group, np.array(nums[key], dtype=object), den)
+        assert part == built[key] and hash(part) == hash(built[key])
+        assert part._den > 0 and math.gcd(part._den, *part._nums.tolist()) == 1
+        small = max(map(abs, part._nums.tolist()), default=0) <= 2**58
+        assert part._nums.dtype == (np.int64 if small else object)
+        assert not part._nums.flags.writeable
+        assert part.is_zero() == (not any(want[key]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            part.group = group
+        assert pickle.loads(pickle.dumps(part)) == part
+    P, l, r = (built[key] for key in ("P", "l", "r"))
+    assert P.matrix == tuple(tuple(want["P"][i * d:(i + 1) * d]) for i in range(d))
+    assert l.coeffs == tuple(want["l"])
+    assert r.entries == tuple(zip(cosets, want["r"]))
+    assert all(type(v) is Fraction for v in (*l.coeffs, *(v for _, v in r.entries)))
+    assert [r.at(idx) for idx in cosets] == want["r"]
+    assert r.negated() == CosetConstantMap(group, [(i, -v) for i, v in zip(cosets, want["r"])])
+    form = PositiveSolutionForm(P, l, AdditiveMap.zero(group), r)
+    assert form.to_json() == {
+        "type": "positive", "group": str(group),
+        "P": [_pairs_json(want["P"][i * d:(i + 1) * d]) for i in range(d)],
+        "l": _pairs_json(want["l"]), "m": [[0, 1]] * rank,
+        "r": {"modulus": 2, "table": [[list(idx.residues), [q.numerator, q.denominator]]
+                                      for idx, q in zip(cosets, want["r"])]}}
+    assert form_from_json(json.loads(json.dumps(form.to_json()))) == form
+    if any(want["l"]):  # a changed value is a different part
+        bumped = AdditiveMap(group, [v + (i == 0) for i, v in enumerate(want["l"])])
+        assert bumped != l
+
+
+G14 = GroupSpec(1, (4,))
+Q = Fraction
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: QuadraticForm(Z, ((Q(1), Q(0)),)), GroupMismatchError,
+     "quadratic form matrix must be dim x dim"),
+    (lambda: QuadraticForm(Z, ((Q(1),), (Q(2),))), GroupMismatchError,
+     "quadratic form matrix must be dim x dim"),
+    (lambda: QuadraticForm(GroupSpec(2), ((0, 1), (0, 0))), GroupMismatchError,
+     "quadratic form matrix must be symmetric"),
+    (lambda: QuadraticForm(G14, ((0, 1), (1, 0))), GroupMismatchError,
+     "quadratic form must vanish on torsion coordinates"),
+    (lambda: QuadraticForm(G14, ((0, 0), (0, Q(1, 3)))), GroupMismatchError,
+     "quadratic form must vanish on torsion coordinates"),
+    # the first offending entry, row by row, names the error
+    (lambda: QuadraticForm(GroupSpec(2, (4,)), ((0, 2, 0), (3, 0, 1), (0, 1, 0))),
+     GroupMismatchError, "quadratic form matrix must be symmetric"),
+    (lambda: QuadraticForm(GroupSpec(2, (4,)), ((0, 0, 1), (0, 0, 1), (1, 2, 0))),
+     GroupMismatchError, "quadratic form must vanish on torsion coordinates"),
+    (lambda: QuadraticForm(Z, (("x",),)), ValueError, "Invalid literal for Fraction: 'x'"),
+    (lambda: QuadraticForm(Z, ((None,),)), TypeError,
+     "argument should be a string or a Rational instance"),
+    (lambda: AdditiveMap(Z, ()), GroupMismatchError,
+     "additive map needs one coefficient per free coordinate"),
+    (lambda: AdditiveMap(G14, (1, 0)), GroupMismatchError,
+     "additive map needs one coefficient per free coordinate"),
+    (lambda: AdditiveMap(Z, (None,)), TypeError,
+     "argument should be a string or a Rational instance"),
+    (lambda: CosetConstantMap(Z, ((Z.coset_indices(2)[0], 1),)), GroupMismatchError,
+     "coset map must assign exactly one value per coset of X^(2)"),
+    (lambda: CosetConstantMap(Z, [(idx, 1) for idx in Z.coset_indices(4)]),
+     GroupMismatchError, "coset map must assign exactly one value per coset of X^(2)"),
+    (lambda: CosetConstantMap(Z, [(idx, "y") for idx in Z.coset_indices(2)]),
+     ValueError, "Invalid literal for Fraction: 'y'"),
+    (lambda: CosetConstantMap.zero(Z).at(Z.coset_indices(4)[1]), KeyError,
+     repr(Z.coset_indices(4)[1])),
+], ids=["P-short-row", "P-tall", "P-asymmetric", "P-torsion", "P-torsion-diagonal",
+        "P-asymmetric-first", "P-torsion-first", "P-string", "P-none", "l-short",
+        "l-long", "l-none", "r-missing", "r-modulus-4", "r-string", "r-at-foreign"])
+def test_invalid_parts_raise_as_before(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
 
 
 @settings(max_examples=40, deadline=None)
@@ -478,10 +592,8 @@ def test_eval_matches_the_point_wise_oracle(case):
         lambda: [math.exp(float(v)) for v in log_pair(pform, x)])
     assert _outcome(lambda: eval_hermitian(hform, x)) == _outcome(
         lambda: [v.to_complex() for v in exact_pair(hform, x)])
-    for (l, r), want in zip(((pform.l, pform.r), (pform.m, pform.r.negated())),
-                            log_pair(pform, x)):
-        assert Fraction(*_vec.form_value_at(*_vec.form_coefficients(pform.P, l, r),
-                                            x.group, x.coords)) == want
+    for args, want in zip(functions._positive_sides(pform), log_pair(pform, x)):
+        assert Fraction(*_vec.form_value_at(*args, x.group, x.coords)) == want
     turns, den = functions._turns(hform.alpha, np.array([x.coords], dtype=object))
     assert Fraction(int(turns[0]), den) == character_turn(hform.alpha, x)
 

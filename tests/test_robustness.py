@@ -20,7 +20,7 @@ import pytest
 
 import reference_checks as ref
 import reference_decompose as ref_dec
-from kbeq import _vec, checks
+from kbeq import _vec, checks, functions
 from kbeq.checks import check_eq5, check_kb, check_sign_eq26
 from kbeq.decompose import (
     decompose_T,
@@ -414,7 +414,7 @@ def test_synth_positive_matches_reference(name, group, domain):
     info = _vec.domain_info(group, domain)
     for fname, form, big in _dec_forms(group):
         assert synth_table(form, domain) == ref_dec.synth_positive(form, domain)
-        nums, _ = _vec.form_values(*_vec.form_coefficients(form.P, form.l, form.r), info)
+        nums, _ = _vec.form_values(*functions._form_args(form.P, form.l, form.r), info)
         assert (nums.dtype == object) == big  # beyond int64: Python ints
 
 
